@@ -139,8 +139,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return _cmd_demo(args)
 
 
-cli_main = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -26,9 +26,9 @@ from .kernel import dump_trace, initialize
 from .model import (
     ModelConfig,
     RunStats,
+    _require_valid,
     build_consanguinity_model,
     collect_run_stats,
-    validate_config,
 )
 
 CSV_HEADER = ("object_name", "data_source", "category", "statistic", "value")
@@ -81,10 +81,7 @@ def run_experiment(
     replication index attached.  ``trace_path``, when given, captures the
     event trace of replication 0.
     """
-    violations = validate_config(config)
-    if violations:
-        summary = "; ".join(str(v) for v in violations)
-        raise ConfigurationError(f"invalid model config: {summary}")
+    _require_valid(config)
     per_replication: list[RunStats] = []
     for r in range(config.replications):
         spec = builder(config, r)

@@ -6,8 +6,9 @@ callbacks.  A coupled model composes named children with port couplings and a
 ``select`` total order that breaks ties among simultaneously imminent
 components.  The simulator is independent of what any particular model
 represents: :func:`initialize` closes the coupled hierarchy into a flat
-component table, and :meth:`SimulationHandle.step` runs one Classic-DEVS
-cycle per call:
+component table, and every event, whether fired by
+:meth:`SimulationHandle.step` or inside :meth:`SimulationHandle.run_until`,
+runs one Classic-DEVS cycle:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
@@ -134,9 +135,6 @@ class TraceEvent(NamedTuple):
     component: str
     phase: str  # "internal" or "external"
     messages: tuple[Message, ...]
-
-
-EventTrace = list
 
 
 def _ports_of(spec: ModelSpec, direction: str) -> tuple[str, ...]:
@@ -304,7 +302,7 @@ class SimulationHandle:
         flat = _Flattener(model)
         self.model = model
         self.clock: Time = t0
-        self.trace: EventTrace = []
+        self.trace: list[TraceEvent] = []
         self.record_trace = record_trace
         self.max_zero_steps = max_zero_steps
         self._nodes: list[_Node] = []
@@ -354,10 +352,36 @@ class SimulationHandle:
         Returns the event time and any messages that crossed the root
         boundary.
         """
-        t_next = self._t_next
-        t = min(t_next)
+        t = min(self._t_next, default=INFINITY)
         if t == INFINITY:
             raise SimulationError("step() called with no pending events")
+        return self._fire(t)
+
+    def run_until(self, t_end: Time) -> list[TraceEvent]:
+        """Process every event with time <= t_end; return the new trace slice.
+
+        The clock ends at the time of the last processed event (it does not
+        jump to ``t_end``).  Deterministic given the model and its seeds.
+        """
+        if t_end < self.clock:
+            raise SimulationError(f"run_until({t_end}) is before the current clock {self.clock}")
+        start = len(self.trace)
+        t_next = self._t_next
+        fire = self._fire
+        while True:
+            t = min(t_next, default=INFINITY)
+            if t > t_end or t == INFINITY:
+                break
+            fire(t)
+        return self.trace[start:]
+
+    def _fire(self, t: Time) -> tuple[Time, list[Message]]:
+        """Fire the first imminent component in select order at ``t``.
+
+        ``t`` must be the minimum over ``_t_next``; both callers have just
+        computed it, so the step body scans the table once more, for the
+        index.
+        """
         if t > self.clock:
             self.clock = t
             self._steps_at_clock = 1
@@ -368,7 +392,7 @@ class SimulationHandle:
                     f"illegitimate model: more than {self.max_zero_steps} "
                     f"steps without the clock advancing past {t}"
                 )
-        i = t_next.index(t)  # first in select order among the imminent
+        i = self._t_next.index(t)  # first in select order among the imminent
         node = self._nodes[i]
         spec = node.spec
         outputs = spec.output(node.state)
@@ -386,7 +410,11 @@ class SimulationHandle:
                 payload = msg.payload
                 for z in chain:
                     payload = z(payload)
-                deliveries.setdefault(idx, []).append(Message(dst_port, payload))
+                bag = deliveries.get(idx)
+                if bag is None:
+                    deliveries[idx] = [Message(dst_port, payload)]
+                else:
+                    bag.append(Message(dst_port, payload))
             for root_port, chain in root_targets:
                 payload = msg.payload
                 for z in chain:
@@ -398,7 +426,7 @@ class SimulationHandle:
         if self.record_trace:
             self.trace.append(TraceEvent(t, node.path, "internal", tuple(outputs)))
         # External transitions of every receiver, in select order.
-        for idx in sorted(deliveries):
+        for idx in sorted(deliveries) if len(deliveries) > 1 else deliveries:
             receiver = self._nodes[idx]
             bag = deliveries[idx]
             elapsed = t - receiver.t_last
@@ -415,23 +443,6 @@ class SimulationHandle:
         node.t_last = t
         node.t_next = t + ta
         self._t_next[idx] = node.t_next
-
-    def run_until(self, t_end: Time) -> EventTrace:
-        """Process every event with time <= t_end; return the new trace slice.
-
-        The clock ends at the time of the last processed event (it does not
-        jump to ``t_end``).  Deterministic given the model and its seeds.
-        """
-        if t_end < self.clock:
-            raise SimulationError(f"run_until({t_end}) is before the current clock {self.clock}")
-        start = len(self.trace)
-        t_next = self._t_next
-        while True:
-            t = min(t_next, default=INFINITY)
-            if t > t_end or t == INFINITY:
-                break
-            self.step()
-        return self.trace[start:]
 
 
 def initialize(
@@ -461,7 +472,7 @@ def step(handle: SimulationHandle) -> tuple[Time, list[Message]]:
     return handle.step()
 
 
-def run_until(handle: SimulationHandle, t_end: Time) -> EventTrace:
+def run_until(handle: SimulationHandle, t_end: Time) -> list[TraceEvent]:
     """Functional alias for :meth:`SimulationHandle.run_until`."""
     return handle.run_until(t_end)
 

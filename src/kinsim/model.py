@@ -9,8 +9,11 @@ random number of children, and a sink that counts the new population.
 split by sex, each sex stream is split again into consanguineous and
 non-consanguineous branches by path weights, and each branch runs its own
 marriage combiner, growth server (whose children receive a congenital
-disorder draw) and new-population sink.  Fourteen path objects carry the
-traffic between stations, so every leg of the flow is individually counted.
+disorder draw) and new-population sink.
+
+Objects are joined by direct couplings.  Every leg of the flow is counted by
+a :class:`~kinsim.objects.Travelers` translate on its coupling and reported
+as a ``Path<n>`` ``[Travelers]`` row, so the legs cost no kernel steps.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .objects import (
     SinkState,
     SourceState,
     SplitterState,
+    Travelers,
     make_combiner,
-    make_path,
     make_server,
     make_sink,
     make_source,
@@ -74,9 +77,10 @@ class SourceSettings:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SourceSettings":
+        max_arrivals = data.get("max_arrivals")
         return cls(
             interarrival=dict(data.get("interarrival", {"type": "constant", "value": 1.0})),
-            max_arrivals=data.get("max_arrivals"),
+            max_arrivals=None if max_arrivals is None else int(max_arrivals),
         )
 
 
@@ -142,48 +146,62 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
+        """Parse the JSON form; absent fields keep their defaults.
+
+        A field whose value has the wrong shape or type raises
+        :class:`ConfigurationError` naming the field.  Values of the right
+        shape are checked by :func:`validate_config`, not here.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
         config = cls()
-        if "run_length" in data:
-            config.run_length = float(data["run_length"])
-        if "replications" in data:
-            config.replications = int(data["replications"])
-        if "base_seed" in data:
-            config.base_seed = int(data["base_seed"])
-        if "sources" in data:
-            config.sources = {
-                name: SourceSettings.from_dict(sub) for name, sub in data["sources"].items()
-            }
-        if "sex_split" in data:
-            split = data["sex_split"]
-            if isinstance(split, Mapping):
-                config.sex_split = (float(split[MALE]), float(split[FEMALE]))
-            else:
-                male, female = split
-                config.sex_split = (float(male), float(female))
-        if "routing_weights" in data:
-            config.routing_weights = {
-                sex: {branch: float(w) for branch, w in entry.items()}
-                for sex, entry in data["routing_weights"].items()
-            }
-        if "offspring_distribution" in data:
-            config.offspring_distribution = dict(data["offspring_distribution"])
-        if "allele_frequency" in data:
-            config.allele_frequency = float(data["allele_frequency"])
-        if "consanguinity_degree" in data:
-            raw = data["consanguinity_degree"]
+        for name, parse in _FIELD_PARSERS.items():
+            if name not in data:
+                continue
             try:
-                config.consanguinity_degree = ConsanguinityDegree(raw)
-            except ValueError:
-                names = [d.value for d in ConsanguinityDegree]
-                raise ConfigurationError(
-                    f"unknown consanguinity_degree {raw!r}; expected one of {names}"
-                ) from None
-        if "inbreeding_f" in data:
-            value = data["inbreeding_f"]
-            config.inbreeding_f = None if value is None else float(value)
-        if "metadata" in data:
-            config.metadata = {str(k): str(v) for k, v in data["metadata"].items()}
+                setattr(config, name, parse(data[name]))
+            except KeyError as exc:
+                raise ConfigurationError(f"malformed {name}: missing key {exc}") from None
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ConfigurationError(f"malformed {name}: {exc}") from None
         return config
+
+
+def _parse_sex_split(split) -> tuple[float, float]:
+    if isinstance(split, Mapping):
+        return float(split[MALE]), float(split[FEMALE])
+    male, female = split
+    return float(male), float(female)
+
+
+def _parse_degree(raw) -> ConsanguinityDegree:
+    try:
+        return ConsanguinityDegree(raw)
+    except ValueError:
+        names = [d.value for d in ConsanguinityDegree]
+        raise ConfigurationError(
+            f"unknown consanguinity_degree {raw!r}; expected one of {names}"
+        ) from None
+
+
+# ModelConfig field -> parser of its JSON value, in parse order.
+_FIELD_PARSERS = {
+    "run_length": float,
+    "replications": int,
+    "base_seed": int,
+    "sources": lambda sources: {
+        name: SourceSettings.from_dict(sub) for name, sub in sources.items()
+    },
+    "sex_split": _parse_sex_split,
+    "routing_weights": lambda weights: {
+        sex: {branch: float(w) for branch, w in entry.items()} for sex, entry in weights.items()
+    },
+    "offspring_distribution": dict,
+    "allele_frequency": float,
+    "consanguinity_degree": _parse_degree,
+    "inbreeding_f": lambda value: None if value is None else float(value),
+    "metadata": lambda metadata: {str(k): str(v) for k, v in metadata.items()},
+}
 
 
 @dataclass(frozen=True)
@@ -279,8 +297,10 @@ class _Wiring:
         self.components[name] = spec
         return name
 
-    def connect(self, src: str, src_port: str, dst: str, dst_port: str) -> None:
-        self.couplings.append(Coupling(src, src_port, dst, dst_port))
+    def connect(self, src: str, src_port: str, dst: str, dst_port: str, *legs: str) -> None:
+        """Couple two ports; ``legs`` name the ``[Travelers]`` rows counting it."""
+        translate = Travelers(*legs) if legs else None
+        self.couplings.append(Coupling(src, src_port, dst, dst_port, translate))
 
     def build(self) -> CoupledSpec:
         return CoupledSpec(
@@ -296,7 +316,8 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
     The female source feeds the combiner's parent entry and the male source
     its member entry; each marriage then passes through the growth server,
     whose trigger creates children per the offspring distribution, and ends
-    in the new-population sink together with its children.
+    in the new-population sink together with its children.  The four legs
+    are counted couplings, reported as ``Path1``-``Path4``.
     """
     _require_valid(config)
     root = substream(config.base_seed, replication)
@@ -323,20 +344,14 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
             factory=factory,
             stream=root.named(stream_name),
         ))
-    for i in range(1, 5):
-        w.add(f"Path{i}", make_path(0.0))
     w.add("Marriage", make_combiner(batch_quantity=1))
     w.add("Population Growth", make_server(on_processed=on_growth))
     w.add("New Population", make_sink())
 
-    w.connect("MP", "out", "Path1", "in")
-    w.connect("Path1", "out", "Marriage", "member_in")
-    w.connect("FP", "out", "Path2", "in")
-    w.connect("Path2", "out", "Marriage", "parent_in")
-    w.connect("Marriage", "out", "Path3", "in")
-    w.connect("Path3", "out", "Population Growth", "in")
-    w.connect("Population Growth", "out", "Path4", "in")
-    w.connect("Path4", "out", "New Population", "in")
+    w.connect("MP", "out", "Marriage", "member_in", "Path1")
+    w.connect("FP", "out", "Marriage", "parent_in", "Path2")
+    w.connect("Marriage", "out", "Population Growth", "in", "Path3")
+    w.connect("Population Growth", "out", "New Population", "in", "Path4")
     return w.build()
 
 
@@ -345,9 +360,12 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     two marriage combiners, two growth servers with disorder draws, two sinks.
 
     Flow: WP source -> sex splitter (relabels MP/FP) -> per-sex branch
-    splitter -> four stream stations (MP_C, MP_NC, FP_C, FP_NC) -> marriage
-    combiners (female parent, male member) -> growth servers -> sinks, with
-    14 path objects carrying the traffic.
+    splitter (tags ``branch`` and ``stream``: MP_C, MP_NC, FP_C, FP_NC) ->
+    marriage combiners (female parent, male member) -> growth servers ->
+    sinks: ten atomics.  The fourteen legs are counted couplings, reported
+    as ``Path1``-``Path14``.  A branch splitter's coupling to its combiner
+    carries two leg names, the branch leg and the stream leg (Path3 and
+    Path7 for MP_C), because every entity crosses both together.
     """
     _require_valid(config)
     root = substream(config.base_seed, replication)
@@ -402,28 +420,22 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     ))
     w.add("MaleBranch", make_splitter(
         [
-            RouteChoice(CONSANG, male_weights[CONSANG], set_attrs={"branch": "C"}),
-            RouteChoice(NON_CONSANG, male_weights[NON_CONSANG], set_attrs={"branch": "NC"}),
+            RouteChoice(CONSANG, male_weights[CONSANG],
+                        set_attrs={"branch": "C", "stream": "MP_C"}),
+            RouteChoice(NON_CONSANG, male_weights[NON_CONSANG],
+                        set_attrs={"branch": "NC", "stream": "MP_NC"}),
         ],
         stream=root.named("male_branch"),
     ))
     w.add("FemaleBranch", make_splitter(
         [
-            RouteChoice(CONSANG, female_weights[CONSANG], set_attrs={"branch": "C"}),
-            RouteChoice(NON_CONSANG, female_weights[NON_CONSANG], set_attrs={"branch": "NC"}),
+            RouteChoice(CONSANG, female_weights[CONSANG],
+                        set_attrs={"branch": "C", "stream": "FP_C"}),
+            RouteChoice(NON_CONSANG, female_weights[NON_CONSANG],
+                        set_attrs={"branch": "NC", "stream": "FP_NC"}),
         ],
         stream=root.named("female_branch"),
     ))
-    for station, stream_tag in (("MP_C", "MP_C"), ("MP_NC", "MP_NC"),
-                                ("FP_C", "FP_C"), ("FP_NC", "FP_NC")):
-        w.add(station, make_splitter([RouteChoice("out", set_attrs={"stream": stream_tag})]))
-    path_weights = {
-        1: male_fraction, 2: female_fraction,
-        3: male_weights[CONSANG], 4: male_weights[NON_CONSANG],
-        5: female_weights[CONSANG], 6: female_weights[NON_CONSANG],
-    }
-    for i in range(1, 15):
-        w.add(f"Path{i}", make_path(0.0, weight=path_weights.get(i, 1.0)))
     w.add("Marriage_C", make_combiner(batch_quantity=1))
     w.add("Marriage_NC", make_combiner(batch_quantity=1))
     w.add("PopulationG_C", make_server(on_processed=on_growth_c))
@@ -432,34 +444,16 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     w.add("NewPopulation_NC", make_sink())
 
     w.connect("WP", "out", "SexSplit", "in")
-    w.connect("SexSplit", MALE, "Path1", "in")
-    w.connect("Path1", "out", "MaleBranch", "in")
-    w.connect("SexSplit", FEMALE, "Path2", "in")
-    w.connect("Path2", "out", "FemaleBranch", "in")
-    w.connect("MaleBranch", CONSANG, "Path3", "in")
-    w.connect("Path3", "out", "MP_C", "in")
-    w.connect("MaleBranch", NON_CONSANG, "Path4", "in")
-    w.connect("Path4", "out", "MP_NC", "in")
-    w.connect("FemaleBranch", CONSANG, "Path5", "in")
-    w.connect("Path5", "out", "FP_C", "in")
-    w.connect("FemaleBranch", NON_CONSANG, "Path6", "in")
-    w.connect("Path6", "out", "FP_NC", "in")
-    w.connect("MP_C", "out", "Path7", "in")
-    w.connect("Path7", "out", "Marriage_C", "member_in")
-    w.connect("MP_NC", "out", "Path8", "in")
-    w.connect("Path8", "out", "Marriage_NC", "member_in")
-    w.connect("FP_C", "out", "Path9", "in")
-    w.connect("Path9", "out", "Marriage_C", "parent_in")
-    w.connect("FP_NC", "out", "Path10", "in")
-    w.connect("Path10", "out", "Marriage_NC", "parent_in")
-    w.connect("Marriage_C", "out", "Path11", "in")
-    w.connect("Path11", "out", "PopulationG_C", "in")
-    w.connect("Marriage_NC", "out", "Path12", "in")
-    w.connect("Path12", "out", "PopulationG_NC", "in")
-    w.connect("PopulationG_C", "out", "Path13", "in")
-    w.connect("Path13", "out", "NewPopulation_C", "in")
-    w.connect("PopulationG_NC", "out", "Path14", "in")
-    w.connect("Path14", "out", "NewPopulation_NC", "in")
+    w.connect("SexSplit", MALE, "MaleBranch", "in", "Path1")
+    w.connect("SexSplit", FEMALE, "FemaleBranch", "in", "Path2")
+    w.connect("MaleBranch", CONSANG, "Marriage_C", "member_in", "Path3", "Path7")
+    w.connect("MaleBranch", NON_CONSANG, "Marriage_NC", "member_in", "Path4", "Path8")
+    w.connect("FemaleBranch", CONSANG, "Marriage_C", "parent_in", "Path5", "Path9")
+    w.connect("FemaleBranch", NON_CONSANG, "Marriage_NC", "parent_in", "Path6", "Path10")
+    w.connect("Marriage_C", "out", "PopulationG_C", "in", "Path11")
+    w.connect("Marriage_NC", "out", "PopulationG_NC", "in", "Path12")
+    w.connect("PopulationG_C", "out", "NewPopulation_C", "in", "Path13")
+    w.connect("PopulationG_NC", "out", "NewPopulation_NC", "in", "Path14")
     return w.build()
 
 
@@ -494,7 +488,11 @@ class RunStats:
 
 
 def collect_run_stats(handle: SimulationHandle) -> RunStats:
-    """Harvest object statistics and conservation totals from a finished run."""
+    """Harvest object statistics and conservation totals from a finished run.
+
+    Counted legs are read from the :class:`~kinsim.objects.Travelers` on the
+    root model's couplings, one ``[Travelers]`` row per leg name.
+    """
     stats = RunStats()
     factories: dict[int, EntityFactory] = {}
     for name, state in handle.components():
@@ -528,6 +526,10 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
                 stats.destroyed_by_class[label] = stats.destroyed_by_class.get(label, 0) + count
             for label, count in state.affected_by_class.items():
                 stats.affected_by_class[label] = stats.affected_by_class.get(label, 0) + count
+    for coupling in getattr(handle.model, "couplings", ()):
+        if isinstance(coupling.translate, Travelers):
+            for leg in coupling.translate.legs:
+                stats.rows.append((leg, SRC_TRAVELERS, THROUGHPUT, coupling.translate.count))
     for factory in factories.values():
         stats.created_total += factory.created_total
         for label, count in factory.label_counts.items():

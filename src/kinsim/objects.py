@@ -1,11 +1,15 @@
 """Process-object library: Source, Combiner, Server, Sink, Path, Splitter.
 
 Each object is realized as one DEVS atomic whose state carries an
-:class:`~kinsim.entities.ObjectStats`.  Conventions shared by all objects:
+:class:`~kinsim.entities.ObjectStats`; :class:`Travelers` is the one
+exception, a counter placed on a coupling.  Conventions shared by all
+objects:
 
-* Zero service and travel times are the default; entities then cascade
-  through an arbitrary number of objects at a single clock value, one kernel
-  step per hop, in FIFO order.
+* Zero service times are the default; entities then cascade through an
+  arbitrary number of objects at a single clock value, one kernel step per
+  object that holds them, in FIFO order.  A leg that only forwards entities
+  costs no step: it is a coupling, counted by a :class:`Travelers` translate,
+  and a :func:`make_path` atomic is only needed for a travel time above zero.
 * Objects track their own absolute clock (``now``) from the elapsed times the
   kernel hands to ``delta_ext``; models built from these objects are expected
   to start at t0 = 0.
@@ -239,6 +243,31 @@ def make_splitter(
         input_ports=(PORT_IN,),
         output_ports=tuple(c.port for c in choices),
     )
+
+
+# ---------------------------------------------------------------------------
+# Travelers (counted zero-delay leg)
+
+
+class Travelers:
+    """Counts the entities that cross a coupling and passes them on unchanged.
+
+    Used as a :class:`~kinsim.kernel.Coupling`'s ``translate``, it makes the
+    coupling a counted zero-delay leg, the same count a zero-travel-time
+    path reports as ``[Travelers]`` without the kernel step per hop.  One
+    counter may carry several leg names when every entity crosses those legs
+    together; each name gets its own report row with the shared count.
+    """
+
+    __slots__ = ("legs", "count")
+
+    def __init__(self, *legs: str) -> None:
+        self.legs = legs
+        self.count = 0
+
+    def __call__(self, payload: Entity) -> Entity:
+        self.count += 1
+        return payload
 
 
 # ---------------------------------------------------------------------------

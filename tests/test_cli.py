@@ -42,6 +42,32 @@ class TestValidate:
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+MALFORMED_FIELDS = [
+    ("sex_split", {"sex_split": {"male": 0.5}}),
+    ("replications", {"replications": "ten"}),
+    ("sources", {"sources": {"WP": {"interarrival": 5}}}),
+    ("routing_weights", {"routing_weights": {"male": 3}}),
+    ("sources", {"sources": {"WP": {"max_arrivals": "many"}}}),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, config", MALFORMED_FIELDS)
+def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "never.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("invalid config: ")
+    assert field in captured.out
+    assert len(captured.out.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "never.csv").exists()
+
+
 class TestUsageErrors:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["run", "--frobnicate"]) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from kinsim import (
@@ -134,6 +136,13 @@ class TestDeterminism:
         first = csv_text(run_experiment(small_config()))
         second = csv_text(run_experiment(small_config()))
         assert first == second
+
+    def test_packaged_report_bytes_pinned(self):
+        # SHA-256 of the packaged config's report at its own seed (42)
+        text = csv_text(run_experiment(ModelConfig.default()))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
+        )
 
     def test_seed_changes_some_stochastic_row(self):
         base = csv_text(run_experiment(small_config()))

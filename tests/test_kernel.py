@@ -317,6 +317,34 @@ class TestRunUntil:
         assert dumps[0] == dumps[1]
         assert len(dumps[0].splitlines()) > 10
 
+    def test_repeated_step_gives_the_run_until_trace(self):
+        # two receivers of one output, listed against select order, so the
+        # external transitions of one event need ordering
+        def build():
+            return CoupledSpec(
+                components={
+                    "a": generator(1.0),
+                    "b": generator(1.5),
+                    "first": counter(),
+                    "second": counter(),
+                },
+                couplings=[
+                    Coupling("a", "out", "second", "in"),
+                    Coupling("a", "out", "first", "in"),
+                    Coupling("b", "out", "second", "in"),
+                ],
+                select=["b", "first", "a", "second"],
+            )
+
+        by_run = initialize(build())
+        expected = by_run.run_until(12.0)
+        by_step = initialize(build())
+        while by_step.next_event_time <= 12.0:
+            by_step.step()
+        assert by_step.trace == expected
+        assert by_step.clock == by_run.clock == 12.0
+        assert [ev.component for ev in expected[:3]] == ["a", "first", "second"]
+
 
 class TestGuardsAndInvariants:
     def test_zero_delay_loop_detected(self):

@@ -17,10 +17,28 @@ from kinsim import (
     validate_config,
 )
 from kinsim.errors import ConfigurationError
-from kinsim.objects import CombinerState, PathState, ServerState, SinkState, SourceState
+from kinsim.objects import (
+    CombinerState,
+    PathState,
+    ServerState,
+    SinkState,
+    SourceState,
+    SplitterState,
+    Travelers,
+)
 
 MALE_C_FRACTION = 35.7 / (35.7 + 65.9)
 FEMALE_C_FRACTION = 35.7 / (35.7 + 64.2)
+
+
+def counted_legs(spec):
+    """Leg names counted by Travelers on the model's couplings, sorted."""
+    return sorted(
+        leg
+        for coupling in spec.couplings
+        if isinstance(coupling.translate, Travelers)
+        for leg in coupling.translate.legs
+    )
 
 
 def run_model(builder, config, replication=0, until=None):
@@ -129,7 +147,8 @@ class TestPopulationGrowthModel:
         assert states.count("CombinerState") == 1
         assert states.count("ServerState") == 1
         assert states.count("SinkState") == 1
-        assert states.count("PathState") == 4
+        assert len(states) == 5  # no PathState relays remain
+        assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 5))
 
 
 class TestConsanguinityModel:
@@ -142,9 +161,27 @@ class TestConsanguinityModel:
         assert by_type[CombinerState] == 2
         assert by_type[ServerState] == 2
         assert by_type[SinkState] == 2
-        assert by_type[PathState] == 14
         assert by_type[SourceState] == 1
+        assert by_type[SplitterState] == 3
+        assert PathState not in by_type
+        assert all(
+            len(component.initial_state.choices) > 1
+            for component in spec.components.values()
+            if isinstance(component.initial_state, SplitterState)
+        )
+        assert len(spec.components) == 10
+        assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 15))
         assert spec.select == list(spec.components)
+
+    def test_leg_flow_identities_at_drain(self):
+        config = ModelConfig.default()
+        config.run_length = 800.0
+        stats = run_model(build_consanguinity_model, config)
+        legs = {i: stats.value(f"Path{i}", "[Travelers]") for i in range(1, 15)}
+        assert legs[1] == stats.label_counts["MP"]
+        assert legs[3] + legs[4] == legs[1]
+        assert legs[3] == legs[7]
+        assert legs[13] == stats.value("NewPopulation_C", "[InputBuffer]")
 
     def test_conservation_exact_across_replications(self):
         config = ModelConfig.default()

@@ -27,6 +27,7 @@ from kinsim import (
     substream,
 )
 from kinsim.errors import ConfigurationError, ContractViolationError
+from kinsim.objects import Travelers
 
 
 def deliver(spec, port_payloads, elapsed=0.0, state=None):
@@ -416,6 +417,33 @@ class TestPath:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConfigurationError):
             make_path(0.0, weight=0.0)
+
+
+class TestTravelers:
+    def test_counts_and_passes_payload_unchanged(self):
+        factory = EntityFactory()
+        legs = Travelers("Path3", "Path7")
+        e1, e2 = entities(factory, "MP", 2)
+        assert legs(e1) is e1
+        assert legs(e2) is e2
+        assert legs.legs == ("Path3", "Path7")
+        assert legs.count == 2
+
+    def test_counts_a_coupling_without_kernel_steps(self):
+        factory = EntityFactory()
+        leg = Travelers("Leg")
+        sink = make_sink()
+        model = CoupledSpec(
+            components={
+                "src": make_source("E", Constant(1.0), 4, factory=factory, stream=substream(5, 0)),
+                "snk": sink,
+            },
+            couplings=[Coupling("src", "out", "snk", "in", translate=leg)],
+        )
+        handle = initialize(model)
+        trace = handle.run_until(10.0)
+        assert leg.count == sink.initial_state.stats.buffer("InputBuffer").entered == 4
+        assert [ev.phase for ev in trace] == ["internal", "external"] * 4
 
 
 class TestSplitter:
