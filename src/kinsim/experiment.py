@@ -10,10 +10,14 @@ CSV reproduces every row exactly when parsed back.
 Reports are byte-deterministic for a fixed config and seed: replications use
 independent derived streams, aggregation reduces in replication order, and
 no timestamp enters the CSV (run metadata stays on the result object).
+
+A run can also write replication 0's event trace.  The kernel streams it to
+the file as the run goes, so memory stays flat however long the horizon.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import io
@@ -22,7 +26,7 @@ from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from .errors import ConfigurationError, SimulationError
-from .kernel import dump_trace, initialize
+from .kernel import initialize
 from .model import (
     ModelConfig,
     RunStats,
@@ -78,22 +82,26 @@ def run_experiment(
 
     Replication ``r`` builds a fresh model seeded from (base_seed, r) and
     runs it to ``run_length``.  Kernel failures are re-raised with the
-    replication index attached.  ``trace_path``, when given, captures the
-    event trace of replication 0.
+    replication index attached.  ``trace_path``, when given, receives the
+    event trace of replication 0, written event by event as the run goes
+    (see :func:`~kinsim.kernel.dump_trace` for the format), so the trace
+    costs no memory.  The file is closed when replication 0 ends; if the
+    run fails, it holds the events up to the failure.
     """
     _require_valid(config)
     per_replication: list[RunStats] = []
     for r in range(config.replications):
         spec = builder(config, r)
-        record = trace_path is not None and r == 0
-        handle = initialize(spec, 0.0, record_trace=record)
-        try:
-            handle.run_until(config.run_length)
-        except SimulationError as exc:
-            raise SimulationError(f"replication {r}: {exc}") from exc
-        if record:
-            with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-                dump_trace(handle.trace, fh)
+        if trace_path is not None and r == 0:
+            trace = open(trace_path, "w", encoding="utf-8", newline="")
+        else:
+            trace = contextlib.nullcontext()
+        with trace as trace_file:
+            handle = initialize(spec, 0.0, record_trace=False, trace_file=trace_file)
+            try:
+                handle.run_until(config.run_length)
+            except SimulationError as exc:
+                raise SimulationError(f"replication {r}: {exc}") from exc
         per_replication.append(collect_run_stats(handle))
     rows = _aggregate(per_replication)
     metadata = {

@@ -289,7 +289,8 @@ class SimulationHandle:
 
     Created by :func:`initialize`.  Carries the clock, the flattened
     component table in select order, the composed routing table, and the
-    event trace (empty right after initialization).
+    in-memory event trace (empty right after initialization, and for good
+    when the trace streams to a file).
     """
 
     def __init__(
@@ -297,13 +298,20 @@ class SimulationHandle:
         model: ModelSpec,
         t0: Time,
         record_trace: bool,
+        trace_file: TextIO | None,
         max_zero_steps: int,
     ) -> None:
         flat = _Flattener(model)
         self.model = model
         self.clock: Time = t0
         self.trace: list[TraceEvent] = []
-        self.record_trace = record_trace
+        # Receives each event's TraceEvents once its transitions are done.
+        self._trace_sink: Callable[[list[TraceEvent]], Any] | None = None
+        if trace_file is not None:
+            write = trace_file.write
+            self._trace_sink = lambda events: write("".join(_trace_lines(events)))
+        elif record_trace:
+            self._trace_sink = self.trace.extend
         self.max_zero_steps = max_zero_steps
         self._nodes: list[_Node] = []
         self._t_next: list[Time] = []
@@ -362,6 +370,7 @@ class SimulationHandle:
 
         The clock ends at the time of the last processed event (it does not
         jump to ``t_end``).  Deterministic given the model and its seeds.
+        The slice is empty when the trace streams to a file.
         """
         if t_end < self.clock:
             raise SimulationError(f"run_until({t_end}) is before the current clock {self.clock}")
@@ -423,8 +432,9 @@ class SimulationHandle:
         # Internal transition of the selected component.
         node.state = spec.delta_int(node.state)
         self._reschedule(i, node, t)
-        if self.record_trace:
-            self.trace.append(TraceEvent(t, node.path, "internal", tuple(outputs)))
+        sink = self._trace_sink
+        if sink is not None:
+            events = [TraceEvent(t, node.path, "internal", tuple(outputs))]
         # External transitions of every receiver, in select order.
         for idx in sorted(deliveries) if len(deliveries) > 1 else deliveries:
             receiver = self._nodes[idx]
@@ -432,8 +442,12 @@ class SimulationHandle:
             elapsed = t - receiver.t_last
             receiver.state = receiver.spec.delta_ext(receiver.state, elapsed, bag)
             self._reschedule(idx, receiver, t)
-            if self.record_trace:
-                self.trace.append(TraceEvent(t, receiver.path, "external", tuple(bag)))
+            if sink is not None:
+                events.append(TraceEvent(t, receiver.path, "external", tuple(bag)))
+        # Handed over only now: a receiver may relabel a payload in this
+        # event, and the trace shows each payload as the event left it.
+        if sink is not None:
+            sink(events)
         return t, root_outputs
 
     def _reschedule(self, idx: int, node: _Node, t: Time) -> None:
@@ -450,6 +464,7 @@ def initialize(
     t0: Time = 0.0,
     *,
     record_trace: bool = True,
+    trace_file: TextIO | None = None,
     max_zero_steps: int = MAX_ZERO_STEPS,
 ) -> SimulationHandle:
     """Validate a model and build a simulation handle starting at ``t0``.
@@ -457,14 +472,22 @@ def initialize(
     Every component starts with ``t_last = t0`` and
     ``t_next = t0 + ta(initial state)``.  Structural problems raise
     :class:`StructuralError`; a negative initial time advance raises
-    :class:`ContractViolationError`.  Set ``record_trace=False`` to skip
-    trace collection on large runs.
+    :class:`ContractViolationError`.
+
+    The event trace goes to one of two places.  With ``trace_file`` (an
+    open text stream), each event's lines are written to it, in the
+    :func:`dump_trace` format, as soon as that event's transitions are
+    done; nothing is kept in memory, so ``handle.trace`` and the slices
+    :meth:`~SimulationHandle.run_until` returns stay empty, and the caller
+    closes the stream.  Otherwise ``record_trace=True`` keeps every
+    :class:`TraceEvent` in ``handle.trace``; set it to ``False`` to record
+    nothing.
 
     A spec instance carries its components' mutable state, so treat each
     built model as single-use: construct a fresh spec per run, as the model
     builders do.
     """
-    return SimulationHandle(model, t0, record_trace, max_zero_steps)
+    return SimulationHandle(model, t0, record_trace, trace_file, max_zero_steps)
 
 
 def step(handle: SimulationHandle) -> tuple[Time, list[Message]]:
@@ -484,9 +507,13 @@ def dump_trace(events: Sequence[TraceEvent], stream: TextIO) -> None:
     with several messages produce one line per message; events without
     messages produce a single line with ``-`` placeholders.
     """
+    stream.writelines(_trace_lines(events))
+
+
+def _trace_lines(events: Sequence[TraceEvent]) -> Iterator[str]:
     for ev in events:
         if ev.messages:
             for msg in ev.messages:
-                stream.write(f"{ev.time:g}\t{ev.component}\t{ev.phase}\t{msg.port}\t{msg.payload}\n")
+                yield f"{ev.time:g}\t{ev.component}\t{ev.phase}\t{msg.port}\t{msg.payload}\n"
         else:
-            stream.write(f"{ev.time:g}\t{ev.component}\t{ev.phase}\t-\t-\n")
+            yield f"{ev.time:g}\t{ev.component}\t{ev.phase}\t-\t-\n"

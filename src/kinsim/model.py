@@ -19,7 +19,7 @@ as a ``Path<n>`` ``[Travelers]`` row, so the legs cost no kernel steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 from .entities import EntityFactory
 from .errors import ConfigurationError
@@ -80,8 +80,24 @@ class SourceSettings:
         max_arrivals = data.get("max_arrivals")
         return cls(
             interarrival=dict(data.get("interarrival", {"type": "constant", "value": 1.0})),
-            max_arrivals=None if max_arrivals is None else int(max_arrivals),
+            max_arrivals=None if max_arrivals is None else _integer(max_arrivals),
         )
+
+
+def _number(value) -> float:
+    """A JSON number as a float; ``true``/``false`` are not numbers here."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON number with no fractional part as an int."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _default_sources() -> dict[str, SourceSettings]:
@@ -148,12 +164,17 @@ class ModelConfig:
     def from_dict(cls, data: Mapping) -> "ModelConfig":
         """Parse the JSON form; absent fields keep their defaults.
 
-        A field whose value has the wrong shape or type raises
-        :class:`ConfigurationError` naming the field.  Values of the right
-        shape are checked by :func:`validate_config`, not here.
+        An unknown key, or a field whose value has the wrong shape or type
+        (a fraction where a count belongs, a boolean where a number
+        belongs), raises :class:`ConfigurationError` naming the key.
+        Values of the right shape are checked by :func:`validate_config`,
+        not here.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
+        for name in data:
+            if name not in _FIELD_PARSERS:
+                raise ConfigurationError(f"malformed {name}: unknown key")
         config = cls()
         for name, parse in _FIELD_PARSERS.items():
             if name not in data:
@@ -169,9 +190,9 @@ class ModelConfig:
 
 def _parse_sex_split(split) -> tuple[float, float]:
     if isinstance(split, Mapping):
-        return float(split[MALE]), float(split[FEMALE])
+        return _number(split[MALE]), _number(split[FEMALE])
     male, female = split
-    return float(male), float(female)
+    return _number(male), _number(female)
 
 
 def _parse_degree(raw) -> ConsanguinityDegree:
@@ -186,20 +207,20 @@ def _parse_degree(raw) -> ConsanguinityDegree:
 
 # ModelConfig field -> parser of its JSON value, in parse order.
 _FIELD_PARSERS = {
-    "run_length": float,
-    "replications": int,
-    "base_seed": int,
+    "run_length": _number,
+    "replications": _integer,
+    "base_seed": _integer,
     "sources": lambda sources: {
         name: SourceSettings.from_dict(sub) for name, sub in sources.items()
     },
     "sex_split": _parse_sex_split,
     "routing_weights": lambda weights: {
-        sex: {branch: float(w) for branch, w in entry.items()} for sex, entry in weights.items()
+        sex: {branch: _number(w) for branch, w in entry.items()} for sex, entry in weights.items()
     },
     "offspring_distribution": dict,
-    "allele_frequency": float,
+    "allele_frequency": _number,
     "consanguinity_degree": _parse_degree,
-    "inbreeding_f": lambda value: None if value is None else float(value),
+    "inbreeding_f": lambda value: None if value is None else _number(value),
     "metadata": lambda metadata: {str(k): str(v) for k, v in metadata.items()},
 }
 
@@ -491,7 +512,9 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     """Harvest object statistics and conservation totals from a finished run.
 
     Counted legs are read from the :class:`~kinsim.objects.Travelers` on the
-    root model's couplings, one ``[Travelers]`` row per leg name.
+    couplings of every coupled model in the hierarchy, one ``[Travelers]``
+    row per leg name: the root's couplings first, then each nested coupled
+    model's, depth first in the order its components are declared.
     """
     stats = RunStats()
     factories: dict[int, EntityFactory] = {}
@@ -526,7 +549,7 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
                 stats.destroyed_by_class[label] = stats.destroyed_by_class.get(label, 0) + count
             for label, count in state.affected_by_class.items():
                 stats.affected_by_class[label] = stats.affected_by_class.get(label, 0) + count
-    for coupling in getattr(handle.model, "couplings", ()):
+    for coupling in _all_couplings(handle.model):
         if isinstance(coupling.translate, Travelers):
             for leg in coupling.translate.legs:
                 stats.rows.append((leg, SRC_TRAVELERS, THROUGHPUT, coupling.translate.count))
@@ -537,3 +560,11 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     for label in sorted(stats.label_counts):
         stats.rows.append((label, DYNAMIC_OBJECT, THROUGHPUT, stats.label_counts[label]))
     return stats
+
+
+def _all_couplings(spec) -> Iterator[Coupling]:
+    """Every coupling of ``spec`` and of the coupled models nested in it."""
+    if isinstance(spec, CoupledSpec):
+        yield from spec.couplings
+        for child in spec.components.values():
+            yield from _all_couplings(child)

@@ -48,6 +48,11 @@ MALFORMED_FIELDS = [
     ("sources", {"sources": {"WP": {"interarrival": 5}}}),
     ("routing_weights", {"routing_weights": {"male": 3}}),
     ("sources", {"sources": {"WP": {"max_arrivals": "many"}}}),
+    ("replications", {"replications": 2.7}),
+    ("base_seed", {"base_seed": 4.9}),
+    ("run_length", {"run_length": True}),
+    ("sources", {"sources": {"WP": {"max_arrivals": 3.9}}}),
+    ("replication", {"replication": 3}),
 ]
 
 

@@ -7,7 +7,10 @@ import hashlib
 import pytest
 
 from kinsim import (
+    AtomicSpec,
+    CoupledSpec,
     ExperimentResult,
+    Message,
     ModelConfig,
     ReportRow,
     csv_text,
@@ -15,7 +18,7 @@ from kinsim import (
     read_csv,
     run_experiment,
 )
-from kinsim.errors import ConfigurationError
+from kinsim.errors import ConfigurationError, SimulationError
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -25,6 +28,23 @@ def small_config(**overrides) -> ModelConfig:
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
+
+
+def failing_builder(config, replication):
+    """A generator whose time advance turns negative at its third event."""
+
+    def dint(s):
+        s["n"] += 1
+        return s
+
+    return CoupledSpec(components={"gen": AtomicSpec(
+        initial_state={"n": 0},
+        time_advance=lambda s: 1.0 if s["n"] < 3 else -1.0,
+        delta_int=dint,
+        delta_ext=lambda s, e, xs: s,
+        output=lambda s: [Message("out", s["n"])],
+        output_ports=("out",),
+    )})
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +149,36 @@ class TestRunExperiment:
         lines = trace_file.read_text(encoding="utf-8").splitlines()
         assert lines
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+
+class TestTraceFile:
+    def test_trace_bytes_pinned(self, tmp_path):
+        # the first line shows WP#0 under the FP label SexSplit gave it in
+        # the same event, so the lines must be formatted after that event
+        config = ModelConfig.default()
+        config.replications = 2
+        config.run_length = 2000.0
+        path = tmp_path / "events.tsv"
+        run_experiment(config, trace_path=str(path))
+        data = path.read_bytes()
+        assert data.startswith(b"1\tWP\tinternal\tout\tFP#0\n")
+        assert data.count(b"\n") == 18812
+        assert hashlib.sha256(data).hexdigest() == (
+            "5089b11f600e64ba7225e372bec30a6f2339a08113b328ed822cb2a602decf1b"
+        )
+
+    def test_failed_run_leaves_the_events_before_the_failure(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        with pytest.raises(SimulationError, match="replication 0") as excinfo:
+            run_experiment(small_config(replications=2), builder=failing_builder,
+                           trace_path=str(path))
+        # excinfo keeps the failing frames alive, so the text below is only
+        # all there if run_experiment closed the file itself
+        assert "time advance returned -1.0" in str(excinfo.value)
+        assert path.read_text(encoding="utf-8") == (
+            "1\tgen\tinternal\tout\t0\n"
+            "2\tgen\tinternal\tout\t1\n"
+        )
 
 
 class TestDeterminism:

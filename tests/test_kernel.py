@@ -500,6 +500,48 @@ class TestTraceDump:
         assert all(len(line.split("\t")) == 5 for line in lines)
 
 
+class TestStreamedTrace:
+    @staticmethod
+    def two_receivers() -> CoupledSpec:
+        return CoupledSpec(
+            components={
+                "a": generator(1.0),
+                "b": generator(1.5),
+                "first": counter(),
+                "second": counter(),
+            },
+            couplings=[
+                Coupling("a", "out", "second", "in"),
+                Coupling("a", "out", "first", "in"),
+                Coupling("b", "out", "second", "in"),
+            ],
+            select=["b", "first", "a", "second"],
+        )
+
+    def test_streamed_text_equals_dump_of_recorded_trace(self):
+        recorded = initialize(self.two_receivers(), record_trace=True)
+        recorded.run_until(12.0)
+        expected = io.StringIO()
+        dump_trace(recorded.trace, expected)
+
+        stream = io.StringIO()
+        streamed = initialize(self.two_receivers(), trace_file=stream)
+        assert streamed.run_until(12.0) == []
+        assert streamed.trace == []
+        assert stream.getvalue() == expected.getvalue()
+        assert stream.getvalue().count("\n") > 20
+
+    def test_step_streams_each_event_as_it_ends(self):
+        stream = io.StringIO()
+        handle = initialize(self.two_receivers(), trace_file=stream)
+        handle.step()
+        assert stream.getvalue() == (
+            "1\ta\tinternal\tout\t0\n"
+            "1\tfirst\texternal\tin\t0\n"
+            "1\tsecond\texternal\tin\t0\n"
+        )
+
+
 class TestHandTraceOracle:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -8,6 +8,8 @@ import pytest
 
 from kinsim import (
     ConsanguinityDegree,
+    CoupledSpec,
+    Coupling,
     EntityFactory,
     ModelConfig,
     build_consanguinity_model,
@@ -25,7 +27,10 @@ from kinsim.objects import (
     SourceState,
     SplitterState,
     Travelers,
+    make_sink,
+    make_source,
 )
+from kinsim.randomness import Constant, substream
 
 MALE_C_FRACTION = 35.7 / (35.7 + 65.9)
 FEMALE_C_FRACTION = 35.7 / (35.7 + 64.2)
@@ -103,6 +108,58 @@ class TestValidateConfig:
     def test_unknown_degree_rejected_at_parse(self):
         with pytest.raises(ConfigurationError, match="consanguinity_degree"):
             ModelConfig.from_dict({"consanguinity_degree": "sibling"})
+
+    @pytest.mark.parametrize("field, data", [
+        ("replications", {"replications": 2.7}),
+        ("base_seed", {"base_seed": 4.9}),
+        ("run_length", {"run_length": True}),
+        ("replications", {"replications": False}),
+        ("allele_frequency", {"allele_frequency": True}),
+        ("inbreeding_f", {"inbreeding_f": True}),
+        ("sex_split", {"sex_split": {"male": True, "female": 0.5}}),
+        ("routing_weights", {"routing_weights": {"male": {"consanguineous": True}}}),
+        ("sources", {"sources": {"WP": {"max_arrivals": 3.9}}}),
+        ("sources", {"sources": {"WP": {"max_arrivals": True}}}),
+        ("replication", {"replication": 3}),
+    ])
+    def test_wrong_values_rejected_at_parse(self, field, data):
+        with pytest.raises(ConfigurationError, match=f"^malformed {field}: "):
+            ModelConfig.from_dict(data)
+
+    def test_integral_floats_parse_as_counts(self):
+        config = ModelConfig.from_dict(
+            {"replications": 2.0, "base_seed": 7.0, "sources": {"WP": {"max_arrivals": 5.0}}}
+        )
+        assert (config.replications, config.base_seed) == (2, 7)
+        assert config.sources["WP"].max_arrivals == 5
+        assert isinstance(config.replications, int)
+
+
+class TestNestedLegs:
+    def test_legs_inside_nested_coupled_models_are_reported(self):
+        factory = EntityFactory()
+        inner = CoupledSpec(
+            components={"Sink": make_sink()},
+            couplings=[Coupling(None, "in", "Sink", "in", Travelers("Inner"))],
+            input_ports=("in",),
+        )
+        model = CoupledSpec(
+            components={
+                "Source": make_source("X", Constant(1.0), 4, factory=factory,
+                                      stream=substream(1, 0)),
+                "Group": inner,
+            },
+            couplings=[Coupling("Source", "out", "Group", "in", Travelers("Outer"))],
+        )
+        handle = initialize(model, record_trace=False)
+        handle.run_until(10.0)
+        stats = collect_run_stats(handle)
+        legs = [row for row in stats.rows if row[1] == "[Travelers]"]
+        assert legs == [
+            ("Outer", "[Travelers]", "Throughput", 4),
+            ("Inner", "[Travelers]", "Throughput", 4),
+        ]
+        assert stats.value("Group/Sink", "[InputBuffer]") == 4
 
 
 class TestPopulationGrowthModel:
