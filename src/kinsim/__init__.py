@@ -34,8 +34,6 @@ from .kernel import (
     TraceEvent,
     dump_trace,
     initialize,
-    run_until,
-    step,
 )
 from .entities import Entity, EntityFactory, ObjectStats, individual_count
 from .randomness import (

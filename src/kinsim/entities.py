@@ -59,25 +59,15 @@ class EntityFactory:
 
 
 @dataclass(slots=True)
-class BufferStats:
-    """Monotone counters for one buffer: arrivals in, departures out."""
-
-    entered: int = 0
-    exited: int = 0
-
-    @property
-    def held(self) -> int:
-        return self.entered - self.exited
-
-
-@dataclass
 class ObjectStats:
-    """Counters exposed by every process object.
+    """Flat counters kept by every process object.
 
     ``entered``/``exited`` count flowing units through the object as a whole;
     ``processed`` counts completed services or batches; ``destroyed`` counts
     flowing units absorbed by a sink while ``destroyed_individuals`` expands
-    batched members so conservation can be checked per individual.
+    batched members so conservation can be checked per individual.  The two
+    class-label tallies count a sink's destroyed individuals and, of those,
+    the ones flagged ``affected``.
     """
 
     created: int = 0
@@ -87,10 +77,4 @@ class ObjectStats:
     destroyed: int = 0
     destroyed_individuals: int = 0
     destroyed_by_class: Counter = field(default_factory=Counter)
-    buffers: dict[str, BufferStats] = field(default_factory=dict)
-
-    def buffer(self, name: str) -> BufferStats:
-        stats = self.buffers.get(name)
-        if stats is None:
-            stats = self.buffers[name] = BufferStats()
-        return stats
+    affected_by_class: Counter = field(default_factory=Counter)

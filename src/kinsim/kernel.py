@@ -490,16 +490,6 @@ def initialize(
     return SimulationHandle(model, t0, record_trace, trace_file, max_zero_steps)
 
 
-def step(handle: SimulationHandle) -> tuple[Time, list[Message]]:
-    """Functional alias for :meth:`SimulationHandle.step`."""
-    return handle.step()
-
-
-def run_until(handle: SimulationHandle, t_end: Time) -> list[TraceEvent]:
-    """Functional alias for :meth:`SimulationHandle.run_until`."""
-    return handle.run_until(t_end)
-
-
 def dump_trace(events: Sequence[TraceEvent], stream: TextIO) -> None:
     """Write a trace as tab-separated lines.
 

@@ -26,13 +26,9 @@ from .errors import ConfigurationError
 from .genetics import ConsanguinityDegree, assign_disorder
 from .kernel import Coupling, CoupledSpec, SimulationHandle
 from .objects import (
-    CombinerState,
-    PathState,
+    THROUGHPUT,
     RouteChoice,
-    ServerState,
-    SinkState,
-    SourceState,
-    SplitterState,
+    StatRow,
     Travelers,
     make_combiner,
     make_server,
@@ -48,15 +44,6 @@ CONSANG = "consanguineous"
 NON_CONSANG = "non_consanguineous"
 
 DYNAMIC_OBJECT = "[Dynamic Object]"
-SRC_INPUT_BUFFER = "[InputBuffer]"
-SRC_OUTPUT_BUFFER = "[OutputBuffer]"
-SRC_PROCESSED = "[Processed]"
-SRC_PARENT_BUFFER = "[ParentInputBuffer]"
-SRC_MEMBER_BUFFER = "[MemberInputBuffer]"
-SRC_TRAVELERS = "[Travelers]"
-
-THROUGHPUT = "Throughput"
-CONTENT = "Content"
 
 _FRACTION_TOLERANCE = 1e-9
 
@@ -77,6 +64,10 @@ class SourceSettings:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SourceSettings":
+        """Parse one ``sources`` entry; an unknown key raises ConfigurationError."""
+        for key in data:
+            if key not in ("interarrival", "max_arrivals"):
+                raise ConfigurationError(f"malformed sources: unknown key {key!r}")
         max_arrivals = data.get("max_arrivals")
         return cls(
             interarrival=dict(data.get("interarrival", {"type": "constant", "value": 1.0})),
@@ -164,9 +155,10 @@ class ModelConfig:
     def from_dict(cls, data: Mapping) -> "ModelConfig":
         """Parse the JSON form; absent fields keep their defaults.
 
-        An unknown key, or a field whose value has the wrong shape or type
-        (a fraction where a count belongs, a boolean where a number
-        belongs), raises :class:`ConfigurationError` naming the key.
+        An unknown key, here or in a ``sources`` entry, or a field whose
+        value has the wrong shape or type (a fraction where a count
+        belongs, a boolean where a number belongs), raises
+        :class:`ConfigurationError` naming the key.
         Values of the right shape are checked by :func:`validate_config`,
         not here.
         """
@@ -492,7 +484,7 @@ class RunStats:
     exactly at any observation instant.
     """
 
-    rows: list[tuple[str, str, str, int]] = field(default_factory=list)
+    rows: list[StatRow] = field(default_factory=list)
     label_counts: dict[str, int] = field(default_factory=dict)
     created_total: int = 0
     destroyed_units: int = 0
@@ -509,57 +501,45 @@ class RunStats:
 
 
 def collect_run_stats(handle: SimulationHandle) -> RunStats:
-    """Harvest object statistics and conservation totals from a finished run.
+    """Harvest report rows and conservation totals from a run, at any instant.
 
-    Counted legs are read from the :class:`~kinsim.objects.Travelers` on the
-    couplings of every coupled model in the hierarchy, one ``[Travelers]``
-    row per leg name: the root's couplings first, then each nested coupled
-    model's, depth first in the order its components are declared.
+    Every atomic must be a :mod:`kinsim.objects` object.  Each reports its
+    own rows through ``report_rows(name)``, in component order; held
+    individuals and the sink tallies of its counters are summed over all
+    of them alike.  Counted legs follow, read from the
+    :class:`~kinsim.objects.Travelers` on the couplings of every coupled
+    model in the hierarchy: the root's couplings first, then each nested
+    coupled model's, depth first in the order its components are declared.
+    One ``[Dynamic Object]`` row per class label counted by the entity
+    factories ends the list, sorted.
     """
     stats = RunStats()
     factories: dict[int, EntityFactory] = {}
     for name, state in handle.components():
-        if isinstance(state, SourceState):
-            factories[id(state.factory)] = state.factory
-            stats.held_individuals += state.held_individuals()
-        elif isinstance(state, SplitterState):
-            stats.held_individuals += state.held_individuals()
-        elif isinstance(state, PathState):
-            stats.rows.append((name, SRC_TRAVELERS, THROUGHPUT, state.stats.buffer("Travelers").entered))
-            stats.held_individuals += state.held_individuals()
-        elif isinstance(state, CombinerState):
-            s = state.stats
-            stats.rows.append((name, SRC_MEMBER_BUFFER, CONTENT, s.buffer("MemberInputBuffer").exited))
-            stats.rows.append((name, SRC_OUTPUT_BUFFER, CONTENT, s.buffer("OutputBuffer").exited))
-            stats.rows.append((name, SRC_PARENT_BUFFER, CONTENT, s.buffer("ParentInputBuffer").entered))
-            stats.rows.append((name, SRC_PROCESSED, THROUGHPUT, s.processed))
-            stats.held_individuals += state.held_individuals()
-        elif isinstance(state, ServerState):
-            s = state.stats
-            stats.rows.append((name, SRC_INPUT_BUFFER, CONTENT, s.buffer("InputBuffer").entered))
-            stats.rows.append((name, SRC_OUTPUT_BUFFER, CONTENT, s.buffer("OutputBuffer").exited))
-            stats.rows.append((name, SRC_PROCESSED, THROUGHPUT, s.processed))
-            stats.held_individuals += state.held_individuals()
-        elif isinstance(state, SinkState):
-            s = state.stats
-            stats.rows.append((name, SRC_INPUT_BUFFER, THROUGHPUT, s.buffer("InputBuffer").entered))
-            stats.destroyed_units += s.destroyed
-            stats.destroyed_individuals += s.destroyed_individuals
-            for label, count in s.destroyed_by_class.items():
-                stats.destroyed_by_class[label] = stats.destroyed_by_class.get(label, 0) + count
-            for label, count in state.affected_by_class.items():
-                stats.affected_by_class[label] = stats.affected_by_class.get(label, 0) + count
+        stats.rows.extend(state.report_rows(name))
+        stats.held_individuals += state.held_individuals()
+        s = state.stats
+        stats.destroyed_units += s.destroyed
+        stats.destroyed_individuals += s.destroyed_individuals
+        _add_counts(stats.destroyed_by_class, s.destroyed_by_class)
+        _add_counts(stats.affected_by_class, s.affected_by_class)
+        factory = getattr(state, "factory", None)
+        if factory is not None:
+            factories[id(factory)] = factory
     for coupling in _all_couplings(handle.model):
         if isinstance(coupling.translate, Travelers):
-            for leg in coupling.translate.legs:
-                stats.rows.append((leg, SRC_TRAVELERS, THROUGHPUT, coupling.translate.count))
+            stats.rows.extend(coupling.translate.report_rows())
     for factory in factories.values():
         stats.created_total += factory.created_total
-        for label, count in factory.label_counts.items():
-            stats.label_counts[label] = stats.label_counts.get(label, 0) + count
+        _add_counts(stats.label_counts, factory.label_counts)
     for label in sorted(stats.label_counts):
         stats.rows.append((label, DYNAMIC_OBJECT, THROUGHPUT, stats.label_counts[label]))
     return stats
+
+
+def _add_counts(total: dict[str, int], counts: Mapping[str, int]) -> None:
+    for label, count in counts.items():
+        total[label] = total.get(label, 0) + count
 
 
 def _all_couplings(spec) -> Iterator[Coupling]:

@@ -1,9 +1,10 @@
 """Process-object library: Source, Combiner, Server, Sink, Path, Splitter.
 
-Each object is realized as one DEVS atomic whose state carries an
-:class:`~kinsim.entities.ObjectStats`; :class:`Travelers` is the one
-exception, a counter placed on a coupling.  Conventions shared by all
-objects:
+Each object is realized as one DEVS atomic whose state keeps flat
+counters in an :class:`~kinsim.entities.ObjectStats` and reports its own
+rows through ``report_rows(name)``; :class:`Travelers` is the one exception,
+a counter placed on a coupling that reports one row per leg.  Conventions
+shared by all objects:
 
 * Zero service times are the default; entities then cascade through an
   arbitrary number of objects at a single clock value, one kernel step per
@@ -13,11 +14,12 @@ objects:
 * Objects track their own absolute clock (``now``) from the elapsed times the
   kernel hands to ``delta_ext``; models built from these objects are expected
   to start at t0 = 0.
-* Buffer statistics distinguish arrivals (``entered``) from departures
-  (``exited``); reports choose which side of a buffer to show.  A combiner's
-  parent buffer reports candidates that arrived; its member buffer reports
-  members actually consumed into a batch, which equals the number of
-  processed batches whenever batches hold one member.
+* A report row is (object name, data source, category, value).  Buffer
+  rows are read off the object's counters at the moment of the report: a
+  server's and a sink's input buffer report arrivals, a server's output
+  buffer reports serviced entities that have left, a combiner's parent
+  buffer reports candidates that arrived and its member buffer reports
+  members consumed into a batch (``processed x batch_quantity``).
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ PORT_OUT = "out"
 PORT_PARENT_IN = "parent_in"
 PORT_MEMBER_IN = "member_in"
 
-PARENT_BUFFER = "ParentInputBuffer"
-MEMBER_BUFFER = "MemberInputBuffer"
-INPUT_BUFFER = "InputBuffer"
-OUTPUT_BUFFER = "OutputBuffer"
-TRAVELERS = "Travelers"
+INPUT_BUFFER = "[InputBuffer]"
+OUTPUT_BUFFER = "[OutputBuffer]"
+PROCESSED = "[Processed]"
+TRAVELERS = "[Travelers]"
+THROUGHPUT = "Throughput"
+CONTENT = "Content"
+
+# One report row: (object name, data source, category, value).
+StatRow = tuple[str, str, str, int]
 
 
 def route_select(outgoing: Sequence[tuple[Any, float]], u: float) -> int:
@@ -99,6 +105,9 @@ class SourceState:
 
     def held_individuals(self) -> int:
         return individual_count(self.pending) if self.pending is not None else 0
+
+    def report_rows(self, name: str) -> list[StatRow]:
+        return []
 
 
 def _source_ta(s: SourceState) -> Time:
@@ -182,6 +191,9 @@ class SplitterState:
 
     def held_individuals(self) -> int:
         return sum(individual_count(e) for _, e in self.pending)
+
+    def report_rows(self, name: str) -> list[StatRow]:
+        return []
 
 
 def _splitter_ta(s: SplitterState) -> Time:
@@ -269,6 +281,9 @@ class Travelers:
         self.count += 1
         return payload
 
+    def report_rows(self) -> list[StatRow]:
+        return [(leg, TRAVELERS, THROUGHPUT, self.count) for leg in self.legs]
+
 
 # ---------------------------------------------------------------------------
 # Path
@@ -288,6 +303,9 @@ class PathState:
     def held_individuals(self) -> int:
         return sum(individual_count(e) for _, e in self.queue)
 
+    def report_rows(self, name: str) -> list[StatRow]:
+        return [(name, TRAVELERS, THROUGHPUT, self.stats.entered)]
+
 
 def _path_ta(s: PathState) -> Time:
     return s.queue[0][0] - s.now if s.queue else INFINITY
@@ -301,23 +319,19 @@ def _path_out(s: PathState) -> list[Message]:
 def _path_dint(s: PathState) -> PathState:
     due = s.queue[0][0]
     s.now = due
-    travelers = s.stats.buffer(TRAVELERS)
     while s.queue and s.queue[0][0] == due:
         s.queue.popleft()
-        travelers.exited += 1
         s.stats.exited += 1
     return s
 
 
 def _path_dext(s: PathState, elapsed: Time, bag) -> PathState:
     s.now += elapsed
-    travelers = s.stats.buffer(TRAVELERS)
     for msg in bag:
         exit_time = s.now + s.travel_time
         if s.queue and not s.allow_passing and exit_time < s.queue[-1][0]:
             exit_time = s.queue[-1][0]  # hold back: exits stay in entry order
         s.queue.append((exit_time, msg.payload))
-        travelers.entered += 1
         s.stats.entered += 1
     return s
 
@@ -360,24 +374,28 @@ class CombinerState:
         self.stats = ObjectStats()
 
     def _match(self) -> None:
-        out_buffer = self.stats.buffer(OUTPUT_BUFFER)
-        parent_buffer = self.stats.buffer(PARENT_BUFFER)
-        member_buffer = self.stats.buffer(MEMBER_BUFFER)
         while self.parents and len(self.members) >= self.batch_quantity:
             parent = self.parents.popleft()
-            parent_buffer.exited += 1
             for _ in range(self.batch_quantity):
                 parent.members.append(self.members.popleft())
-                member_buffer.exited += 1
             self.ready.append(parent)
             self.stats.processed += 1
-            out_buffer.entered += 1
 
     def held_individuals(self) -> int:
         held = sum(individual_count(e) for e in self.parents)
         held += sum(individual_count(e) for e in self.members)
         held += sum(individual_count(e) for e in self.ready)
         return held
+
+    def report_rows(self, name: str) -> list[StatRow]:
+        s = self.stats
+        return [
+            (name, "[MemberInputBuffer]", CONTENT, s.processed * self.batch_quantity),
+            (name, OUTPUT_BUFFER, CONTENT, s.exited),
+            # each processed batch took one parent; the rest still wait
+            (name, "[ParentInputBuffer]", CONTENT, s.processed + len(self.parents)),
+            (name, PROCESSED, THROUGHPUT, s.processed),
+        ]
 
 
 def _combiner_ta(s: CombinerState) -> Time:
@@ -389,7 +407,6 @@ def _combiner_out(s: CombinerState) -> list[Message]:
 
 
 def _combiner_dint(s: CombinerState) -> CombinerState:
-    s.stats.buffer(OUTPUT_BUFFER).exited += len(s.ready)
     s.stats.exited += len(s.ready)
     s.ready.clear()
     return s
@@ -400,10 +417,8 @@ def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
         s.stats.entered += 1
         if msg.port == PORT_PARENT_IN:
             s.parents.append(msg.payload)
-            s.stats.buffer(PARENT_BUFFER).entered += 1
         else:
             s.members.append(msg.payload)
-            s.stats.buffer(MEMBER_BUFFER).entered += 1
     s._match()
     return s
 
@@ -453,12 +468,9 @@ class ServerState:
 
     def _settle(self) -> None:
         """Pull waiting entities into service and complete everything due now."""
-        input_buffer = self.stats.buffer(INPUT_BUFFER)
-        output_buffer = self.stats.buffer(OUTPUT_BUFFER)
         while True:
             while self.queue and len(self.in_service) < self.capacity:
                 entity = self.queue.popleft()
-                input_buffer.exited += 1
                 duration = self.dist.sample(self.stream) if self.dist is not None else 0.0
                 if duration < 0:
                     raise ContractViolationError(f"service time sample must be >= 0, got {duration}")
@@ -467,7 +479,6 @@ class ServerState:
             if self.in_service and self.in_service[0][0] == self.now:
                 _, _, entity = heappop(self.in_service)
                 self.stats.processed += 1
-                output_buffer.entered += 1
                 self.outq.append(entity)
                 self.outq_serviced += 1
                 if self.on_processed is not None:
@@ -482,6 +493,14 @@ class ServerState:
         held += sum(individual_count(e) for _, _, e in self.in_service)
         held += sum(individual_count(e) for e in self.outq)
         return held
+
+    def report_rows(self, name: str) -> list[StatRow]:
+        s = self.stats
+        return [
+            (name, INPUT_BUFFER, CONTENT, s.entered),
+            (name, OUTPUT_BUFFER, CONTENT, s.processed - self.outq_serviced),
+            (name, PROCESSED, THROUGHPUT, s.processed),
+        ]
 
 
 def _server_ta(s: ServerState) -> Time:
@@ -498,7 +517,6 @@ def _server_out(s: ServerState) -> list[Message]:
 
 def _server_dint(s: ServerState) -> ServerState:
     if s.outq:
-        s.stats.buffer(OUTPUT_BUFFER).exited += s.outq_serviced
         s.stats.exited += len(s.outq)
         s.outq.clear()
         s.outq_serviced = 0
@@ -511,11 +529,9 @@ def _server_dint(s: ServerState) -> ServerState:
 
 def _server_dext(s: ServerState, elapsed: Time, bag) -> ServerState:
     s.now += elapsed
-    input_buffer = s.stats.buffer(INPUT_BUFFER)
     for msg in bag:
         s.queue.append(msg.payload)
         s.stats.entered += 1
-        input_buffer.entered += 1
     s._settle()
     return s
 
@@ -535,8 +551,8 @@ def make_server(
     Up to ``capacity`` entities are serviced concurrently; the rest wait in
     the input buffer.  On completion the trigger may create additional
     entities (offspring), which are injected into the output buffer directly
-    behind the triggering entity and leave with it, in order.  Buffer
-    counters track serviced entities; trigger-created entities are counted
+    behind the triggering entity and leave with it, in order.  Buffer rows
+    count serviced entities only; trigger-created entities are counted
     under their own class labels by the factory that created them.
     ``service_time=None`` means zero service time.
     """
@@ -559,14 +575,16 @@ def make_server(
 
 
 class SinkState:
-    __slots__ = ("stats", "affected_by_class")
+    __slots__ = ("stats",)
 
     def __init__(self):
         self.stats = ObjectStats()
-        self.affected_by_class: dict[str, int] = {}
 
     def held_individuals(self) -> int:
         return 0
+
+    def report_rows(self, name: str) -> list[StatRow]:
+        return [(name, INPUT_BUFFER, THROUGHPUT, self.stats.entered)]
 
 
 def _sink_ta(s: SinkState) -> Time:
@@ -582,24 +600,20 @@ def _sink_dint(s: SinkState) -> SinkState:
 
 
 def _sink_dext(s: SinkState, elapsed: Time, bag) -> SinkState:
-    input_buffer = s.stats.buffer(INPUT_BUFFER)
     for msg in bag:
-        entity = msg.payload
         s.stats.entered += 1
-        input_buffer.entered += 1
         s.stats.destroyed += 1
-        _count_destroyed(s, entity)
+        _count_destroyed(s.stats, msg.payload)
     return s
 
 
-def _count_destroyed(s: SinkState, entity: Entity) -> None:
-    s.stats.destroyed_individuals += 1
-    s.stats.destroyed_by_class[entity.class_label] += 1
+def _count_destroyed(stats: ObjectStats, entity: Entity) -> None:
+    stats.destroyed_individuals += 1
+    stats.destroyed_by_class[entity.class_label] += 1
     if entity.attributes.get("affected"):
-        label = entity.class_label
-        s.affected_by_class[label] = s.affected_by_class.get(label, 0) + 1
+        stats.affected_by_class[entity.class_label] += 1
     for member in entity.members:
-        _count_destroyed(s, member)
+        _count_destroyed(stats, member)
 
 
 def make_sink() -> AtomicSpec:

@@ -53,6 +53,7 @@ MALFORMED_FIELDS = [
     ("run_length", {"run_length": True}),
     ("sources", {"sources": {"WP": {"max_arrivals": 3.9}}}),
     ("replication", {"replication": 3}),
+    ("sources", {"sources": {"WP": {"max_arrival": 3}}}),
 ]
 
 

@@ -473,17 +473,6 @@ class TestHierarchy:
         assert internal_times(trace) == [(1.0, "inner/y"), (1.0, "inner/x"), (1.0, "z")]
 
 
-class TestFunctionalAliases:
-    def test_step_and_run_until_functions(self):
-        import kinsim
-
-        handle = kinsim.initialize(generator(2.0))
-        t, outputs = kinsim.step(handle)
-        assert (t, outputs[0].payload) == (2.0, 0)
-        trace = kinsim.run_until(handle, 8.0)
-        assert [ev.time for ev in trace] == [4.0, 6.0, 8.0]
-
-
 class TestTraceDump:
     def test_tab_separated_lines(self):
         model = CoupledSpec(

@@ -27,6 +27,9 @@ from kinsim.objects import (
     SourceState,
     SplitterState,
     Travelers,
+    make_combiner,
+    make_path,
+    make_server,
     make_sink,
     make_source,
 )
@@ -160,6 +163,103 @@ class TestNestedLegs:
             ("Inner", "[Travelers]", "Throughput", 4),
         ]
         assert stats.value("Group/Sink", "[InputBuffer]") == 4
+
+
+def hand_built_model():
+    """FP walks a 0.5 path to a two-member combiner; couples take 2.5 to serve."""
+    factory = EntityFactory()
+    return CoupledSpec(
+        components={
+            "FP": make_source("FP", Constant(1.0), None, factory=factory, stream=substream(3, 0)),
+            "MP": make_source("MP", Constant(1.0), None, factory=factory, stream=substream(3, 1)),
+            "Walk": make_path(0.5),
+            "Marriage": make_combiner(batch_quantity=2),
+            "Growth": make_server(capacity=2, service_time=Constant(2.5), stream=substream(3, 2)),
+            "End": make_sink(),
+        },
+        couplings=[
+            Coupling("FP", "out", "Walk", "in"),
+            Coupling("Walk", "out", "Marriage", "parent_in"),
+            Coupling("MP", "out", "Marriage", "member_in"),
+            Coupling("Marriage", "out", "Growth", "in"),
+            Coupling("Growth", "out", "End", "in"),
+        ],
+    )
+
+
+class TestReportRowPins:
+    """Exact report rows on paths the packaged report does not reach."""
+
+    def test_population_growth_rows(self):
+        config = ModelConfig.default()
+        config.run_length = 200.0
+        stats = run_model(build_population_growth_model, config)
+        assert stats.rows == [
+            ("Marriage", "[MemberInputBuffer]", "Content", 200),
+            ("Marriage", "[OutputBuffer]", "Content", 200),
+            ("Marriage", "[ParentInputBuffer]", "Content", 200),
+            ("Marriage", "[Processed]", "Throughput", 200),
+            ("Population Growth", "[InputBuffer]", "Content", 200),
+            ("Population Growth", "[OutputBuffer]", "Content", 200),
+            ("Population Growth", "[Processed]", "Throughput", 200),
+            ("New Population", "[InputBuffer]", "Throughput", 642),
+            ("Path1", "[Travelers]", "Throughput", 200),
+            ("Path2", "[Travelers]", "Throughput", 200),
+            ("Path3", "[Travelers]", "Throughput", 200),
+            ("Path4", "[Travelers]", "Throughput", 642),
+            ("Child", "[Dynamic Object]", "Throughput", 442),
+            ("FP", "[Dynamic Object]", "Throughput", 200),
+            ("MP", "[Dynamic Object]", "Throughput", 200),
+        ]
+        assert (stats.created_total, stats.destroyed_units) == (844, 642)
+        assert (stats.destroyed_individuals, stats.held_individuals) == (842, 2)
+        assert stats.destroyed_by_class == {"FP": 200, "MP": 200, "Child": 442}
+        assert stats.affected_by_class == {}
+
+    def test_rows_mid_flight_with_delays(self):
+        handle = initialize(hand_built_model(), record_trace=False)
+        handle.run_until(7.2)
+        # one FP in transit on Walk, one couple in service, three parents held
+        assert len(handle.state_of("Walk").queue) == 1
+        assert len(handle.state_of("Growth").in_service) == 1
+        stats = collect_run_stats(handle)
+        assert stats.rows == [
+            ("Walk", "[Travelers]", "Throughput", 7),
+            ("Marriage", "[MemberInputBuffer]", "Content", 6),
+            ("Marriage", "[OutputBuffer]", "Content", 3),
+            ("Marriage", "[ParentInputBuffer]", "Content", 6),
+            ("Marriage", "[Processed]", "Throughput", 3),
+            ("Growth", "[InputBuffer]", "Content", 3),
+            ("Growth", "[OutputBuffer]", "Content", 2),
+            ("Growth", "[Processed]", "Throughput", 2),
+            ("End", "[InputBuffer]", "Throughput", 2),
+            ("FP", "[Dynamic Object]", "Throughput", 7),
+            ("MP", "[Dynamic Object]", "Throughput", 7),
+        ]
+        assert (stats.created_total, stats.held_individuals) == (16, 10)
+
+    def test_rows_between_steps_with_output_waiting(self):
+        handle = initialize(hand_built_model(), record_trace=False)
+        handle.run_until(7.2)
+        while not handle.state_of("Growth").outq:
+            handle.step()
+        # the couple served at 8.5 is processed but has not left yet
+        assert handle.clock == 8.5
+        stats = collect_run_stats(handle)
+        assert stats.rows == [
+            ("Walk", "[Travelers]", "Throughput", 8),
+            ("Marriage", "[MemberInputBuffer]", "Content", 8),
+            ("Marriage", "[OutputBuffer]", "Content", 4),
+            ("Marriage", "[ParentInputBuffer]", "Content", 8),
+            ("Marriage", "[Processed]", "Throughput", 4),
+            ("Growth", "[InputBuffer]", "Content", 4),
+            ("Growth", "[OutputBuffer]", "Content", 2),
+            ("Growth", "[Processed]", "Throughput", 3),
+            ("End", "[InputBuffer]", "Throughput", 2),
+            ("FP", "[Dynamic Object]", "Throughput", 8),
+            ("MP", "[Dynamic Object]", "Throughput", 8),
+        ]
+        assert (stats.created_total, stats.held_individuals) == (18, 12)
 
 
 class TestPopulationGrowthModel:
@@ -363,10 +463,7 @@ class TestConsanguinityModel:
             if isinstance(state, PathState):
                 assert state.stats.entered == state.stats.exited + len(state.queue), name
             elif isinstance(state, CombinerState):
-                arrived = (
-                    state.stats.buffer("ParentInputBuffer").entered
-                    + state.stats.buffer("MemberInputBuffer").entered
-                )
+                arrived = state.stats.entered  # parents and members
                 carried_out = state.stats.processed * (1 + state.batch_quantity)
                 assert arrived == carried_out + state.held_individuals(), name
             elif isinstance(state, ServerState):

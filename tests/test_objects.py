@@ -50,6 +50,11 @@ def entities(factory, label, n):
     return [factory.create(label, 0.0) for _ in range(n)]
 
 
+def reported(state):
+    """An object's report rows as data source -> value."""
+    return {source: value for _, source, _, value in state.report_rows("X")}
+
+
 class TestRouteSelect:
     def test_single_path_always_selected(self):
         assert route_select([("only", 3.0)], 0.0) == 0
@@ -176,8 +181,8 @@ class TestCombiner:
         spec = make_combiner()
         state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 3)])
         assert flush(spec, state) == []
-        buffer = state.stats.buffer("ParentInputBuffer")
-        assert (buffer.entered, buffer.held) == (3, 3)
+        assert reported(state)["[ParentInputBuffer]"] == 3
+        assert len(state.parents) == 3
 
     def test_surplus_parents_stay_held(self):
         # 91 candidates arrive against 74 members: 74 marriages, 17 held.
@@ -188,10 +193,11 @@ class TestCombiner:
         out = flush(spec, state)
         assert len(out) == 74
         assert state.stats.processed == 74
-        assert state.stats.buffer("ParentInputBuffer").entered == 91
-        assert state.stats.buffer("ParentInputBuffer").held == 17
-        assert state.stats.buffer("MemberInputBuffer").exited == 74
-        assert state.stats.buffer("OutputBuffer").exited == 74
+        rows = reported(state)
+        assert rows["[ParentInputBuffer]"] == 91
+        assert len(state.parents) == 17
+        assert rows["[MemberInputBuffer]"] == 74
+        assert rows["[OutputBuffer]"] == 74
 
     def test_batch_quantity_two(self):
         factory = EntityFactory()
@@ -201,7 +207,9 @@ class TestCombiner:
         out = flush(spec, state)
         assert len(out) == 2
         assert all(len(m.payload.members) == 2 for m in out)
-        assert state.stats.buffer("MemberInputBuffer").held == 1
+        # 5 members arrived, 4 went into batches, 1 is held
+        assert reported(state)["[MemberInputBuffer]"] == 4
+        assert len(state.members) == 1
 
     def test_fifo_pairing_order(self):
         factory = EntityFactory()
@@ -238,7 +246,7 @@ class TestCombiner:
         assert len(out) == min(n_parents, n_members // batch_quantity)
         assert state.stats.processed == len(out)
         # member consumption always equals processed batches times the quantity
-        assert state.stats.buffer("MemberInputBuffer").exited == len(out) * batch_quantity
+        assert reported(state)["[MemberInputBuffer]"] == len(out) * batch_quantity
         # conservation at the object: everything in is out or held
         held = state.held_individuals()
         total_in = len(arrivals)
@@ -269,8 +277,7 @@ class TestServer:
         labels = [m.payload.class_label for m in out]
         assert labels == ["Couple", "Child", "Child"]
         assert state.stats.processed == 1  # children are not counted as processed
-        ob = state.stats.buffer("OutputBuffer")
-        assert (ob.entered, ob.exited) == (1, 1)
+        assert reported(state)["[OutputBuffer]"] == 1
 
     def test_processed_counter_accumulates(self):
         factory = EntityFactory()
@@ -280,8 +287,7 @@ class TestServer:
             state = deliver(spec, [("in", factory.create("E", 0.0))], state=state)
             flush(spec, state)
         assert state.stats.processed == 299
-        buffer = state.stats.buffer("InputBuffer")
-        assert buffer.entered == 299 and buffer.held == 0
+        assert reported(state)["[InputBuffer]"] == 299 and not state.queue
 
     def test_capacity_limits_concurrency(self):
         factory = EntityFactory()
@@ -357,7 +363,7 @@ class TestSink:
         assert state.stats.destroyed == 3  # flowing units
         assert state.stats.destroyed_individuals == 5
         assert state.stats.destroyed_by_class == {"FP": 1, "MP": 2, "Child": 2}
-        assert state.stats.buffer("InputBuffer").entered == 3
+        assert reported(state)["[InputBuffer]"] == 3
 
     def test_no_arrivals_no_destruction(self):
         spec = make_sink()
@@ -369,7 +375,7 @@ class TestSink:
         sick = factory.create("Child_C", 0.0, affected=True)
         healthy = factory.create("Child_C", 0.0, affected=False)
         state = deliver(spec, [("in", sick), ("in", healthy)])
-        assert state.affected_by_class == {"Child_C": 1}
+        assert state.stats.affected_by_class == {"Child_C": 1}
 
 
 class TestPath:
@@ -381,8 +387,8 @@ class TestPath:
         assert spec.time_advance(state) == 0.0
         out = flush(spec, state)
         assert [m.payload for m in out] == [e]
-        travelers = state.stats.buffer("Travelers")
-        assert (travelers.entered, travelers.exited) == (1, 1)
+        assert reported(state)["[Travelers]"] == 1
+        assert state.stats.exited == 1
 
     def test_same_instant_arrivals_exit_in_entry_order(self):
         factory = EntityFactory()
@@ -408,7 +414,7 @@ class TestPath:
         handle.run_until(10.0)
         exits = [ev.time for ev in handle.trace if ev.component == "path" and ev.phase == "internal"]
         assert exits == [1.75, 2.75, 3.75]
-        assert path.initial_state.stats.buffer("Travelers").entered == 3
+        assert reported(path.initial_state)["[Travelers]"] == 3
 
     def test_negative_travel_time_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -442,7 +448,7 @@ class TestTravelers:
         )
         handle = initialize(model)
         trace = handle.run_until(10.0)
-        assert leg.count == sink.initial_state.stats.buffer("InputBuffer").entered == 4
+        assert leg.count == reported(sink.initial_state)["[InputBuffer]"] == 4
         assert [ev.phase for ev in trace] == ["internal", "external"] * 4
 
 
