@@ -60,42 +60,40 @@ def _load_config(path: Optional[str]) -> ModelConfig:
     return ModelConfig.from_dict(data)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _checked_config(
+    path: Optional[str], replications: Optional[int] = None, seed: Optional[int] = None
+) -> ModelConfig | int:
+    """Load, override and validate a config; on failure print why and return the exit code."""
     try:
-        config = _load_config(args.config)
+        config = _load_config(path)
     except FileNotFoundError as exc:
         print(f"kinsim: cannot read config: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, ConfigurationError) as exc:
         print(f"invalid config: {exc}")
         return 1
+    if replications is not None:
+        config.replications = replications
+    if seed is not None:
+        config.base_seed = seed
     violations = validate_config(config)
-    if violations:
-        for violation in violations:
-            print(str(violation))
-        return 1
+    for violation in violations:
+        print(str(violation))
+    return 1 if violations else config
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    config = _checked_config(args.config)
+    if isinstance(config, int):
+        return config
     print("config OK")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except FileNotFoundError as exc:
-        print(f"kinsim: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, ConfigurationError) as exc:
-        print(f"invalid config: {exc}")
-        return 1
-    if args.replications is not None:
-        config.replications = args.replications
-    if args.seed is not None:
-        config.base_seed = args.seed
-    violations = validate_config(config)
-    if violations:
-        for violation in violations:
-            print(str(violation))
-        return 1
+    config = _checked_config(args.config, args.replications, args.seed)
+    if isinstance(config, int):
+        return config
     try:
         result = run_experiment(config, trace_path=args.trace)
     except SimulationError as exc:

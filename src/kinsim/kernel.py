@@ -5,10 +5,14 @@ expressed here as an :class:`AtomicSpec` holding an initial state and four
 callbacks.  A coupled model composes named children with port couplings and a
 ``select`` total order that breaks ties among simultaneously imminent
 components.  The simulator is independent of what any particular model
-represents: :func:`initialize` closes the coupled hierarchy into a flat
-component table, and every event, whether fired by
+represents.  :func:`initialize` relies on closure under coupling: in one
+pass over the hierarchy it checks every coupling and ``select``, collects
+the atomics in hierarchical select order, and joins all couplings into one
+graph of port endpoints.  A walk of that graph gives each atomic output
+port its routes to atomic inputs and root outputs, with the translates
+composed in hop order.  Every event, whether fired by
 :meth:`SimulationHandle.step` or inside :meth:`SimulationHandle.run_until`,
-runs one Classic-DEVS cycle:
+then runs one Classic-DEVS cycle over the flat atomics:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
@@ -46,18 +50,6 @@ MAX_ZERO_STEPS = 1_000_000
 
 INPUT = "input"
 OUTPUT = "output"
-
-
-@dataclass(frozen=True, slots=True)
-class Port:
-    """A named port endpoint, used in structural validation messages."""
-
-    owner: str
-    name: str
-    direction: str
-
-    def __str__(self) -> str:
-        return f"{self.owner or '<boundary>'}.{self.name} ({self.direction})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,160 +129,111 @@ class TraceEvent(NamedTuple):
     messages: tuple[Message, ...]
 
 
-def _ports_of(spec: ModelSpec, direction: str) -> tuple[str, ...]:
-    return spec.input_ports if direction == INPUT else spec.output_ports
+Endpoint = tuple[str, str, str]  # (model path, port name, INPUT or OUTPUT)
 
 
-def validate_coupled(spec: CoupledSpec, path: str = "") -> None:
-    """Check every CoupledSpec invariant, recursively.
+def _flatten(
+    spec: ModelSpec,
+    path: str,
+    key: tuple[int, ...],
+    atoms: list[tuple[tuple[int, ...], str, AtomicSpec]],
+    edges: dict[Endpoint, list[tuple[Endpoint, Any]]],
+) -> None:
+    """Check a model and close it into atomics plus an endpoint graph, in one pass.
 
-    Raises :class:`StructuralError` naming the offending endpoint.
+    Appends ``(select key, path, spec)`` for every atomic to ``atoms``; the
+    key holds the select rank at each level, so sorting by it gives the
+    hierarchical select order.  Adds every coupling to ``edges`` as an edge
+    between endpoints ``(path, port, direction)``, in declaration order.  A
+    coupled model's boundary port is one endpoint whether a coupling inside
+    it or one in its parent names it, so the levels join up by themselves;
+    the root's boundary has path ``""``.
+
+    Scopes are checked root first, each coupling source end first, then
+    ``select``.  Raises :class:`StructuralError` naming the first offender.
     """
+    if isinstance(spec, AtomicSpec):
+        atoms.append((key, path, spec))
+        return
     where = path or "<root>"
-    for coupling in spec.couplings:
-        if coupling.src is None and coupling.dst is None:
+    for c in spec.couplings:
+        if c.src is None and c.dst is None:
             raise StructuralError(
                 f"{where}: coupling may not connect the boundary input "
-                f"{coupling.src_port!r} directly to the boundary output {coupling.dst_port!r}"
+                f"{c.src_port!r} directly to the boundary output {c.dst_port!r}"
             )
-        if coupling.src is not None and coupling.src == coupling.dst:
+        if c.src is not None and c.src == c.dst:
             raise StructuralError(
-                f"{where}: coupling connects {coupling.src!r} output "
-                f"{coupling.src_port!r} back to its own input {coupling.dst_port!r}"
+                f"{where}: coupling connects {c.src!r} output "
+                f"{c.src_port!r} back to its own input {c.dst_port!r}"
             )
-        if coupling.src is None:
-            if coupling.src_port not in spec.input_ports:
-                raise StructuralError(
-                    f"{where}: unknown endpoint {Port(path, coupling.src_port, INPUT)}"
-                )
-        else:
-            child = spec.components.get(coupling.src)
-            if child is None:
-                raise StructuralError(f"{where}: coupling names unknown component {coupling.src!r}")
-            if coupling.src_port not in _ports_of(child, OUTPUT):
-                raise StructuralError(
-                    f"{where}: unknown endpoint {Port(coupling.src, coupling.src_port, OUTPUT)}"
-                )
-        if coupling.dst is None:
-            if coupling.dst_port not in spec.output_ports:
-                raise StructuralError(
-                    f"{where}: unknown endpoint {Port(path, coupling.dst_port, OUTPUT)}"
-                )
-        else:
-            child = spec.components.get(coupling.dst)
-            if child is None:
-                raise StructuralError(f"{where}: coupling names unknown component {coupling.dst!r}")
-            if coupling.dst_port not in _ports_of(child, INPUT):
-                raise StructuralError(
-                    f"{where}: unknown endpoint {Port(coupling.dst, coupling.dst_port, INPUT)}"
-                )
-    if spec.select is not None:
-        if sorted(spec.select) != sorted(spec.components):
-            raise StructuralError(
-                f"{where}: select must be a total order over the components, "
-                f"got {spec.select!r} for components {list(spec.components)!r}"
-            )
+        # A source is a boundary input or a child output, a destination a
+        # boundary output or a child input.
+        src = _endpoint(spec, path, c.src, c.src_port, INPUT if c.src is None else OUTPUT)
+        dst = _endpoint(spec, path, c.dst, c.dst_port, OUTPUT if c.dst is None else INPUT)
+        edges.setdefault(src, []).append((dst, c.translate))
+    if spec.select is not None and sorted(spec.select) != sorted(spec.components):
+        raise StructuralError(
+            f"{where}: select must be a total order over the components, "
+            f"got {spec.select!r} for components {list(spec.components)!r}"
+        )
+    order = spec.select if spec.select is not None else list(spec.components)
+    rank = {name: i for i, name in enumerate(order)}
     for name, child in spec.components.items():
-        if isinstance(child, CoupledSpec):
-            validate_coupled(child, f"{path}/{name}" if path else name)
+        _flatten(child, f"{path}/{name}" if path else name, key + (rank[name],), atoms, edges)
+
+
+def _endpoint(
+    scope: CoupledSpec, path: str, child: str | None, port: str, direction: str
+) -> Endpoint:
+    """Check one end of a coupling in the model at ``path``; ``child`` None is its boundary."""
+    where = path or "<root>"
+    if child is None:
+        owner, label = scope, path or "<boundary>"
+    else:
+        owner, label = scope.components.get(child), child
+        path = f"{path}/{child}" if path else child
+        if owner is None:
+            raise StructuralError(f"{where}: coupling names unknown component {child!r}")
+    if port not in (owner.input_ports if direction == INPUT else owner.output_ports):
+        raise StructuralError(f"{where}: unknown endpoint {label}.{port} ({direction})")
+    return path, port, direction
+
+
+def _reach(edges: dict, end: Endpoint, chain: tuple = ()) -> Iterator[tuple[Endpoint, tuple]]:
+    """Yield ``end`` and every endpoint it reaches, depth first in coupling
+    declaration order, each with the translates met on the way, in hop order."""
+    yield end, chain
+    for nxt, translate in edges.get(end, ()):
+        yield from _reach(edges, nxt, chain if translate is None else chain + (translate,))
 
 
 class _Node:
-    """Flattened per-atomic bookkeeping (t_last <= t_next always)."""
+    """One atomic of the flattened model; its ``t_next`` is kept by the handle.
 
-    __slots__ = ("path", "spec", "state", "t_last", "t_next")
+    ``routes`` maps each declared output port to ``(deliveries,
+    root_outputs)``: deliveries are ``(node index, input port, translates)``
+    and root outputs ``(root port, translates)``, in coupling declaration
+    order, with each chain of translates applied first to last.
+    """
 
-    def __init__(self, path: str, spec: AtomicSpec) -> None:
+    __slots__ = ("path", "spec", "state", "t_last", "routes")
+
+    def __init__(self, path: str, spec: AtomicSpec, t0: Time) -> None:
         self.path = path
         self.spec = spec
         self.state = spec.initial_state
-        self.t_last: Time = 0.0
-        self.t_next: Time = 0.0
-
-
-class _Flattener:
-    """Closes a coupled hierarchy into atomics plus composed routes."""
-
-    def __init__(self, root: ModelSpec) -> None:
-        self.atoms: list[tuple[str, AtomicSpec, tuple[int, ...]]] = []
-        self.scopes: dict[str, CoupledSpec] = {}
-        self.links: dict[str, dict[tuple[str | None, str], list[tuple[str | None, str, Any]]]] = {}
-        self.root = root
-        if isinstance(root, CoupledSpec):
-            validate_coupled(root)
-            self._collect(root, "", ())
-        else:
-            self.atoms.append(("model", root, (0,)))
-        # Sort by composed select key: lexicographic order over per-level
-        # select indices reproduces the hierarchical select resolution.
-        self.atoms.sort(key=lambda item: item[2])
-        self.index = {path: i for i, (path, _, _) in enumerate(self.atoms)}
-
-    def _collect(self, spec: CoupledSpec, path: str, key: tuple[int, ...]) -> None:
-        self.scopes[path] = spec
-        table: dict[tuple[str | None, str], list[tuple[str | None, str, Any]]] = {}
-        for c in spec.couplings:
-            table.setdefault((c.src, c.src_port), []).append((c.dst, c.dst_port, c.translate))
-        self.links[path] = table
-        order = spec.select if spec.select is not None else list(spec.components)
-        rank = {name: i for i, name in enumerate(order)}
-        for name, child in spec.components.items():
-            child_path = f"{path}/{name}" if path else name
-            child_key = key + (rank[name],)
-            if isinstance(child, CoupledSpec):
-                self._collect(child, child_path, child_key)
-            else:
-                self.atoms.append((child_path, child, child_key))
-
-    def resolve(self, atom_path: str, port: str) -> tuple[list, list]:
-        """Compose couplings from one atomic output down to atomic inputs.
-
-        Returns (deliveries, root_outputs) where each delivery is
-        (atom_index, input_port, translate_chain).
-        """
-        deliveries: list[tuple[int, str, tuple]] = []
-        root_out: list[tuple[str, tuple]] = []
-        if isinstance(self.root, AtomicSpec):
-            root_out.append((port, ()))
-            return deliveries, root_out
-
-        def descend(coupled_path: str, in_port: str, chain: tuple) -> None:
-            for dst, dst_port, z in self.links[coupled_path].get((None, in_port), []):
-                nxt = chain + (z,) if z is not None else chain
-                self._dispatch(coupled_path, dst, dst_port, nxt, deliveries, root_out, descend)
-
-        def ascend(scope: str, child: str, out_port: str, chain: tuple) -> None:
-            for dst, dst_port, z in self.links[scope].get((child, out_port), []):
-                nxt = chain + (z,) if z is not None else chain
-                if dst is None:
-                    if scope == "":
-                        root_out.append((dst_port, nxt))
-                    else:
-                        parent, _, me = scope.rpartition("/")
-                        ascend(parent, me, dst_port, nxt)
-                else:
-                    self._dispatch(scope, dst, dst_port, nxt, deliveries, root_out, descend)
-
-        scope, _, child = atom_path.rpartition("/")
-        ascend(scope, child, port, ())
-        return deliveries, root_out
-
-    def _dispatch(self, scope, dst, dst_port, chain, deliveries, root_out, descend) -> None:
-        dst_path = f"{scope}/{dst}" if scope else dst
-        child = self.scopes.get(dst_path)
-        if child is None:
-            deliveries.append((self.index[dst_path], dst_port, chain))
-        else:
-            descend(dst_path, dst_port, chain)
+        self.t_last = t0
+        self.routes: dict[str, tuple[list[tuple[int, str, tuple]], list[tuple[str, tuple]]]] = {}
 
 
 class SimulationHandle:
     """Mutable run state for one simulation; confined to one thread at a time.
 
-    Created by :func:`initialize`.  Carries the clock, the flattened
-    component table in select order, the composed routing table, and the
-    in-memory event trace (empty right after initialization, and for good
-    when the trace streams to a file).
+    Created by :func:`initialize`.  Carries the clock, the atomic components
+    in select order with their composed routes, the ``t_next`` table
+    parallel to them, and the in-memory event trace (empty right after
+    initialization, and for good when the trace streams to a file).
     """
 
     def __init__(
@@ -301,7 +244,11 @@ class SimulationHandle:
         trace_file: TextIO | None,
         max_zero_steps: int,
     ) -> None:
-        flat = _Flattener(model)
+        atoms: list[tuple[tuple[int, ...], str, AtomicSpec]] = []
+        edges: dict[Endpoint, list[tuple[Endpoint, Any]]] = {}
+        _flatten(model, "", (), atoms, edges)
+        atoms.sort(key=lambda atom: atom[0])
+        index = {path: i for i, (_, path, _) in enumerate(atoms)}
         self.model = model
         self.clock: Time = t0
         self.trace: list[TraceEvent] = []
@@ -316,19 +263,20 @@ class SimulationHandle:
         self._nodes: list[_Node] = []
         self._t_next: list[Time] = []
         self._steps_at_clock = 0
-        for path, spec, _ in flat.atoms:
-            node = _Node(path, spec)
-            node.t_last = t0
+        for _, path, spec in atoms:
+            # An atomic root is named "model"; its output ports are the root's.
+            node = _Node(path or "model", spec, t0)
             ta = spec.time_advance(node.state)
             if ta < 0:
-                raise ContractViolationError(f"{path}: time advance of initial state is {ta}")
-            node.t_next = t0 + ta
+                raise ContractViolationError(f"{node.path}: time advance of initial state is {ta}")
+            for port in spec.output_ports:
+                reached = list(_reach(edges, (path, port, OUTPUT)))
+                node.routes[port] = (
+                    [(index[p], q, z) for (p, q, d), z in reached if d == INPUT and p in index],
+                    [(q, z) for (p, q, d), z in reached if p == "" and d == OUTPUT],
+                )
             self._nodes.append(node)
-            self._t_next.append(node.t_next)
-        self._routes = [
-            {port: flat.resolve(node.path, port) for port in node.spec.output_ports}
-            for node in self._nodes
-        ]
+            self._t_next.append(t0 + ta)
 
     # -- inspection -------------------------------------------------------
 
@@ -349,8 +297,8 @@ class SimulationHandle:
         raise KeyError(path)
 
     def node_times(self) -> Iterator[tuple[str, Time, Time]]:
-        for node in self._nodes:
-            yield node.path, node.t_last, node.t_next
+        for node, t_next in zip(self._nodes, self._t_next):
+            yield node.path, node.t_last, t_next
 
     # -- execution --------------------------------------------------------
 
@@ -405,7 +353,7 @@ class SimulationHandle:
         node = self._nodes[i]
         spec = node.spec
         outputs = spec.output(node.state)
-        routes = self._routes[i]
+        routes = node.routes
         deliveries: dict[int, list[Message]] = {}
         root_outputs: list[Message] = []
         for msg in outputs:
@@ -455,8 +403,7 @@ class SimulationHandle:
         if ta < 0:
             raise ContractViolationError(f"{node.path}: time advance returned {ta}")
         node.t_last = t
-        node.t_next = t + ta
-        self._t_next[idx] = node.t_next
+        self._t_next[idx] = t + ta
 
 
 def initialize(

@@ -7,7 +7,7 @@ random number of children, and a sink that counts the new population.
 
 ``build_consanguinity_model`` extends it: a single whole-population source is
 split by sex, each sex stream is split again into consanguineous and
-non-consanguineous branches by path weights, and each branch runs its own
+non-consanguineous branches by routing weights, and each branch runs its own
 marriage combiner, growth server (whose children receive a congenital
 disorder draw) and new-population sink.
 
@@ -18,6 +18,7 @@ as a ``Path<n>`` ``[Travelers]`` row, so the legs cost no kernel steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional
 
@@ -239,8 +240,9 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         except ConfigurationError as exc:
             violations.append(Violation(field_name, "must be a valid distribution", str(exc)))
 
-    if not config.run_length > 0:
-        violations.append(Violation("run_length", "must be > 0", config.run_length))
+    # Chained comparisons also reject NaN and Infinity, which JSON admits.
+    if not 0 < config.run_length < math.inf:
+        violations.append(Violation("run_length", "must be finite and > 0", config.run_length))
     if config.replications < 1:
         violations.append(Violation("replications", "must be >= 1", config.replications))
     male, female = config.sex_split
@@ -258,9 +260,9 @@ def validate_config(config: ModelConfig) -> list[Violation]:
             continue
         for branch in (CONSANG, NON_CONSANG):
             weight = weights.get(branch)
-            if weight is None or weight <= 0:
+            if weight is None or not 0 < weight < math.inf:
                 violations.append(
-                    Violation(f"routing_weights.{sex}.{branch}", "must be > 0", weight)
+                    Violation(f"routing_weights.{sex}.{branch}", "must be finite and > 0", weight)
                 )
     for name in ("WP", "MP", "FP"):
         settings = config.sources.get(name)

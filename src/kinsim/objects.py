@@ -290,12 +290,10 @@ class Travelers:
 
 
 class PathState:
-    __slots__ = ("travel_time", "weight", "allow_passing", "queue", "now", "stats")
+    __slots__ = ("travel_time", "queue", "now", "stats")
 
-    def __init__(self, travel_time, weight, allow_passing):
+    def __init__(self, travel_time):
         self.travel_time = travel_time
-        self.weight = weight
-        self.allow_passing = allow_passing
         self.queue: deque[tuple[Time, Entity]] = deque()
         self.now: Time = 0.0
         self.stats = ObjectStats()
@@ -328,26 +326,20 @@ def _path_dint(s: PathState) -> PathState:
 def _path_dext(s: PathState, elapsed: Time, bag) -> PathState:
     s.now += elapsed
     for msg in bag:
-        exit_time = s.now + s.travel_time
-        if s.queue and not s.allow_passing and exit_time < s.queue[-1][0]:
-            exit_time = s.queue[-1][0]  # hold back: exits stay in entry order
-        s.queue.append((exit_time, msg.payload))
+        s.queue.append((s.now + s.travel_time, msg.payload))
         s.stats.entered += 1
     return s
 
 
-def make_path(travel_time: Time, weight: float = 1.0, allow_passing: bool = False) -> AtomicSpec:
+def make_path(travel_time: Time) -> AtomicSpec:
     """Delay line between two objects; counts every traveler.
 
-    With ``allow_passing=False`` entities exit in entry order even when
-    travel times would let a later entity overtake.  ``weight`` is the
-    path's share when an upstream splitter chooses among its outgoing paths.
+    The travel time is one constant and the clock never runs back, so
+    entities exit in entry order.
     """
     if travel_time < 0:
         raise ConfigurationError(f"travel_time must be >= 0, got {travel_time}")
-    if weight <= 0:
-        raise ConfigurationError(f"path weight must be positive, got {weight}")
-    state = PathState(travel_time, weight, allow_passing)
+    state = PathState(travel_time)
     return AtomicSpec(
         initial_state=state,
         time_advance=_path_ta,

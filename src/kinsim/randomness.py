@@ -245,11 +245,11 @@ def make_distribution(config: Mapping) -> Distribution:
         raise ConfigurationError(f"distribution config needs a 'type' key, got {config!r}") from None
     try:
         if kind == "constant":
-            return Constant(float(config["value"]))
+            return Constant(_finite(config, "value"))
         if kind == "uniform":
-            return Uniform(float(config["low"]), float(config["high"]))
+            return Uniform(_finite(config, "low"), _finite(config, "high"))
         if kind == "exponential":
-            return Exponential(float(config["mean"]))
+            return Exponential(_finite(config, "mean"))
         if kind == "discrete":
             pairs: Sequence = config["pairs"]
             return DiscreteDistribution((v, c) for v, c in pairs)
@@ -258,6 +258,14 @@ def make_distribution(config: Mapping) -> Distribution:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad distribution config {config!r}: {exc}") from exc
     raise ConfigurationError(f"unknown distribution type {kind!r}")
+
+
+def _finite(config: Mapping, key: str) -> float:
+    # JSON admits NaN and Infinity; either as a time parameter stalls a run.
+    value = float(config[key])
+    if not math.isfinite(value):
+        raise ConfigurationError(f"distribution parameter {key!r} must be finite, got {value}")
+    return value
 
 
 def distribution_config(dist: Distribution) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -72,6 +73,29 @@ def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, ca
     assert len(captured.out.splitlines()) == 1
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("run_length", math.inf),
+    ("routing_weights.male.consanguineous", math.nan),
+    ("sources.WP.interarrival", {"type": "constant", "value": math.nan}),
+])
+def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
+    # Each of these once validated and then hung or ran silently wrong.
+    config = ModelConfig.default().to_dict()
+    *parents, key = field.split(".")
+    target = config
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [field]
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [field]
+    assert not out.exists()
 
 
 class TestUsageErrors:

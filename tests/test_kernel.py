@@ -168,6 +168,96 @@ class TestStructuralValidation:
         with pytest.raises(StructuralError, match="select"):
             initialize(model)
 
+    @staticmethod
+    def relay() -> AtomicSpec:
+        return AtomicSpec(
+            initial_state={},
+            time_advance=lambda s: INFINITY,
+            delta_int=lambda s: s,
+            delta_ext=lambda s, e, xs: s,
+            output=lambda s: [],
+            input_ports=("in",),
+            output_ports=("out",),
+        )
+
+    BAD_SCOPES = {
+        "boundary input": (
+            dict(couplings=[Coupling(None, "nope", "acc", "in")]),
+            "unknown endpoint {boundary}.nope (input)",
+        ),
+        "child output": (
+            dict(couplings=[Coupling("gen", "nope", "acc", "in")]),
+            "unknown endpoint gen.nope (output)",
+        ),
+        "boundary output": (
+            dict(couplings=[Coupling("gen", "out", None, "nope")]),
+            "unknown endpoint {boundary}.nope (output)",
+        ),
+        "child input": (
+            dict(couplings=[Coupling("gen", "out", "acc", "nope")]),
+            "unknown endpoint acc.nope (input)",
+        ),
+        "unknown src": (
+            dict(couplings=[Coupling("ghost", "out", "acc", "in")]),
+            "coupling names unknown component 'ghost'",
+        ),
+        "unknown dst": (
+            dict(couplings=[Coupling("gen", "out", "ghost", "in")]),
+            "coupling names unknown component 'ghost'",
+        ),
+        "self loop": (
+            dict(couplings=[Coupling("r", "out", "r", "in")]),
+            "coupling connects 'r' output 'out' back to its own input 'in'",
+        ),
+        "passthrough": (
+            dict(couplings=[Coupling(None, "in", None, "y")]),
+            "coupling may not connect the boundary input 'in' directly to the boundary output 'y'",
+        ),
+        "select": (
+            dict(select=["gen", "r"]),
+            "select must be a total order over the components, "
+            "got ['gen', 'r'] for components ['gen', 'acc', 'r']",
+        ),
+        # Checks run per coupling, source end first, then over select.
+        "src before dst": (
+            dict(couplings=[Coupling("gen", "nope", "ghost", "in")]),
+            "unknown endpoint gen.nope (output)",
+        ),
+        "couplings before select": (
+            dict(couplings=[Coupling("ghost", "out", "acc", "in")], select=["gen"]),
+            "coupling names unknown component 'ghost'",
+        ),
+    }
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["root", "nested"])
+    @pytest.mark.parametrize("form", list(BAD_SCOPES))
+    def test_message_text(self, form, nested):
+        fields, message = self.BAD_SCOPES[form]
+        scope = CoupledSpec(
+            components={"gen": generator(1.0), "acc": counter(), "r": self.relay()},
+            input_ports=("in",),
+            output_ports=("y",),
+            **fields,
+        )
+        if nested:
+            model = CoupledSpec(components={"top": CoupledSpec(components={"inner": scope})})
+            where, boundary = "top/inner", "top/inner"
+        else:
+            model, where, boundary = scope, "<root>", "<boundary>"
+        with pytest.raises(StructuralError) as raised:
+            initialize(model)
+        assert str(raised.value) == f"{where}: " + message.format(boundary=boundary)
+
+    def test_root_scope_checked_before_nested_scopes(self):
+        inner = CoupledSpec(
+            components={"gen": generator(1.0)},
+            couplings=[Coupling("gen", "nope", None, "y")],
+            output_ports=("y",),
+        )
+        model = CoupledSpec(components={"inner": inner, "acc": counter()}, select=["acc"])
+        with pytest.raises(StructuralError, match=r"^<root>: select must"):
+            initialize(model)
+
     def test_undeclared_output_port_raises_routing_error(self):
         rogue = AtomicSpec(
             initial_state={},
@@ -456,6 +546,39 @@ class TestHierarchy:
         handle = initialize(model)
         t, outputs = handle.step()
         assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("root_out", 0)])
+
+    def test_one_output_fans_out_to_sibling_nested_atomic_and_root(self):
+        tag = lambda label: lambda payload: f"{payload}{label}"
+        inner = CoupledSpec(
+            components={"acc": counter()},
+            couplings=[
+                Coupling(None, "in", "acc", "in", translate=tag("i")),
+                Coupling(None, "in", "acc", "in", translate=tag("j")),
+            ],
+            input_ports=("in",),
+        )
+        model = CoupledSpec(
+            components={"gen": generator(1.0), "inner": inner, "sib": counter()},
+            couplings=[
+                Coupling("gen", "out", "sib", "in", translate=tag("s")),
+                Coupling("gen", "out", "inner", "in", translate=tag("o")),
+                Coupling("gen", "out", None, "y", translate=tag("r")),
+                Coupling("gen", "out", "sib", "in"),
+                Coupling("gen", "out", None, "z"),
+            ],
+            output_ports=("y", "z"),
+        )
+        handle = initialize(model)
+        t, outputs = handle.step()
+        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("y", "0r"), ("z", 0)])
+        # Bags keep coupling declaration order; translates compose in hop
+        # order, the outer coupling's first.
+        assert handle.state_of("sib")["seen"] == [(1.0, ["0s", 0])]
+        assert handle.state_of("inner/acc")["seen"] == [(1.0, ["0oi", "0oj"])]
+        # Receivers take their external transitions in select order.
+        assert [(ev.component, ev.phase) for ev in handle.trace] == [
+            ("gen", "internal"), ("inner/acc", "external"), ("sib", "external"),
+        ]
 
     def test_hierarchical_select_composes_lexicographically(self):
         # inner comes before the sibling atomic at the root level, and within

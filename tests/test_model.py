@@ -78,6 +78,28 @@ class TestValidateConfig:
         violations = validate_config(config)
         assert any(v.field == "routing_weights.male.consanguineous" for v in violations)
 
+    @pytest.mark.parametrize("field, value", [
+        ("run_length", math.inf),
+        ("routing_weights.male.consanguineous", math.nan),
+        ("routing_weights.female.non_consanguineous", math.inf),
+    ])
+    def test_nonfinite_number_flagged(self, field, value):
+        config = ModelConfig.default()
+        if field == "run_length":
+            config.run_length = value
+        else:
+            _, sex, branch = field.split(".")
+            config.routing_weights[sex][branch] = value
+        assert [v.field for v in validate_config(config)] == [field]
+
+    def test_nonfinite_interarrival_flagged(self):
+        config = ModelConfig.default()
+        config.sources["WP"].interarrival = {"type": "constant", "value": math.nan}
+        violations = validate_config(config)
+        assert [(v.field, v.constraint) for v in violations] == [
+            ("sources.WP.interarrival", "must be a valid distribution")
+        ]
+
     def test_bad_offspring_distribution_flagged(self):
         config = ModelConfig.default()
         config.offspring_distribution = {"type": "discrete", "pairs": [[0, 0.5], [1, 0.8]]}

@@ -392,7 +392,7 @@ class TestPath:
 
     def test_same_instant_arrivals_exit_in_entry_order(self):
         factory = EntityFactory()
-        spec = make_path(0.0, allow_passing=False)
+        spec = make_path(0.0)
         e1, e2 = entities(factory, "E", 2)
         state = deliver(spec, [("in", e1), ("in", e2)])
         out = flush(spec, state)
@@ -419,10 +419,6 @@ class TestPath:
     def test_negative_travel_time_rejected(self):
         with pytest.raises(ConfigurationError):
             make_path(-1.0)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_path(0.0, weight=0.0)
 
 
 class TestTravelers:

@@ -225,6 +225,18 @@ class TestDistributionConfig:
         with pytest.raises(ConfigurationError):
             make_distribution({"type": "constant"})
 
+    @pytest.mark.parametrize("config", [
+        {"type": "constant", "value": math.nan},
+        {"type": "constant", "value": math.inf},
+        {"type": "uniform", "low": -math.inf, "high": 0.0},
+        {"type": "uniform", "low": 0.0, "high": math.inf},
+        {"type": "exponential", "mean": math.nan},
+        {"type": "exponential", "mean": math.inf},
+    ])
+    def test_nonfinite_parameter_rejected(self, config):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            make_distribution(config)
+
     def test_missing_type_rejected(self):
         with pytest.raises(ConfigurationError):
             make_distribution({"value": 1.0})
