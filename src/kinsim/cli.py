@@ -30,6 +30,16 @@ def default_config_path() -> str:
     return str(resources.files("kinsim").joinpath("data/default_config.json"))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kinsim",
@@ -44,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the configured base seed")
     run.add_argument("--out", default=DEFAULT_OUT, help=f"output CSV path (default: {DEFAULT_OUT})")
     run.add_argument("--trace", default=None, help="write the event trace of replication 0 to this file")
+    run.add_argument("--jobs", type=_positive_int, default=None,
+                     help="worker processes for the replications (default: the usable CPUs; "
+                          "1 runs them all in this process)")
 
     validate = sub.add_parser("validate", help="check a config file and list violations")
     validate.add_argument("--config", default=None, help="JSON config file (defaults to the packaged config)")
@@ -95,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if isinstance(config, int):
         return config
     try:
-        result = run_experiment(config, trace_path=args.trace)
+        result = run_experiment(config, trace_path=args.trace, jobs=args.jobs)
     except SimulationError as exc:
         print(f"kinsim: run failed: {exc}", file=sys.stderr)
         return 1

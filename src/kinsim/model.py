@@ -154,7 +154,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        """Parse the JSON form; absent fields keep their defaults.
+        """Parse the JSON form; absent fields, and absent sources, keep their defaults.
 
         An unknown key, here or in a ``sources`` entry, or a field whose
         value has the wrong shape or type (a fraction where a count
@@ -204,7 +204,8 @@ _FIELD_PARSERS = {
     "replications": _integer,
     "base_seed": _integer,
     "sources": lambda sources: {
-        name: SourceSettings.from_dict(sub) for name, sub in sources.items()
+        **_default_sources(),
+        **{name: SourceSettings.from_dict(sub) for name, sub in sources.items()},
     },
     "sex_split": _parse_sex_split,
     "routing_weights": lambda weights: {
@@ -233,12 +234,6 @@ class Violation:
 def validate_config(config: ModelConfig) -> list[Violation]:
     """Return every violated ModelConfig invariant; empty means valid."""
     violations: list[Violation] = []
-
-    def check_dist(field_name: str, dist_config: Mapping) -> None:
-        try:
-            make_distribution(dist_config)
-        except ConfigurationError as exc:
-            violations.append(Violation(field_name, "must be a valid distribution", str(exc)))
 
     # Chained comparisons also reject NaN and Infinity, which JSON admits.
     if not 0 < config.run_length < math.inf:
@@ -269,7 +264,20 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         if settings is None:
             violations.append(Violation(f"sources.{name}", "missing", None))
             continue
-        check_dist(f"sources.{name}.interarrival", settings.interarrival)
+        try:
+            low, high = make_distribution(settings.interarrival).support
+        except ConfigurationError as exc:
+            violations.append(
+                Violation(f"sources.{name}.interarrival", "must be a valid distribution", str(exc))
+            )
+        else:
+            # A negative gap breaks the kernel's contract; gaps that are all 0
+            # never let the clock advance.
+            if low < 0 or high == 0:
+                violations.append(Violation(
+                    f"sources.{name}.interarrival", "must draw no negative value and not only 0",
+                    settings.interarrival,
+                ))
         if settings.max_arrivals is not None and settings.max_arrivals < 0:
             violations.append(
                 Violation(f"sources.{name}.max_arrivals", "must be >= 0 or null", settings.max_arrivals)

@@ -116,6 +116,11 @@ class Constant:
     def mean(self) -> float:
         return self.value
 
+    @property
+    def support(self) -> tuple[float, float]:
+        """The least and the greatest value a draw can take."""
+        return self.value, self.value
+
 
 @dataclass(frozen=True, slots=True)
 class Uniform:
@@ -133,6 +138,10 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.low, self.high
+
 
 @dataclass(frozen=True, slots=True)
 class Exponential:
@@ -146,6 +155,10 @@ class Exponential:
 
     def sample(self, stream: RngStream) -> float:
         return -self.mean * math.log(1.0 - stream.uniform())
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return 0.0, math.inf
 
 
 class DiscreteDistribution:
@@ -192,6 +205,10 @@ class DiscreteDistribution:
     @property
     def mean(self) -> float:
         return mean_of(self)
+
+    @property
+    def support(self) -> tuple[int, int]:
+        return min(self.values), max(self.values)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{v}:{c}" for v, c in zip(self.values, self.cum_probs))

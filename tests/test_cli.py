@@ -98,6 +98,33 @@ def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("interarrival", [
+    {"type": "constant", "value": 0.0},
+    {"type": "constant", "value": -1.0},
+    {"type": "uniform", "low": -1.0, "high": 1.0},
+    {"type": "uniform", "low": 0.0, "high": 0.0},
+], ids=["constant-0", "constant-negative", "uniform-negative-low", "uniform-0"])
+def test_never_positive_interarrival_exit_1(interarrival, tmp_path, capsys):
+    config = ModelConfig.default().to_dict()
+    config["sources"]["WP"]["interarrival"] = interarrival
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("sources.WP.interarrival: ")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("sources.WP.interarrival: ")
+    assert not out.exists()
+
+
+def test_config_listing_only_wp_validates(tmp_path, capsys):
+    path = tmp_path / "wp_only.json"
+    path.write_text(json.dumps({"sources": {"WP": {"interarrival": {"type": "constant", "value": 2.0}}}}),
+                    encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "config OK\n"
+
+
 class TestUsageErrors:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["run", "--frobnicate"]) == 2
@@ -141,6 +168,23 @@ class TestRun:
         fast.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", "--config", str(fast), "--out", str(out), "--trace", str(trace)]) == 0
         assert trace.exists() and trace.stat().st_size > 0
+
+    def test_jobs_do_not_change_report_or_trace_bytes(self, small_config_file, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out, trace = tmp_path / f"r{jobs}.csv", tmp_path / f"t{jobs}.tsv"
+            assert main(["run", "--config", small_config_file, "--jobs", jobs,
+                         "--out", str(out), "--trace", str(trace)]) == 0
+            outputs.append((out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_must_be_a_positive_integer_exit_2(self, jobs, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["run", "--jobs", jobs, "--out", str(out)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_exit_1(self, tmp_path):
         config = ModelConfig.default().to_dict()

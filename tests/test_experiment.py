@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
@@ -13,6 +14,7 @@ from kinsim import (
     Message,
     ModelConfig,
     ReportRow,
+    build_consanguinity_model,
     csv_text,
     export_csv,
     read_csv,
@@ -250,3 +252,75 @@ class TestCsv:
         row = ReportRow("X", "[Processed]", "Throughput", "Mean", 1234.5678)
         text = csv_text(ExperimentResult(rows=[row], per_replication=[]))
         assert text.splitlines()[1].endswith("1234.57")
+
+
+def birth_heavy_config() -> ModelConfig:
+    """Exponential arrivals, even splits and many children per marriage."""
+    config = small_config(run_length=1000.0, replications=5)
+    config.sources["WP"].interarrival = {"type": "exponential", "mean": 1.0}
+    config.sex_split = (0.5, 0.5)
+    config.routing_weights = {
+        sex: {"consanguineous": 50.0, "non_consanguineous": 50.0} for sex in ("male", "female")
+    }
+    config.offspring_distribution = {
+        "type": "discrete",
+        "pairs": [[3, 0.10], [4, 0.25], [5, 0.45], [6, 0.65], [7, 0.80], [8, 0.90], [9, 0.97], [10, 1.00]],
+    }
+    config.allele_frequency = 0.05
+    return config
+
+
+def replication_facts(result):
+    return [
+        (stats.rows, stats.created_total, stats.destroyed_individuals, stats.held_individuals,
+         stats.affected_by_class)
+        for stats in result.per_replication
+    ]
+
+
+class TestJobs:
+    @pytest.mark.parametrize("make_config", [ModelConfig.default, birth_heavy_config],
+                             ids=["packaged", "birth_heavy"])
+    def test_jobs_do_not_change_the_report(self, make_config):
+        results = [run_experiment(make_config(), jobs=jobs) for jobs in (1, 2, 7)]
+        texts = {csv_text(result) for result in results}
+        assert len(texts) == 1
+        facts = [replication_facts(result) for result in results]
+        assert facts[0] == facts[1] == facts[2]
+
+    def test_closure_builder_runs_in_workers(self):
+        built = []
+
+        def builder(config, replication):
+            built.append(replication)
+            return build_consanguinity_model(config, replication)
+
+        pooled = run_experiment(small_config(), builder=builder, jobs=2)
+        # the workers build every replication; this process builds none
+        assert built == []
+        assert csv_text(pooled) == csv_text(run_experiment(small_config(), jobs=1))
+
+    def test_lowest_failing_replication_is_reported(self):
+        def odd_failing_builder(config, replication):
+            if replication % 2:
+                return failing_builder(config, replication)
+            return build_consanguinity_model(config, replication)
+
+        with pytest.raises(SimulationError, match="^replication 1: "):
+            run_experiment(small_config(replications=4), builder=odd_failing_builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_dead_worker_is_a_simulation_error(self):
+        parent = os.getpid()
+
+        def dying_builder(config, replication):
+            if os.getpid() == parent:
+                raise AssertionError("the replication ran in the calling process")
+            os._exit(3)
+
+        with pytest.raises(SimulationError, match="worker died"):
+            run_experiment(small_config(replications=2), builder=dying_builder, jobs=2)
+
+    def test_zero_jobs_rejected(self):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_experiment(small_config(), jobs=0)

@@ -12,6 +12,7 @@ from kinsim import (
     Coupling,
     EntityFactory,
     ModelConfig,
+    SourceSettings,
     build_consanguinity_model,
     build_population_growth_model,
     collect_run_stats,
@@ -100,6 +101,29 @@ class TestValidateConfig:
             ("sources.WP.interarrival", "must be a valid distribution")
         ]
 
+    @pytest.mark.parametrize("interarrival", [
+        {"type": "constant", "value": 0.0},
+        {"type": "constant", "value": -1.0},
+        {"type": "uniform", "low": -1.0, "high": 1.0},
+        {"type": "uniform", "low": 0.0, "high": 0.0},
+        {"type": "discrete", "pairs": [[0, 1.0]]},
+    ], ids=["constant-0", "constant-negative", "uniform-negative-low", "uniform-0", "discrete-0"])
+    def test_never_positive_interarrival_flagged(self, interarrival):
+        # each of these once validated, then spun at time 0 or failed mid-run
+        config = ModelConfig.default()
+        config.sources["WP"].interarrival = interarrival
+        assert [v.field for v in validate_config(config)] == ["sources.WP.interarrival"]
+
+    @pytest.mark.parametrize("interarrival", [
+        {"type": "uniform", "low": 0.0, "high": 2.0},
+        {"type": "exponential", "mean": 1.0},
+        {"type": "discrete", "pairs": [[0, 0.5], [1, 1.0]]},
+    ])
+    def test_interarrival_that_can_be_0_but_not_always_passes(self, interarrival):
+        config = ModelConfig.default()
+        config.sources["WP"].interarrival = interarrival
+        assert validate_config(config) == []
+
     def test_bad_offspring_distribution_flagged(self):
         config = ModelConfig.default()
         config.offspring_distribution = {"type": "discrete", "pairs": [[0, 0.5], [1, 0.8]]}
@@ -150,6 +174,13 @@ class TestValidateConfig:
     def test_wrong_values_rejected_at_parse(self, field, data):
         with pytest.raises(ConfigurationError, match=f"^malformed {field}: "):
             ModelConfig.from_dict(data)
+
+    def test_absent_sources_take_their_defaults(self):
+        wp = {"interarrival": {"type": "constant", "value": 2.0}, "max_arrivals": 5}
+        config = ModelConfig.from_dict({"sources": {"WP": wp}})
+        assert config.sources["WP"].to_dict() == wp
+        assert config.sources["MP"] == config.sources["FP"] == SourceSettings()
+        assert validate_config(config) == []
 
     def test_integral_floats_parse_as_counts(self):
         config = ModelConfig.from_dict(
