@@ -52,12 +52,12 @@ INPUT = "input"
 OUTPUT = "output"
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """A value travelling through a port.
 
     ``port`` is relative to whichever component emits or receives the
-    message; the kernel rewrites it while routing.
+    message; the kernel rewrites it while routing.  A named tuple, so it
+    is immutable and cheap to build, and unpacks as ``port, payload``.
     """
 
     port: str
@@ -252,13 +252,14 @@ class SimulationHandle:
         self.model = model
         self.clock: Time = t0
         self.trace: list[TraceEvent] = []
-        # Receives each event's TraceEvents once its transitions are done.
-        self._trace_sink: Callable[[list[TraceEvent]], Any] | None = None
+        # Where each event goes once its transitions are done: its lines to
+        # the file, or its TraceEvents to ``trace``, or nowhere.
+        self._write_trace: Callable[[str], Any] | None = None
+        self._record_trace = False
         if trace_file is not None:
-            write = trace_file.write
-            self._trace_sink = lambda events: write("".join(_trace_lines(events)))
-        elif record_trace:
-            self._trace_sink = self.trace.extend
+            self._write_trace = trace_file.write
+        else:
+            self._record_trace = record_trace
         self.max_zero_steps = max_zero_steps
         self._nodes: list[_Node] = []
         self._t_next: list[Time] = []
@@ -337,7 +338,12 @@ class SimulationHandle:
 
         ``t`` must be the minimum over ``_t_next``; both callers have just
         computed it, so the step body scans the table once more, for the
-        index.
+        index.  The selected component's internal transition comes first,
+        then every receiver's external transition in select order; each
+        transition is followed at once by the new time advance, which must
+        not be negative.  The event reaches the trace only after all of
+        them, so the trace shows each payload as the event left it (a
+        receiver may relabel a payload it was just sent).
         """
         if t > self.clock:
             self.clock = t
@@ -349,61 +355,66 @@ class SimulationHandle:
                     f"illegitimate model: more than {self.max_zero_steps} "
                     f"steps without the clock advancing past {t}"
                 )
-        i = self._t_next.index(t)  # first in select order among the imminent
-        node = self._nodes[i]
+        t_next = self._t_next
+        nodes = self._nodes
+        i = t_next.index(t)  # first in select order among the imminent
+        node = nodes[i]
         spec = node.spec
         outputs = spec.output(node.state)
         routes = node.routes
         deliveries: dict[int, list[Message]] = {}
         root_outputs: list[Message] = []
-        for msg in outputs:
+        for port, payload in outputs:
             try:
-                atom_targets, root_targets = routes[msg.port]
+                atom_targets, root_targets = routes[port]
             except KeyError:
-                raise RoutingError(
-                    f"{node.path}: output on undeclared port {msg.port!r}"
-                ) from None
+                raise RoutingError(f"{node.path}: output on undeclared port {port!r}") from None
             for idx, dst_port, chain in atom_targets:
-                payload = msg.payload
+                value = payload
                 for z in chain:
-                    payload = z(payload)
+                    value = z(value)
                 bag = deliveries.get(idx)
                 if bag is None:
-                    deliveries[idx] = [Message(dst_port, payload)]
+                    deliveries[idx] = [Message(dst_port, value)]
                 else:
-                    bag.append(Message(dst_port, payload))
+                    bag.append(Message(dst_port, value))
             for root_port, chain in root_targets:
-                payload = msg.payload
+                value = payload
                 for z in chain:
-                    payload = z(payload)
-                root_outputs.append(Message(root_port, payload))
+                    value = z(value)
+                root_outputs.append(Message(root_port, value))
         # Internal transition of the selected component.
-        node.state = spec.delta_int(node.state)
-        self._reschedule(i, node, t)
-        sink = self._trace_sink
-        if sink is not None:
-            events = [TraceEvent(t, node.path, "internal", tuple(outputs))]
-        # External transitions of every receiver, in select order.
-        for idx in sorted(deliveries) if len(deliveries) > 1 else deliveries:
-            receiver = self._nodes[idx]
-            bag = deliveries[idx]
-            elapsed = t - receiver.t_last
-            receiver.state = receiver.spec.delta_ext(receiver.state, elapsed, bag)
-            self._reschedule(idx, receiver, t)
-            if sink is not None:
-                events.append(TraceEvent(t, receiver.path, "external", tuple(bag)))
-        # Handed over only now: a receiver may relabel a payload in this
-        # event, and the trace shows each payload as the event left it.
-        if sink is not None:
-            sink(events)
-        return t, root_outputs
-
-    def _reschedule(self, idx: int, node: _Node, t: Time) -> None:
-        ta = node.spec.time_advance(node.state)
+        node.state = state = spec.delta_int(node.state)
+        ta = spec.time_advance(state)
         if ta < 0:
             raise ContractViolationError(f"{node.path}: time advance returned {ta}")
         node.t_last = t
-        self._t_next[idx] = t + ta
+        t_next[i] = t + ta
+        # External transitions of every receiver, in select order.
+        receivers = sorted(deliveries) if len(deliveries) > 1 else deliveries
+        for idx in receivers:
+            receiver = nodes[idx]
+            rspec = receiver.spec
+            elapsed = t - receiver.t_last
+            receiver.state = state = rspec.delta_ext(receiver.state, elapsed, deliveries[idx])
+            ta = rspec.time_advance(state)
+            if ta < 0:
+                raise ContractViolationError(f"{receiver.path}: time advance returned {ta}")
+            receiver.t_last = t
+            t_next[idx] = t + ta
+        write = self._write_trace
+        if write is not None:
+            at = f"{t:g}"
+            text = _event_text(at, node.path, "internal", outputs)
+            for idx in receivers:
+                text += _event_text(at, nodes[idx].path, "external", deliveries[idx])
+            write(text)
+        elif self._record_trace:
+            trace = self.trace
+            trace.append(TraceEvent(t, node.path, "internal", tuple(outputs)))
+            for idx in receivers:
+                trace.append(TraceEvent(t, nodes[idx].path, "external", tuple(deliveries[idx])))
+        return t, root_outputs
 
 
 def initialize(
@@ -444,13 +455,19 @@ def dump_trace(events: Sequence[TraceEvent], stream: TextIO) -> None:
     with several messages produce one line per message; events without
     messages produce a single line with ``-`` placeholders.
     """
-    stream.writelines(_trace_lines(events))
+    stream.writelines(
+        _event_text(f"{ev.time:g}", ev.component, ev.phase, ev.messages) for ev in events
+    )
 
 
-def _trace_lines(events: Sequence[TraceEvent]) -> Iterator[str]:
-    for ev in events:
-        if ev.messages:
-            for msg in ev.messages:
-                yield f"{ev.time:g}\t{ev.component}\t{ev.phase}\t{msg.port}\t{msg.payload}\n"
-        else:
-            yield f"{ev.time:g}\t{ev.component}\t{ev.phase}\t-\t-\n"
+# An event without messages is one line with placeholders for both columns.
+_NO_MESSAGES = (("-", "-"),)
+
+
+def _event_text(at: str, component: str, phase: str, messages: Sequence[Message]) -> str:
+    """The trace lines of one event, the one trace format; ``at`` is its time as ``:g``."""
+    text = ""
+    for port, payload in messages or _NO_MESSAGES:
+        text += f"{at}\t{component}\t{phase}\t{port}\t{payload}\n"
+    return text
+

@@ -242,8 +242,9 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         violations.append(Violation("replications", "must be >= 1", config.replications))
     male, female = config.sex_split
     for label, fraction in ((MALE, male), (FEMALE, female)):
-        if not 0.0 <= fraction <= 1.0:
-            violations.append(Violation(f"sex_split.{label}", "must lie in [0, 1]", fraction))
+        # Each sex is a weighted splitter choice, and a weight must be positive.
+        if not 0.0 < fraction < 1.0:
+            violations.append(Violation(f"sex_split.{label}", "must lie in (0, 1)", fraction))
     if abs(male + female - 1.0) > _FRACTION_TOLERANCE:
         violations.append(
             Violation("sex_split", f"fractions must sum to 1 within {_FRACTION_TOLERANCE}", male + female)

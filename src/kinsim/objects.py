@@ -24,8 +24,10 @@ shared by all objects:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Any, Callable, Optional, Sequence
 
 from .entities import Entity, EntityFactory, ObjectStats, individual_count
@@ -179,11 +181,16 @@ class RouteChoice:
 
 
 class SplitterState:
-    __slots__ = ("choices", "weighted", "stream", "factory", "pending", "stats")
+    __slots__ = ("choices", "bounds", "total", "stream", "factory", "pending", "stats")
 
     def __init__(self, choices, stream, factory):
         self.choices = choices
-        self.weighted = [(c.port, c.weight) for c in choices]
+        # route_select's running sums, added in the same order so the floats
+        # are bit-equal.  The last sum is left out of ``bounds``: a bisection
+        # over the rest then clamps a roundoff overshoot to the last choice.
+        sums = list(accumulate((c.weight for c in choices), initial=0.0))
+        self.bounds = sums[1:-1]
+        self.total = sums[-1]
         self.stream = stream
         self.factory = factory
         self.pending: list[tuple[str, Entity]] = []
@@ -214,10 +221,11 @@ def _splitter_dext(s: SplitterState, elapsed: Time, bag) -> SplitterState:
     for msg in bag:
         entity = msg.payload
         s.stats.entered += 1
-        if len(s.choices) == 1:
-            choice = s.choices[0]
+        if s.bounds:
+            # The pick of route_select(weighted, u), as one bisection.
+            choice = s.choices[bisect_right(s.bounds, s.stream.uniform() * s.total)]
         else:
-            choice = s.choices[route_select(s.weighted, s.stream.uniform())]
+            choice = s.choices[0]
         if choice.relabel is not None:
             entity.class_label = choice.relabel
             if s.factory is not None:
@@ -239,12 +247,20 @@ def make_splitter(
     With a single choice the splitter is a plain relay station and draws
     nothing from the stream.  A choice may relabel the entity's class (the
     relabel is counted as a dynamic-object assignment on the factory) or set
-    attributes on it.
+    attributes on it.  Each entity's pick is that of :func:`route_select`
+    over the choices' weights, which must be positive when there are
+    several.
     """
     if not choices:
         raise ConfigurationError("splitter needs at least one outgoing choice")
-    if len(choices) > 1 and stream is None:
-        raise ConfigurationError("weighted splitter needs a random stream")
+    if len(choices) > 1:
+        if stream is None:
+            raise ConfigurationError("weighted splitter needs a random stream")
+        for c in choices:
+            if not c.weight > 0:
+                raise ConfigurationError(
+                    f"splitter choice {c.port!r}: weight must be positive, got {c.weight}"
+                )
     state = SplitterState(list(choices), stream, factory)
     return AtomicSpec(
         initial_state=state,

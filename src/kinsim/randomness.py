@@ -35,6 +35,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 #: miss 1.0 by at most this much before the table is rejected.
 CUM_PROB_TOLERANCE = 1e-12
 
+# Doubles a stream draws per refill of its buffer.
+_BLOCK = 256
+
 
 def _mix64(x: int) -> int:
     """SplitMix64 finalizer: a documented, invertible 64-bit mix."""
@@ -63,21 +66,40 @@ class RngStream:
 
     A stream is owned by exactly one replication; equal seeds produce
     identical sample sequences on every platform.
+
+    Draws are block-buffered: :meth:`uniform` serves doubles from a block
+    drawn at once, which PCG64 fills with the very doubles the same number
+    of scalar draws would give, so the sequence is that of scalar draws.
+    :meth:`uniform` and :meth:`uniforms` are the only readers of the
+    generator, and :meth:`uniforms` uses up the buffered doubles before it
+    draws anew, so any interleaving of the two reads one flat sequence.
     """
 
-    __slots__ = ("seed", "_gen")
+    __slots__ = ("seed", "_gen", "_block")
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        # Buffered doubles, the next one last, so a draw is one list pop.
+        self._block: list[float] = []
 
     def uniform(self) -> float:
         """Next sample, uniform on [0, 1)."""
-        return self._gen.random()
+        try:
+            return self._block.pop()
+        except IndexError:
+            block = self._block = self._gen.random(_BLOCK).tolist()
+            block.reverse()
+            return block.pop()
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Vector of ``n`` uniform [0, 1) samples."""
-        return self._gen.random(n)
+        """Vector of the next ``n`` uniform [0, 1) samples."""
+        block = self._block
+        split = max(len(block) - n, 0)
+        head = block[split:]
+        del block[split:]
+        head.reverse()
+        return np.concatenate((head, self._gen.random(n - len(head))))
 
     def named(self, name: str) -> "RngStream":
         """Child stream for one named decision point, derived from this seed."""

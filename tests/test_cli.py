@@ -117,6 +117,27 @@ def test_never_positive_interarrival_exit_1(interarrival, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("split", [
+    {"male": 1.0, "female": 0.0},
+    {"male": 0.0, "female": 1.0},
+], ids=["female-0", "male-0"])
+def test_zero_sex_fraction_exit_1(split, tmp_path, capsys):
+    # Once validated, then failed every replication in route_select.  Both
+    # fractions lie outside (0, 1), so both are named.
+    config = ModelConfig.default().to_dict()
+    config["sex_split"] = split
+    path = tmp_path / "one_sex.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "never.csv"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert main(argv + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "sex_split.male", "sex_split.female"]
+        assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_config_listing_only_wp_validates(tmp_path, capsys):
     path = tmp_path / "wp_only.json"
     path.write_text(json.dumps({"sources": {"WP": {"interarrival": {"type": "constant", "value": 2.0}}}}),

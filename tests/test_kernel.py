@@ -15,6 +15,8 @@ from kinsim import (
     Coupling,
     CoupledSpec,
     Message,
+    ModelConfig,
+    build_consanguinity_model,
     dump_trace,
     initialize,
 )
@@ -652,6 +654,24 @@ class TestStreamedTrace:
             "1\tfirst\texternal\tin\t0\n"
             "1\tsecond\texternal\tin\t0\n"
         )
+
+    def test_streamed_consanguinity_run_equals_dump_of_recorded_trace(self):
+        # The model has events with several messages (a couple leaving with
+        # its children) and relabels a payload in the event that emits it
+        # (SexSplit turns WP#n into MP#n or FP#n).
+        config = ModelConfig.default()
+        config.run_length = 200.0
+        recorded = initialize(build_consanguinity_model(config), record_trace=True)
+        recorded.run_until(config.run_length)
+        expected = io.StringIO()
+        dump_trace(recorded.trace, expected)
+
+        stream = io.StringIO()
+        streamed = initialize(build_consanguinity_model(config), trace_file=stream)
+        streamed.run_until(config.run_length)
+        assert stream.getvalue() == expected.getvalue()
+        assert any(len(ev.messages) > 1 for ev in recorded.trace)
+        assert "1\tWP\tinternal\tout\tFP#0\n" in stream.getvalue()
 
 
 class TestHandTraceOracle:

@@ -67,6 +67,17 @@ class TestValidateConfig:
         assert any("sum to 1" in v.constraint for v in violations)
         assert any(v.field == "sex_split" for v in violations)
 
+    @pytest.mark.parametrize("split", [(1.0, 0.0), (0.0, 1.0), (1.5, -0.5)])
+    def test_sex_fraction_outside_open_unit_interval_flagged(self, split):
+        # Each sex is a splitter choice whose weight must be positive.
+        config = ModelConfig.default()
+        config.sex_split = split
+        violations = validate_config(config)
+        assert [(v.field, v.constraint, v.observed) for v in violations] == [
+            ("sex_split.male", "must lie in (0, 1)", split[0]),
+            ("sex_split.female", "must lie in (0, 1)", split[1]),
+        ]
+
     def test_zero_replications_flagged(self):
         config = ModelConfig.default()
         config.replications = 0

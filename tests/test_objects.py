@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinsim import (
@@ -475,6 +475,36 @@ class TestSplitter:
         assert out[0].payload is e
         assert e.attributes["stream"] == "MP_C"
         assert stream.uniform() == substream(22, 0).uniform()
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0), (1.0, math.nan)])
+    def test_nonpositive_weight_rejected_at_build(self, weights):
+        choices = [RouteChoice(f"p{i}", w) for i, w in enumerate(weights)]
+        with pytest.raises(ConfigurationError, match="weight must be positive"):
+            make_splitter(choices, stream=substream(1, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
+            min_size=2, max_size=5,
+        ),
+        u=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.just(math.nextafter(1.0, 0.0)),
+        ),
+    )
+    # u * total falls exactly on a running sum: route_select moves on.
+    @example(weights=[1.0, 1.0], u=0.5)
+    @example(weights=[1.0, 1.0, 2.0], u=0.25)
+    def test_pick_is_route_select(self, weights, u):
+        class Fixed:
+            def uniform(self):
+                return u
+
+        weighted = [(f"p{i}", w) for i, w in enumerate(weights)]
+        spec = make_splitter([RouteChoice(port, w) for port, w in weighted], stream=Fixed())
+        out = flush(spec, deliver(spec, [("in", "entity")]))
+        assert [msg.port for msg in out] == [weighted[route_select(weighted, u)][0]]
 
     def test_weighted_splitter_requires_stream(self):
         with pytest.raises(ConfigurationError):

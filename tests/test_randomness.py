@@ -162,6 +162,31 @@ class TestStreams:
         with pytest.raises(ConfigurationError):
             substream(1, -1)
 
+    def test_buffered_uniform_is_the_scalar_sequence(self):
+        # 1 000 draws cross several refills of the stream's buffer.
+        stream = RngStream(2024)
+        draws = [stream.uniform() for _ in range(1000)]
+        assert draws == np.random.Generator(np.random.PCG64(2024)).random(1000).tolist()
+
+    @given(st.lists(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=600)),
+        max_size=12,
+    ))
+    def test_interleaved_draws_read_one_sequence(self, plan):
+        # None is one uniform() draw, an integer n is one uniforms(n) call;
+        # a few calls run through several refills of the buffer.
+        stream = RngStream(99)
+        drawn = []
+        for step in plan:
+            if step is None:
+                drawn.append(stream.uniform())
+            else:
+                vector = stream.uniforms(step)
+                assert vector.shape == (step,) and vector.dtype == np.float64
+                drawn.extend(vector.tolist())
+        scalar = np.random.Generator(np.random.PCG64(99))
+        assert drawn == [scalar.random() for _ in drawn]
+
     def test_uniform_range(self):
         stream = substream(2, 0)
         samples = stream.uniforms(10_000)
