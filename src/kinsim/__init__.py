@@ -31,8 +31,6 @@ from .kernel import (
     CoupledSpec,
     Message,
     SimulationHandle,
-    TraceEvent,
-    dump_trace,
     initialize,
 )
 from .entities import Entity, EntityFactory, ObjectStats, individual_count

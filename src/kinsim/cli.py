@@ -122,7 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     config = ModelConfig.default()
     config.run_length = 5000.0
-    handle = initialize(build_population_growth_model(config, replication=0), record_trace=False)
+    handle = initialize(build_population_growth_model(config, replication=0))
     handle.run_until(config.run_length)
     stats = collect_run_stats(handle)
     marriages = stats.value("Marriage", "[Processed]")

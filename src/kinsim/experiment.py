@@ -95,7 +95,7 @@ def run_experiment(
     runs it to ``run_length``.  Kernel failures are re-raised with the
     replication index attached.  ``trace_path``, when given, receives the
     event trace of replication 0, written event by event as the run goes
-    (see :func:`~kinsim.kernel.dump_trace` for the format), so the trace
+    (see :func:`~kinsim.kernel.initialize` for the format), so the trace
     costs no memory.  The file is closed when replication 0 ends; if the
     run fails, it holds the events up to the failure.
 
@@ -139,7 +139,7 @@ def _replicate(
     else:
         trace = contextlib.nullcontext()
     with trace as trace_file:
-        handle = initialize(spec, 0.0, record_trace=False, trace_file=trace_file)
+        handle = initialize(spec, 0.0, trace_file=trace_file)
         try:
             handle.run_until(config.run_length)
         except SimulationError as exc:

@@ -122,13 +122,6 @@ class CoupledSpec:
 ModelSpec = Union[AtomicSpec, CoupledSpec]
 
 
-class TraceEvent(NamedTuple):
-    time: Time
-    component: str
-    phase: str  # "internal" or "external"
-    messages: tuple[Message, ...]
-
-
 Endpoint = tuple[str, str, str]  # (model path, port name, INPUT or OUTPUT)
 
 
@@ -232,15 +225,14 @@ class SimulationHandle:
 
     Created by :func:`initialize`.  Carries the clock, the atomic components
     in select order with their composed routes, the ``t_next`` table
-    parallel to them, and the in-memory event trace (empty right after
-    initialization, and for good when the trace streams to a file).
+    parallel to them, and the write method of the trace stream, if any.
+    It keeps no record of past events.
     """
 
     def __init__(
         self,
         model: ModelSpec,
         t0: Time,
-        record_trace: bool,
         trace_file: TextIO | None,
         max_zero_steps: int,
     ) -> None:
@@ -251,15 +243,10 @@ class SimulationHandle:
         index = {path: i for i, (_, path, _) in enumerate(atoms)}
         self.model = model
         self.clock: Time = t0
-        self.trace: list[TraceEvent] = []
-        # Where each event goes once its transitions are done: its lines to
-        # the file, or its TraceEvents to ``trace``, or nowhere.
-        self._write_trace: Callable[[str], Any] | None = None
-        self._record_trace = False
-        if trace_file is not None:
-            self._write_trace = trace_file.write
-        else:
-            self._record_trace = record_trace
+        # Each event's lines go here once its transitions are done.
+        self._write_trace: Callable[[str], Any] | None = (
+            None if trace_file is None else trace_file.write
+        )
         self.max_zero_steps = max_zero_steps
         self._nodes: list[_Node] = []
         self._t_next: list[Time] = []
@@ -314,16 +301,14 @@ class SimulationHandle:
             raise SimulationError("step() called with no pending events")
         return self._fire(t)
 
-    def run_until(self, t_end: Time) -> list[TraceEvent]:
-        """Process every event with time <= t_end; return the new trace slice.
+    def run_until(self, t_end: Time) -> None:
+        """Process every event with time <= t_end.
 
         The clock ends at the time of the last processed event (it does not
         jump to ``t_end``).  Deterministic given the model and its seeds.
-        The slice is empty when the trace streams to a file.
         """
         if t_end < self.clock:
             raise SimulationError(f"run_until({t_end}) is before the current clock {self.clock}")
-        start = len(self.trace)
         t_next = self._t_next
         fire = self._fire
         while True:
@@ -331,7 +316,6 @@ class SimulationHandle:
             if t > t_end or t == INFINITY:
                 break
             fire(t)
-        return self.trace[start:]
 
     def _fire(self, t: Time) -> tuple[Time, list[Message]]:
         """Fire the first imminent component in select order at ``t``.
@@ -409,11 +393,6 @@ class SimulationHandle:
             for idx in receivers:
                 text += _event_text(at, nodes[idx].path, "external", deliveries[idx])
             write(text)
-        elif self._record_trace:
-            trace = self.trace
-            trace.append(TraceEvent(t, node.path, "internal", tuple(outputs)))
-            for idx in receivers:
-                trace.append(TraceEvent(t, nodes[idx].path, "external", tuple(deliveries[idx])))
         return t, root_outputs
 
 
@@ -421,7 +400,6 @@ def initialize(
     model: ModelSpec,
     t0: Time = 0.0,
     *,
-    record_trace: bool = True,
     trace_file: TextIO | None = None,
     max_zero_steps: int = MAX_ZERO_STEPS,
 ) -> SimulationHandle:
@@ -432,32 +410,21 @@ def initialize(
     :class:`StructuralError`; a negative initial time advance raises
     :class:`ContractViolationError`.
 
-    The event trace goes to one of two places.  With ``trace_file`` (an
-    open text stream), each event's lines are written to it, in the
-    :func:`dump_trace` format, as soon as that event's transitions are
-    done; nothing is kept in memory, so ``handle.trace`` and the slices
-    :meth:`~SimulationHandle.run_until` returns stay empty, and the caller
-    closes the stream.  Otherwise ``record_trace=True`` keeps every
-    :class:`TraceEvent` in ``handle.trace``; set it to ``False`` to record
-    nothing.
+    ``trace_file``, an open text stream, receives the event trace: each
+    event's lines are written to it as soon as that event's transitions
+    are done, and the caller closes it.  Without it nothing is recorded.
+    The trace is tab-separated text, one line per message, with columns
+    time (formatted ``:g``), component path, phase (``internal`` or
+    ``external``), port and payload (its ``str``).  An internal event lists
+    the selected component's outputs, then each receiver's external event
+    lists the messages it was delivered, in select order; an event without
+    messages is one line with ``-`` in both the port and payload columns.
 
     A spec instance carries its components' mutable state, so treat each
     built model as single-use: construct a fresh spec per run, as the model
     builders do.
     """
-    return SimulationHandle(model, t0, record_trace, trace_file, max_zero_steps)
-
-
-def dump_trace(events: Sequence[TraceEvent], stream: TextIO) -> None:
-    """Write a trace as tab-separated lines.
-
-    Columns: time, component path, phase, port, payload summary.  Events
-    with several messages produce one line per message; events without
-    messages produce a single line with ``-`` placeholders.
-    """
-    stream.writelines(
-        _event_text(f"{ev.time:g}", ev.component, ev.phase, ev.messages) for ev in events
-    )
+    return SimulationHandle(model, t0, trace_file, max_zero_steps)
 
 
 # An event without messages is one line with placeholders for both columns.
@@ -470,4 +437,3 @@ def _event_text(at: str, component: str, phase: str, messages: Sequence[Message]
     for port, payload in messages or _NO_MESSAGES:
         text += f"{at}\t{component}\t{phase}\t{port}\t{payload}\n"
     return text
-

@@ -62,7 +62,7 @@ def route_select(outgoing: Sequence[tuple[Any, float]], u: float) -> int:
         raise ConfigurationError("route_select: no outgoing paths to choose from")
     total = 0.0
     for _, weight in outgoing:
-        if weight <= 0:
+        if not weight > 0:  # NaN too
             raise ConfigurationError(f"route_select: weights must be positive, got {weight}")
         total += weight
     threshold = u * total

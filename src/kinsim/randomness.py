@@ -67,12 +67,10 @@ class RngStream:
     A stream is owned by exactly one replication; equal seeds produce
     identical sample sequences on every platform.
 
-    Draws are block-buffered: :meth:`uniform` serves doubles from a block
-    drawn at once, which PCG64 fills with the very doubles the same number
-    of scalar draws would give, so the sequence is that of scalar draws.
-    :meth:`uniform` and :meth:`uniforms` are the only readers of the
-    generator, and :meth:`uniforms` uses up the buffered doubles before it
-    draws anew, so any interleaving of the two reads one flat sequence.
+    :meth:`uniform`, the one reader of the generator, serves doubles from a
+    block drawn at once, which PCG64 fills with the very doubles the same
+    number of scalar draws would give, so the sequence is that of scalar
+    draws.
     """
 
     __slots__ = ("seed", "_gen", "_block")
@@ -91,15 +89,6 @@ class RngStream:
             block = self._block = self._gen.random(_BLOCK).tolist()
             block.reverse()
             return block.pop()
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Vector of the next ``n`` uniform [0, 1) samples."""
-        block = self._block
-        split = max(len(block) - n, 0)
-        head = block[split:]
-        del block[split:]
-        head.reverse()
-        return np.concatenate((head, self._gen.random(n - len(head))))
 
     def named(self, name: str) -> "RngStream":
         """Child stream for one named decision point, derived from this seed."""
@@ -135,10 +124,6 @@ class Constant:
         return self.value
 
     @property
-    def mean(self) -> float:
-        return self.value
-
-    @property
     def support(self) -> tuple[float, float]:
         """The least and the greatest value a draw can take."""
         return self.value, self.value
@@ -155,10 +140,6 @@ class Uniform:
 
     def sample(self, stream: RngStream) -> float:
         return self.low + (self.high - self.low) * stream.uniform()
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -223,10 +204,6 @@ class DiscreteDistribution:
 
     def sample(self, stream: RngStream) -> int:
         return sample_discrete(self, stream.uniform())
-
-    @property
-    def mean(self) -> float:
-        return mean_of(self)
 
     @property
     def support(self) -> tuple[int, int]:
@@ -305,16 +282,3 @@ def _finite(config: Mapping, key: str) -> float:
     if not math.isfinite(value):
         raise ConfigurationError(f"distribution parameter {key!r} must be finite, got {value}")
     return value
-
-
-def distribution_config(dist: Distribution) -> dict:
-    """Inverse of :func:`make_distribution`, for config echo and round trips."""
-    if isinstance(dist, Constant):
-        return {"type": "constant", "value": dist.value}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "low": dist.low, "high": dist.high}
-    if isinstance(dist, Exponential):
-        return {"type": "exponential", "mean": dist.mean}
-    if isinstance(dist, DiscreteDistribution):
-        return {"type": "discrete", "pairs": [[v, c] for v, c in zip(dist.values, dist.cum_probs)]}
-    raise ConfigurationError(f"not a distribution: {dist!r}")

@@ -3,13 +3,21 @@
 These deliberately avoid the package's own algorithms: kinship comes from
 Malecot path counting over explicit pedigrees (exact rational arithmetic),
 and event schedules for constant-rate generators come from direct
-multiplication and sorting rather than an event loop.
+multiplication and sorting rather than an event loop.  The kernel's event
+trace, which it writes only as text, is read back with :func:`trace_rows`
+and :func:`parse_trace`.
 """
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from itertools import count
+
+from kinsim import initialize
+
+# One trace line: (time, component path, phase, port, payload text).
+TraceRow = tuple[float, str, str, str, str]
 
 
 class Person:
@@ -134,3 +142,19 @@ def generator_schedule(
             k += 1
     events.sort()
     return [(t, name) for t, _, name in events]
+
+
+def parse_trace(text: str) -> list[TraceRow]:
+    """Split the kernel's tab-separated trace text into rows, times as floats."""
+    rows = []
+    for line in text.splitlines():
+        time, component, phase, port, payload = line.split("\t")
+        rows.append((float(time), component, phase, port, payload))
+    return rows
+
+
+def trace_rows(model, until: float) -> list[TraceRow]:
+    """Run a fresh ``model`` to ``until`` and return its event trace as rows."""
+    stream = io.StringIO()
+    initialize(model, trace_file=stream).run_until(until)
+    return parse_trace(stream.getvalue())

@@ -7,6 +7,7 @@ fixed seeds, so every tolerance check is deterministic.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
@@ -18,9 +19,11 @@ from _oracles import (
     first_cousin_once_removed_parents,
     first_cousin_parents,
     generator_schedule,
+    parse_trace,
     pedigree_kinship,
     second_cousin_parents,
     third_cousin_parents,
+    trace_rows,
     unrelated_parents,
 )
 from kinsim import (
@@ -63,9 +66,8 @@ def default_run():
 def test_criterion_01_kernel_hand_trace_equality():
     started = time.perf_counter()
 
-    handle = initialize(generator(2.0))
-    trace = handle.run_until(7.0)
-    assert [(ev.time, ev.component) for ev in trace] == [(2.0, "model"), (4.0, "model"), (6.0, "model")]
+    trace = trace_rows(generator(2.0), 7.0)
+    assert [(t, component) for t, component, *_ in trace] == [(2.0, "model"), (4.0, "model"), (6.0, "model")]
 
     periods = {"a": 2.0, "b": 3.0, "c": 2.0}
     select = ["c", "a", "b"]
@@ -73,17 +75,16 @@ def test_criterion_01_kernel_hand_trace_equality():
         components={name: generator(p) for name, p in periods.items()},
         select=select,
     )
-    handle = initialize(model)
-    trace = handle.run_until(12.0)
-    assert internal_times(trace) == generator_schedule(periods, select, 12.0)
+    assert internal_times(trace_rows(model, 12.0)) == generator_schedule(periods, select, 12.0)
 
     pipeline = CoupledSpec(
         components={"gen": generator(1.0), "acc": counter()},
         couplings=[Coupling("gen", "out", "acc", "in")],
     )
-    handle = initialize(pipeline)
-    trace = handle.run_until(5.0)
-    assert [(ev.time, ev.component, ev.phase) for ev in trace] == [
+    stream = io.StringIO()
+    handle = initialize(pipeline, trace_file=stream)
+    handle.run_until(5.0)
+    assert [row[:3] for row in parse_trace(stream.getvalue())] == [
         (t, comp, phase)
         for t in (1.0, 2.0, 3.0, 4.0, 5.0)
         for comp, phase in (("gen", "internal"), ("acc", "external"))
@@ -157,7 +158,7 @@ def test_criterion_05_routing_three_sigma():
 def test_criterion_06_offspring_mean():
     config = ModelConfig.default()
     config.run_length = 10_000.0
-    handle = initialize(build_population_growth_model(config), record_trace=False)
+    handle = initialize(build_population_growth_model(config))
     handle.run_until(config.run_length)
     stats = collect_run_stats(handle)
     marriages = stats.value("Marriage", "[Processed]")

@@ -3,21 +3,19 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import generator_schedule
+from _oracles import generator_schedule, parse_trace, trace_rows
 from kinsim import (
     INFINITY,
     AtomicSpec,
     Coupling,
     CoupledSpec,
     Message,
-    ModelConfig,
-    build_consanguinity_model,
-    dump_trace,
     initialize,
 )
 from kinsim.errors import (
@@ -76,8 +74,8 @@ def counter() -> AtomicSpec:
     )
 
 
-def internal_times(trace):
-    return [(ev.time, ev.component) for ev in trace if ev.phase == "internal"]
+def internal_times(rows):
+    return [(t, component) for t, component, phase, _, _ in rows if phase == "internal"]
 
 
 class TestInitialize:
@@ -97,10 +95,6 @@ class TestInitialize:
         model = CoupledSpec(components={"gen": generator(2.0), "idle": passive()})
         handle = initialize(model, 0.0)
         assert handle.next_event_time == 2.0
-
-    def test_handle_starts_with_empty_trace(self):
-        handle = initialize(generator(1.0), 0.0)
-        assert handle.trace == []
 
     def test_every_node_starts_consistent(self):
         model = CoupledSpec(components={"gen": generator(3.0), "idle": passive()})
@@ -292,21 +286,23 @@ class TestStep:
             components={"a": generator(2.0), "b": generator(2.0)},
             select=["a", "b"],
         )
-        handle = initialize(model)
+        stream = io.StringIO()
+        handle = initialize(model, trace_file=stream)
         t1, _ = handle.step()
         t2, _ = handle.step()
         assert (t1, t2) == (2.0, 2.0)
-        assert internal_times(handle.trace) == [(2.0, "a"), (2.0, "b")]
+        assert internal_times(parse_trace(stream.getvalue())) == [(2.0, "a"), (2.0, "b")]
 
     def test_select_reversal_flips_order(self):
         model = CoupledSpec(
             components={"a": generator(2.0), "b": generator(2.0)},
             select=["b", "a"],
         )
-        handle = initialize(model)
+        stream = io.StringIO()
+        handle = initialize(model, trace_file=stream)
         handle.step()
         handle.step()
-        assert internal_times(handle.trace) == [(2.0, "b"), (2.0, "a")]
+        assert internal_times(parse_trace(stream.getvalue())) == [(2.0, "b"), (2.0, "a")]
 
     def test_pipeline_delivers_with_elapsed_time(self):
         model = CoupledSpec(
@@ -341,12 +337,13 @@ class TestStep:
             couplings=[Coupling("a", "out", "b", "in")],
             select=["a", "b"],
         )
-        handle = initialize(model)
+        stream = io.StringIO()
+        handle = initialize(model, trace_file=stream)
         handle.step()
         state = handle.state_of("b")
         assert state["elapsed"] == [1.0]
         assert state["n"] == 0  # its own internal event at t=1 was preempted
-        assert internal_times(handle.trace) == [(1.0, "a")]
+        assert internal_times(parse_trace(stream.getvalue())) == [(1.0, "a")]
         # b rescheduled a full period after the external transition
         times = dict((p, tn) for p, _, tn in handle.node_times())
         assert times["b"] == 2.0
@@ -354,19 +351,28 @@ class TestStep:
 
 class TestRunUntil:
     def test_passive_model_yields_empty_trace(self):
-        handle = initialize(CoupledSpec(components={"idle": passive()}))
-        assert handle.run_until(10.0) == []
+        assert trace_rows(CoupledSpec(components={"idle": passive()}), 10.0) == []
 
     def test_generator_until_7_fires_at_2_4_6(self):
-        handle = initialize(generator(2.0))
-        trace = handle.run_until(7.0)
-        assert [ev.time for ev in trace] == [2.0, 4.0, 6.0]
+        stream = io.StringIO()
+        handle = initialize(generator(2.0), trace_file=stream)
+        handle.run_until(7.0)
+        assert [row[0] for row in parse_trace(stream.getvalue())] == [2.0, 4.0, 6.0]
         assert handle.clock == 6.0
 
     def test_boundary_event_at_t_end_is_processed(self):
-        handle = initialize(generator(2.0))
-        trace = handle.run_until(6.0)
-        assert [ev.time for ev in trace] == [2.0, 4.0, 6.0]
+        assert [row[0] for row in trace_rows(generator(2.0), 6.0)] == [2.0, 4.0, 6.0]
+
+    def test_memory_stays_bounded_at_long_horizons(self):
+        # Without a trace file the handle keeps nothing per event.
+        tracemalloc.start()
+        try:
+            handle = initialize(generator(1.0))
+            handle.run_until(50_000.0)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 64 * 1024
 
     def test_rewinding_rejected(self):
         handle = initialize(generator(2.0))
@@ -375,10 +381,12 @@ class TestRunUntil:
             handle.run_until(5.0)
 
     def test_resume_continues_schedule(self):
-        handle = initialize(generator(2.0))
+        stream = io.StringIO()
+        handle = initialize(generator(2.0), trace_file=stream)
         handle.run_until(5.0)
-        trace = handle.run_until(10.0)
-        assert [ev.time for ev in trace] == [6.0, 8.0, 10.0]
+        start = len(stream.getvalue())
+        handle.run_until(10.0)
+        assert [row[0] for row in parse_trace(stream.getvalue()[start:])] == [6.0, 8.0, 10.0]
 
     def test_identical_seeds_give_byte_identical_traces(self):
         def stochastic(seed):
@@ -401,11 +409,9 @@ class TestRunUntil:
 
         dumps = []
         for _ in range(2):
-            handle = initialize(stochastic(seed=424242))
-            handle.run_until(25.0)
-            buffer = io.StringIO()
-            dump_trace(handle.trace, buffer)
-            dumps.append(buffer.getvalue())
+            stream = io.StringIO()
+            initialize(stochastic(seed=424242), trace_file=stream).run_until(25.0)
+            dumps.append(stream.getvalue())
         assert dumps[0] == dumps[1]
         assert len(dumps[0].splitlines()) > 10
 
@@ -428,14 +434,16 @@ class TestRunUntil:
                 select=["b", "first", "a", "second"],
             )
 
-        by_run = initialize(build())
-        expected = by_run.run_until(12.0)
-        by_step = initialize(build())
+        expected = io.StringIO()
+        by_run = initialize(build(), trace_file=expected)
+        by_run.run_until(12.0)
+        stepped = io.StringIO()
+        by_step = initialize(build(), trace_file=stepped)
         while by_step.next_event_time <= 12.0:
             by_step.step()
-        assert by_step.trace == expected
+        assert stepped.getvalue() == expected.getvalue()
         assert by_step.clock == by_run.clock == 12.0
-        assert [ev.component for ev in expected[:3]] == ["a", "first", "second"]
+        assert [row[1] for row in parse_trace(expected.getvalue())[:3]] == ["a", "first", "second"]
 
 
 class TestGuardsAndInvariants:
@@ -496,9 +504,7 @@ class TestGuardsAndInvariants:
             components={"a": generator(2.0), "b": generator(2.0), "c": generator(2.0)},
             select=["c", "a", "b"],
         )
-        handle = initialize(model)
-        trace = handle.run_until(2.0)
-        assert internal_times(trace) == [(2.0, "c"), (2.0, "a"), (2.0, "b")]
+        assert internal_times(trace_rows(model, 2.0)) == [(2.0, "c"), (2.0, "a"), (2.0, "b")]
 
 
 class TestHierarchy:
@@ -570,7 +576,8 @@ class TestHierarchy:
             ],
             output_ports=("y", "z"),
         )
-        handle = initialize(model)
+        stream = io.StringIO()
+        handle = initialize(model, trace_file=stream)
         t, outputs = handle.step()
         assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("y", "0r"), ("z", 0)])
         # Bags keep coupling declaration order; translates compose in hop
@@ -578,8 +585,12 @@ class TestHierarchy:
         assert handle.state_of("sib")["seen"] == [(1.0, ["0s", 0])]
         assert handle.state_of("inner/acc")["seen"] == [(1.0, ["0oi", "0oj"])]
         # Receivers take their external transitions in select order.
-        assert [(ev.component, ev.phase) for ev in handle.trace] == [
-            ("gen", "internal"), ("inner/acc", "external"), ("sib", "external"),
+        assert [row[1:] for row in parse_trace(stream.getvalue())] == [
+            ("gen", "internal", "out", "0"),
+            ("inner/acc", "external", "in", "0oi"),
+            ("inner/acc", "external", "in", "0oj"),
+            ("sib", "external", "in", "0s"),
+            ("sib", "external", "in", "0"),
         ]
 
     def test_hierarchical_select_composes_lexicographically(self):
@@ -593,9 +604,9 @@ class TestHierarchy:
             components={"inner": inner, "z": generator(1.0)},
             select=["inner", "z"],
         )
-        handle = initialize(model)
-        trace = handle.run_until(1.0)
-        assert internal_times(trace) == [(1.0, "inner/y"), (1.0, "inner/x"), (1.0, "z")]
+        assert internal_times(trace_rows(model, 1.0)) == [
+            (1.0, "inner/y"), (1.0, "inner/x"), (1.0, "z"),
+        ]
 
 
 class TestTraceDump:
@@ -604,11 +615,9 @@ class TestTraceDump:
             components={"gen": generator(1.0), "acc": counter()},
             couplings=[Coupling("gen", "out", "acc", "in")],
         )
-        handle = initialize(model)
-        handle.run_until(2.0)
-        buffer = io.StringIO()
-        dump_trace(handle.trace, buffer)
-        lines = buffer.getvalue().splitlines()
+        stream = io.StringIO()
+        initialize(model, trace_file=stream).run_until(2.0)
+        lines = stream.getvalue().splitlines()
         assert lines[0] == "1\tgen\tinternal\tout\t0"
         assert lines[1] == "1\tacc\texternal\tin\t0"
         assert all(len(line.split("\t")) == 5 for line in lines)
@@ -632,19 +641,6 @@ class TestStreamedTrace:
             select=["b", "first", "a", "second"],
         )
 
-    def test_streamed_text_equals_dump_of_recorded_trace(self):
-        recorded = initialize(self.two_receivers(), record_trace=True)
-        recorded.run_until(12.0)
-        expected = io.StringIO()
-        dump_trace(recorded.trace, expected)
-
-        stream = io.StringIO()
-        streamed = initialize(self.two_receivers(), trace_file=stream)
-        assert streamed.run_until(12.0) == []
-        assert streamed.trace == []
-        assert stream.getvalue() == expected.getvalue()
-        assert stream.getvalue().count("\n") > 20
-
     def test_step_streams_each_event_as_it_ends(self):
         stream = io.StringIO()
         handle = initialize(self.two_receivers(), trace_file=stream)
@@ -654,24 +650,6 @@ class TestStreamedTrace:
             "1\tfirst\texternal\tin\t0\n"
             "1\tsecond\texternal\tin\t0\n"
         )
-
-    def test_streamed_consanguinity_run_equals_dump_of_recorded_trace(self):
-        # The model has events with several messages (a couple leaving with
-        # its children) and relabels a payload in the event that emits it
-        # (SexSplit turns WP#n into MP#n or FP#n).
-        config = ModelConfig.default()
-        config.run_length = 200.0
-        recorded = initialize(build_consanguinity_model(config), record_trace=True)
-        recorded.run_until(config.run_length)
-        expected = io.StringIO()
-        dump_trace(recorded.trace, expected)
-
-        stream = io.StringIO()
-        streamed = initialize(build_consanguinity_model(config), trace_file=stream)
-        streamed.run_until(config.run_length)
-        assert stream.getvalue() == expected.getvalue()
-        assert any(len(ev.messages) > 1 for ev in recorded.trace)
-        assert "1\tWP\tinternal\tout\tFP#0\n" in stream.getvalue()
 
 
 class TestHandTraceOracle:
@@ -690,7 +668,5 @@ class TestHandTraceOracle:
             components={name: generator(p) for name, p in zip(names, periods)},
             select=select,
         )
-        handle = initialize(model)
-        trace = handle.run_until(10.0)
         expected = generator_schedule(dict(zip(names, periods)), select, 10.0)
-        assert internal_times(trace) == expected
+        assert internal_times(trace_rows(model, 10.0)) == expected

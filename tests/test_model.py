@@ -51,7 +51,7 @@ def counted_legs(spec):
 
 
 def run_model(builder, config, replication=0, until=None):
-    handle = initialize(builder(config, replication), record_trace=False)
+    handle = initialize(builder(config, replication))
     handle.run_until(config.run_length if until is None else until)
     return collect_run_stats(handle)
 
@@ -218,7 +218,7 @@ class TestNestedLegs:
             },
             couplings=[Coupling("Source", "out", "Group", "in", Travelers("Outer"))],
         )
-        handle = initialize(model, record_trace=False)
+        handle = initialize(model)
         handle.run_until(10.0)
         stats = collect_run_stats(handle)
         legs = [row for row in stats.rows if row[1] == "[Travelers]"]
@@ -281,7 +281,7 @@ class TestReportRowPins:
         assert stats.affected_by_class == {}
 
     def test_rows_mid_flight_with_delays(self):
-        handle = initialize(hand_built_model(), record_trace=False)
+        handle = initialize(hand_built_model())
         handle.run_until(7.2)
         # one FP in transit on Walk, one couple in service, three parents held
         assert len(handle.state_of("Walk").queue) == 1
@@ -303,7 +303,7 @@ class TestReportRowPins:
         assert (stats.created_total, stats.held_individuals) == (16, 10)
 
     def test_rows_between_steps_with_output_waiting(self):
-        handle = initialize(hand_built_model(), record_trace=False)
+        handle = initialize(hand_built_model())
         handle.run_until(7.2)
         while not handle.state_of("Growth").outq:
             handle.step()
@@ -521,7 +521,7 @@ class TestConsanguinityModel:
     def test_per_object_balances_at_end_of_run(self):
         config = ModelConfig.default()
         config.run_length = 400.0
-        handle = initialize(build_consanguinity_model(config), record_trace=False)
+        handle = initialize(build_consanguinity_model(config))
         handle.run_until(config.run_length)
         for name, state in handle.components():
             if isinstance(state, PathState):

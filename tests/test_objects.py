@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import trace_rows
 from kinsim import (
+    INFINITY,
+    AtomicSpec,
     Constant,
     CoupledSpec,
     Coupling,
@@ -76,9 +79,15 @@ class TestRouteSelect:
         with pytest.raises(ConfigurationError):
             route_select([], 0.5)
 
-    def test_nonpositive_weight_rejected(self):
+    @pytest.mark.parametrize("paths", [
+        pytest.param([("a", 1.0), ("b", 0.0)], id="zero"),
+        pytest.param([("a", 1.0), ("b", -1.0)], id="negative"),
+        pytest.param([("a", math.nan), ("b", 1.0)], id="nan-first"),
+        pytest.param([("a", 1.0), ("b", math.nan)], id="nan-second"),
+    ])
+    def test_nonpositive_weight_rejected(self, paths):
         with pytest.raises(ConfigurationError):
-            route_select([("a", 1.0), ("b", 0.0)], 0.5)
+            route_select(paths, 0.5)
 
     def test_law_of_large_numbers(self):
         stream = substream(314, 0)
@@ -108,7 +117,7 @@ class TestSource:
         factory = EntityFactory()
         src = make_source("X", Constant(1.0), None, factory=factory, stream=substream(1, 0))
         model, sink = self._sink_model(src)
-        handle = initialize(model, record_trace=False)
+        handle = initialize(model)
         handle.run_until(10.0)
         stats = sink.initial_state.stats
         assert stats.destroyed == 10
@@ -118,18 +127,35 @@ class TestSource:
     def test_created_at_matches_emission_times(self):
         factory = EntityFactory()
         src = make_source("X", Constant(2.0), 3, factory=factory, stream=substream(1, 0))
-        model, _ = self._sink_model(src)
+
+        # A passive collector advances its own clock by each elapsed time, so
+        # it knows when each entity arrived.
+        def collect(s, e, xs):
+            s["now"] += e
+            s["seen"].extend((s["now"], m.payload.created_at) for m in xs)
+            return s
+
+        collector = AtomicSpec(
+            initial_state={"now": 0.0, "seen": []},
+            time_advance=lambda s: INFINITY,
+            delta_int=lambda s: s,
+            delta_ext=collect,
+            output=lambda s: [],
+            input_ports=("in",),
+        )
+        model = CoupledSpec(
+            components={"src": src, "got": collector},
+            couplings=[Coupling("src", "out", "got", "in")],
+        )
         handle = initialize(model)
         handle.run_until(10.0)
-        emissions = [ev for ev in handle.trace if ev.phase == "internal" and ev.messages]
-        times = [(ev.time, ev.messages[0].payload.created_at) for ev in emissions]
-        assert times == [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]
+        assert handle.state_of("got")["seen"] == [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]
 
     def test_max_arrivals_zero_emits_nothing(self):
         factory = EntityFactory()
         src = make_source("X", Constant(1.0), 0, factory=factory, stream=substream(1, 0))
         model, sink = self._sink_model(src)
-        handle = initialize(model, record_trace=False)
+        handle = initialize(model)
         handle.run_until(100.0)
         assert sink.initial_state.stats.destroyed == 0
         assert factory.created_total == 0
@@ -138,7 +164,7 @@ class TestSource:
         factory = EntityFactory()
         src = make_source("X", Constant(1.0), 4, factory=factory, stream=substream(1, 0))
         model, sink = self._sink_model(src)
-        handle = initialize(model, record_trace=False)
+        handle = initialize(model)
         handle.run_until(100.0)
         assert sink.initial_state.stats.destroyed == 4
         assert factory.created_total == 4  # no pending after the cap
@@ -152,7 +178,7 @@ class TestSource:
             components={"MP": mp, "FP": fp, "snk": sink},
             couplings=[Coupling("MP", "out", "snk", "in"), Coupling("FP", "out", "snk", "in")],
         )
-        handle = initialize(model, record_trace=False)
+        handle = initialize(model)
         handle.run_until(100.0)
         assert sink.initial_state.stats.destroyed_by_class == {"MP": 5, "FP": 5}
 
@@ -302,7 +328,7 @@ class TestServer:
                 Coupling("srv", "out", "snk", "in"),
             ],
         )
-        handle = initialize(model, record_trace=False)
+        handle = initialize(model)
         handle.run_until(1.9)
         st_srv = server.initial_state.stats
         assert st_srv.entered == 3  # arrivals at 0.5, 1.0, 1.5
@@ -410,9 +436,8 @@ class TestPath:
                 Coupling("path", "out", "snk", "in"),
             ],
         )
-        handle = initialize(model)
-        handle.run_until(10.0)
-        exits = [ev.time for ev in handle.trace if ev.component == "path" and ev.phase == "internal"]
+        exits = [t for t, component, phase, _, _ in trace_rows(model, 10.0)
+                 if component == "path" and phase == "internal"]
         assert exits == [1.75, 2.75, 3.75]
         assert reported(path.initial_state)["[Travelers]"] == 3
 
@@ -442,10 +467,9 @@ class TestTravelers:
             },
             couplings=[Coupling("src", "out", "snk", "in", translate=leg)],
         )
-        handle = initialize(model)
-        trace = handle.run_until(10.0)
+        trace = trace_rows(model, 10.0)
         assert leg.count == reported(sink.initial_state)["[InputBuffer]"] == 4
-        assert [ev.phase for ev in trace] == ["internal", "external"] * 4
+        assert [phase for _, _, phase, _, _ in trace] == ["internal", "external"] * 4
 
 
 class TestSplitter:

@@ -22,12 +22,16 @@ from kinsim import (
     substream,
 )
 from kinsim.errors import ConfigurationError
-from kinsim.randomness import distribution_config
 
 # Offspring-per-couple law: 10/20/30/30/8/2 percent for 0..5 children,
 # stored in cumulative form.
 OFFSPRING_PAIRS = [(0, 0.10), (1, 0.30), (2, 0.60), (3, 0.90), (4, 0.98), (5, 1.00)]
 OFFSPRING = DiscreteDistribution(OFFSPRING_PAIRS)
+
+
+def draws(stream: RngStream, n: int) -> np.ndarray:
+    """The next ``n`` uniform draws of ``stream``, as an array."""
+    return np.array([stream.uniform() for _ in range(n)])
 
 
 def offspring_mean_oracle() -> Fraction:
@@ -117,7 +121,7 @@ class TestDiscreteValidation:
 
     def test_empirical_frequencies_within_3_sigma(self):
         n = 100_000
-        us = substream(777, 0).uniforms(n)
+        us = draws(substream(777, 0), n)
         counts = np.bincount(np.searchsorted(OFFSPRING.cum_probs, us, side="right"), minlength=6)
         previous = 0.0
         for i, cum in enumerate(OFFSPRING.cum_probs):
@@ -135,11 +139,11 @@ class TestStreams:
     def test_same_seed_same_sequence(self):
         a = substream(1234, 0)
         b = substream(1234, 0)
-        assert np.array_equal(a.uniforms(1000), b.uniforms(1000))
+        assert np.array_equal(draws(a, 1000), draws(b, 1000))
 
     def test_distinct_replications_differ(self):
-        a = substream(1234, 0).uniforms(10_000)
-        b = substream(1234, 1).uniforms(10_000)
+        a = draws(substream(1234, 0), 10_000)
+        b = draws(substream(1234, 1), 10_000)
         assert not np.array_equal(a, b)
 
     def test_ten_replications_reproducible(self):
@@ -153,7 +157,7 @@ class TestStreams:
         a = root.named("offspring")
         b = root.named("disorder")
         assert a.seed != b.seed
-        assert not np.array_equal(a.uniforms(100), b.uniforms(100))
+        assert not np.array_equal(draws(a, 100), draws(b, 100))
 
     def test_named_streams_deterministic(self):
         assert substream(5, 3).named("x").uniform() == substream(5, 3).named("x").uniform()
@@ -168,28 +172,9 @@ class TestStreams:
         draws = [stream.uniform() for _ in range(1000)]
         assert draws == np.random.Generator(np.random.PCG64(2024)).random(1000).tolist()
 
-    @given(st.lists(
-        st.one_of(st.none(), st.integers(min_value=0, max_value=600)),
-        max_size=12,
-    ))
-    def test_interleaved_draws_read_one_sequence(self, plan):
-        # None is one uniform() draw, an integer n is one uniforms(n) call;
-        # a few calls run through several refills of the buffer.
-        stream = RngStream(99)
-        drawn = []
-        for step in plan:
-            if step is None:
-                drawn.append(stream.uniform())
-            else:
-                vector = stream.uniforms(step)
-                assert vector.shape == (step,) and vector.dtype == np.float64
-                drawn.extend(vector.tolist())
-        scalar = np.random.Generator(np.random.PCG64(99))
-        assert drawn == [scalar.random() for _ in drawn]
-
     def test_uniform_range(self):
         stream = substream(2, 0)
-        samples = stream.uniforms(10_000)
+        samples = draws(stream, 10_000)
         assert samples.min() >= 0.0 and samples.max() < 1.0
 
 
@@ -227,21 +212,6 @@ class TestDistributions:
 
 
 class TestDistributionConfig:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"type": "constant", "value": 1.5},
-            {"type": "uniform", "low": 0.0, "high": 2.0},
-            {"type": "exponential", "mean": 0.7},
-            {"type": "discrete", "pairs": [[0, 0.25], [3, 1.0]]},
-        ],
-    )
-    def test_round_trip(self, config):
-        dist = make_distribution(config)
-        assert make_distribution(distribution_config(dist)) == dist or not isinstance(
-            dist, DiscreteDistribution
-        )
-
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigurationError):
             make_distribution({"type": "zipf", "s": 2})
