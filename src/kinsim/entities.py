@@ -48,8 +48,8 @@ class EntityFactory:
         self.created_total = 0
         self.label_counts: Counter[str] = Counter()
 
-    def create(self, class_label: str, created_at: float, **attributes: Any) -> Entity:
-        entity = Entity(self._next_id, class_label, created_at, dict(attributes))
+    def create(self, class_label: str, created_at: float) -> Entity:
+        entity = Entity(self._next_id, class_label, created_at)
         self._next_id += 1
         self.created_total += 1
         return entity

@@ -234,7 +234,6 @@ class SimulationHandle:
         model: ModelSpec,
         t0: Time,
         trace_file: TextIO | None,
-        max_zero_steps: int,
     ) -> None:
         atoms: list[tuple[tuple[int, ...], str, AtomicSpec]] = []
         edges: dict[Endpoint, list[tuple[Endpoint, Any]]] = {}
@@ -247,7 +246,6 @@ class SimulationHandle:
         self._write_trace: Callable[[str], Any] | None = (
             None if trace_file is None else trace_file.write
         )
-        self.max_zero_steps = max_zero_steps
         self._nodes: list[_Node] = []
         self._t_next: list[Time] = []
         self._steps_at_clock = 0
@@ -334,9 +332,9 @@ class SimulationHandle:
             self._steps_at_clock = 1
         else:
             self._steps_at_clock += 1
-            if self._steps_at_clock > self.max_zero_steps:
+            if self._steps_at_clock > MAX_ZERO_STEPS:
                 raise IllegitimateModelError(
-                    f"illegitimate model: more than {self.max_zero_steps} "
+                    f"illegitimate model: more than {MAX_ZERO_STEPS} "
                     f"steps without the clock advancing past {t}"
                 )
         t_next = self._t_next
@@ -401,7 +399,6 @@ def initialize(
     t0: Time = 0.0,
     *,
     trace_file: TextIO | None = None,
-    max_zero_steps: int = MAX_ZERO_STEPS,
 ) -> SimulationHandle:
     """Validate a model and build a simulation handle starting at ``t0``.
 
@@ -424,7 +421,7 @@ def initialize(
     built model as single-use: construct a fresh spec per run, as the model
     builders do.
     """
-    return SimulationHandle(model, t0, trace_file, max_zero_steps)
+    return SimulationHandle(model, t0, trace_file)
 
 
 # An event without messages is one line with placeholders for both columns.

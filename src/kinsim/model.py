@@ -25,7 +25,7 @@ from typing import Any, Iterator, Mapping, Optional
 from .entities import EntityFactory
 from .errors import ConfigurationError
 from .genetics import ConsanguinityDegree, assign_disorder
-from .kernel import Coupling, CoupledSpec, SimulationHandle
+from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
 from .objects import (
     THROUGHPUT,
     RouteChoice,
@@ -37,7 +37,7 @@ from .objects import (
     make_source,
     make_splitter,
 )
-from .randomness import DiscreteDistribution, make_distribution, substream
+from .randomness import DiscreteDistribution, RngStream, make_distribution, substream
 
 MALE = "male"
 FEMALE = "female"
@@ -65,10 +65,9 @@ class SourceSettings:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SourceSettings":
-        """Parse one ``sources`` entry; an unknown key raises ConfigurationError."""
-        for key in data:
-            if key not in ("interarrival", "max_arrivals"):
-                raise ConfigurationError(f"malformed sources: unknown key {key!r}")
+        """Parse one ``sources`` entry; an unknown key or a non-integral count
+        raises ValueError, which :meth:`ModelConfig.from_dict` reports."""
+        _check_keys(data, ("interarrival", "max_arrivals"))
         max_arrivals = data.get("max_arrivals")
         return cls(
             interarrival=dict(data.get("interarrival", {"type": "constant", "value": 1.0})),
@@ -92,8 +91,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _check_keys(mapping: Mapping, known: tuple[str, ...]) -> Mapping:
+    """``mapping`` itself; a key outside ``known`` raises ValueError."""
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+    return mapping
+
+
+# The whole-population source of the consanguinity model, then the male and
+# female sources of the population-growth model.
+_SOURCE_NAMES = ("WP", "MP", "FP")
+
+
 def _default_sources() -> dict[str, SourceSettings]:
-    return {"WP": SourceSettings(), "MP": SourceSettings(), "FP": SourceSettings()}
+    return {name: SourceSettings() for name in _SOURCE_NAMES}
 
 
 def _default_routing() -> dict[str, dict[str, float]]:
@@ -156,10 +168,11 @@ class ModelConfig:
     def from_dict(cls, data: Mapping) -> "ModelConfig":
         """Parse the JSON form; absent fields, and absent sources, keep their defaults.
 
-        An unknown key, here or in a ``sources`` entry, or a field whose
-        value has the wrong shape or type (a fraction where a count
-        belongs, a boolean where a number belongs), raises
-        :class:`ConfigurationError` naming the key.
+        An unknown key raises :class:`ConfigurationError` naming the field:
+        a top-level field, a source name or a key in a ``sources`` entry, a
+        sex in ``sex_split``, or a sex or branch in ``routing_weights``.  So
+        does a field whose value has the wrong shape or type (a fraction
+        where a count belongs, a boolean where a number belongs).
         Values of the right shape are checked by :func:`validate_config`,
         not here.
         """
@@ -183,6 +196,7 @@ class ModelConfig:
 
 def _parse_sex_split(split) -> tuple[float, float]:
     if isinstance(split, Mapping):
+        _check_keys(split, (MALE, FEMALE))
         return _number(split[MALE]), _number(split[FEMALE])
     male, female = split
     return _number(male), _number(female)
@@ -205,11 +219,13 @@ _FIELD_PARSERS = {
     "base_seed": _integer,
     "sources": lambda sources: {
         **_default_sources(),
-        **{name: SourceSettings.from_dict(sub) for name, sub in sources.items()},
+        **{name: SourceSettings.from_dict(sub)
+           for name, sub in _check_keys(sources, _SOURCE_NAMES).items()},
     },
     "sex_split": _parse_sex_split,
     "routing_weights": lambda weights: {
-        sex: {branch: _number(w) for branch, w in entry.items()} for sex, entry in weights.items()
+        sex: {branch: _number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
+        for sex, entry in _check_keys(weights, (MALE, FEMALE)).items()
     },
     "offspring_distribution": dict,
     "allele_frequency": _number,
@@ -260,7 +276,7 @@ def validate_config(config: ModelConfig) -> list[Violation]:
                 violations.append(
                     Violation(f"routing_weights.{sex}.{branch}", "must be finite and > 0", weight)
                 )
-    for name in ("WP", "MP", "FP"):
+    for name in _SOURCE_NAMES:
         settings = config.sources.get(name)
         if settings is None:
             violations.append(Violation(f"sources.{name}", "missing", None))
@@ -310,28 +326,13 @@ def _require_valid(config: ModelConfig) -> None:
         raise ConfigurationError(f"invalid model config: {summary}")
 
 
-class _Wiring:
-    """Accumulates components and couplings in construction order."""
-
-    def __init__(self) -> None:
-        self.components: dict[str, Any] = {}
-        self.couplings: list[Coupling] = []
-
-    def add(self, name: str, spec) -> str:
-        self.components[name] = spec
-        return name
-
-    def connect(self, src: str, src_port: str, dst: str, dst_port: str, *legs: str) -> None:
-        """Couple two ports; ``legs`` name the ``[Travelers]`` rows counting it."""
-        translate = Travelers(*legs) if legs else None
-        self.couplings.append(Coupling(src, src_port, dst, dst_port, translate))
-
-    def build(self) -> CoupledSpec:
-        return CoupledSpec(
-            components=self.components,
-            couplings=self.couplings,
-            select=list(self.components),
-        )
+def _make_source(
+    config: ModelConfig, name: str, factory: EntityFactory, stream: RngStream
+) -> AtomicSpec:
+    """The source ``name`` of ``config``, drawing its gaps from ``stream``."""
+    settings = config.sources[name]
+    return make_source(name, make_distribution(settings.interarrival), settings.max_arrivals,
+                       factory=factory, stream=stream)
 
 
 def build_population_growth_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
@@ -358,25 +359,20 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
             children.append(child)
         return children
 
-    w = _Wiring()
-    for name, stream_name in (("MP", "mp_interarrival"), ("FP", "fp_interarrival")):
-        settings = config.sources[name]
-        w.add(name, make_source(
-            name,
-            make_distribution(settings.interarrival),
-            settings.max_arrivals,
-            factory=factory,
-            stream=root.named(stream_name),
-        ))
-    w.add("Marriage", make_combiner(batch_quantity=1))
-    w.add("Population Growth", make_server(on_processed=on_growth))
-    w.add("New Population", make_sink())
-
-    w.connect("MP", "out", "Marriage", "member_in", "Path1")
-    w.connect("FP", "out", "Marriage", "parent_in", "Path2")
-    w.connect("Marriage", "out", "Population Growth", "in", "Path3")
-    w.connect("Population Growth", "out", "New Population", "in", "Path4")
-    return w.build()
+    components = {
+        "MP": _make_source(config, "MP", factory, root.named("mp_interarrival")),
+        "FP": _make_source(config, "FP", factory, root.named("fp_interarrival")),
+        "Marriage": make_combiner(batch_quantity=1),
+        "Population Growth": make_server(on_processed=on_growth),
+        "New Population": make_sink(),
+    }
+    couplings = [
+        Coupling("MP", "out", "Marriage", "member_in", Travelers("Path1")),
+        Coupling("FP", "out", "Marriage", "parent_in", Travelers("Path2")),
+        Coupling("Marriage", "out", "Population Growth", "in", Travelers("Path3")),
+        Coupling("Population Growth", "out", "New Population", "in", Travelers("Path4")),
+    ]
+    return CoupledSpec(components, couplings, select=list(components))
 
 
 def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
@@ -384,10 +380,10 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     two marriage combiners, two growth servers with disorder draws, two sinks.
 
     Flow: WP source -> sex splitter (relabels MP/FP) -> per-sex branch
-    splitter (tags ``branch`` and ``stream``: MP_C, MP_NC, FP_C, FP_NC) ->
-    marriage combiners (female parent, male member) -> growth servers ->
-    sinks: ten atomics.  The fourteen legs are counted couplings, reported
-    as ``Path1``-``Path14``.  A branch splitter's coupling to its combiner
+    splitter (consanguineous or not: MP_C, MP_NC, FP_C, FP_NC) -> marriage
+    combiners (female parent, male member) -> growth servers -> sinks: ten
+    atomics.  The fourteen legs are counted couplings, reported as
+    ``Path1``-``Path14``.  A branch splitter's coupling to its combiner
     carries two leg names, the branch leg and the stream leg (Path3 and
     Path7 for MP_C), because every entity crosses both together.
     """
@@ -395,11 +391,15 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     root = substream(config.base_seed, replication)
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)
-    male_fraction, female_fraction = config.sex_split
-    male_weights = config.routing_weights[MALE]
-    female_weights = config.routing_weights[FEMALE]
 
-    def growth_trigger(label, degree, offspring_stream, disorder_stream, override):
+    def branch_splitter(sex: str, stream_name: str):
+        weights = config.routing_weights[sex]
+        return make_splitter(
+            [RouteChoice(CONSANG, weights[CONSANG]), RouteChoice(NON_CONSANG, weights[NON_CONSANG])],
+            stream=root.named(stream_name),
+        )
+
+    def growth_server(label, degree, override, offspring_stream, disorder_stream):
         def on_growth(parent, now):
             count = offspring_dist.sample(offspring_stream)
             children = []
@@ -412,73 +412,49 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
                 )
                 children.append(child)
             return children
-        return on_growth
+        return make_server(on_processed=on_growth)
 
-    on_growth_c = growth_trigger(
-        "Child_C", config.consanguinity_degree,
-        root.named("offspring_consanguineous"), root.named("disorder_consanguineous"),
-        config.inbreeding_f,
-    )
-    on_growth_nc = growth_trigger(
-        "Child_NC", ConsanguinityDegree.UNRELATED,
-        root.named("offspring_nonconsanguineous"), root.named("disorder_nonconsanguineous"),
-        None,
-    )
-
-    wp = config.sources["WP"]
-    w = _Wiring()
-    w.add("WP", make_source(
-        "WP",
-        make_distribution(wp.interarrival),
-        wp.max_arrivals,
-        factory=factory,
-        stream=root.named("wp_interarrival"),
-    ))
-    w.add("SexSplit", make_splitter(
-        [
-            RouteChoice(MALE, male_fraction, relabel="MP"),
-            RouteChoice(FEMALE, female_fraction, relabel="FP"),
-        ],
-        stream=root.named("sex_split"),
-        factory=factory,
-    ))
-    w.add("MaleBranch", make_splitter(
-        [
-            RouteChoice(CONSANG, male_weights[CONSANG],
-                        set_attrs={"branch": "C", "stream": "MP_C"}),
-            RouteChoice(NON_CONSANG, male_weights[NON_CONSANG],
-                        set_attrs={"branch": "NC", "stream": "MP_NC"}),
-        ],
-        stream=root.named("male_branch"),
-    ))
-    w.add("FemaleBranch", make_splitter(
-        [
-            RouteChoice(CONSANG, female_weights[CONSANG],
-                        set_attrs={"branch": "C", "stream": "FP_C"}),
-            RouteChoice(NON_CONSANG, female_weights[NON_CONSANG],
-                        set_attrs={"branch": "NC", "stream": "FP_NC"}),
-        ],
-        stream=root.named("female_branch"),
-    ))
-    w.add("Marriage_C", make_combiner(batch_quantity=1))
-    w.add("Marriage_NC", make_combiner(batch_quantity=1))
-    w.add("PopulationG_C", make_server(on_processed=on_growth_c))
-    w.add("PopulationG_NC", make_server(on_processed=on_growth_nc))
-    w.add("NewPopulation_C", make_sink())
-    w.add("NewPopulation_NC", make_sink())
-
-    w.connect("WP", "out", "SexSplit", "in")
-    w.connect("SexSplit", MALE, "MaleBranch", "in", "Path1")
-    w.connect("SexSplit", FEMALE, "FemaleBranch", "in", "Path2")
-    w.connect("MaleBranch", CONSANG, "Marriage_C", "member_in", "Path3", "Path7")
-    w.connect("MaleBranch", NON_CONSANG, "Marriage_NC", "member_in", "Path4", "Path8")
-    w.connect("FemaleBranch", CONSANG, "Marriage_C", "parent_in", "Path5", "Path9")
-    w.connect("FemaleBranch", NON_CONSANG, "Marriage_NC", "parent_in", "Path6", "Path10")
-    w.connect("Marriage_C", "out", "PopulationG_C", "in", "Path11")
-    w.connect("Marriage_NC", "out", "PopulationG_NC", "in", "Path12")
-    w.connect("PopulationG_C", "out", "NewPopulation_C", "in", "Path13")
-    w.connect("PopulationG_NC", "out", "NewPopulation_NC", "in", "Path14")
-    return w.build()
+    male_fraction, female_fraction = config.sex_split
+    components = {
+        "WP": _make_source(config, "WP", factory, root.named("wp_interarrival")),
+        "SexSplit": make_splitter(
+            [
+                RouteChoice(MALE, male_fraction, relabel="MP"),
+                RouteChoice(FEMALE, female_fraction, relabel="FP"),
+            ],
+            stream=root.named("sex_split"),
+            factory=factory,
+        ),
+        "MaleBranch": branch_splitter(MALE, "male_branch"),
+        "FemaleBranch": branch_splitter(FEMALE, "female_branch"),
+        "Marriage_C": make_combiner(batch_quantity=1),
+        "Marriage_NC": make_combiner(batch_quantity=1),
+        "PopulationG_C": growth_server(
+            "Child_C", config.consanguinity_degree, config.inbreeding_f,
+            root.named("offspring_consanguineous"), root.named("disorder_consanguineous"),
+        ),
+        "PopulationG_NC": growth_server(
+            "Child_NC", ConsanguinityDegree.UNRELATED, None,
+            root.named("offspring_nonconsanguineous"), root.named("disorder_nonconsanguineous"),
+        ),
+        "NewPopulation_C": make_sink(),
+        "NewPopulation_NC": make_sink(),
+    }
+    couplings = [
+        Coupling("WP", "out", "SexSplit", "in"),
+        Coupling("SexSplit", MALE, "MaleBranch", "in", Travelers("Path1")),
+        Coupling("SexSplit", FEMALE, "FemaleBranch", "in", Travelers("Path2")),
+        Coupling("MaleBranch", CONSANG, "Marriage_C", "member_in", Travelers("Path3", "Path7")),
+        Coupling("MaleBranch", NON_CONSANG, "Marriage_NC", "member_in", Travelers("Path4", "Path8")),
+        Coupling("FemaleBranch", CONSANG, "Marriage_C", "parent_in", Travelers("Path5", "Path9")),
+        Coupling("FemaleBranch", NON_CONSANG, "Marriage_NC", "parent_in",
+                 Travelers("Path6", "Path10")),
+        Coupling("Marriage_C", "out", "PopulationG_C", "in", Travelers("Path11")),
+        Coupling("Marriage_NC", "out", "PopulationG_NC", "in", Travelers("Path12")),
+        Coupling("PopulationG_C", "out", "NewPopulation_C", "in", Travelers("Path13")),
+        Coupling("PopulationG_NC", "out", "NewPopulation_NC", "in", Travelers("Path14")),
+    ]
+    return CoupledSpec(components, couplings, select=list(components))
 
 
 # ---------------------------------------------------------------------------

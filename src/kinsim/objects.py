@@ -9,8 +9,10 @@ shared by all objects:
 * Zero service times are the default; entities then cascade through an
   arbitrary number of objects at a single clock value, one kernel step per
   object that holds them, in FIFO order.  A leg that only forwards entities
-  costs no step: it is a coupling, counted by a :class:`Travelers` translate,
-  and a :func:`make_path` atomic is only needed for a travel time above zero.
+  costs no step: it is a coupling, counted by a :class:`Travelers` translate.
+  A :func:`make_path` atomic is only needed for a travel time above zero, and
+  a :func:`make_splitter` atomic only where an entity picks among two or
+  more routes.
 * Objects track their own absolute clock (``now``) from the elapsed times the
   kernel hands to ``delta_ext``; models built from these objects are expected
   to start at t0 = 0.
@@ -168,16 +170,14 @@ def _reject_input(state, elapsed, bag):  # sources declare no input ports
 
 
 class RouteChoice:
-    """One outgoing port of a splitter with its weight and entity actions."""
+    """One outgoing port of a splitter with its weight and optional relabel."""
 
-    __slots__ = ("port", "weight", "relabel", "set_attrs")
+    __slots__ = ("port", "weight", "relabel")
 
-    def __init__(self, port: str, weight: float = 1.0,
-                 relabel: Optional[str] = None, set_attrs: Optional[dict] = None):
+    def __init__(self, port: str, weight: float = 1.0, relabel: Optional[str] = None):
         self.port = port
         self.weight = weight
         self.relabel = relabel
-        self.set_attrs = set_attrs
 
 
 class SplitterState:
@@ -212,7 +212,6 @@ def _splitter_out(s: SplitterState) -> list[Message]:
 
 
 def _splitter_dint(s: SplitterState) -> SplitterState:
-    s.stats.exited += len(s.pending)
     s.pending.clear()
     return s
 
@@ -220,18 +219,11 @@ def _splitter_dint(s: SplitterState) -> SplitterState:
 def _splitter_dext(s: SplitterState, elapsed: Time, bag) -> SplitterState:
     for msg in bag:
         entity = msg.payload
-        s.stats.entered += 1
-        if s.bounds:
-            # The pick of route_select(weighted, u), as one bisection.
-            choice = s.choices[bisect_right(s.bounds, s.stream.uniform() * s.total)]
-        else:
-            choice = s.choices[0]
+        # The pick of route_select(weighted, u), as one bisection.
+        choice = s.choices[bisect_right(s.bounds, s.stream.uniform() * s.total)]
         if choice.relabel is not None:
             entity.class_label = choice.relabel
-            if s.factory is not None:
-                s.factory.count_label(choice.relabel)
-        if choice.set_attrs:
-            entity.attributes.update(choice.set_attrs)
+            s.factory.count_label(choice.relabel)
         s.pending.append((choice.port, entity))
     return s
 
@@ -242,25 +234,31 @@ def make_splitter(
     stream: Optional[RngStream] = None,
     factory: Optional[EntityFactory] = None,
 ) -> AtomicSpec:
-    """Instantaneous routing node: each entity picks one outgoing port.
+    """Instantaneous weighted routing node: each entity picks one outgoing port.
 
-    With a single choice the splitter is a plain relay station and draws
-    nothing from the stream.  A choice may relabel the entity's class (the
-    relabel is counted as a dynamic-object assignment on the factory) or set
-    attributes on it.  Each entity's pick is that of :func:`route_select`
-    over the choices' weights, which must be positive when there are
-    several.
+    Each entity's pick is that of :func:`route_select` over the choices'
+    weights, drawn from ``stream``.  A choice may relabel the entity's
+    class; the relabel is counted as a dynamic-object assignment on
+    ``factory``, which a relabel therefore requires.  There must be at
+    least two choices, each with a positive weight: a single route is a
+    coupling, counted by :class:`Travelers`.
     """
-    if not choices:
-        raise ConfigurationError("splitter needs at least one outgoing choice")
-    if len(choices) > 1:
-        if stream is None:
-            raise ConfigurationError("weighted splitter needs a random stream")
-        for c in choices:
-            if not c.weight > 0:
-                raise ConfigurationError(
-                    f"splitter choice {c.port!r}: weight must be positive, got {c.weight}"
-                )
+    if len(choices) < 2:
+        raise ConfigurationError(
+            f"splitter needs at least two outgoing choices, got {len(choices)}; "
+            "a single route is a coupling"
+        )
+    if stream is None:
+        raise ConfigurationError("splitter needs a random stream")
+    for c in choices:
+        if not c.weight > 0:
+            raise ConfigurationError(
+                f"splitter choice {c.port!r}: weight must be positive, got {c.weight}"
+            )
+        if c.relabel is not None and factory is None:
+            raise ConfigurationError(
+                f"splitter choice {c.port!r}: relabel {c.relabel!r} needs an entity factory"
+            )
     state = SplitterState(list(choices), stream, factory)
     return AtomicSpec(
         initial_state=state,

@@ -55,6 +55,12 @@ MALFORMED_FIELDS = [
     ("sources", {"sources": {"WP": {"max_arrivals": 3.9}}}),
     ("replication", {"replication": 3}),
     ("sources", {"sources": {"WP": {"max_arrival": 3}}}),
+    ("sources", {"sources": {"wp": {"interarrival": {"type": "constant", "value": 2.0}}}}),
+    ("sex_split", {"sex_split": {"male": 0.595, "female": 0.405, "males": 0.5}}),
+    ("routing_weights", {"routing_weights": {
+        "male": {"consanguineous": 35.7, "non_consanguineous": 65.9},
+        "female": {"consanguinous": 35.7, "non_consanguineous": 64.2},
+    }}),
 ]
 
 
@@ -183,7 +189,8 @@ class TestRun:
     def test_trace_file_written(self, small_config_file, tmp_path):
         out = tmp_path / "r.csv"
         trace = tmp_path / "trace.tsv"
-        config = json.loads(open(small_config_file).read())
+        with open(small_config_file, encoding="utf-8") as fh:
+            config = json.load(fh)
         config["run_length"] = 20.0
         fast = tmp_path / "fast.json"
         fast.write_text(json.dumps(config), encoding="utf-8")

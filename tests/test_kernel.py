@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinsim.kernel
 from _oracles import generator_schedule, parse_trace, trace_rows
 from kinsim import (
     INFINITY,
@@ -447,7 +448,7 @@ class TestRunUntil:
 
 
 class TestGuardsAndInvariants:
-    def test_zero_delay_loop_detected(self):
+    def test_zero_delay_loop_detected(self, monkeypatch):
         def relay(initial):
             def dext(s, e, xs):
                 s["hot"] = True
@@ -474,7 +475,8 @@ class TestGuardsAndInvariants:
                 Coupling("b", "out", "a", "in"),
             ],
         )
-        handle = initialize(model, max_zero_steps=50)
+        monkeypatch.setattr(kinsim.kernel, "MAX_ZERO_STEPS", 50)
+        handle = initialize(model)
         with pytest.raises(IllegitimateModelError):
             handle.run_until(1.0)
 

@@ -181,6 +181,10 @@ class TestValidateConfig:
         ("sources", {"sources": {"WP": {"max_arrivals": 3.9}}}),
         ("sources", {"sources": {"WP": {"max_arrivals": True}}}),
         ("replication", {"replication": 3}),
+        ("sources", {"sources": {"wp": {"max_arrivals": 3}}}),
+        ("sex_split", {"sex_split": {"male": 0.595, "female": 0.405, "males": 0.5}}),
+        ("routing_weights", {"routing_weights": {"males": {"consanguineous": 1.0}}}),
+        ("routing_weights", {"routing_weights": {"male": {"consanguinous": 35.7}}}),
     ])
     def test_wrong_values_rejected_at_parse(self, field, data):
         with pytest.raises(ConfigurationError, match=f"^malformed {field}: "):

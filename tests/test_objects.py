@@ -398,8 +398,10 @@ class TestSink:
     def test_affected_tally(self):
         factory = EntityFactory()
         spec = make_sink()
-        sick = factory.create("Child_C", 0.0, affected=True)
-        healthy = factory.create("Child_C", 0.0, affected=False)
+        sick = factory.create("Child_C", 0.0)
+        sick.attributes["affected"] = True
+        healthy = factory.create("Child_C", 0.0)
+        healthy.attributes["affected"] = False
         state = deliver(spec, [("in", sick), ("in", healthy)])
         assert state.stats.affected_by_class == {"Child_C": 1}
 
@@ -489,17 +491,6 @@ class TestSplitter:
         p = 0.595
         assert abs(factory.label_counts["MP"] / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
-    def test_single_choice_is_relay_and_draws_nothing(self):
-        factory = EntityFactory()
-        stream = substream(22, 0)
-        spec = make_splitter([RouteChoice("out", set_attrs={"stream": "MP_C"})], stream=stream)
-        e = factory.create("MP", 0.0)
-        state = deliver(spec, [("in", e)])
-        out = flush(spec, state)
-        assert out[0].payload is e
-        assert e.attributes["stream"] == "MP_C"
-        assert stream.uniform() == substream(22, 0).uniform()
-
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0), (1.0, math.nan)])
     def test_nonpositive_weight_rejected_at_build(self, weights):
         choices = [RouteChoice(f"p{i}", w) for i, w in enumerate(weights)]
@@ -534,6 +525,12 @@ class TestSplitter:
         with pytest.raises(ConfigurationError):
             make_splitter([RouteChoice("a", 1.0), RouteChoice("b", 1.0)])
 
-    def test_empty_choices_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_splitter([])
+    @pytest.mark.parametrize("choices", [[], [RouteChoice("out")]], ids=["no_choice", "one_choice"])
+    def test_empty_choices_rejected(self, choices):
+        with pytest.raises(ConfigurationError, match="at least two"):
+            make_splitter(choices, stream=substream(1, 0))
+
+    def test_relabel_without_factory_rejected(self):
+        choices = [RouteChoice("male", 1.0, relabel="MP"), RouteChoice("female", 1.0)]
+        with pytest.raises(ConfigurationError, match="needs an entity factory"):
+            make_splitter(choices, stream=substream(1, 0))
