@@ -5,8 +5,9 @@ Layering, bottom up:
 
 * :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled).
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
-* :mod:`kinsim.objects` realizes Source, Combiner, Server, Sink, Path and
-  weighted Splitter objects as DEVS atomics.
+* :mod:`kinsim.objects` realizes Source, Combiner, Server, Sink and Path
+  objects as DEVS atomics, and routes entities on couplings with weighted
+  choices and leg counters.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
   draws per-birth disorder flags.
 * :mod:`kinsim.model` wires the population-growth and consanguinity models.
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .kernel import (
     INFINITY,
+    NO_EVENT,
     AtomicSpec,
     Coupling,
     CoupledSpec,
@@ -46,14 +48,12 @@ from .randomness import (
     substream,
 )
 from .objects import (
-    RouteChoice,
+    WeightedChoice,
     make_combiner,
     make_path,
     make_server,
     make_sink,
     make_source,
-    make_splitter,
-    route_select,
 )
 from .genetics import (
     ConsanguinityDegree,

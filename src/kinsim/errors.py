@@ -14,7 +14,8 @@ class ContractViolationError(SimulationError):
 
 
 class RoutingError(SimulationError):
-    """A message was emitted on a port that does not exist."""
+    """A message could not be routed: it left on a port that does not exist,
+    or it reached the legs of a weighted choice out of turn."""
 
 
 class IllegitimateModelError(SimulationError):

@@ -16,7 +16,8 @@ then runs one Classic-DEVS cycle over the flat atomics:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
-3. route its outputs along couplings, applying port translations,
+3. route its outputs along couplings, applying port translations; a
+   translation that yields the non-event :data:`NO_EVENT` ends its route,
 4. apply ``delta_int`` to the selected component and ``delta_ext`` (with the
    elapsed time ``t - t_last``) to every receiver,
 5. recompute ``t_next`` for every affected component.
@@ -64,6 +65,18 @@ class Message(NamedTuple):
     payload: Any
 
 
+class _NoEvent:
+    def __repr__(self) -> str:
+        return "NO_EVENT"
+
+
+#: The non-event φ of DEVS output translation (Zeigler, Praehofer & Kim,
+#: 2000): a translate that returns it makes its route deliver nothing.
+NO_EVENT: Any = _NoEvent()
+
+Translate = Callable[[Any], Any]
+
+
 @dataclass(frozen=True, slots=True)
 class Coupling:
     """A directed connection between two ports of a coupled model.
@@ -71,14 +84,26 @@ class Coupling:
     ``src``/``dst`` name child components; ``None`` refers to the coupled
     model's own boundary (external input when used as ``src``, external
     output when used as ``dst``).  ``translate`` optionally rewrites the
-    payload in flight; the identity is used when omitted.
+    payload in flight: one callable, or a sequence of them applied first
+    to last; the identity is used when omitted.  A translate that returns
+    :data:`NO_EVENT` stops the payload, and the translates after it are not
+    called.
     """
 
     src: str | None
     src_port: str
     dst: str | None
     dst_port: str
-    translate: Callable[[Any], Any] | None = None
+    translate: Translate | Sequence[Translate] | None = None
+
+    def chain(self) -> tuple[Translate, ...]:
+        """The translates in the order they apply; empty for the identity."""
+        z = self.translate
+        chain = () if z is None else (z,) if callable(z) else tuple(z)
+        if not all(map(callable, chain)):
+            raise StructuralError(f"coupling {self.src}.{self.src_port} -> {self.dst}.{self.dst_port}: "
+                                  f"translate must be a callable or a sequence of callables, got {z!r}")
+        return chain
 
 
 @dataclass
@@ -130,7 +155,7 @@ def _flatten(
     path: str,
     key: tuple[int, ...],
     atoms: list[tuple[tuple[int, ...], str, AtomicSpec]],
-    edges: dict[Endpoint, list[tuple[Endpoint, Any]]],
+    edges: dict[Endpoint, list[tuple[Endpoint, tuple[Translate, ...]]]],
 ) -> None:
     """Check a model and close it into atomics plus an endpoint graph, in one pass.
 
@@ -164,7 +189,7 @@ def _flatten(
         # boundary output or a child input.
         src = _endpoint(spec, path, c.src, c.src_port, INPUT if c.src is None else OUTPUT)
         dst = _endpoint(spec, path, c.dst, c.dst_port, OUTPUT if c.dst is None else INPUT)
-        edges.setdefault(src, []).append((dst, c.translate))
+        edges.setdefault(src, []).append((dst, c.chain()))
     if spec.select is not None and sorted(spec.select) != sorted(spec.components):
         raise StructuralError(
             f"{where}: select must be a total order over the components, "
@@ -197,8 +222,8 @@ def _reach(edges: dict, end: Endpoint, chain: tuple = ()) -> Iterator[tuple[Endp
     """Yield ``end`` and every endpoint it reaches, depth first in coupling
     declaration order, each with the translates met on the way, in hop order."""
     yield end, chain
-    for nxt, translate in edges.get(end, ()):
-        yield from _reach(edges, nxt, chain if translate is None else chain + (translate,))
+    for nxt, hop in edges.get(end, ()):
+        yield from _reach(edges, nxt, chain + hop)
 
 
 class _Node:
@@ -236,7 +261,7 @@ class SimulationHandle:
         trace_file: TextIO | None,
     ) -> None:
         atoms: list[tuple[tuple[int, ...], str, AtomicSpec]] = []
-        edges: dict[Endpoint, list[tuple[Endpoint, Any]]] = {}
+        edges: dict[Endpoint, list[tuple[Endpoint, tuple[Translate, ...]]]] = {}
         _flatten(model, "", (), atoms, edges)
         atoms.sort(key=lambda atom: atom[0])
         index = {path: i for i, (_, path, _) in enumerate(atoms)}
@@ -355,16 +380,22 @@ class SimulationHandle:
                 value = payload
                 for z in chain:
                     value = z(value)
-                bag = deliveries.get(idx)
-                if bag is None:
-                    deliveries[idx] = [Message(dst_port, value)]
+                    if value is NO_EVENT:
+                        break
                 else:
-                    bag.append(Message(dst_port, value))
+                    bag = deliveries.get(idx)
+                    if bag is None:
+                        deliveries[idx] = [Message(dst_port, value)]
+                    else:
+                        bag.append(Message(dst_port, value))
             for root_port, chain in root_targets:
                 value = payload
                 for z in chain:
                     value = z(value)
-                root_outputs.append(Message(root_port, value))
+                    if value is NO_EVENT:
+                        break
+                else:
+                    root_outputs.append(Message(root_port, value))
         # Internal transition of the selected component.
         node.state = state = spec.delta_int(node.state)
         ta = spec.time_advance(state)

@@ -11,9 +11,11 @@ non-consanguineous branches by routing weights, and each branch runs its own
 marriage combiner, growth server (whose children receive a congenital
 disorder draw) and new-population sink.
 
-Objects are joined by direct couplings.  Every leg of the flow is counted by
-a :class:`~kinsim.objects.Travelers` translate on its coupling and reported
-as a ``Path<n>`` ``[Travelers]`` row, so the legs cost no kernel steps.
+Objects are joined by direct couplings.  The splits are weighted picks made
+on the couplings by :class:`~kinsim.objects.WeightedChoice` legs, and every
+leg of the flow is counted by a :class:`~kinsim.objects.Travelers` translate
+and reported as a ``Path<n>`` ``[Travelers]`` row, so neither routing nor
+counting costs a kernel step.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from .genetics import ConsanguinityDegree, assign_disorder
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
 from .objects import (
     THROUGHPUT,
-    RouteChoice,
     StatRow,
     Travelers,
+    WeightedChoice,
     make_combiner,
     make_server,
     make_sink,
     make_source,
-    make_splitter,
 )
 from .randomness import DiscreteDistribution, RngStream, make_distribution, substream
 
@@ -258,7 +259,7 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         violations.append(Violation("replications", "must be >= 1", config.replications))
     male, female = config.sex_split
     for label, fraction in ((MALE, male), (FEMALE, female)):
-        # Each sex is a weighted splitter choice, and a weight must be positive.
+        # Each sex is a route of a weighted choice, and a weight must be positive.
         if not 0.0 < fraction < 1.0:
             violations.append(Violation(f"sex_split.{label}", "must lie in (0, 1)", fraction))
     if abs(male + female - 1.0) > _FRACTION_TOLERANCE:
@@ -376,28 +377,22 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
 
 
 def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
-    """Full model: one whole-population source, sex and branch splits,
-    two marriage combiners, two growth servers with disorder draws, two sinks.
+    """Full model: one whole-population source, two marriage combiners, two
+    growth servers with disorder draws and two sinks: seven atomics.
 
-    Flow: WP source -> sex splitter (relabels MP/FP) -> per-sex branch
-    splitter (consanguineous or not: MP_C, MP_NC, FP_C, FP_NC) -> marriage
-    combiners (female parent, male member) -> growth servers -> sinks: ten
-    atomics.  The fourteen legs are counted couplings, reported as
-    ``Path1``-``Path14``.  A branch splitter's coupling to its combiner
-    carries two leg names, the branch leg and the stream leg (Path3 and
-    Path7 for MP_C), because every entity crosses both together.
+    The source is coupled straight to the four combiner entries, males as
+    members and females as parents.  Each coupling is one route through two
+    :class:`~kinsim.objects.WeightedChoice` picks, the sex (relabeling WP as
+    MP or FP) and then that sex's branch, consanguineous or not.  The
+    fourteen legs of the flow are counted on the couplings and reported as
+    ``Path1``-``Path14``: a route counts its branch and stream legs together
+    (Path3 and Path7 for MP_C), and its sex leg (Path1 for males) with a
+    counter that both routes of that sex share, behind the branch pick.
     """
     _require_valid(config)
     root = substream(config.base_seed, replication)
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)
-
-    def branch_splitter(sex: str, stream_name: str):
-        weights = config.routing_weights[sex]
-        return make_splitter(
-            [RouteChoice(CONSANG, weights[CONSANG]), RouteChoice(NON_CONSANG, weights[NON_CONSANG])],
-            stream=root.named(stream_name),
-        )
 
     def growth_server(label, degree, override, offspring_stream, disorder_stream):
         def on_growth(parent, now):
@@ -414,19 +409,16 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
             return children
         return make_server(on_processed=on_growth)
 
-    male_fraction, female_fraction = config.sex_split
+    sex = WeightedChoice(dict(zip((MALE, FEMALE), config.sex_split)), stream=root.named("sex_split"),
+                         relabel={MALE: "MP", FEMALE: "FP"}, factory=factory)
+    male, female = (
+        WeightedChoice({b: config.routing_weights[s][b] for b in (CONSANG, NON_CONSANG)},
+                       stream=root.named(f"{s}_branch"))
+        for s in (MALE, FEMALE)
+    )
+    males, females = Travelers("Path1"), Travelers("Path2")
     components = {
         "WP": _make_source(config, "WP", factory, root.named("wp_interarrival")),
-        "SexSplit": make_splitter(
-            [
-                RouteChoice(MALE, male_fraction, relabel="MP"),
-                RouteChoice(FEMALE, female_fraction, relabel="FP"),
-            ],
-            stream=root.named("sex_split"),
-            factory=factory,
-        ),
-        "MaleBranch": branch_splitter(MALE, "male_branch"),
-        "FemaleBranch": branch_splitter(FEMALE, "female_branch"),
         "Marriage_C": make_combiner(batch_quantity=1),
         "Marriage_NC": make_combiner(batch_quantity=1),
         "PopulationG_C": growth_server(
@@ -441,14 +433,14 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "NewPopulation_NC": make_sink(),
     }
     couplings = [
-        Coupling("WP", "out", "SexSplit", "in"),
-        Coupling("SexSplit", MALE, "MaleBranch", "in", Travelers("Path1")),
-        Coupling("SexSplit", FEMALE, "FemaleBranch", "in", Travelers("Path2")),
-        Coupling("MaleBranch", CONSANG, "Marriage_C", "member_in", Travelers("Path3", "Path7")),
-        Coupling("MaleBranch", NON_CONSANG, "Marriage_NC", "member_in", Travelers("Path4", "Path8")),
-        Coupling("FemaleBranch", CONSANG, "Marriage_C", "parent_in", Travelers("Path5", "Path9")),
-        Coupling("FemaleBranch", NON_CONSANG, "Marriage_NC", "parent_in",
-                 Travelers("Path6", "Path10")),
+        Coupling("WP", "out", "Marriage_C", "member_in",
+                 (sex.leg(MALE), male.leg(CONSANG), males, Travelers("Path3", "Path7"))),
+        Coupling("WP", "out", "Marriage_NC", "member_in",
+                 (sex.leg(MALE), male.leg(NON_CONSANG), males, Travelers("Path4", "Path8"))),
+        Coupling("WP", "out", "Marriage_C", "parent_in",
+                 (sex.leg(FEMALE), female.leg(CONSANG), females, Travelers("Path5", "Path9"))),
+        Coupling("WP", "out", "Marriage_NC", "parent_in",
+                 (sex.leg(FEMALE), female.leg(NON_CONSANG), females, Travelers("Path6", "Path10"))),
         Coupling("Marriage_C", "out", "PopulationG_C", "in", Travelers("Path11")),
         Coupling("Marriage_NC", "out", "PopulationG_NC", "in", Travelers("Path12")),
         Coupling("PopulationG_C", "out", "NewPopulation_C", "in", Travelers("Path13")),
@@ -497,6 +489,7 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     :class:`~kinsim.objects.Travelers` on the couplings of every coupled
     model in the hierarchy: the root's couplings first, then each nested
     coupled model's, depth first in the order its components are declared.
+    A counter that several couplings share reports once, where first met.
     One ``[Dynamic Object]`` row per class label counted by the entity
     factories ends the list, sorted.
     """
@@ -513,9 +506,12 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
         factory = getattr(state, "factory", None)
         if factory is not None:
             factories[id(factory)] = factory
-    for coupling in _all_couplings(handle.model):
-        if isinstance(coupling.translate, Travelers):
-            stats.rows.extend(coupling.translate.report_rows())
+    counters = dict.fromkeys(
+        z for coupling in _all_couplings(handle.model) for z in coupling.chain()
+        if isinstance(z, Travelers)
+    )
+    for counter in counters:
+        stats.rows.extend(counter.report_rows())
     for factory in factories.values():
         stats.created_total += factory.created_total
         _add_counts(stats.label_counts, factory.label_counts)

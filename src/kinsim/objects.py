@@ -1,18 +1,18 @@
-"""Process-object library: Source, Combiner, Server, Sink, Path, Splitter.
+"""Process-object library: Source, Combiner, Server, Sink, Path, plus the
+routing pieces that live on couplings, WeightedChoice and Travelers.
 
 Each object is realized as one DEVS atomic whose state keeps flat
 counters in an :class:`~kinsim.entities.ObjectStats` and reports its own
-rows through ``report_rows(name)``; :class:`Travelers` is the one exception,
-a counter placed on a coupling that reports one row per leg.  Conventions
-shared by all objects:
+rows through ``report_rows(name)``.  Routing costs no atomic: a
+:class:`WeightedChoice` picks an entity's route with translates on the
+couplings, and a :class:`Travelers` translate counts a leg and reports one
+row per leg name.  Conventions shared by all objects:
 
 * Zero service times are the default; entities then cascade through an
   arbitrary number of objects at a single clock value, one kernel step per
-  object that holds them, in FIFO order.  A leg that only forwards entities
-  costs no step: it is a coupling, counted by a :class:`Travelers` translate.
-  A :func:`make_path` atomic is only needed for a travel time above zero, and
-  a :func:`make_splitter` atomic only where an entity picks among two or
-  more routes.
+  object that holds them, in FIFO order.  A leg that only forwards, picks
+  or counts entities costs no step: it is a coupling.  A :func:`make_path`
+  atomic is only needed for a travel time above zero.
 * Objects track their own absolute clock (``now``) from the elapsed times the
   kernel hands to ``delta_ext``; models built from these objects are expected
   to start at t0 = 0.
@@ -30,11 +30,11 @@ from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 from .entities import Entity, EntityFactory, ObjectStats, individual_count
-from .errors import ConfigurationError, ContractViolationError
-from .kernel import INFINITY, AtomicSpec, Message, Time
+from .errors import ConfigurationError, ContractViolationError, RoutingError
+from .kernel import INFINITY, NO_EVENT, AtomicSpec, Message, Time
 from .randomness import Distribution, RngStream
 
 PORT_IN = "in"
@@ -51,30 +51,6 @@ CONTENT = "Content"
 
 # One report row: (object name, data source, category, value).
 StatRow = tuple[str, str, str, int]
-
-
-def route_select(outgoing: Sequence[tuple[Any, float]], u: float) -> int:
-    """Pick an outgoing path index by cumulative scan over the list order.
-
-    Entry ``i`` is selected with probability ``weight_i / sum(weights)``.
-    ``u`` is a uniform sample in [0, 1).  All weights must be positive and
-    the list must not be empty.
-    """
-    if not outgoing:
-        raise ConfigurationError("route_select: no outgoing paths to choose from")
-    total = 0.0
-    for _, weight in outgoing:
-        if not weight > 0:  # NaN too
-            raise ConfigurationError(f"route_select: weights must be positive, got {weight}")
-        total += weight
-    threshold = u * total
-    acc = 0.0
-    last = len(outgoing) - 1
-    for i, (_, weight) in enumerate(outgoing):
-        acc += weight
-        if threshold < acc:
-            return i
-    return last  # float roundoff at u ~ 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,109 +142,100 @@ def _reject_input(state, elapsed, bag):  # sources declare no input ports
 
 
 # ---------------------------------------------------------------------------
-# Splitter (weighted routing node)
+# Weighted choice (routing on couplings)
 
 
-class RouteChoice:
-    """One outgoing port of a splitter with its weight and optional relabel."""
+class WeightedChoice:
+    """A weighted pick among named routes, made on the couplings themselves.
 
-    __slots__ = ("port", "weight", "relabel")
+    Each message that reaches the choice picks one name, with probability
+    ``weight / sum(weights)``, by one ``uniform()`` from ``stream``: the
+    first name, in the mapping's order, whose running sum of weights
+    exceeds ``u * sum(weights)``.  A name in ``relabel`` gives the entities
+    that pick it a new class label, counted on ``factory``.
 
-    def __init__(self, port: str, weight: float = 1.0, relabel: Optional[str] = None):
-        self.port = port
-        self.weight = weight
-        self.relabel = relabel
+    :meth:`leg` makes the translates to place on couplings: a leg passes
+    the entities that picked its name and yields
+    :data:`~kinsim.kernel.NO_EVENT` for the rest.  A message that reaches
+    one leg must reach every leg made, each once.  The first leg it reaches
+    draws; once every leg has served it, the next message draws anew, even
+    one that carries the same entity.
+    """
 
+    __slots__ = ("names", "bounds", "total", "stream", "relabels", "factory",
+                 "legs", "left", "round", "entity", "pick")
 
-class SplitterState:
-    __slots__ = ("choices", "bounds", "total", "stream", "factory", "pending", "stats")
-
-    def __init__(self, choices, stream, factory):
-        self.choices = choices
-        # route_select's running sums, added in the same order so the floats
-        # are bit-equal.  The last sum is left out of ``bounds``: a bisection
-        # over the rest then clamps a roundoff overshoot to the last choice.
-        sums = list(accumulate((c.weight for c in choices), initial=0.0))
+    def __init__(
+        self,
+        weights: Mapping[str, float],
+        *,
+        stream: RngStream,
+        relabel: Mapping[str, str] = {},
+        factory: Optional[EntityFactory] = None,
+    ) -> None:
+        if len(weights) < 2:
+            raise ConfigurationError(f"weighted choice needs at least two routes, got "
+                                     f"{len(weights)}; a single route is a coupling")
+        for name, weight in weights.items():
+            if not weight > 0:  # NaN too
+                raise ConfigurationError(f"route {name!r}: weight must be positive, got {weight}")
+        for name in relabel:
+            if name not in weights or factory is None:
+                raise ConfigurationError(f"relabel of route {name!r} needs an entity factory "
+                                         f"and a route of that name, got {list(weights)}")
+        self.names = tuple(weights)
+        # The running sums of a scan from the first name, added in that order.
+        # The last sum is left out of ``bounds``: a bisection over the rest
+        # then clamps a roundoff overshoot to the last route.
+        sums = list(accumulate(weights.values(), initial=0.0))
         self.bounds = sums[1:-1]
         self.total = sums[-1]
         self.stream = stream
+        self.relabels = tuple(relabel.get(name) for name in self.names)
         self.factory = factory
-        self.pending: list[tuple[str, Entity]] = []
-        self.stats = ObjectStats()
+        self.legs = self.left = 0  # legs made, and legs yet to serve this message
+        self.round = 0  # messages drawn for
+        self.entity: Optional[Entity] = None
+        self.pick = 0
 
-    def held_individuals(self) -> int:
-        return sum(individual_count(e) for _, e in self.pending)
+    def leg(self, name: str) -> Callable[[Entity], Entity]:
+        """A new translate that passes the entities that pick ``name``."""
+        if name not in self.names:
+            raise ConfigurationError(f"weighted choice has no route {name!r}")
+        self.legs += 1
+        return _Leg(self, self.names.index(name))
 
-    def report_rows(self, name: str) -> list[StatRow]:
-        return []
-
-
-def _splitter_ta(s: SplitterState) -> Time:
-    return 0.0 if s.pending else INFINITY
-
-
-def _splitter_out(s: SplitterState) -> list[Message]:
-    return [Message(port, entity) for port, entity in s.pending]
-
-
-def _splitter_dint(s: SplitterState) -> SplitterState:
-    s.pending.clear()
-    return s
-
-
-def _splitter_dext(s: SplitterState, elapsed: Time, bag) -> SplitterState:
-    for msg in bag:
-        entity = msg.payload
-        # The pick of route_select(weighted, u), as one bisection.
-        choice = s.choices[bisect_right(s.bounds, s.stream.uniform() * s.total)]
-        if choice.relabel is not None:
-            entity.class_label = choice.relabel
-            s.factory.count_label(choice.relabel)
-        s.pending.append((choice.port, entity))
-    return s
+    def _draw(self, entity: Entity) -> None:
+        self.round += 1
+        self.left = self.legs
+        self.entity = entity
+        self.pick = pick = bisect_right(self.bounds, self.stream.uniform() * self.total)
+        label = self.relabels[pick]
+        if label is not None:
+            entity.class_label = label
+            self.factory.count_label(label)
 
 
-def make_splitter(
-    choices: Sequence[RouteChoice],
-    *,
-    stream: Optional[RngStream] = None,
-    factory: Optional[EntityFactory] = None,
-) -> AtomicSpec:
-    """Instantaneous weighted routing node: each entity picks one outgoing port.
+class _Leg:
+    """One route of a :class:`WeightedChoice`, as a coupling translate."""
 
-    Each entity's pick is that of :func:`route_select` over the choices'
-    weights, drawn from ``stream``.  A choice may relabel the entity's
-    class; the relabel is counted as a dynamic-object assignment on
-    ``factory``, which a relabel therefore requires.  There must be at
-    least two choices, each with a positive weight: a single route is a
-    coupling, counted by :class:`Travelers`.
-    """
-    if len(choices) < 2:
-        raise ConfigurationError(
-            f"splitter needs at least two outgoing choices, got {len(choices)}; "
-            "a single route is a coupling"
-        )
-    if stream is None:
-        raise ConfigurationError("splitter needs a random stream")
-    for c in choices:
-        if not c.weight > 0:
-            raise ConfigurationError(
-                f"splitter choice {c.port!r}: weight must be positive, got {c.weight}"
-            )
-        if c.relabel is not None and factory is None:
-            raise ConfigurationError(
-                f"splitter choice {c.port!r}: relabel {c.relabel!r} needs an entity factory"
-            )
-    state = SplitterState(list(choices), stream, factory)
-    return AtomicSpec(
-        initial_state=state,
-        time_advance=_splitter_ta,
-        delta_int=_splitter_dint,
-        delta_ext=_splitter_dext,
-        output=_splitter_out,
-        input_ports=(PORT_IN,),
-        output_ports=tuple(c.port for c in choices),
-    )
+    __slots__ = ("choice", "index", "served")
+
+    def __init__(self, choice: WeightedChoice, index: int) -> None:
+        self.choice = choice
+        self.index = index
+        self.served = 0  # the last round this leg served
+
+    def __call__(self, entity: Entity) -> Any:
+        choice = self.choice
+        if not choice.left:
+            choice._draw(entity)
+        elif entity is not choice.entity or self.served == choice.round:
+            raise RoutingError(f"a message reached leg {choice.names[self.index]!r} before the "
+                               f"last one had reached all {choice.legs} legs of its choice")
+        self.served = choice.round
+        choice.left -= 1
+        return entity if choice.pick == self.index else NO_EVENT
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +249,9 @@ class Travelers:
     coupling a counted zero-delay leg, the same count a zero-travel-time
     path reports as ``[Travelers]`` without the kernel step per hop.  One
     counter may carry several leg names when every entity crosses those legs
-    together; each name gets its own report row with the shared count.
+    together; each name gets its own report row with the shared count.  One
+    counter may also sit on several couplings, behind picks that let each
+    entity through only one of them; it still reports once.
     """
 
     __slots__ = ("legs", "count")

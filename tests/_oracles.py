@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's own algorithms: kinship comes from
 Malecot path counting over explicit pedigrees (exact rational arithmetic),
-and event schedules for constant-rate generators come from direct
-multiplication and sorting rather than an event loop.  The kernel's event
+a weighted pick from a plain cumulative scan (:func:`route_select`, the
+oracle of :class:`~kinsim.objects.WeightedChoice`'s bisection), and event
+schedules for constant-rate generators come from direct multiplication and
+sorting rather than an event loop.  The kernel's event
 trace, which it writes only as text, is read back with :func:`trace_rows`
 and :func:`parse_trace`.
 """
@@ -13,8 +15,10 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 from itertools import count
+from typing import Any, Sequence
 
 from kinsim import initialize
+from kinsim.errors import ConfigurationError
 
 # One trace line: (time, component path, phase, port, payload text).
 TraceRow = tuple[float, str, str, str, str]
@@ -122,6 +126,30 @@ def genotype_disorder_probability(q: Fraction, f: Fraction) -> Fraction:
     ibd_affected = f * q
     independent_affected = (1 - f) * q * q
     return ibd_affected + independent_affected
+
+
+def route_select(outgoing: Sequence[tuple[Any, float]], u: float) -> int:
+    """Pick an outgoing path index by cumulative scan over the list order.
+
+    Entry ``i`` is selected with probability ``weight_i / sum(weights)``.
+    ``u`` is a uniform sample in [0, 1).  All weights must be positive and
+    the list must not be empty.
+    """
+    if not outgoing:
+        raise ConfigurationError("route_select: no outgoing paths to choose from")
+    total = 0.0
+    for _, weight in outgoing:
+        if not weight > 0:  # NaN too
+            raise ConfigurationError(f"route_select: weights must be positive, got {weight}")
+        total += weight
+    threshold = u * total
+    acc = 0.0
+    last = len(outgoing) - 1
+    for i, (_, weight) in enumerate(outgoing):
+        acc += weight
+        if threshold < acc:
+            return i
+    return last  # float roundoff at u ~ 1.0
 
 
 def generator_schedule(

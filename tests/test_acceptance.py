@@ -21,6 +21,7 @@ from _oracles import (
     generator_schedule,
     parse_trace,
     pedigree_kinship,
+    route_select,
     second_cousin_parents,
     third_cousin_parents,
     trace_rows,
@@ -37,7 +38,6 @@ from kinsim import (
     disorder_probability,
     inbreeding_coefficient,
     initialize,
-    route_select,
     run_experiment,
     substream,
 )

@@ -128,8 +128,9 @@ def test_never_positive_interarrival_exit_1(interarrival, tmp_path, capsys):
     {"male": 0.0, "female": 1.0},
 ], ids=["female-0", "male-0"])
 def test_zero_sex_fraction_exit_1(split, tmp_path, capsys):
-    # Once validated, then failed every replication in route_select.  Both
-    # fractions lie outside (0, 1), so both are named.
+    # A zero fraction once passed validation, then failed every replication
+    # at the sex pick, which needs positive weights.  Both fractions lie
+    # outside (0, 1), so both are named.
     config = ModelConfig.default().to_dict()
     config["sex_split"] = split
     path = tmp_path / "one_sex.json"

@@ -155,8 +155,9 @@ class TestRunExperiment:
 
 class TestTraceFile:
     def test_trace_bytes_pinned(self, tmp_path):
-        # the first line shows WP#0 under the FP label SexSplit gave it in
-        # the same event, so the lines must be formatted after that event
+        # the first line shows WP#0 under the FP label the sex choice on
+        # WP's couplings gave it while routing that same event, so the lines
+        # must be formatted after the event
         config = ModelConfig.default()
         config.replications = 2
         config.run_length = 2000.0
@@ -164,9 +165,9 @@ class TestTraceFile:
         run_experiment(config, trace_path=str(path))
         data = path.read_bytes()
         assert data.startswith(b"1\tWP\tinternal\tout\tFP#0\n")
-        assert data.count(b"\n") == 18812
+        assert data.count(b"\n") == 10812
         assert hashlib.sha256(data).hexdigest() == (
-            "5089b11f600e64ba7225e372bec30a6f2339a08113b328ed822cb2a602decf1b"
+            "46c1c94509014217721ef389bf6091a9acfbb7288efdc981ff14897439a6caea"
         )
 
     def test_failed_run_leaves_the_events_before_the_failure(self, tmp_path):

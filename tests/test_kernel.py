@@ -13,6 +13,7 @@ import kinsim.kernel
 from _oracles import generator_schedule, parse_trace, trace_rows
 from kinsim import (
     INFINITY,
+    NO_EVENT,
     AtomicSpec,
     Coupling,
     CoupledSpec,
@@ -609,6 +610,73 @@ class TestHierarchy:
         assert internal_times(trace_rows(model, 1.0)) == [
             (1.0, "inner/y"), (1.0, "inner/x"), (1.0, "z"),
         ]
+
+
+class TestNonEvent:
+    """A translate may yield NO_EVENT, the non-event: its route delivers nothing."""
+
+    def test_route_to_an_atomic_delivers_nothing(self):
+        odd = lambda payload: payload if payload % 2 else NO_EVENT
+        model = CoupledSpec(
+            components={"gen": generator(1.0), "odd": counter(), "all": counter()},
+            couplings=[
+                Coupling("gen", "out", "odd", "in", translate=odd),
+                Coupling("gen", "out", "all", "in"),
+            ],
+        )
+        rows = trace_rows(model, 4.0)
+        assert [(t, c, phase) for t, c, phase, _, _ in rows if c == "odd"] == [
+            (2.0, "odd", "external"), (4.0, "odd", "external"),
+        ]
+        assert sum(1 for _, c, _, _, _ in rows if c == "all") == 4
+
+    def test_route_to_a_root_output_produces_no_root_message(self):
+        model = CoupledSpec(
+            components={"gen": generator(1.0)},
+            couplings=[
+                Coupling("gen", "out", None, "y", translate=lambda payload: NO_EVENT),
+                Coupling("gen", "out", None, "z"),
+            ],
+            output_ports=("y", "z"),
+        )
+        handle = initialize(model)
+        t, outputs = handle.step()
+        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("z", 0)])
+
+    def test_translate_sequence_joins_the_route_chain_and_stops_at_no_event(self):
+        calls = []
+
+        def tag(label):
+            def z(payload):
+                calls.append(label)
+                return f"{payload}{label}"
+            return z
+
+        inner = CoupledSpec(
+            components={"acc": counter()},
+            couplings=[Coupling(None, "in", "acc", "in", translate=[tag("c"), tag("d")])],
+            input_ports=("in",),
+        )
+        model = CoupledSpec(
+            components={"gen": generator(1.0), "inner": inner},
+            couplings=[
+                Coupling("gen", "out", "inner", "in", translate=(tag("a"), tag("b"))),
+                Coupling("gen", "out", "inner", "in",
+                         translate=(tag("x"), lambda payload: NO_EVENT, tag("never"))),
+            ],
+        )
+        handle = initialize(model)
+        handle.step()
+        assert handle.state_of("inner/acc")["seen"] == [(1.0, ["0abcd"])]
+        assert calls == ["a", "b", "c", "d", "x"]
+
+    def test_non_callable_translate_rejected(self):
+        model = CoupledSpec(
+            components={"gen": generator(1.0), "acc": counter()},
+            couplings=[Coupling("gen", "out", "acc", "in", translate=(str, "oops"))],
+        )
+        with pytest.raises(StructuralError, match="sequence of callables"):
+            initialize(model)
 
 
 class TestTraceDump:

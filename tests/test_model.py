@@ -26,7 +26,6 @@ from kinsim.objects import (
     ServerState,
     SinkState,
     SourceState,
-    SplitterState,
     Travelers,
     make_combiner,
     make_path,
@@ -41,13 +40,11 @@ FEMALE_C_FRACTION = 35.7 / (35.7 + 64.2)
 
 
 def counted_legs(spec):
-    """Leg names counted by Travelers on the model's couplings, sorted."""
-    return sorted(
-        leg
-        for coupling in spec.couplings
-        if isinstance(coupling.translate, Travelers)
-        for leg in coupling.translate.legs
+    """Leg names counted by the model's Travelers, each counter once, sorted."""
+    counters = dict.fromkeys(
+        z for coupling in spec.couplings for z in coupling.chain() if isinstance(z, Travelers)
     )
+    return sorted(leg for counter in counters for leg in counter.legs)
 
 
 def run_model(builder, config, replication=0, until=None):
@@ -69,7 +66,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("split", [(1.0, 0.0), (0.0, 1.0), (1.5, -0.5)])
     def test_sex_fraction_outside_open_unit_interval_flagged(self, split):
-        # Each sex is a splitter choice whose weight must be positive.
+        # Each sex is a route of a weighted choice, whose weight must be positive.
         config = ModelConfig.default()
         config.sex_split = split
         violations = validate_config(config)
@@ -387,16 +384,24 @@ class TestConsanguinityModel:
         assert by_type[ServerState] == 2
         assert by_type[SinkState] == 2
         assert by_type[SourceState] == 1
-        assert by_type[SplitterState] == 3
         assert PathState not in by_type
-        assert all(
-            len(component.initial_state.choices) > 1
-            for component in spec.components.values()
-            if isinstance(component.initial_state, SplitterState)
-        )
-        assert len(spec.components) == 10
+        assert len(spec.components) == 7  # routing is done on the couplings
         assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 15))
         assert spec.select == list(spec.components)
+
+    def test_source_feeds_the_four_combiner_entries_through_two_picks(self):
+        spec = build_consanguinity_model(ModelConfig.default())
+        from_wp = [c for c in spec.couplings if c.src == "WP"]
+        assert [(c.dst, c.dst_port) for c in from_wp] == [
+            ("Marriage_C", "member_in"), ("Marriage_NC", "member_in"),
+            ("Marriage_C", "parent_in"), ("Marriage_NC", "parent_in"),
+        ]
+        choices = [[z.choice for z in c.chain() if not isinstance(z, Travelers)] for c in from_wp]
+        sex = choices[0][0]
+        assert [picks[0] for picks in choices] == [sex] * 4
+        assert choices[0][1] is choices[1][1] is not choices[2][1] is choices[3][1]
+        assert sex.names == ("male", "female")
+        assert choices[0][1].names == ("consanguineous", "non_consanguineous")
 
     def test_leg_flow_identities_at_drain(self):
         config = ModelConfig.default()

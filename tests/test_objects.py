@@ -1,4 +1,4 @@
-"""Process objects: sources, combiners, servers, sinks, paths, routing."""
+"""Process objects: sources, combiners, servers, sinks, paths, weighted choices."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import trace_rows
+from _oracles import route_select, trace_rows
 from kinsim import (
     INFINITY,
     AtomicSpec,
@@ -16,8 +16,9 @@ from kinsim import (
     CoupledSpec,
     Coupling,
     EntityFactory,
+    NO_EVENT,
     Message,
-    RouteChoice,
+    WeightedChoice,
     individual_count,
     initialize,
     make_combiner,
@@ -25,11 +26,9 @@ from kinsim import (
     make_server,
     make_sink,
     make_source,
-    make_splitter,
-    route_select,
     substream,
 )
-from kinsim.errors import ConfigurationError, ContractViolationError
+from kinsim.errors import ConfigurationError, ContractViolationError, RoutingError
 from kinsim.objects import Travelers
 
 
@@ -474,28 +473,51 @@ class TestTravelers:
         assert [phase for _, _, phase, _, _ in trace] == ["internal", "external"] * 4
 
 
+def choice_legs(choice):
+    """One leg per route of ``choice``, in route order."""
+    return [choice.leg(name) for name in choice.names]
+
+
+def route(legs, entity):
+    """Hand ``entity`` to every leg, as the kernel does with one message; the
+    indices of the legs that pass it."""
+    return [i for i, leg in enumerate(legs) if leg(entity) is not NO_EVENT]
+
+
+class CountingStream:
+    """Returns the given uniforms in turn and counts the draws."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.drawn = 0
+
+    def uniform(self):
+        u = self.draws[self.drawn % len(self.draws)]
+        self.drawn += 1
+        return u
+
+
 class TestSplitter:
+    """The weighted split of a flow: a WeightedChoice and its legs."""
+
     def test_relabel_counts_dynamic_assignment(self):
         factory = EntityFactory()
-        spec = make_splitter(
-            [RouteChoice("male", 0.595, relabel="MP"), RouteChoice("female", 0.405, relabel="FP")],
-            stream=substream(21, 0),
-            factory=factory,
-        )
-        state = spec.initial_state
+        choice = WeightedChoice({"male": 0.595, "female": 0.405}, stream=substream(21, 0),
+                                relabel={"male": "MP", "female": "FP"}, factory=factory)
+        legs = choice_legs(choice)
         n = 2000
         for _ in range(n):
-            state = deliver(spec, [("in", factory.create("WP", 0.0))], state=state)
-            flush(spec, state)
+            entity = factory.create("WP", 0.0)
+            [picked] = route(legs, entity)
+            assert entity.class_label == ("MP", "FP")[picked]
         assert factory.label_counts["MP"] + factory.label_counts["FP"] == n
         p = 0.595
         assert abs(factory.label_counts["MP"] / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0), (1.0, math.nan)])
     def test_nonpositive_weight_rejected_at_build(self, weights):
-        choices = [RouteChoice(f"p{i}", w) for i, w in enumerate(weights)]
         with pytest.raises(ConfigurationError, match="weight must be positive"):
-            make_splitter(choices, stream=substream(1, 0))
+            WeightedChoice({f"p{i}": w for i, w in enumerate(weights)}, stream=substream(1, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -512,25 +534,82 @@ class TestSplitter:
     @example(weights=[1.0, 1.0], u=0.5)
     @example(weights=[1.0, 1.0, 2.0], u=0.25)
     def test_pick_is_route_select(self, weights, u):
-        class Fixed:
-            def uniform(self):
-                return u
-
         weighted = [(f"p{i}", w) for i, w in enumerate(weights)]
-        spec = make_splitter([RouteChoice(port, w) for port, w in weighted], stream=Fixed())
-        out = flush(spec, deliver(spec, [("in", "entity")]))
-        assert [msg.port for msg in out] == [weighted[route_select(weighted, u)][0]]
+        choice = WeightedChoice(dict(weighted), stream=CountingStream(u))
+        assert route(choice_legs(choice), "entity") == [route_select(weighted, u)]
 
     def test_weighted_splitter_requires_stream(self):
-        with pytest.raises(ConfigurationError):
-            make_splitter([RouteChoice("a", 1.0), RouteChoice("b", 1.0)])
+        with pytest.raises(TypeError, match="stream"):
+            WeightedChoice({"a": 1.0, "b": 1.0})
 
-    @pytest.mark.parametrize("choices", [[], [RouteChoice("out")]], ids=["no_choice", "one_choice"])
-    def test_empty_choices_rejected(self, choices):
+    @pytest.mark.parametrize("weights", [{}, {"out": 1.0}], ids=["no_choice", "one_choice"])
+    def test_empty_choices_rejected(self, weights):
         with pytest.raises(ConfigurationError, match="at least two"):
-            make_splitter(choices, stream=substream(1, 0))
+            WeightedChoice(weights, stream=substream(1, 0))
 
     def test_relabel_without_factory_rejected(self):
-        choices = [RouteChoice("male", 1.0, relabel="MP"), RouteChoice("female", 1.0)]
         with pytest.raises(ConfigurationError, match="needs an entity factory"):
-            make_splitter(choices, stream=substream(1, 0))
+            WeightedChoice({"male": 1.0, "female": 1.0}, stream=substream(1, 0),
+                           relabel={"male": "MP"})
+
+    def test_relabel_of_unknown_route_rejected(self):
+        with pytest.raises(ConfigurationError, match="relabel of route 'males'"):
+            WeightedChoice({"male": 1.0, "female": 1.0}, stream=substream(1, 0),
+                           relabel={"males": "MP"}, factory=EntityFactory())
+
+    def test_leg_of_unknown_route_rejected(self):
+        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
+        with pytest.raises(ConfigurationError, match="no route 'c'"):
+            choice.leg("c")
+
+    def test_one_draw_serves_every_leg_of_one_message(self):
+        stream = CountingStream(0.7)
+        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=stream)
+        # two legs per route, as when a pick feeds a second pick
+        legs = [choice.leg("a"), choice.leg("a"), choice.leg("b"), choice.leg("b")]
+        entity = EntityFactory().create("X", 0.0)
+        assert route(legs, entity) == [2, 3]
+        assert stream.drawn == 1
+
+    @pytest.mark.parametrize("per_event", [1, 2], ids=["two_events", "one_event"])
+    def test_same_entity_emitted_twice_draws_twice(self, per_event):
+        # One atomic emits the same Entity object twice in a row, in two
+        # events or as two messages of one event: each message draws anew.
+        entity = EntityFactory().create("X", 0.0)
+        emitter = AtomicSpec(
+            initial_state={"left": 2},
+            time_advance=lambda s: 1.0 if s["left"] else INFINITY,
+            delta_int=lambda s: {"left": s["left"] - per_event},
+            delta_ext=lambda s, e, xs: s,
+            output=lambda s: [Message("out", entity)] * per_event,
+            output_ports=("out",),
+        )
+        stream = CountingStream(0.2, 0.8)
+        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=stream)
+        sinks = {"A": make_sink(), "B": make_sink()}
+        model = CoupledSpec(
+            components={"src": emitter, **sinks},
+            couplings=[
+                Coupling("src", "out", "A", "in", choice.leg("a")),
+                Coupling("src", "out", "B", "in", choice.leg("b")),
+            ],
+        )
+        initialize(model).run_until(10.0)
+        assert stream.drawn == 2
+        assert [reported(sink.initial_state)["[InputBuffer]"] for sink in sinks.values()] == [1, 1]
+
+    def test_message_that_skips_a_leg_is_rejected(self):
+        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
+        first, _unwired = choice_legs(choice)
+        factory = EntityFactory()
+        first(factory.create("X", 0.0))
+        with pytest.raises(RoutingError, match="all 2 legs"):
+            first(factory.create("X", 0.0))
+
+    def test_leg_reached_twice_by_one_message_is_rejected(self):
+        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
+        first, _ = choice_legs(choice)
+        entity = EntityFactory().create("X", 0.0)
+        first(entity)
+        with pytest.raises(RoutingError, match="before the last one"):
+            first(entity)
