@@ -5,7 +5,7 @@ Layering, bottom up:
 
 * :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled).
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
-* :mod:`kinsim.objects` realizes Source, Combiner, Server, Sink and Path
+* :mod:`kinsim.objects` realizes Source, Combiner, Server and Sink
   objects as DEVS atomics, and routes entities on couplings with weighted
   choices and leg counters.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
@@ -50,7 +50,6 @@ from .randomness import (
 from .objects import (
     WeightedChoice,
     make_combiner,
-    make_path,
     make_server,
     make_sink,
     make_source,

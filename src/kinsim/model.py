@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterator, Mapping, Optional
 
 from .entities import EntityFactory
@@ -38,7 +39,7 @@ from .objects import (
     make_sink,
     make_source,
 )
-from .randomness import DiscreteDistribution, RngStream, make_distribution, substream
+from .randomness import DiscreteDistribution, RngStream, make_distribution, read_number, substream
 
 MALE = "male"
 FEMALE = "female"
@@ -72,24 +73,8 @@ class SourceSettings:
         max_arrivals = data.get("max_arrivals")
         return cls(
             interarrival=dict(data.get("interarrival", {"type": "constant", "value": 1.0})),
-            max_arrivals=None if max_arrivals is None else _integer(max_arrivals),
+            max_arrivals=None if max_arrivals is None else read_number(max_arrivals, integral=True),
         )
-
-
-def _number(value) -> float:
-    """A JSON number as a float; ``true``/``false`` are not numbers here."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """A JSON number with no fractional part as an int."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _check_keys(mapping: Mapping, known: tuple[str, ...]) -> Mapping:
@@ -173,7 +158,8 @@ class ModelConfig:
         a top-level field, a source name or a key in a ``sources`` entry, a
         sex in ``sex_split``, or a sex or branch in ``routing_weights``.  So
         does a field whose value has the wrong shape or type (a fraction
-        where a count belongs, a boolean where a number belongs).
+        where a count belongs, a string or a boolean where a number
+        belongs).
         Values of the right shape are checked by :func:`validate_config`,
         not here.
         """
@@ -198,9 +184,9 @@ class ModelConfig:
 def _parse_sex_split(split) -> tuple[float, float]:
     if isinstance(split, Mapping):
         _check_keys(split, (MALE, FEMALE))
-        return _number(split[MALE]), _number(split[FEMALE])
+        return read_number(split[MALE]), read_number(split[FEMALE])
     male, female = split
-    return _number(male), _number(female)
+    return read_number(male), read_number(female)
 
 
 def _parse_degree(raw) -> ConsanguinityDegree:
@@ -215,9 +201,9 @@ def _parse_degree(raw) -> ConsanguinityDegree:
 
 # ModelConfig field -> parser of its JSON value, in parse order.
 _FIELD_PARSERS = {
-    "run_length": _number,
-    "replications": _integer,
-    "base_seed": _integer,
+    "run_length": read_number,
+    "replications": partial(read_number, integral=True),
+    "base_seed": partial(read_number, integral=True),
     "sources": lambda sources: {
         **_default_sources(),
         **{name: SourceSettings.from_dict(sub)
@@ -225,13 +211,13 @@ _FIELD_PARSERS = {
     },
     "sex_split": _parse_sex_split,
     "routing_weights": lambda weights: {
-        sex: {branch: _number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
+        sex: {branch: read_number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
         for sex, entry in _check_keys(weights, (MALE, FEMALE)).items()
     },
     "offspring_distribution": dict,
-    "allele_frequency": _number,
+    "allele_frequency": read_number,
     "consanguinity_degree": _parse_degree,
-    "inbreeding_f": lambda value: None if value is None else _number(value),
+    "inbreeding_f": lambda value: None if value is None else read_number(value),
     "metadata": lambda metadata: {str(k): str(v) for k, v in metadata.items()},
 }
 
@@ -363,7 +349,7 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
     components = {
         "MP": _make_source(config, "MP", factory, root.named("mp_interarrival")),
         "FP": _make_source(config, "FP", factory, root.named("fp_interarrival")),
-        "Marriage": make_combiner(batch_quantity=1),
+        "Marriage": make_combiner(),
         "Population Growth": make_server(on_processed=on_growth),
         "New Population": make_sink(),
     }
@@ -419,8 +405,8 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     males, females = Travelers("Path1"), Travelers("Path2")
     components = {
         "WP": _make_source(config, "WP", factory, root.named("wp_interarrival")),
-        "Marriage_C": make_combiner(batch_quantity=1),
-        "Marriage_NC": make_combiner(batch_quantity=1),
+        "Marriage_C": make_combiner(),
+        "Marriage_NC": make_combiner(),
         "PopulationG_C": growth_server(
             "Child_C", config.consanguinity_degree, config.inbreeding_f,
             root.named("offspring_consanguineous"), root.named("disorder_consanguineous"),

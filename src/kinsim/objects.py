@@ -1,4 +1,4 @@
-"""Process-object library: Source, Combiner, Server, Sink, Path, plus the
+"""Process-object library: Source, Combiner, Server and Sink, plus the
 routing pieces that live on couplings, WeightedChoice and Travelers.
 
 Each object is realized as one DEVS atomic whose state keeps flat
@@ -8,27 +8,26 @@ rows through ``report_rows(name)``.  Routing costs no atomic: a
 couplings, and a :class:`Travelers` translate counts a leg and reports one
 row per leg name.  Conventions shared by all objects:
 
-* Zero service times are the default; entities then cascade through an
-  arbitrary number of objects at a single clock value, one kernel step per
-  object that holds them, in FIFO order.  A leg that only forwards, picks
-  or counts entities costs no step: it is a coupling.  A :func:`make_path`
-  atomic is only needed for a travel time above zero.
+* Every step takes zero time, as marriage and births do in the model:
+  entities cascade through an arbitrary number of objects at a single
+  clock value, one kernel step per object that holds them, in FIFO order.
+  A leg that only forwards, picks or counts entities costs no step: it is
+  a coupling.
 * Objects track their own absolute clock (``now``) from the elapsed times the
   kernel hands to ``delta_ext``; models built from these objects are expected
   to start at t0 = 0.
 * A report row is (object name, data source, category, value).  Buffer
   rows are read off the object's counters at the moment of the report: a
   server's and a sink's input buffer report arrivals, a server's output
-  buffer reports serviced entities that have left, a combiner's parent
+  buffer reports processed entities that have left, a combiner's parent
   buffer reports candidates that arrived and its member buffer reports
-  members consumed into a batch (``processed x batch_quantity``).
+  members consumed into a marriage, one per marriage.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Any, Callable, Mapping, Optional
 
@@ -246,12 +245,12 @@ class Travelers:
     """Counts the entities that cross a coupling and passes them on unchanged.
 
     Used as a :class:`~kinsim.kernel.Coupling`'s ``translate``, it makes the
-    coupling a counted zero-delay leg, the same count a zero-travel-time
-    path reports as ``[Travelers]`` without the kernel step per hop.  One
-    counter may carry several leg names when every entity crosses those legs
-    together; each name gets its own report row with the shared count.  One
-    counter may also sit on several couplings, behind picks that let each
-    entity through only one of them; it still reports once.
+    coupling a counted zero-delay leg, reported as ``[Travelers]``, that
+    costs no kernel step.  One counter may carry several leg names when
+    every entity crosses those legs together; each name gets its own report
+    row with the shared count.  One counter may also sit on several
+    couplings, behind picks that let each entity through only one of them;
+    it still reports once.
     """
 
     __slots__ = ("legs", "count")
@@ -269,90 +268,22 @@ class Travelers:
 
 
 # ---------------------------------------------------------------------------
-# Path
-
-
-class PathState:
-    __slots__ = ("travel_time", "queue", "now", "stats")
-
-    def __init__(self, travel_time):
-        self.travel_time = travel_time
-        self.queue: deque[tuple[Time, Entity]] = deque()
-        self.now: Time = 0.0
-        self.stats = ObjectStats()
-
-    def held_individuals(self) -> int:
-        return sum(individual_count(e) for _, e in self.queue)
-
-    def report_rows(self, name: str) -> list[StatRow]:
-        return [(name, TRAVELERS, THROUGHPUT, self.stats.entered)]
-
-
-def _path_ta(s: PathState) -> Time:
-    return s.queue[0][0] - s.now if s.queue else INFINITY
-
-
-def _path_out(s: PathState) -> list[Message]:
-    due = s.queue[0][0]
-    return [Message(PORT_OUT, entity) for exit_time, entity in s.queue if exit_time == due]
-
-
-def _path_dint(s: PathState) -> PathState:
-    due = s.queue[0][0]
-    s.now = due
-    while s.queue and s.queue[0][0] == due:
-        s.queue.popleft()
-        s.stats.exited += 1
-    return s
-
-
-def _path_dext(s: PathState, elapsed: Time, bag) -> PathState:
-    s.now += elapsed
-    for msg in bag:
-        s.queue.append((s.now + s.travel_time, msg.payload))
-        s.stats.entered += 1
-    return s
-
-
-def make_path(travel_time: Time) -> AtomicSpec:
-    """Delay line between two objects; counts every traveler.
-
-    The travel time is one constant and the clock never runs back, so
-    entities exit in entry order.
-    """
-    if travel_time < 0:
-        raise ConfigurationError(f"travel_time must be >= 0, got {travel_time}")
-    state = PathState(travel_time)
-    return AtomicSpec(
-        initial_state=state,
-        time_advance=_path_ta,
-        delta_int=_path_dint,
-        delta_ext=_path_dext,
-        output=_path_out,
-        input_ports=(PORT_IN,),
-        output_ports=(PORT_OUT,),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Combiner
 
 
 class CombinerState:
-    __slots__ = ("batch_quantity", "parents", "members", "ready", "stats")
+    __slots__ = ("parents", "members", "ready", "stats")
 
-    def __init__(self, batch_quantity):
-        self.batch_quantity = batch_quantity
+    def __init__(self):
         self.parents: deque[Entity] = deque()
         self.members: deque[Entity] = deque()
         self.ready: list[Entity] = []
         self.stats = ObjectStats()
 
     def _match(self) -> None:
-        while self.parents and len(self.members) >= self.batch_quantity:
+        while self.parents and self.members:
             parent = self.parents.popleft()
-            for _ in range(self.batch_quantity):
-                parent.members.append(self.members.popleft())
+            parent.members.append(self.members.popleft())
             self.ready.append(parent)
             self.stats.processed += 1
 
@@ -365,9 +296,9 @@ class CombinerState:
     def report_rows(self, name: str) -> list[StatRow]:
         s = self.stats
         return [
-            (name, "[MemberInputBuffer]", CONTENT, s.processed * self.batch_quantity),
+            (name, "[MemberInputBuffer]", CONTENT, s.processed),
             (name, OUTPUT_BUFFER, CONTENT, s.exited),
-            # each processed batch took one parent; the rest still wait
+            # each marriage took one parent; the rest still wait
             (name, "[ParentInputBuffer]", CONTENT, s.processed + len(self.parents)),
             (name, PROCESSED, THROUGHPUT, s.processed),
         ]
@@ -398,19 +329,16 @@ def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
     return s
 
 
-def make_combiner(batch_quantity: int = 1) -> AtomicSpec:
-    """Attach batched members to a parent entity and emit it immediately.
+def make_combiner() -> AtomicSpec:
+    """Attach one member to a parent entity and emit the parent at once.
 
-    Parents and members wait in FIFO buffers; whenever at least one parent
-    and ``batch_quantity`` members are available the members move onto the
-    parent's member list and the parent leaves with zero service time.
-    Surplus arrivals on either side stay held in their buffer.
+    Parents and members wait in FIFO buffers; whenever a parent and a member
+    are both available the member moves onto the parent's member list and
+    the parent leaves with zero service time.  Surplus arrivals on either
+    side stay held in their buffer.
     """
-    if batch_quantity < 1:
-        raise ConfigurationError(f"batch_quantity must be >= 1, got {batch_quantity}")
-    state = CombinerState(batch_quantity)
     return AtomicSpec(
-        initial_state=state,
+        initial_state=CombinerState(),
         time_advance=_combiner_ta,
         delta_int=_combiner_dint,
         delta_ext=_combiner_dext,
@@ -424,50 +352,21 @@ def make_combiner(batch_quantity: int = 1) -> AtomicSpec:
 # Server
 
 
-class ServerState:
-    __slots__ = ("capacity", "dist", "stream", "on_processed", "queue", "in_service",
-                 "outq", "outq_serviced", "now", "_seq", "stats")
+ProcessedTrigger = Callable[[Entity, Time], list[Entity]]
 
-    def __init__(self, capacity, dist, stream, on_processed):
-        self.capacity = capacity
-        self.dist = dist
-        self.stream = stream
+
+class ServerState:
+    __slots__ = ("on_processed", "outq", "outq_serviced", "now", "stats")
+
+    def __init__(self, on_processed: ProcessedTrigger):
         self.on_processed = on_processed
-        self.queue: deque[Entity] = deque()
-        self.in_service: list[tuple[Time, int, Entity]] = []
         self.outq: list[Entity] = []
-        self.outq_serviced = 0
+        self.outq_serviced = 0  # processed entities in ``outq``; offspring are not
         self.now: Time = 0.0
-        self._seq = 0
         self.stats = ObjectStats()
 
-    def _settle(self) -> None:
-        """Pull waiting entities into service and complete everything due now."""
-        while True:
-            while self.queue and len(self.in_service) < self.capacity:
-                entity = self.queue.popleft()
-                duration = self.dist.sample(self.stream) if self.dist is not None else 0.0
-                if duration < 0:
-                    raise ContractViolationError(f"service time sample must be >= 0, got {duration}")
-                heappush(self.in_service, (self.now + duration, self._seq, entity))
-                self._seq += 1
-            if self.in_service and self.in_service[0][0] == self.now:
-                _, _, entity = heappop(self.in_service)
-                self.stats.processed += 1
-                self.outq.append(entity)
-                self.outq_serviced += 1
-                if self.on_processed is not None:
-                    created = self.on_processed(entity, self.now)
-                    if created:
-                        self.outq.extend(created)  # offspring leave behind their parent
-                continue
-            break
-
     def held_individuals(self) -> int:
-        held = sum(individual_count(e) for e in self.queue)
-        held += sum(individual_count(e) for _, _, e in self.in_service)
-        held += sum(individual_count(e) for e in self.outq)
-        return held
+        return sum(individual_count(e) for e in self.outq)
 
     def report_rows(self, name: str) -> list[StatRow]:
         s = self.stats
@@ -479,11 +378,7 @@ class ServerState:
 
 
 def _server_ta(s: ServerState) -> Time:
-    if s.outq:
-        return 0.0
-    if s.in_service:
-        return s.in_service[0][0] - s.now
-    return INFINITY
+    return 0.0 if s.outq else INFINITY
 
 
 def _server_out(s: ServerState) -> list[Message]:
@@ -491,51 +386,36 @@ def _server_out(s: ServerState) -> list[Message]:
 
 
 def _server_dint(s: ServerState) -> ServerState:
-    if s.outq:
-        s.stats.exited += len(s.outq)
-        s.outq.clear()
-        s.outq_serviced = 0
-        s._settle()
-        return s
-    s.now = s.in_service[0][0]
-    s._settle()
+    s.stats.exited += len(s.outq)
+    s.outq.clear()
+    s.outq_serviced = 0
     return s
 
 
 def _server_dext(s: ServerState, elapsed: Time, bag) -> ServerState:
     s.now += elapsed
     for msg in bag:
-        s.queue.append(msg.payload)
+        entity = msg.payload
         s.stats.entered += 1
-    s._settle()
+        s.stats.processed += 1
+        s.outq_serviced += 1
+        s.outq.append(entity)
+        s.outq.extend(s.on_processed(entity, s.now))  # offspring leave behind their parent
     return s
 
 
-ProcessedTrigger = Callable[[Entity, Time], Optional[list[Entity]]]
+def make_server(on_processed: ProcessedTrigger) -> AtomicSpec:
+    """Zero-time FIFO process with a completion trigger.
 
-
-def make_server(
-    capacity: int = 1,
-    service_time: Optional[Distribution] = None,
-    on_processed: Optional[ProcessedTrigger] = None,
-    *,
-    stream: Optional[RngStream] = None,
-) -> AtomicSpec:
-    """Capacitated FIFO process with an optional completion trigger.
-
-    Up to ``capacity`` entities are serviced concurrently; the rest wait in
-    the input buffer.  On completion the trigger may create additional
-    entities (offspring), which are injected into the output buffer directly
-    behind the triggering entity and leave with it, in order.  Buffer rows
-    count serviced entities only; trigger-created entities are counted
-    under their own class labels by the factory that created them.
-    ``service_time=None`` means zero service time.
+    Each arrival is processed the moment it arrives, in arrival order.  The
+    trigger then returns the entities it creates (offspring), which go to
+    the output buffer directly behind the triggering entity and leave with
+    it, in order.  Buffer rows count processed entities only;
+    trigger-created entities are counted under their own class labels by
+    the factory that created them.
     """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    state = ServerState(capacity, service_time, stream, on_processed)
     return AtomicSpec(
-        initial_state=state,
+        initial_state=ServerState(on_processed),
         time_advance=_server_ta,
         delta_int=_server_dint,
         delta_ext=_server_dext,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -110,6 +111,26 @@ def substream(base_seed: int, replication_index: int) -> RngStream:
     return RngStream(derive_seed(base_seed, replication_index))
 
 
+def read_number(value, *, integral: bool = False) -> Union[float, int]:
+    """A number read from a config: a float, or with ``integral`` an int.
+
+    Only a real number is a number here: a string or ``true``/``false``
+    raises TypeError.  An ``integral`` value with a fractional part, and
+    an integer too large for a float where a float is read, raise
+    ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("expected a number within the range of a float") from None
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 
@@ -181,10 +202,13 @@ class DiscreteDistribution:
         values = []
         cums = []
         for value, cum in pairs:
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigurationError(f"discrete values must be integers, got {value!r}")
-            values.append(int(value))
-            cums.append(float(cum))
+            try:
+                values.append(read_number(value, integral=True))
+                cums.append(read_number(cum))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"discrete entries must be (integer, number) pairs, got {[value, cum]!r}: {exc}"
+                ) from None
         if len(set(values)) != len(values):
             raise ConfigurationError(f"discrete values must be distinct, got {values}")
         previous = 0.0
@@ -278,7 +302,7 @@ def make_distribution(config: Mapping) -> Distribution:
 
 def _finite(config: Mapping, key: str) -> float:
     # JSON admits NaN and Infinity; either as a time parameter stalls a run.
-    value = float(config[key])
+    value = read_number(config[key])
     if not math.isfinite(value):
         raise ConfigurationError(f"distribution parameter {key!r} must be finite, got {value}")
     return value

@@ -61,6 +61,10 @@ MALFORMED_FIELDS = [
         "male": {"consanguineous": 35.7, "non_consanguineous": 65.9},
         "female": {"consanguinous": 35.7, "non_consanguineous": 64.2},
     }}),
+    ("run_length", {"run_length": "200"}),
+    ("replications", {"replications": "3"}),
+    ("sex_split", {"sex_split": {"male": 0.5, "female": "0.5"}}),
+    ("run_length", {"run_length": 10**400}),
 ]
 
 
@@ -85,6 +89,10 @@ def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, ca
     ("run_length", math.inf),
     ("routing_weights.male.consanguineous", math.nan),
     ("sources.WP.interarrival", {"type": "constant", "value": math.nan}),
+    # not numbers at all: once read as 1.0, 2 and 1
+    ("sources.WP.interarrival", {"type": "constant", "value": True}),
+    ("offspring_distribution", {"type": "discrete", "pairs": [["2", "1.0"]]}),
+    ("offspring_distribution", {"type": "discrete", "pairs": [[True, 1.0]]}),
 ])
 def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     # Each of these once validated and then hung or ran silently wrong.

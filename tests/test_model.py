@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinsim import (
     ConsanguinityDegree,
@@ -22,14 +25,10 @@ from kinsim import (
 from kinsim.errors import ConfigurationError
 from kinsim.objects import (
     CombinerState,
-    PathState,
     ServerState,
     SinkState,
     SourceState,
     Travelers,
-    make_combiner,
-    make_path,
-    make_server,
     make_sink,
     make_source,
 )
@@ -37,6 +36,43 @@ from kinsim.randomness import Constant, substream
 
 MALE_C_FRACTION = 35.7 / (35.7 + 65.9)
 FEMALE_C_FRACTION = 35.7 / (35.7 + 64.2)
+
+
+@st.composite
+def valid_configs(draw) -> ModelConfig:
+    """Any config that ``validate_config`` accepts, over every field."""
+    positive = st.floats(1e-6, 1e6)
+    unit = st.floats(0.0, 1.0)
+    interarrivals = st.one_of(
+        st.builds(lambda v: {"type": "constant", "value": v}, positive),
+        st.builds(lambda low, width: {"type": "uniform", "low": low, "high": low + width},
+                  st.floats(0.0, 1e3), positive),
+        st.builds(lambda m: {"type": "exponential", "mean": m}, positive),
+    )
+    offspring = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6, unique=True))
+    cums = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=len(offspring) - 1,
+                                max_size=len(offspring) - 1, unique=True)))
+    male = draw(st.floats(0.01, 0.99))
+    return ModelConfig(
+        run_length=draw(st.floats(1e-3, 1e6)),
+        replications=draw(st.integers(1, 1000)),
+        base_seed=draw(st.integers(0, 2**64 - 1)),
+        sources={
+            name: SourceSettings(draw(interarrivals), draw(st.none() | st.integers(0, 10**6)))
+            for name in ("WP", "MP", "FP")
+        },
+        sex_split=(male, 1.0 - male),
+        routing_weights={
+            sex: {"consanguineous": draw(positive), "non_consanguineous": draw(positive)}
+            for sex in ("male", "female")
+        },
+        offspring_distribution={"type": "discrete",
+                                "pairs": [[v, c] for v, c in zip(offspring, cums + [1.0])]},
+        allele_frequency=draw(unit),
+        consanguinity_degree=draw(st.sampled_from(list(ConsanguinityDegree))),
+        inbreeding_f=draw(st.none() | unit),
+        metadata=draw(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3)),
+    )
 
 
 def counted_legs(spec):
@@ -162,6 +198,12 @@ class TestValidateConfig:
         restored = ModelConfig.from_dict(config.to_dict())
         assert restored.to_dict() == config.to_dict()
 
+    @settings(max_examples=200, deadline=None)
+    @given(config=valid_configs())
+    def test_valid_config_round_trips_through_json(self, config):
+        assert validate_config(config) == []
+        assert ModelConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
     def test_unknown_degree_rejected_at_parse(self):
         with pytest.raises(ConfigurationError, match="consanguinity_degree"):
             ModelConfig.from_dict({"consanguinity_degree": "sibling"})
@@ -182,6 +224,10 @@ class TestValidateConfig:
         ("sex_split", {"sex_split": {"male": 0.595, "female": 0.405, "males": 0.5}}),
         ("routing_weights", {"routing_weights": {"males": {"consanguineous": 1.0}}}),
         ("routing_weights", {"routing_weights": {"male": {"consanguinous": 35.7}}}),
+        ("run_length", {"run_length": "200"}),
+        ("replications", {"replications": "3"}),
+        ("sex_split", {"sex_split": {"male": 0.5, "female": "0.5"}}),
+        ("run_length", {"run_length": 10**400}),
     ])
     def test_wrong_values_rejected_at_parse(self, field, data):
         with pytest.raises(ConfigurationError, match=f"^malformed {field}: "):
@@ -230,28 +276,6 @@ class TestNestedLegs:
         assert stats.value("Group/Sink", "[InputBuffer]") == 4
 
 
-def hand_built_model():
-    """FP walks a 0.5 path to a two-member combiner; couples take 2.5 to serve."""
-    factory = EntityFactory()
-    return CoupledSpec(
-        components={
-            "FP": make_source("FP", Constant(1.0), None, factory=factory, stream=substream(3, 0)),
-            "MP": make_source("MP", Constant(1.0), None, factory=factory, stream=substream(3, 1)),
-            "Walk": make_path(0.5),
-            "Marriage": make_combiner(batch_quantity=2),
-            "Growth": make_server(capacity=2, service_time=Constant(2.5), stream=substream(3, 2)),
-            "End": make_sink(),
-        },
-        couplings=[
-            Coupling("FP", "out", "Walk", "in"),
-            Coupling("Walk", "out", "Marriage", "parent_in"),
-            Coupling("MP", "out", "Marriage", "member_in"),
-            Coupling("Marriage", "out", "Growth", "in"),
-            Coupling("Growth", "out", "End", "in"),
-        ],
-    )
-
-
 class TestReportRowPins:
     """Exact report rows on paths the packaged report does not reach."""
 
@@ -281,50 +305,40 @@ class TestReportRowPins:
         assert stats.destroyed_by_class == {"FP": 200, "MP": 200, "Child": 442}
         assert stats.affected_by_class == {}
 
-    def test_rows_mid_flight_with_delays(self):
-        handle = initialize(hand_built_model())
-        handle.run_until(7.2)
-        # one FP in transit on Walk, one couple in service, three parents held
-        assert len(handle.state_of("Walk").queue) == 1
-        assert len(handle.state_of("Growth").in_service) == 1
-        stats = collect_run_stats(handle)
-        assert stats.rows == [
-            ("Walk", "[Travelers]", "Throughput", 7),
-            ("Marriage", "[MemberInputBuffer]", "Content", 6),
-            ("Marriage", "[OutputBuffer]", "Content", 3),
-            ("Marriage", "[ParentInputBuffer]", "Content", 6),
-            ("Marriage", "[Processed]", "Throughput", 3),
-            ("Growth", "[InputBuffer]", "Content", 3),
-            ("Growth", "[OutputBuffer]", "Content", 2),
-            ("Growth", "[Processed]", "Throughput", 2),
-            ("End", "[InputBuffer]", "Throughput", 2),
-            ("FP", "[Dynamic Object]", "Throughput", 7),
-            ("MP", "[Dynamic Object]", "Throughput", 7),
-        ]
-        assert (stats.created_total, stats.held_individuals) == (16, 10)
-
     def test_rows_between_steps_with_output_waiting(self):
-        handle = initialize(hand_built_model())
-        handle.run_until(7.2)
-        while not handle.state_of("Growth").outq:
+        config = ModelConfig.default()
+        handle = initialize(build_population_growth_model(config))
+        handle.run_until(100.0)
+        server = handle.state_of("Population Growth")
+        while len(server.outq) < 2:
             handle.step()
-        # the couple served at 8.5 is processed but has not left yet
-        assert handle.clock == 8.5
+        # the couple married at 101 is processed, and it and its three
+        # children wait in the output buffer: they have not left yet
+        assert handle.clock == 101.0
+        assert [e.class_label for e in server.outq] == ["FP", "Child", "Child", "Child"]
         stats = collect_run_stats(handle)
         assert stats.rows == [
-            ("Walk", "[Travelers]", "Throughput", 8),
-            ("Marriage", "[MemberInputBuffer]", "Content", 8),
-            ("Marriage", "[OutputBuffer]", "Content", 4),
-            ("Marriage", "[ParentInputBuffer]", "Content", 8),
-            ("Marriage", "[Processed]", "Throughput", 4),
-            ("Growth", "[InputBuffer]", "Content", 4),
-            ("Growth", "[OutputBuffer]", "Content", 2),
-            ("Growth", "[Processed]", "Throughput", 3),
-            ("End", "[InputBuffer]", "Throughput", 2),
-            ("FP", "[Dynamic Object]", "Throughput", 8),
-            ("MP", "[Dynamic Object]", "Throughput", 8),
+            ("Marriage", "[MemberInputBuffer]", "Content", 101),
+            ("Marriage", "[OutputBuffer]", "Content", 101),
+            ("Marriage", "[ParentInputBuffer]", "Content", 101),
+            ("Marriage", "[Processed]", "Throughput", 101),
+            ("Population Growth", "[InputBuffer]", "Content", 101),
+            ("Population Growth", "[OutputBuffer]", "Content", 100),  # processed - waiting
+            ("Population Growth", "[Processed]", "Throughput", 101),
+            ("New Population", "[InputBuffer]", "Throughput", 328),
+            ("Path1", "[Travelers]", "Throughput", 101),
+            ("Path2", "[Travelers]", "Throughput", 101),
+            ("Path3", "[Travelers]", "Throughput", 101),
+            ("Path4", "[Travelers]", "Throughput", 328),
+            ("Child", "[Dynamic Object]", "Throughput", 231),
+            ("FP", "[Dynamic Object]", "Throughput", 101),
+            ("MP", "[Dynamic Object]", "Throughput", 101),
         ]
-        assert (stats.created_total, stats.held_individuals) == (18, 12)
+        # held: the couple (2) and its children (3) at the server, and the
+        # next MP and FP each source holds until 102
+        assert stats.held_individuals == 7
+        assert (stats.created_total, stats.destroyed_individuals) == (435, 428)
+        assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
 
 
 class TestPopulationGrowthModel:
@@ -369,7 +383,7 @@ class TestPopulationGrowthModel:
         assert states.count("CombinerState") == 1
         assert states.count("ServerState") == 1
         assert states.count("SinkState") == 1
-        assert len(states) == 5  # no PathState relays remain
+        assert len(states) == 5
         assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 5))
 
 
@@ -384,7 +398,6 @@ class TestConsanguinityModel:
         assert by_type[ServerState] == 2
         assert by_type[SinkState] == 2
         assert by_type[SourceState] == 1
-        assert PathState not in by_type
         assert len(spec.components) == 7  # routing is done on the couplings
         assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 15))
         assert spec.select == list(spec.components)
@@ -533,12 +546,10 @@ class TestConsanguinityModel:
         handle = initialize(build_consanguinity_model(config))
         handle.run_until(config.run_length)
         for name, state in handle.components():
-            if isinstance(state, PathState):
-                assert state.stats.entered == state.stats.exited + len(state.queue), name
-            elif isinstance(state, CombinerState):
+            if isinstance(state, CombinerState):
                 arrived = state.stats.entered  # parents and members
-                carried_out = state.stats.processed * (1 + state.batch_quantity)
+                carried_out = state.stats.processed * 2  # a parent and its member
                 assert arrived == carried_out + state.held_individuals(), name
             elif isinstance(state, ServerState):
-                in_house = len(state.queue) + len(state.in_service)
-                assert state.stats.entered == state.stats.processed + in_house, name
+                assert state.stats.entered == state.stats.processed, name
+                assert not state.outq, name  # zero-time: all left by the end

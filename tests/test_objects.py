@@ -1,4 +1,5 @@
-"""Process objects: sources, combiners, servers, sinks, paths, weighted choices."""
+"""Process objects: sources, combiners, zero-time servers, sinks, weighted choices
+and leg counters."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from kinsim import (
     individual_count,
     initialize,
     make_combiner,
-    make_path,
     make_server,
     make_sink,
     make_source,
@@ -193,7 +193,7 @@ class TestSource:
 class TestCombiner:
     def test_marriage_attaches_member_to_parent(self):
         factory = EntityFactory()
-        spec = make_combiner(batch_quantity=1)
+        spec = make_combiner()
         fp, mp = factory.create("FP", 0.0), factory.create("MP", 0.0)
         state = deliver(spec, [("parent_in", fp), ("member_in", mp)])
         out = flush(spec, state)
@@ -224,18 +224,6 @@ class TestCombiner:
         assert rows["[MemberInputBuffer]"] == 74
         assert rows["[OutputBuffer]"] == 74
 
-    def test_batch_quantity_two(self):
-        factory = EntityFactory()
-        spec = make_combiner(batch_quantity=2)
-        state = deliver(spec, [("parent_in", e) for e in entities(factory, "P", 2)])
-        state = deliver(spec, [("member_in", e) for e in entities(factory, "M", 5)], state=state)
-        out = flush(spec, state)
-        assert len(out) == 2
-        assert all(len(m.payload.members) == 2 for m in out)
-        # 5 members arrived, 4 went into batches, 1 is held
-        assert reported(state)["[MemberInputBuffer]"] == 4
-        assert len(state.members) == 1
-
     def test_fifo_pairing_order(self):
         factory = EntityFactory()
         spec = make_combiner()
@@ -248,19 +236,12 @@ class TestCombiner:
         assert parents[0].members == [members[0]]
         assert parents[1].members == [members[1]]
 
-    def test_bad_batch_quantity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_combiner(batch_quantity=0)
-
     @settings(max_examples=50, deadline=None)
-    @given(
-        arrivals=st.lists(st.booleans(), max_size=60),
-        batch_quantity=st.integers(min_value=1, max_value=3),
-    )
-    def test_drained_output_equals_min_rule(self, arrivals, batch_quantity):
+    @given(arrivals=st.lists(st.booleans(), max_size=60))
+    def test_drained_output_equals_min_rule(self, arrivals):
         # True = parent arrival, False = member arrival, in random order.
         factory = EntityFactory()
-        spec = make_combiner(batch_quantity=batch_quantity)
+        spec = make_combiner()
         state = spec.initial_state
         for is_parent in arrivals:
             port = "parent_in" if is_parent else "member_in"
@@ -268,10 +249,10 @@ class TestCombiner:
         out = flush(spec, state)
         n_parents = sum(arrivals)
         n_members = len(arrivals) - n_parents
-        assert len(out) == min(n_parents, n_members // batch_quantity)
+        assert len(out) == min(n_parents, n_members)
         assert state.stats.processed == len(out)
-        # member consumption always equals processed batches times the quantity
-        assert reported(state)["[MemberInputBuffer]"] == len(out) * batch_quantity
+        # each marriage consumes one member
+        assert reported(state)["[MemberInputBuffer]"] == len(out)
         # conservation at the object: everything in is out or held
         held = state.held_individuals()
         total_in = len(arrivals)
@@ -279,15 +260,21 @@ class TestCombiner:
         assert total_in == total_out + held
 
 
+def no_offspring(parent, now):
+    return []
+
+
 class TestServer:
     def test_zero_service_time_is_passthrough(self):
         factory = EntityFactory()
-        spec = make_server()
+        spec = make_server(no_offspring)
         e = factory.create("E", 0.0)
         state = deliver(spec, [("in", e)])
+        assert spec.time_advance(state) == 0.0
         out = flush(spec, state)
         assert [m.payload for m in out] == [e]
         assert state.stats.processed == 1
+        assert spec.time_advance(state) == INFINITY
 
     def test_trigger_children_leave_behind_parent(self):
         factory = EntityFactory()
@@ -306,47 +293,31 @@ class TestServer:
 
     def test_processed_counter_accumulates(self):
         factory = EntityFactory()
-        spec = make_server()
+        spec = make_server(no_offspring)
         state = spec.initial_state
         for _ in range(299):
             state = deliver(spec, [("in", factory.create("E", 0.0))], state=state)
             flush(spec, state)
         assert state.stats.processed == 299
-        assert reported(state)["[InputBuffer]"] == 299 and not state.queue
-
-    def test_capacity_limits_concurrency(self):
-        factory = EntityFactory()
-        src_stream = substream(8, 0)
-        src = make_source("E", Constant(0.5), 4, factory=factory, stream=src_stream)
-        server = make_server(capacity=1, service_time=Constant(2.0), stream=substream(9, 0))
-        sink = make_sink()
-        model = CoupledSpec(
-            components={"src": src, "srv": server, "snk": sink},
-            couplings=[
-                Coupling("src", "out", "srv", "in"),
-                Coupling("srv", "out", "snk", "in"),
-            ],
-        )
-        handle = initialize(model)
-        handle.run_until(1.9)
-        st_srv = server.initial_state.stats
-        assert st_srv.entered == 3  # arrivals at 0.5, 1.0, 1.5
-        assert st_srv.processed == 0  # first service completes at t=2.5
-        handle.run_until(20.0)
-        assert st_srv.processed == 4
-        assert sink.initial_state.stats.destroyed == 4
-        # serialized: completions at 2.5, 4.5, 6.5, 8.5
-        assert server.initial_state.now == 8.5
+        assert reported(state)["[InputBuffer]"] == 299 and not state.outq
 
     def test_fifo_service_order_preserved(self):
+        # Same-instant arrivals are processed in arrival order, each parent
+        # followed by its own offspring, also when a later arrival comes
+        # before the earlier ones have left.
         factory = EntityFactory()
-        spec = make_server(capacity=2, service_time=Constant(1.0), stream=substream(10, 0))
+
+        def one_child_each(parent, now):
+            return [factory.create(f"Child of {parent.id}", now)]
+
+        spec = make_server(one_child_each)
         first, second, third = entities(factory, "E", 3)
-        state = deliver(spec, [("in", first), ("in", second), ("in", third)])
-        assert spec.time_advance(state) == 1.0
-        state = spec.delta_int(state)  # completes the first two at t=1
-        out = flush(spec, state)
-        assert [m.payload for m in out] == [first, second]
+        state = deliver(spec, [("in", first), ("in", second)])
+        state = deliver(spec, [("in", third)], state=state)
+        out = [m.payload for m in flush(spec, state)]
+        assert out[::2] == [first, second, third]
+        assert [child.class_label for child in out[1::2]] == [f"Child of {e.id}" for e in out[::2]]
+        assert reported(state)["[OutputBuffer]"] == 3
 
     def test_unit_balance_includes_trigger_children(self):
         factory = EntityFactory()
@@ -364,16 +335,6 @@ class TestServer:
         assert state.stats.entered + 6 == emitted
         assert state.stats.exited == emitted
         assert state.held_individuals() == 0
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_server(capacity=0)
-
-    def test_negative_service_sample_rejected(self):
-        factory = EntityFactory()
-        spec = make_server(service_time=Constant(-0.5), stream=substream(11, 0))
-        with pytest.raises(ContractViolationError):
-            deliver(spec, [("in", factory.create("E", 0.0))])
 
 
 class TestSink:
@@ -403,48 +364,6 @@ class TestSink:
         healthy.attributes["affected"] = False
         state = deliver(spec, [("in", sick), ("in", healthy)])
         assert state.stats.affected_by_class == {"Child_C": 1}
-
-
-class TestPath:
-    def test_zero_travel_forwards_immediately(self):
-        factory = EntityFactory()
-        spec = make_path(0.0)
-        e = factory.create("E", 0.0)
-        state = deliver(spec, [("in", e)])
-        assert spec.time_advance(state) == 0.0
-        out = flush(spec, state)
-        assert [m.payload for m in out] == [e]
-        assert reported(state)["[Travelers]"] == 1
-        assert state.stats.exited == 1
-
-    def test_same_instant_arrivals_exit_in_entry_order(self):
-        factory = EntityFactory()
-        spec = make_path(0.0)
-        e1, e2 = entities(factory, "E", 2)
-        state = deliver(spec, [("in", e1), ("in", e2)])
-        out = flush(spec, state)
-        assert [m.payload for m in out] == [e1, e2]
-
-    def test_travel_time_delays_exit(self):
-        factory = EntityFactory()
-        src = make_source("E", Constant(1.0), 3, factory=factory, stream=substream(3, 0))
-        path = make_path(0.75)
-        sink = make_sink()
-        model = CoupledSpec(
-            components={"src": src, "path": path, "snk": sink},
-            couplings=[
-                Coupling("src", "out", "path", "in"),
-                Coupling("path", "out", "snk", "in"),
-            ],
-        )
-        exits = [t for t, component, phase, _, _ in trace_rows(model, 10.0)
-                 if component == "path" and phase == "internal"]
-        assert exits == [1.75, 2.75, 3.75]
-        assert reported(path.initial_state)["[Travelers]"] == 3
-
-    def test_negative_travel_time_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_path(-1.0)
 
 
 class TestTravelers:

@@ -232,6 +232,18 @@ class TestDistributionConfig:
         with pytest.raises(ConfigurationError, match="must be finite"):
             make_distribution(config)
 
+    @pytest.mark.parametrize("config", [
+        {"type": "constant", "value": True},
+        {"type": "exponential", "mean": "1.0"},
+        {"type": "discrete", "pairs": [["2", "1.0"]]},
+        {"type": "discrete", "pairs": [[True, 1.0]]},
+        {"type": "discrete", "pairs": [[2, False], [3, 1.0]]},
+        {"type": "constant", "value": 10**400},
+    ])
+    def test_non_number_parameter_rejected(self, config):
+        with pytest.raises(ConfigurationError, match="expected a number"):
+            make_distribution(config)
+
     def test_missing_type_rejected(self):
         with pytest.raises(ConfigurationError):
             make_distribution({"value": 1.0})
