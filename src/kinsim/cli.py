@@ -1,7 +1,8 @@
 """Command line interface: ``kinsim run | validate | demo``.
 
-Exit codes: 0 success, 1 config validation failure, 2 usage error (unknown
-flag, missing file).
+Exit codes: 0 success, 1 config validation failure (a file that is not
+UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
+be read).
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def _checked_config(
     """Load, override and validate a config; on failure print why and return the exit code."""
     try:
         config = _load_config(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # absent, a directory, unreadable
         print(f"kinsim: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, ConfigurationError) as exc:
+    except (ValueError, ConfigurationError) as exc:  # bad JSON, bad UTF-8, an overlong integer
         print(f"invalid config: {exc}")
         return 1
     if replications is not None:

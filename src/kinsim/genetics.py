@@ -67,14 +67,12 @@ def assign_disorder(
     *,
     inbreeding_override: float | None = None,
 ) -> Entity:
-    """Draw the child's affected flag and record its inbreeding coefficient.
+    """Draw the child's ``affected`` flag with probability ``q**2 + f*q*(1 - q)``.
 
     One uniform sample is always consumed, so a run's draw sequence does not
-    depend on the configured frequencies.  ``inbreeding_override`` bypasses
-    the degree table when an explicit coefficient is configured.
+    depend on the configured frequencies.  ``inbreeding_override``, when not
+    None, is ``f``; otherwise ``f`` is the coefficient of ``degree``.
     """
     f = inbreeding_coefficient(degree) if inbreeding_override is None else inbreeding_override
-    p = disorder_probability(allele_frequency, f)
-    child.attributes["affected"] = stream.uniform() < p
-    child.attributes["inbreeding_f"] = f
+    child.affected = stream.uniform() < disorder_probability(allele_frequency, f)
     return child

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
-from .entities import EntityFactory
+from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
 from .genetics import ConsanguinityDegree, assign_disorder
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
@@ -107,9 +107,10 @@ def _default_routing() -> dict[str, dict[str, float]]:
 class ModelConfig:
     """Every tunable of the consanguinity experiment, JSON round-trippable.
 
-    ``sex_split`` is the (male, female) fraction pair; ``routing_weights``
-    carries the per-sex path weights for the consanguineous and
-    non-consanguineous branches.  ``inbreeding_f``, when set, overrides the
+    ``sex_split`` is the (male, female) fraction pair, a ``{"male",
+    "female"}`` mapping in the JSON form; ``routing_weights`` carries the
+    per-sex path weights for the consanguineous and non-consanguineous
+    branches.  ``inbreeding_f``, when set, overrides the
     coefficient implied by ``consanguinity_degree`` for the consanguineous
     branch.  ``metadata`` holds free-text experiment-frame labels (region,
     religion, commitment) that do not influence the dynamics.
@@ -181,14 +182,6 @@ class ModelConfig:
         return config
 
 
-def _parse_sex_split(split) -> tuple[float, float]:
-    if isinstance(split, Mapping):
-        _check_keys(split, (MALE, FEMALE))
-        return read_number(split[MALE]), read_number(split[FEMALE])
-    male, female = split
-    return read_number(male), read_number(female)
-
-
 def _parse_degree(raw) -> ConsanguinityDegree:
     try:
         return ConsanguinityDegree(raw)
@@ -209,7 +202,8 @@ _FIELD_PARSERS = {
         **{name: SourceSettings.from_dict(sub)
            for name, sub in _check_keys(sources, _SOURCE_NAMES).items()},
     },
-    "sex_split": _parse_sex_split,
+    "sex_split": lambda split: (read_number(_check_keys(split, (MALE, FEMALE))[MALE]),
+                                read_number(split[FEMALE])),
     "routing_weights": lambda weights: {
         sex: {branch: read_number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
         for sex, entry in _check_keys(weights, (MALE, FEMALE)).items()
@@ -322,6 +316,31 @@ def _make_source(
                        factory=factory, stream=stream)
 
 
+def _growth_server(
+    label: str,
+    factory: EntityFactory,
+    offspring_dist: DiscreteDistribution,
+    offspring_stream: RngStream,
+    disorder: Optional[Callable[[Entity], Entity]] = None,
+) -> AtomicSpec:
+    """A growth server: each processed couple gets ``offspring_dist`` children.
+
+    The children, drawn from ``offspring_stream``, are born under ``label``
+    and counted on ``factory``; ``disorder``, when given, draws each child's
+    ``affected`` flag at birth.
+    """
+    def on_growth(parent: Entity) -> list[Entity]:
+        children = []
+        for _ in range(offspring_dist.sample(offspring_stream)):
+            child = factory.create(label)
+            factory.count_label(label)
+            if disorder is not None:
+                disorder(child)
+            children.append(child)
+        return children
+    return make_server(on_growth)
+
+
 def build_population_growth_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
     """Marriage and births submodel: MP + FP sources into one combiner.
 
@@ -335,22 +354,11 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
     root = substream(config.base_seed, replication)
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)
-    offspring_stream = root.named("offspring")
-
-    def on_growth(parent, now):
-        count = offspring_dist.sample(offspring_stream)
-        children = []
-        for _ in range(count):
-            child = factory.create("Child", now)
-            factory.count_label("Child")
-            children.append(child)
-        return children
-
     components = {
         "MP": _make_source(config, "MP", factory, root.named("mp_interarrival")),
         "FP": _make_source(config, "FP", factory, root.named("fp_interarrival")),
         "Marriage": make_combiner(),
-        "Population Growth": make_server(on_processed=on_growth),
+        "Population Growth": _growth_server("Child", factory, offspring_dist, root.named("offspring")),
         "New Population": make_sink(),
     }
     couplings = [
@@ -359,7 +367,7 @@ def build_population_growth_model(config: ModelConfig, replication: int = 0) -> 
         Coupling("Marriage", "out", "Population Growth", "in", Travelers("Path3")),
         Coupling("Population Growth", "out", "New Population", "in", Travelers("Path4")),
     ]
-    return CoupledSpec(components, couplings, select=list(components))
+    return CoupledSpec(components, couplings)
 
 
 def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
@@ -380,20 +388,9 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)
 
-    def growth_server(label, degree, override, offspring_stream, disorder_stream):
-        def on_growth(parent, now):
-            count = offspring_dist.sample(offspring_stream)
-            children = []
-            for _ in range(count):
-                child = factory.create(label, now)
-                factory.count_label(label)
-                assign_disorder(
-                    child, degree, config.allele_frequency, disorder_stream,
-                    inbreeding_override=override,
-                )
-                children.append(child)
-            return children
-        return make_server(on_processed=on_growth)
+    def disorder(stream_name, degree, override):
+        return partial(assign_disorder, degree=degree, allele_frequency=config.allele_frequency,
+                       stream=root.named(stream_name), inbreeding_override=override)
 
     sex = WeightedChoice(dict(zip((MALE, FEMALE), config.sex_split)), stream=root.named("sex_split"),
                          relabel={MALE: "MP", FEMALE: "FP"}, factory=factory)
@@ -407,13 +404,13 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "WP": _make_source(config, "WP", factory, root.named("wp_interarrival")),
         "Marriage_C": make_combiner(),
         "Marriage_NC": make_combiner(),
-        "PopulationG_C": growth_server(
-            "Child_C", config.consanguinity_degree, config.inbreeding_f,
-            root.named("offspring_consanguineous"), root.named("disorder_consanguineous"),
+        "PopulationG_C": _growth_server(
+            "Child_C", factory, offspring_dist, root.named("offspring_consanguineous"),
+            disorder("disorder_consanguineous", config.consanguinity_degree, config.inbreeding_f),
         ),
-        "PopulationG_NC": growth_server(
-            "Child_NC", ConsanguinityDegree.UNRELATED, None,
-            root.named("offspring_nonconsanguineous"), root.named("disorder_nonconsanguineous"),
+        "PopulationG_NC": _growth_server(
+            "Child_NC", factory, offspring_dist, root.named("offspring_nonconsanguineous"),
+            disorder("disorder_nonconsanguineous", ConsanguinityDegree.UNRELATED, None),
         ),
         "NewPopulation_C": make_sink(),
         "NewPopulation_NC": make_sink(),
@@ -432,7 +429,7 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         Coupling("PopulationG_C", "out", "NewPopulation_C", "in", Travelers("Path13")),
         Coupling("PopulationG_NC", "out", "NewPopulation_NC", "in", Travelers("Path14")),
     ]
-    return CoupledSpec(components, couplings, select=list(components))
+    return CoupledSpec(components, couplings)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +449,8 @@ class RunStats:
     rows: list[StatRow] = field(default_factory=list)
     label_counts: dict[str, int] = field(default_factory=dict)
     created_total: int = 0
-    destroyed_units: int = 0
     destroyed_individuals: int = 0
     held_individuals: int = 0
-    destroyed_by_class: dict[str, int] = field(default_factory=dict)
     affected_by_class: dict[str, int] = field(default_factory=dict)
 
     def value(self, object_name: str, data_source: str) -> int:
@@ -484,11 +479,8 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     for name, state in handle.components():
         stats.rows.extend(state.report_rows(name))
         stats.held_individuals += state.held_individuals()
-        s = state.stats
-        stats.destroyed_units += s.destroyed
-        stats.destroyed_individuals += s.destroyed_individuals
-        _add_counts(stats.destroyed_by_class, s.destroyed_by_class)
-        _add_counts(stats.affected_by_class, s.affected_by_class)
+        stats.destroyed_individuals += state.stats.destroyed_individuals
+        _add_counts(stats.affected_by_class, state.stats.affected_by_class)
         factory = getattr(state, "factory", None)
         if factory is not None:
             factories[id(factory)] = factory

@@ -13,9 +13,9 @@ row per leg name.  Conventions shared by all objects:
   clock value, one kernel step per object that holds them, in FIFO order.
   A leg that only forwards, picks or counts entities costs no step: it is
   a coupling.
-* Objects track their own absolute clock (``now``) from the elapsed times the
-  kernel hands to ``delta_ext``; models built from these objects are expected
-  to start at t0 = 0.
+* Only a source keeps a clock (``now``), advanced to each emission time, to
+  schedule its next emission; models built from these objects are expected
+  to start at t0 = 0.  No other object reads the time.
 * A report row is (object name, data source, category, value).  Buffer
   rows are read off the object's counters at the moment of the report: a
   server's and a sink's input buffer report arrivals, a server's output
@@ -80,7 +80,7 @@ class SourceState:
                 f"interarrival sample must be >= 0, got {delay} for source {self.class_label!r}"
             )
         self.next_time = self.now + delay
-        self.pending = self.factory.create(self.class_label, self.next_time)
+        self.pending = self.factory.create(self.class_label)
 
     def held_individuals(self) -> int:
         return individual_count(self.pending) if self.pending is not None else 0
@@ -99,7 +99,6 @@ def _source_out(s: SourceState) -> list[Message]:
 
 def _source_dint(s: SourceState) -> SourceState:
     s.now = s.next_time
-    s.stats.created += 1
     s.factory.count_label(s.class_label)
     if s.remaining is not None:
         s.remaining -= 1
@@ -283,7 +282,7 @@ class CombinerState:
     def _match(self) -> None:
         while self.parents and self.members:
             parent = self.parents.popleft()
-            parent.members.append(self.members.popleft())
+            parent.member = self.members.popleft()
             self.ready.append(parent)
             self.stats.processed += 1
 
@@ -297,7 +296,7 @@ class CombinerState:
         s = self.stats
         return [
             (name, "[MemberInputBuffer]", CONTENT, s.processed),
-            (name, OUTPUT_BUFFER, CONTENT, s.exited),
+            (name, OUTPUT_BUFFER, CONTENT, s.processed - len(self.ready)),  # married and left
             # each marriage took one parent; the rest still wait
             (name, "[ParentInputBuffer]", CONTENT, s.processed + len(self.parents)),
             (name, PROCESSED, THROUGHPUT, s.processed),
@@ -313,14 +312,12 @@ def _combiner_out(s: CombinerState) -> list[Message]:
 
 
 def _combiner_dint(s: CombinerState) -> CombinerState:
-    s.stats.exited += len(s.ready)
     s.ready.clear()
     return s
 
 
 def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
     for msg in bag:
-        s.stats.entered += 1
         if msg.port == PORT_PARENT_IN:
             s.parents.append(msg.payload)
         else:
@@ -333,8 +330,8 @@ def make_combiner() -> AtomicSpec:
     """Attach one member to a parent entity and emit the parent at once.
 
     Parents and members wait in FIFO buffers; whenever a parent and a member
-    are both available the member moves onto the parent's member list and
-    the parent leaves with zero service time.  Surplus arrivals on either
+    are both available the member becomes the parent's ``member`` and the
+    parent leaves with zero service time.  Surplus arrivals on either
     side stay held in their buffer.
     """
     return AtomicSpec(
@@ -352,17 +349,16 @@ def make_combiner() -> AtomicSpec:
 # Server
 
 
-ProcessedTrigger = Callable[[Entity, Time], list[Entity]]
+ProcessedTrigger = Callable[[Entity], list[Entity]]
 
 
 class ServerState:
-    __slots__ = ("on_processed", "outq", "outq_serviced", "now", "stats")
+    __slots__ = ("on_processed", "outq", "outq_serviced", "stats")
 
     def __init__(self, on_processed: ProcessedTrigger):
         self.on_processed = on_processed
         self.outq: list[Entity] = []
         self.outq_serviced = 0  # processed entities in ``outq``; offspring are not
-        self.now: Time = 0.0
         self.stats = ObjectStats()
 
     def held_individuals(self) -> int:
@@ -371,7 +367,7 @@ class ServerState:
     def report_rows(self, name: str) -> list[StatRow]:
         s = self.stats
         return [
-            (name, INPUT_BUFFER, CONTENT, s.entered),
+            (name, INPUT_BUFFER, CONTENT, s.processed),  # each arrival is processed at once
             (name, OUTPUT_BUFFER, CONTENT, s.processed - self.outq_serviced),
             (name, PROCESSED, THROUGHPUT, s.processed),
         ]
@@ -386,33 +382,30 @@ def _server_out(s: ServerState) -> list[Message]:
 
 
 def _server_dint(s: ServerState) -> ServerState:
-    s.stats.exited += len(s.outq)
     s.outq.clear()
     s.outq_serviced = 0
     return s
 
 
 def _server_dext(s: ServerState, elapsed: Time, bag) -> ServerState:
-    s.now += elapsed
     for msg in bag:
         entity = msg.payload
-        s.stats.entered += 1
         s.stats.processed += 1
         s.outq_serviced += 1
         s.outq.append(entity)
-        s.outq.extend(s.on_processed(entity, s.now))  # offspring leave behind their parent
+        s.outq.extend(s.on_processed(entity))  # offspring leave behind their parent
     return s
 
 
 def make_server(on_processed: ProcessedTrigger) -> AtomicSpec:
     """Zero-time FIFO process with a completion trigger.
 
-    Each arrival is processed the moment it arrives, in arrival order.  The
-    trigger then returns the entities it creates (offspring), which go to
-    the output buffer directly behind the triggering entity and leave with
-    it, in order.  Buffer rows count processed entities only;
-    trigger-created entities are counted under their own class labels by
-    the factory that created them.
+    Each arrival is processed the moment it arrives, in arrival order, so
+    the server keeps no clock: ``on_processed(entity)`` returns the entities
+    it creates (offspring), which go to the output buffer directly behind
+    the triggering entity and leave with it, in order.  Buffer rows count
+    processed entities only; trigger-created entities are counted under
+    their own class labels by the factory that created them.
     """
     return AtomicSpec(
         initial_state=ServerState(on_processed),
@@ -455,28 +448,24 @@ def _sink_dint(s: SinkState) -> SinkState:
 
 
 def _sink_dext(s: SinkState, elapsed: Time, bag) -> SinkState:
+    stats = s.stats
     for msg in bag:
-        s.stats.entered += 1
-        s.stats.destroyed += 1
-        _count_destroyed(s.stats, msg.payload)
+        stats.entered += 1
+        entity = msg.payload
+        while entity is not None:  # the entity, then its member
+            stats.destroyed_individuals += 1
+            if entity.affected:
+                stats.affected_by_class[entity.class_label] += 1
+            entity = entity.member
     return s
 
 
-def _count_destroyed(stats: ObjectStats, entity: Entity) -> None:
-    stats.destroyed_individuals += 1
-    stats.destroyed_by_class[entity.class_label] += 1
-    if entity.attributes.get("affected"):
-        stats.affected_by_class[entity.class_label] += 1
-    for member in entity.members:
-        _count_destroyed(stats, member)
-
-
 def make_sink() -> AtomicSpec:
-    """Destroy every received entity, recording a class-label breakdown.
+    """Destroy every received entity, counting its individuals.
 
-    Batched members riding on a parent are counted individually in the
-    breakdown and in ``destroyed_individuals``; ``destroyed`` counts the
-    flowing units that arrived.
+    ``entered`` counts the flowing units that arrived; a member riding on
+    its parent is counted in ``destroyed_individuals``, and in the affected
+    tally by class label, as an individual of its own.
     """
     state = SinkState()
     return AtomicSpec(

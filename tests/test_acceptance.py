@@ -186,11 +186,11 @@ def test_criterion_07_genetics_oracle():
     assert disorder_probability(q, 1 / 16) == pytest.approx(0.00071875, rel=1e-12)
     for label, degree, p in cases:
         stream = substream(826, 0).named(f"disorder_{label}")
-        child = factory.create(label, 0.0)
+        child = factory.create(label)
         affected = 0
         for _ in range(n):
             assign_disorder(child, degree, q, stream)
-            affected += child.attributes["affected"]
+            affected += child.affected
         assert abs(affected / n - p) <= three_sigma(p, n), label
         print(
             f"PASS criterion 7: {label} affected fraction {affected / n:.6f} within "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -65,6 +66,7 @@ MALFORMED_FIELDS = [
     ("replications", {"replications": "3"}),
     ("sex_split", {"sex_split": {"male": 0.5, "female": "0.5"}}),
     ("run_length", {"run_length": 10**400}),
+    ("sex_split", {"sex_split": [0.595, 0.405]}),  # only the documented mapping is read
 ]
 
 
@@ -150,6 +152,35 @@ def test_zero_sex_fraction_exit_1(split, tmp_path, capsys):
         assert [line.split(":")[0] for line in captured.out.splitlines()] == [
             "sex_split.male", "sex_split.female"]
         assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+def unreadable_config(tmp_path, name):
+    """A config path that ``json.load`` cannot read."""
+    path = tmp_path / name
+    if name == "config.d":
+        path.mkdir()
+    elif name == "latin1.json":
+        path.write_bytes('{"metadata": {"region": "Zürich"}}'.encode("latin-1"))
+    else:  # an integer of 5 001 digits, over Python's conversion limit
+        path.write_text('{"run_length": 1' + "0" * 5000 + "}", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, code, line", [
+    ("config.d", 2, "kinsim: cannot read config: "),
+    ("latin1.json", 1, "invalid config: "),
+    ("long_int.json", 1, "invalid config: "),
+])
+def test_unreadable_config_is_one_line(command, name, code, line, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    argv = [command, "--config", str(unreadable_config(tmp_path, name))]
+    assert main(argv + (["--out", str(out)] if command == "run" else [])) == code
+    captured = capsys.readouterr()
+    printed = captured.err if code == 2 else captured.out
+    assert printed.startswith(line) and len(printed.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
 
 
@@ -241,7 +272,9 @@ class TestDemo:
         assert "children per marriage" in out
         value = float(out.split("children per marriage:")[1].split()[0])
         assert abs(value - 2.12) < 0.05
-        assert "conservation" in out
+        ledger = re.search(r"conservation: created (\d+) = destroyed (\d+) \+ held (\d+)", out)
+        created, destroyed, held = map(int, ledger.groups())
+        assert created == destroyed + held > 0
 
 
 class TestConsoleScript:

@@ -8,6 +8,9 @@
   own named stream and the disorder draw never steers the flow, so at a
   fixed seed the genetics parameters cannot move any report count, and
   raising q or f can only add affected births.
+* Conservation at any step: after any number of kernel steps, also inside
+  a zero-time cascade of marriages and births, every individual created is
+  destroyed or held.
 """
 
 from __future__ import annotations
@@ -83,6 +86,17 @@ def test_replication_zero_equals_the_reference(config):
     assert rows == expected["rows"]
     affected = {label: n for label, n in stats.affected_by_class.items() if n}
     assert affected == expected["affected"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=configs(), steps=st.integers(0, 300))
+def test_ledger_balances_after_any_step(config, steps):
+    # WP is unbounded, so an event is always pending.
+    handle = initialize(build_consanguinity_model(config, 0))
+    for _ in range(steps):
+        handle.step()
+    stats = collect_run_stats(handle)
+    assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
 
 
 Q_VALUES = (0.0, 0.01, 0.05, 0.2)

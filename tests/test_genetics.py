@@ -107,35 +107,44 @@ class TestDisorderProbability:
 
 class TestAssignDisorder:
     def _child(self, factory, label="Child_C"):
-        return factory.create(label, 0.0)
+        return factory.create(label)
 
     def test_zero_frequency_never_affected(self):
         factory = EntityFactory()
         stream = substream(1, 0)
         for _ in range(1000):
             child = assign_disorder(self._child(factory), D.FIRST_COUSIN, 0.0, stream)
-            assert child.attributes["affected"] is False
+            assert child.affected is False
 
     def test_certain_allele_always_affected(self):
         factory = EntityFactory()
         stream = substream(2, 0)
         for _ in range(1000):
             child = assign_disorder(self._child(factory), D.UNRELATED, 1.0, stream)
-            assert child.attributes["affected"] is True
+            assert child.affected is True
 
-    def test_records_inbreeding_coefficient(self):
-        factory = EntityFactory()
-        stream = substream(3, 0)
-        child = assign_disorder(self._child(factory), D.SECOND_COUSIN, 0.01, stream)
-        assert child.attributes["inbreeding_f"] == 1 / 64
+    def _flags(self, seed, degree, q, n=4000, **kwargs):
+        """``n`` children's affected flags drawn from one stream."""
+        factory, stream = EntityFactory(), substream(seed, 0)
+        return [assign_disorder(self._child(factory), degree, q, stream, **kwargs).affected
+                for _ in range(n)]
+
+    def _draws_below(self, seed, p, n=4000):
+        """Whether each of the first ``n`` draws of the same stream falls below ``p``."""
+        stream = substream(seed, 0)
+        return [stream.uniform() < p for _ in range(n)]
+
+    def test_draws_with_the_degree_coefficient(self):
+        # At q = 0.5 the second-cousin coefficient 1/64 moves p by 1/256;
+        # 4 000 draws put some inside that gap, so f = 0 gives other flags.
+        flags = self._flags(3, D.SECOND_COUSIN, 0.5)
+        assert flags == self._draws_below(3, disorder_probability(0.5, 1 / 64))
+        assert flags != self._draws_below(3, disorder_probability(0.5, 0.0))
 
     def test_override_bypasses_degree_table(self):
-        factory = EntityFactory()
-        stream = substream(4, 0)
-        child = assign_disorder(
-            self._child(factory), D.FIRST_COUSIN, 0.01, stream, inbreeding_override=0.5
-        )
-        assert child.attributes["inbreeding_f"] == 0.5
+        flags = self._flags(4, D.FIRST_COUSIN, 0.5, inbreeding_override=0.5)
+        assert flags == self._draws_below(4, disorder_probability(0.5, 0.5))
+        assert flags != self._draws_below(4, disorder_probability(0.5, 1 / 16))
 
     def test_always_consumes_exactly_one_draw(self):
         # Stream alignment must not depend on the configured probabilities.
@@ -154,6 +163,6 @@ class TestAssignDisorder:
         affected = 0
         for _ in range(n):
             child = assign_disorder(self._child(factory), D.FIRST_COUSIN, q, stream)
-            affected += child.attributes["affected"]
+            affected += child.affected
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(affected / n - p) <= 3 * sigma

@@ -49,7 +49,7 @@ def flush(spec, state):
 
 
 def entities(factory, label, n):
-    return [factory.create(label, 0.0) for _ in range(n)]
+    return [factory.create(label) for _ in range(n)]
 
 
 def reported(state):
@@ -118,12 +118,10 @@ class TestSource:
         model, sink = self._sink_model(src)
         handle = initialize(model)
         handle.run_until(10.0)
-        stats = sink.initial_state.stats
-        assert stats.destroyed == 10
-        assert src.initial_state.stats.created == 10
+        assert sink.initial_state.stats.entered == 10
         assert factory.label_counts["X"] == 10
 
-    def test_created_at_matches_emission_times(self):
+    def test_emission_times_are_the_interarrival_sums(self):
         factory = EntityFactory()
         src = make_source("X", Constant(2.0), 3, factory=factory, stream=substream(1, 0))
 
@@ -131,7 +129,7 @@ class TestSource:
         # it knows when each entity arrived.
         def collect(s, e, xs):
             s["now"] += e
-            s["seen"].extend((s["now"], m.payload.created_at) for m in xs)
+            s["seen"].extend(s["now"] for m in xs)
             return s
 
         collector = AtomicSpec(
@@ -148,7 +146,7 @@ class TestSource:
         )
         handle = initialize(model)
         handle.run_until(10.0)
-        assert handle.state_of("got")["seen"] == [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]
+        assert handle.state_of("got")["seen"] == [2.0, 4.0, 6.0]
 
     def test_max_arrivals_zero_emits_nothing(self):
         factory = EntityFactory()
@@ -156,7 +154,7 @@ class TestSource:
         model, sink = self._sink_model(src)
         handle = initialize(model)
         handle.run_until(100.0)
-        assert sink.initial_state.stats.destroyed == 0
+        assert sink.initial_state.stats.entered == 0
         assert factory.created_total == 0
 
     def test_max_arrivals_caps_emissions(self):
@@ -165,7 +163,7 @@ class TestSource:
         model, sink = self._sink_model(src)
         handle = initialize(model)
         handle.run_until(100.0)
-        assert sink.initial_state.stats.destroyed == 4
+        assert sink.initial_state.stats.entered == 4
         assert factory.created_total == 4  # no pending after the cap
 
     def test_two_sources_are_independent_streams(self):
@@ -179,7 +177,8 @@ class TestSource:
         )
         handle = initialize(model)
         handle.run_until(100.0)
-        assert sink.initial_state.stats.destroyed_by_class == {"MP": 5, "FP": 5}
+        assert sink.initial_state.stats.entered == 10
+        assert factory.label_counts == {"MP": 5, "FP": 5}
 
     def test_negative_interarrival_sample_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -194,11 +193,11 @@ class TestCombiner:
     def test_marriage_attaches_member_to_parent(self):
         factory = EntityFactory()
         spec = make_combiner()
-        fp, mp = factory.create("FP", 0.0), factory.create("MP", 0.0)
+        fp, mp = factory.create("FP"), factory.create("MP")
         state = deliver(spec, [("parent_in", fp), ("member_in", mp)])
         out = flush(spec, state)
         assert [m.payload for m in out] == [fp]
-        assert fp.members == [mp]
+        assert fp.member is mp
         assert state.stats.processed == 1
 
     def test_parents_wait_when_no_members(self):
@@ -233,8 +232,8 @@ class TestCombiner:
         state = deliver(spec, [("parent_in", parents[0]), ("parent_in", parents[1])], state=state)
         out = flush(spec, state)
         assert [m.payload for m in out] == parents
-        assert parents[0].members == [members[0]]
-        assert parents[1].members == [members[1]]
+        assert parents[0].member is members[0]
+        assert parents[1].member is members[1]
 
     @settings(max_examples=50, deadline=None)
     @given(arrivals=st.lists(st.booleans(), max_size=60))
@@ -245,7 +244,7 @@ class TestCombiner:
         state = spec.initial_state
         for is_parent in arrivals:
             port = "parent_in" if is_parent else "member_in"
-            state = deliver(spec, [(port, factory.create("E", 0.0))], state=state)
+            state = deliver(spec, [(port, factory.create("E"))], state=state)
         out = flush(spec, state)
         n_parents = sum(arrivals)
         n_members = len(arrivals) - n_parents
@@ -260,7 +259,7 @@ class TestCombiner:
         assert total_in == total_out + held
 
 
-def no_offspring(parent, now):
+def no_offspring(parent):
     return []
 
 
@@ -268,7 +267,7 @@ class TestServer:
     def test_zero_service_time_is_passthrough(self):
         factory = EntityFactory()
         spec = make_server(no_offspring)
-        e = factory.create("E", 0.0)
+        e = factory.create("E")
         state = deliver(spec, [("in", e)])
         assert spec.time_advance(state) == 0.0
         out = flush(spec, state)
@@ -279,11 +278,11 @@ class TestServer:
     def test_trigger_children_leave_behind_parent(self):
         factory = EntityFactory()
 
-        def twins(parent, now):
-            return [factory.create("Child", now), factory.create("Child", now)]
+        def twins(parent):
+            return [factory.create("Child"), factory.create("Child")]
 
         spec = make_server(on_processed=twins)
-        couple = factory.create("Couple", 0.0)
+        couple = factory.create("Couple")
         state = deliver(spec, [("in", couple)])
         out = flush(spec, state)
         labels = [m.payload.class_label for m in out]
@@ -296,7 +295,7 @@ class TestServer:
         spec = make_server(no_offspring)
         state = spec.initial_state
         for _ in range(299):
-            state = deliver(spec, [("in", factory.create("E", 0.0))], state=state)
+            state = deliver(spec, [("in", factory.create("E"))], state=state)
             flush(spec, state)
         assert state.stats.processed == 299
         assert reported(state)["[InputBuffer]"] == 299 and not state.outq
@@ -307,8 +306,8 @@ class TestServer:
         # before the earlier ones have left.
         factory = EntityFactory()
 
-        def one_child_each(parent, now):
-            return [factory.create(f"Child of {parent.id}", now)]
+        def one_child_each(parent):
+            return [factory.create(f"Child of {parent.id}")]
 
         spec = make_server(one_child_each)
         first, second, third = entities(factory, "E", 3)
@@ -322,18 +321,17 @@ class TestServer:
     def test_unit_balance_includes_trigger_children(self):
         factory = EntityFactory()
 
-        def twins(parent, now):
-            return [factory.create("Child", now), factory.create("Child", now)]
+        def twins(parent):
+            return [factory.create("Child"), factory.create("Child")]
 
         spec = make_server(on_processed=twins)
         state = spec.initial_state
         emitted = 0
         for _ in range(3):
-            state = deliver(spec, [("in", factory.create("Couple", 0.0))], state=state)
+            state = deliver(spec, [("in", factory.create("Couple"))], state=state)
             emitted += len(flush(spec, state))
         # 3 couples in plus 6 children born inside equals 9 units out
-        assert state.stats.entered + 6 == emitted
-        assert state.stats.exited == emitted
+        assert state.stats.processed + 6 == emitted == 9
         assert state.held_individuals() == 0
 
 
@@ -341,27 +339,29 @@ class TestSink:
     def test_counts_members_and_children_by_class(self):
         factory = EntityFactory()
         spec = make_sink()
-        fp = factory.create("FP", 0.0)
-        fp.members = [factory.create("MP", 0.0), factory.create("MP", 0.0)]
-        child_a = factory.create("Child", 1.0)
-        child_b = factory.create("Child", 1.0)
+        fp = factory.create("FP")
+        fp.member = factory.create("MP")
+        fp.member.affected = True  # a member is tallied under its own class
+        child_a = factory.create("Child")
+        child_b = factory.create("Child")
+        child_b.affected = True
         state = deliver(spec, [("in", fp), ("in", child_a), ("in", child_b)])
-        assert state.stats.destroyed == 3  # flowing units
-        assert state.stats.destroyed_individuals == 5
-        assert state.stats.destroyed_by_class == {"FP": 1, "MP": 2, "Child": 2}
+        assert state.stats.entered == 3  # flowing units
+        assert state.stats.destroyed_individuals == 4
+        assert state.stats.affected_by_class == {"MP": 1, "Child": 1}
         assert reported(state)["[InputBuffer]"] == 3
 
     def test_no_arrivals_no_destruction(self):
         spec = make_sink()
-        assert spec.initial_state.stats.destroyed == 0
+        stats = spec.initial_state.stats
+        assert (stats.entered, stats.destroyed_individuals) == (0, 0)
 
     def test_affected_tally(self):
         factory = EntityFactory()
         spec = make_sink()
-        sick = factory.create("Child_C", 0.0)
-        sick.attributes["affected"] = True
-        healthy = factory.create("Child_C", 0.0)
-        healthy.attributes["affected"] = False
+        sick = factory.create("Child_C")
+        sick.affected = True
+        healthy = factory.create("Child_C")
         state = deliver(spec, [("in", sick), ("in", healthy)])
         assert state.stats.affected_by_class == {"Child_C": 1}
 
@@ -426,7 +426,7 @@ class TestSplitter:
         legs = choice_legs(choice)
         n = 2000
         for _ in range(n):
-            entity = factory.create("WP", 0.0)
+            entity = factory.create("WP")
             [picked] = route(legs, entity)
             assert entity.class_label == ("MP", "FP")[picked]
         assert factory.label_counts["MP"] + factory.label_counts["FP"] == n
@@ -486,7 +486,7 @@ class TestSplitter:
         choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=stream)
         # two legs per route, as when a pick feeds a second pick
         legs = [choice.leg("a"), choice.leg("a"), choice.leg("b"), choice.leg("b")]
-        entity = EntityFactory().create("X", 0.0)
+        entity = EntityFactory().create("X")
         assert route(legs, entity) == [2, 3]
         assert stream.drawn == 1
 
@@ -494,7 +494,7 @@ class TestSplitter:
     def test_same_entity_emitted_twice_draws_twice(self, per_event):
         # One atomic emits the same Entity object twice in a row, in two
         # events or as two messages of one event: each message draws anew.
-        entity = EntityFactory().create("X", 0.0)
+        entity = EntityFactory().create("X")
         emitter = AtomicSpec(
             initial_state={"left": 2},
             time_advance=lambda s: 1.0 if s["left"] else INFINITY,
@@ -521,14 +521,14 @@ class TestSplitter:
         choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
         first, _unwired = choice_legs(choice)
         factory = EntityFactory()
-        first(factory.create("X", 0.0))
+        first(factory.create("X"))
         with pytest.raises(RoutingError, match="all 2 legs"):
-            first(factory.create("X", 0.0))
+            first(factory.create("X"))
 
     def test_leg_reached_twice_by_one_message_is_rejected(self):
         choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
         first, _ = choice_legs(choice)
-        entity = EntityFactory().create("X", 0.0)
+        entity = EntityFactory().create("X")
         first(entity)
         with pytest.raises(RoutingError, match="before the last one"):
             first(entity)
