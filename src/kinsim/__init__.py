@@ -6,8 +6,8 @@ Layering, bottom up:
 * :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled).
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
 * :mod:`kinsim.objects` realizes Source, Combiner, Server and Sink
-  objects as DEVS atomics, and routes entities on couplings with weighted
-  choices and leg counters.
+  objects as DEVS atomics; a source may route what it emits with weighted
+  picks, and leg counters on couplings count what crosses them.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
   draws per-birth disorder flags.
 * :mod:`kinsim.model` wires the population-growth and consanguinity models.
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .kernel import (
     INFINITY,
-    NO_EVENT,
     AtomicSpec,
     Coupling,
     CoupledSpec,

@@ -14,8 +14,8 @@ class ContractViolationError(SimulationError):
 
 
 class RoutingError(SimulationError):
-    """A message could not be routed: it left on a port that does not exist,
-    or it reached the legs of a weighted choice out of turn."""
+    """A message could not be routed: it left on a port its component does
+    not declare."""
 
 
 class IllegitimateModelError(SimulationError):

@@ -16,8 +16,7 @@ then runs one Classic-DEVS cycle over the flat atomics:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
-3. route its outputs along couplings, applying port translations; a
-   translation that yields the non-event :data:`NO_EVENT` ends its route,
+3. route its outputs along couplings, applying port translations,
 4. apply ``delta_int`` to the selected component and ``delta_ext`` (with the
    elapsed time ``t - t_last``) to every receiver,
 5. recompute ``t_next`` for every affected component.
@@ -65,15 +64,6 @@ class Message(NamedTuple):
     payload: Any
 
 
-class _NoEvent:
-    def __repr__(self) -> str:
-        return "NO_EVENT"
-
-
-#: The non-event φ of DEVS output translation (Zeigler, Praehofer & Kim,
-#: 2000): a translate that returns it makes its route deliver nothing.
-NO_EVENT: Any = _NoEvent()
-
 Translate = Callable[[Any], Any]
 
 
@@ -85,9 +75,11 @@ class Coupling:
     model's own boundary (external input when used as ``src``, external
     output when used as ``dst``).  ``translate`` optionally rewrites the
     payload in flight: one callable, or a sequence of them applied first
-    to last; the identity is used when omitted.  A translate that returns
-    :data:`NO_EVENT` stops the payload, and the translates after it are not
-    called.
+    to last; the identity is used when omitted.  The kernel composes the
+    translates of each route from an atomic output to an atomic input or a
+    root output, and runs them once per route and message: a counter on a
+    coupling that fans out further on, inside a nested model, counts once
+    per target it reaches.
     """
 
     src: str | None
@@ -380,22 +372,16 @@ class SimulationHandle:
                 value = payload
                 for z in chain:
                     value = z(value)
-                    if value is NO_EVENT:
-                        break
+                bag = deliveries.get(idx)
+                if bag is None:
+                    deliveries[idx] = [Message(dst_port, value)]
                 else:
-                    bag = deliveries.get(idx)
-                    if bag is None:
-                        deliveries[idx] = [Message(dst_port, value)]
-                    else:
-                        bag.append(Message(dst_port, value))
+                    bag.append(Message(dst_port, value))
             for root_port, chain in root_targets:
                 value = payload
                 for z in chain:
                     value = z(value)
-                    if value is NO_EVENT:
-                        break
-                else:
-                    root_outputs.append(Message(root_port, value))
+                root_outputs.append(Message(root_port, value))
         # Internal transition of the selected component.
         node.state = state = spec.delta_int(node.state)
         ta = spec.time_advance(state)

@@ -11,11 +11,12 @@ non-consanguineous branches by routing weights, and each branch runs its own
 marriage combiner, growth server (whose children receive a congenital
 disorder draw) and new-population sink.
 
-Objects are joined by direct couplings.  The splits are weighted picks made
-on the couplings by :class:`~kinsim.objects.WeightedChoice` legs, and every
-leg of the flow is counted by a :class:`~kinsim.objects.Travelers` translate
-and reported as a ``Path<n>`` ``[Travelers]`` row, so neither routing nor
-counting costs a kernel step.
+Objects are joined by direct couplings.  The splits are weighted picks that
+the whole-population source makes as it emits each individual, choosing
+the port it leaves on, and every leg of the flow is counted by a
+:class:`~kinsim.objects.Travelers` translate on a coupling and reported as
+a ``Path<n>`` ``[Travelers]`` row, so neither routing nor counting costs a
+kernel step.
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         violations.append(Violation("run_length", "must be finite and > 0", config.run_length))
     if config.replications < 1:
         violations.append(Violation("replications", "must be >= 1", config.replications))
+    # Seeds are mixed as 64-bit words, so a seed outside them would alias one inside.
+    if not 0 <= config.base_seed < 2**64:
+        violations.append(Violation("base_seed", "must lie in [0, 2**64)", config.base_seed))
     male, female = config.sex_split
     for label, fraction in ((MALE, male), (FEMALE, female)):
         # Each sex is a route of a weighted choice, and a weight must be positive.
@@ -308,12 +312,13 @@ def _require_valid(config: ModelConfig) -> None:
 
 
 def _make_source(
-    config: ModelConfig, name: str, factory: EntityFactory, stream: RngStream
+    config: ModelConfig, name: str, factory: EntityFactory, stream: RngStream, **routing
 ) -> AtomicSpec:
-    """The source ``name`` of ``config``, drawing its gaps from ``stream``."""
+    """The source ``name`` of ``config``, drawing its gaps from ``stream``;
+    ``routing`` passes ``route`` and ``ports`` on to :func:`make_source`."""
     settings = config.sources[name]
     return make_source(name, make_distribution(settings.interarrival), settings.max_arrivals,
-                       factory=factory, stream=stream)
+                       factory=factory, stream=stream, **routing)
 
 
 def _growth_server(
@@ -374,14 +379,16 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     """Full model: one whole-population source, two marriage combiners, two
     growth servers with disorder draws and two sinks: seven atomics.
 
-    The source is coupled straight to the four combiner entries, males as
-    members and females as parents.  Each coupling is one route through two
-    :class:`~kinsim.objects.WeightedChoice` picks, the sex (relabeling WP as
-    MP or FP) and then that sex's branch, consanguineous or not.  The
-    fourteen legs of the flow are counted on the couplings and reported as
-    ``Path1``-``Path14``: a route counts its branch and stream legs together
-    (Path3 and Path7 for MP_C), and its sex leg (Path1 for males) with a
-    counter that both routes of that sex share, behind the branch pick.
+    The source routes each individual it emits with two
+    :class:`~kinsim.objects.WeightedChoice` picks: the sex, which relabels
+    WP as MP or FP, then that sex's branch, consanguineous (C) or not (NC).
+    It leaves on one of four ports, ``MP_C``, ``MP_NC``, ``FP_C`` and
+    ``FP_NC``, each coupled straight to its combiner entry, males as
+    members and females as parents.  The fourteen legs of the flow are
+    counted on the couplings and reported as ``Path1``-``Path14``: a port's
+    coupling counts its branch and stream legs together (Path3 and Path7
+    for MP_C), and its sex leg (Path1 for males) with a counter that both
+    ports of that sex share.
     """
     _require_valid(config)
     root = substream(config.base_seed, replication)
@@ -392,16 +399,24 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         return partial(assign_disorder, degree=degree, allele_frequency=config.allele_frequency,
                        stream=root.named(stream_name), inbreeding_override=override)
 
-    sex = WeightedChoice(dict(zip((MALE, FEMALE), config.sex_split)), stream=root.named("sex_split"),
-                         relabel={MALE: "MP", FEMALE: "FP"}, factory=factory)
-    male, female = (
-        WeightedChoice({b: config.routing_weights[s][b] for b in (CONSANG, NON_CONSANG)},
-                       stream=root.named(f"{s}_branch"))
-        for s in (MALE, FEMALE)
-    )
+    sex = WeightedChoice(dict(zip(("MP", "FP"), config.sex_split)), stream=root.named("sex_split"))
+    branch = {
+        label: WeightedChoice({f"{label}_C": config.routing_weights[s][CONSANG],
+                               f"{label}_NC": config.routing_weights[s][NON_CONSANG]},
+                              stream=root.named(f"{s}_branch"))
+        for label, s in (("MP", MALE), ("FP", FEMALE))
+    }
+
+    def route(individual: Entity) -> str:
+        label = sex.pick()
+        individual.class_label = label
+        factory.count_label(label)
+        return branch[label].pick()
+
     males, females = Travelers("Path1"), Travelers("Path2")
     components = {
-        "WP": _make_source(config, "WP", factory, root.named("wp_interarrival")),
+        "WP": _make_source(config, "WP", factory, root.named("wp_interarrival"), route=route,
+                           ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
         "Marriage_C": make_combiner(),
         "Marriage_NC": make_combiner(),
         "PopulationG_C": _growth_server(
@@ -416,14 +431,10 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "NewPopulation_NC": make_sink(),
     }
     couplings = [
-        Coupling("WP", "out", "Marriage_C", "member_in",
-                 (sex.leg(MALE), male.leg(CONSANG), males, Travelers("Path3", "Path7"))),
-        Coupling("WP", "out", "Marriage_NC", "member_in",
-                 (sex.leg(MALE), male.leg(NON_CONSANG), males, Travelers("Path4", "Path8"))),
-        Coupling("WP", "out", "Marriage_C", "parent_in",
-                 (sex.leg(FEMALE), female.leg(CONSANG), females, Travelers("Path5", "Path9"))),
-        Coupling("WP", "out", "Marriage_NC", "parent_in",
-                 (sex.leg(FEMALE), female.leg(NON_CONSANG), females, Travelers("Path6", "Path10"))),
+        Coupling("WP", "MP_C", "Marriage_C", "member_in", (males, Travelers("Path3", "Path7"))),
+        Coupling("WP", "MP_NC", "Marriage_NC", "member_in", (males, Travelers("Path4", "Path8"))),
+        Coupling("WP", "FP_C", "Marriage_C", "parent_in", (females, Travelers("Path5", "Path9"))),
+        Coupling("WP", "FP_NC", "Marriage_NC", "parent_in", (females, Travelers("Path6", "Path10"))),
         Coupling("Marriage_C", "out", "PopulationG_C", "in", Travelers("Path11")),
         Coupling("Marriage_NC", "out", "PopulationG_NC", "in", Travelers("Path12")),
         Coupling("PopulationG_C", "out", "NewPopulation_C", "in", Travelers("Path13")),

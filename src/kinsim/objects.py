@@ -1,21 +1,21 @@
-"""Process-object library: Source, Combiner, Server and Sink, plus the
-routing pieces that live on couplings, WeightedChoice and Travelers.
+"""Process-object library: Source, Combiner, Server and Sink, plus two
+routing pieces, WeightedChoice and Travelers.
 
 Each object is realized as one DEVS atomic whose state keeps flat
 counters in an :class:`~kinsim.entities.ObjectStats` and reports its own
-rows through ``report_rows(name)``.  Routing costs no atomic: a
-:class:`WeightedChoice` picks an entity's route with translates on the
-couplings, and a :class:`Travelers` translate counts a leg and reports one
-row per leg name.  Conventions shared by all objects:
+rows through ``report_rows(name)``.  Routing costs no atomic: a source
+given a ``route`` picks each entity's output port as it emits it, with
+:class:`WeightedChoice` picks, and a :class:`Travelers` translate on a
+coupling counts a leg and reports one row per leg name.  Conventions
+shared by all objects:
 
-* Every step takes zero time, as marriage and births do in the model:
-  entities cascade through an arbitrary number of objects at a single
-  clock value, one kernel step per object that holds them, in FIFO order.
-  A leg that only forwards, picks or counts entities costs no step: it is
-  a coupling.
-* Only a source keeps a clock (``now``), advanced to each emission time, to
-  schedule its next emission; models built from these objects are expected
-  to start at t0 = 0.  No other object reads the time.
+* Every step but a source's emission takes zero time, as marriage and
+  births do in the model: entities cascade through an arbitrary number of
+  objects at a single clock value, one kernel step per object that holds
+  them, in FIFO order.  A leg that only forwards or counts entities costs
+  no step: it is a coupling.
+* No object reads the time: a source holds the gap to its next emission,
+  which the kernel adds to the time of the last one.
 * A report row is (object name, data source, category, value).  Buffer
   rows are read off the object's counters at the moment of the report: a
   server's and a sink's input buffer report arrivals, a server's output
@@ -29,11 +29,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate
-from typing import Any, Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .entities import Entity, EntityFactory, ObjectStats, individual_count
-from .errors import ConfigurationError, ContractViolationError, RoutingError
-from .kernel import INFINITY, NO_EVENT, AtomicSpec, Message, Time
+from .errors import ConfigurationError, ContractViolationError
+from .kernel import INFINITY, AtomicSpec, Message, Time
 from .randomness import Distribution, RngStream
 
 PORT_IN = "in"
@@ -57,29 +57,30 @@ StatRow = tuple[str, str, str, int]
 
 
 class SourceState:
-    __slots__ = ("class_label", "dist", "remaining", "factory", "stream", "now",
-                 "next_time", "pending", "stats")
+    __slots__ = ("class_label", "dist", "remaining", "factory", "stream", "route", "gap",
+                 "pending", "stats")
 
-    def __init__(self, class_label, dist, max_arrivals, factory, stream):
+    def __init__(self, class_label, dist, max_arrivals, factory, stream, route):
         self.class_label = class_label
         self.dist = dist
         self.remaining = max_arrivals
         self.factory = factory
         self.stream = stream
-        self.now: Time = 0.0
-        self.next_time: Time = 0.0
+        self.route = route
+        # From the last emission, or the start, to ``pending``'s: the time advance.
+        self.gap: Time = INFINITY
         self.pending: Optional[Entity] = None
         self.stats = ObjectStats()
         if max_arrivals is None or max_arrivals > 0:
             self._schedule_next()
 
     def _schedule_next(self) -> None:
-        delay = self.dist.sample(self.stream)
-        if delay < 0:
+        gap = self.dist.sample(self.stream)
+        if gap < 0:
             raise ContractViolationError(
-                f"interarrival sample must be >= 0, got {delay} for source {self.class_label!r}"
+                f"interarrival sample must be >= 0, got {gap} for source {self.class_label!r}"
             )
-        self.next_time = self.now + delay
+        self.gap = gap
         self.pending = self.factory.create(self.class_label)
 
     def held_individuals(self) -> int:
@@ -90,20 +91,21 @@ class SourceState:
 
 
 def _source_ta(s: SourceState) -> Time:
-    return s.next_time - s.now if s.pending is not None else INFINITY
+    return s.gap
 
 
 def _source_out(s: SourceState) -> list[Message]:
-    return [Message(PORT_OUT, s.pending)]
+    entity = s.pending
+    return [Message(PORT_OUT if s.route is None else s.route(entity), entity)]
 
 
 def _source_dint(s: SourceState) -> SourceState:
-    s.now = s.next_time
     s.factory.count_label(s.class_label)
     if s.remaining is not None:
         s.remaining -= 1
         if s.remaining == 0:
             s.pending = None
+            s.gap = INFINITY
             return s
     s._schedule_next()
     return s
@@ -116,22 +118,27 @@ def make_source(
     *,
     factory: EntityFactory,
     stream: RngStream,
+    route: Optional[Callable[[Entity], str]] = None,
+    ports: tuple[str, ...] = (PORT_OUT,),
 ) -> AtomicSpec:
     """Emit one fresh entity per interarrival sample, starting after the first.
 
     ``max_arrivals=None`` means unbounded.  Negative interarrival samples
-    raise :class:`ContractViolationError`.
+    raise :class:`ContractViolationError`.  Each entity leaves on ``out``,
+    or, given ``route``, on the port that ``route(entity)`` names, called
+    once per emission in the output function; ``ports`` declares the ports
+    it may name.
     """
     if max_arrivals is not None and max_arrivals < 0:
         raise ConfigurationError(f"max_arrivals must be >= 0 or None, got {max_arrivals}")
-    state = SourceState(class_label, interarrival, max_arrivals, factory, stream)
+    state = SourceState(class_label, interarrival, max_arrivals, factory, stream, route)
     return AtomicSpec(
         initial_state=state,
         time_advance=_source_ta,
         delta_int=_source_dint,
         delta_ext=_reject_input,
         output=_source_out,
-        output_ports=(PORT_OUT,),
+        output_ports=ports,
     )
 
 
@@ -140,47 +147,27 @@ def _reject_input(state, elapsed, bag):  # sources declare no input ports
 
 
 # ---------------------------------------------------------------------------
-# Weighted choice (routing on couplings)
+# Weighted choice
 
 
 class WeightedChoice:
-    """A weighted pick among named routes, made on the couplings themselves.
+    """A weighted pick among named routes, for a source's ``route``.
 
-    Each message that reaches the choice picks one name, with probability
+    Each :meth:`pick` returns one name, with probability
     ``weight / sum(weights)``, by one ``uniform()`` from ``stream``: the
     first name, in the mapping's order, whose running sum of weights
-    exceeds ``u * sum(weights)``.  A name in ``relabel`` gives the entities
-    that pick it a new class label, counted on ``factory``.
-
-    :meth:`leg` makes the translates to place on couplings: a leg passes
-    the entities that picked its name and yields
-    :data:`~kinsim.kernel.NO_EVENT` for the rest.  A message that reaches
-    one leg must reach every leg made, each once.  The first leg it reaches
-    draws; once every leg has served it, the next message draws anew, even
-    one that carries the same entity.
+    exceeds ``u * sum(weights)``.
     """
 
-    __slots__ = ("names", "bounds", "total", "stream", "relabels", "factory",
-                 "legs", "left", "round", "entity", "pick")
+    __slots__ = ("names", "bounds", "total", "stream")
 
-    def __init__(
-        self,
-        weights: Mapping[str, float],
-        *,
-        stream: RngStream,
-        relabel: Mapping[str, str] = {},
-        factory: Optional[EntityFactory] = None,
-    ) -> None:
+    def __init__(self, weights: Mapping[str, float], *, stream: RngStream) -> None:
         if len(weights) < 2:
             raise ConfigurationError(f"weighted choice needs at least two routes, got "
                                      f"{len(weights)}; a single route is a coupling")
         for name, weight in weights.items():
             if not weight > 0:  # NaN too
                 raise ConfigurationError(f"route {name!r}: weight must be positive, got {weight}")
-        for name in relabel:
-            if name not in weights or factory is None:
-                raise ConfigurationError(f"relabel of route {name!r} needs an entity factory "
-                                         f"and a route of that name, got {list(weights)}")
         self.names = tuple(weights)
         # The running sums of a scan from the first name, added in that order.
         # The last sum is left out of ``bounds``: a bisection over the rest
@@ -189,51 +176,10 @@ class WeightedChoice:
         self.bounds = sums[1:-1]
         self.total = sums[-1]
         self.stream = stream
-        self.relabels = tuple(relabel.get(name) for name in self.names)
-        self.factory = factory
-        self.legs = self.left = 0  # legs made, and legs yet to serve this message
-        self.round = 0  # messages drawn for
-        self.entity: Optional[Entity] = None
-        self.pick = 0
 
-    def leg(self, name: str) -> Callable[[Entity], Entity]:
-        """A new translate that passes the entities that pick ``name``."""
-        if name not in self.names:
-            raise ConfigurationError(f"weighted choice has no route {name!r}")
-        self.legs += 1
-        return _Leg(self, self.names.index(name))
-
-    def _draw(self, entity: Entity) -> None:
-        self.round += 1
-        self.left = self.legs
-        self.entity = entity
-        self.pick = pick = bisect_right(self.bounds, self.stream.uniform() * self.total)
-        label = self.relabels[pick]
-        if label is not None:
-            entity.class_label = label
-            self.factory.count_label(label)
-
-
-class _Leg:
-    """One route of a :class:`WeightedChoice`, as a coupling translate."""
-
-    __slots__ = ("choice", "index", "served")
-
-    def __init__(self, choice: WeightedChoice, index: int) -> None:
-        self.choice = choice
-        self.index = index
-        self.served = 0  # the last round this leg served
-
-    def __call__(self, entity: Entity) -> Any:
-        choice = self.choice
-        if not choice.left:
-            choice._draw(entity)
-        elif entity is not choice.entity or self.served == choice.round:
-            raise RoutingError(f"a message reached leg {choice.names[self.index]!r} before the "
-                               f"last one had reached all {choice.legs} legs of its choice")
-        self.served = choice.round
-        choice.left -= 1
-        return entity if choice.pick == self.index else NO_EVENT
+    def pick(self) -> str:
+        """One route name, drawn by one ``uniform()``."""
+        return self.names[bisect_right(self.bounds, self.stream.uniform() * self.total)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +194,7 @@ class Travelers:
     costs no kernel step.  One counter may carry several leg names when
     every entity crosses those legs together; each name gets its own report
     row with the shared count.  One counter may also sit on several
-    couplings, behind picks that let each entity through only one of them;
+    couplings, such as those out of the ports a source routes one sex to;
     it still reports once.
     """
 

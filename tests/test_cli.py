@@ -95,6 +95,9 @@ def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, ca
     ("sources.WP.interarrival", {"type": "constant", "value": True}),
     ("offspring_distribution", {"type": "discrete", "pairs": [["2", "1.0"]]}),
     ("offspring_distribution", {"type": "discrete", "pairs": [[True, 1.0]]}),
+    # seeds outside 64 bits: once aliased 2**64 - 1 and 0
+    ("base_seed", -1),
+    ("base_seed", 2**64),
 ])
 def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     # Each of these once validated and then hung or ran silently wrong.

@@ -155,20 +155,37 @@ class TestRunExperiment:
 
 class TestTraceFile:
     def test_trace_bytes_pinned(self, tmp_path):
-        # the first line shows WP#0 under the FP label the sex choice on
-        # WP's couplings gave it while routing that same event, so the lines
-        # must be formatted after the event
+        # the first line shows WP#0 under the FP label, and on the FP_C port,
+        # that WP's route gave it as it emitted it
         config = ModelConfig.default()
         config.replications = 2
         config.run_length = 2000.0
         path = tmp_path / "events.tsv"
         run_experiment(config, trace_path=str(path))
         data = path.read_bytes()
-        assert data.startswith(b"1\tWP\tinternal\tout\tFP#0\n")
+        assert data.startswith(b"1\tWP\tinternal\tFP_C\tFP#0\n")
         assert data.count(b"\n") == 10812
         assert hashlib.sha256(data).hexdigest() == (
-            "46c1c94509014217721ef389bf6091a9acfbb7288efdc981ff14897439a6caea"
+            "c7b75ffc90084bd22c584e6a07e98eced15c33c3cfb1c3ff2216f70682585458"
         )
+
+    def test_wp_port_names_the_entry_it_feeds(self, tmp_path):
+        config = ModelConfig.default()
+        config.replications = 1
+        path = tmp_path / "events.tsv"
+        run_experiment(config, trace_path=str(path))
+        lines = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        entry = {"MP": "member_in", "FP": "parent_in"}
+        combiner = {"C": "Marriage_C", "NC": "Marriage_NC"}
+        routed = 0
+        for (_, component, phase, port, payload), following in zip(lines, lines[1:]):
+            if (component, phase) != ("WP", "internal"):
+                continue
+            sex, _, branch = port.partition("_")
+            assert following[1:] == [combiner.get(branch), "external", entry.get(sex), payload]
+            assert payload.startswith(f"{sex}#")
+            routed += 1
+        assert routed == 2000
 
     def test_failed_run_leaves_the_events_before_the_failure(self, tmp_path):
         path = tmp_path / "events.tsv"

@@ -13,7 +13,6 @@ import kinsim.kernel
 from _oracles import generator_schedule, parse_trace, trace_rows
 from kinsim import (
     INFINITY,
-    NO_EVENT,
     AtomicSpec,
     Coupling,
     CoupledSpec,
@@ -612,38 +611,10 @@ class TestHierarchy:
         ]
 
 
-class TestNonEvent:
-    """A translate may yield NO_EVENT, the non-event: its route delivers nothing."""
+class TestTranslate:
+    """Translates on couplings rewrite payloads along each route."""
 
-    def test_route_to_an_atomic_delivers_nothing(self):
-        odd = lambda payload: payload if payload % 2 else NO_EVENT
-        model = CoupledSpec(
-            components={"gen": generator(1.0), "odd": counter(), "all": counter()},
-            couplings=[
-                Coupling("gen", "out", "odd", "in", translate=odd),
-                Coupling("gen", "out", "all", "in"),
-            ],
-        )
-        rows = trace_rows(model, 4.0)
-        assert [(t, c, phase) for t, c, phase, _, _ in rows if c == "odd"] == [
-            (2.0, "odd", "external"), (4.0, "odd", "external"),
-        ]
-        assert sum(1 for _, c, _, _, _ in rows if c == "all") == 4
-
-    def test_route_to_a_root_output_produces_no_root_message(self):
-        model = CoupledSpec(
-            components={"gen": generator(1.0)},
-            couplings=[
-                Coupling("gen", "out", None, "y", translate=lambda payload: NO_EVENT),
-                Coupling("gen", "out", None, "z"),
-            ],
-            output_ports=("y", "z"),
-        )
-        handle = initialize(model)
-        t, outputs = handle.step()
-        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("z", 0)])
-
-    def test_translate_sequence_joins_the_route_chain_and_stops_at_no_event(self):
+    def test_translate_sequence_joins_the_route_chain(self):
         calls = []
 
         def tag(label):
@@ -659,16 +630,29 @@ class TestNonEvent:
         )
         model = CoupledSpec(
             components={"gen": generator(1.0), "inner": inner},
-            couplings=[
-                Coupling("gen", "out", "inner", "in", translate=(tag("a"), tag("b"))),
-                Coupling("gen", "out", "inner", "in",
-                         translate=(tag("x"), lambda payload: NO_EVENT, tag("never"))),
-            ],
+            couplings=[Coupling("gen", "out", "inner", "in", translate=(tag("a"), tag("b")))],
         )
         handle = initialize(model)
         handle.step()
         assert handle.state_of("inner/acc")["seen"] == [(1.0, ["0abcd"])]
-        assert calls == ["a", "b", "c", "d", "x"]
+        assert calls == ["a", "b", "c", "d"]
+
+    def test_translate_runs_once_per_route(self):
+        # the outer coupling's translate lies on both routes of the fan-out
+        # inside ``inner``, so it runs twice for each message
+        calls = []
+        inner = CoupledSpec(
+            components={"a": counter(), "b": counter()},
+            couplings=[Coupling(None, "in", "a", "in"), Coupling(None, "in", "b", "in")],
+            input_ports=("in",),
+        )
+        model = CoupledSpec(
+            components={"gen": generator(1.0), "inner": inner},
+            couplings=[Coupling("gen", "out", "inner", "in",
+                                translate=lambda payload: calls.append(payload) or payload)],
+        )
+        initialize(model).run_until(3.0)
+        assert calls == [0, 0, 1, 1, 2, 2]
 
     def test_non_callable_translate_rejected(self):
         model = CoupledSpec(

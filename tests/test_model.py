@@ -112,6 +112,12 @@ class TestValidateConfig:
     def test_defaults_are_valid(self):
         assert validate_config(ModelConfig.default()) == []
 
+    @pytest.mark.parametrize("seed, flagged", [(0, False), (2**64 - 1, False), (-1, True), (2**64, True)])
+    def test_base_seed_must_fit_64_bits(self, seed, flagged):
+        config = ModelConfig.default()
+        config.base_seed = seed
+        assert [v.field for v in validate_config(config)] == (["base_seed"] if flagged else [])
+
     def test_sex_split_must_sum_to_one(self):
         config = ModelConfig.default()
         config.sex_split = (0.7, 0.7)
@@ -415,23 +421,25 @@ class TestConsanguinityModel:
         assert by_type[ServerState] == 2
         assert by_type[SinkState] == 2
         assert by_type[SourceState] == 1
-        assert len(spec.components) == 7  # routing is done on the couplings
+        assert len(spec.components) == 7  # the source routes, and couplings count
         assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 15))
         assert spec.select is None  # the order of the components
 
     def test_source_feeds_the_four_combiner_entries_through_two_picks(self):
         spec = build_consanguinity_model(ModelConfig.default())
+        assert spec.components["WP"].output_ports == ("MP_C", "MP_NC", "FP_C", "FP_NC")
         from_wp = [c for c in spec.couplings if c.src == "WP"]
-        assert [(c.dst, c.dst_port) for c in from_wp] == [
-            ("Marriage_C", "member_in"), ("Marriage_NC", "member_in"),
-            ("Marriage_C", "parent_in"), ("Marriage_NC", "parent_in"),
+        assert [(c.src_port, c.dst, c.dst_port) for c in from_wp] == [
+            ("MP_C", "Marriage_C", "member_in"), ("MP_NC", "Marriage_NC", "member_in"),
+            ("FP_C", "Marriage_C", "parent_in"), ("FP_NC", "Marriage_NC", "parent_in"),
         ]
-        choices = [[z.choice for z in c.chain() if not isinstance(z, Travelers)] for c in from_wp]
-        sex = choices[0][0]
-        assert [picks[0] for picks in choices] == [sex] * 4
-        assert choices[0][1] is choices[1][1] is not choices[2][1] is choices[3][1]
-        assert sex.names == ("male", "female")
-        assert choices[0][1].names == ("consanguineous", "non_consanguineous")
+        # each coupling only counts: its sex leg, then its branch and stream legs
+        chains = [c.chain() for c in from_wp]
+        assert [[z.legs for z in chain] for chain in chains] == [
+            [("Path1",), ("Path3", "Path7")], [("Path1",), ("Path4", "Path8")],
+            [("Path2",), ("Path5", "Path9")], [("Path2",), ("Path6", "Path10")],
+        ]
+        assert chains[0][0] is chains[1][0] is not chains[2][0] is chains[3][0]
 
     def test_leg_flow_identities_at_drain(self):
         config = ModelConfig.default()

@@ -17,7 +17,6 @@ from kinsim import (
     CoupledSpec,
     Coupling,
     EntityFactory,
-    NO_EVENT,
     Message,
     WeightedChoice,
     individual_count,
@@ -122,31 +121,60 @@ class TestSource:
         assert factory.label_counts["X"] == 10
 
     def test_emission_times_are_the_interarrival_sums(self):
-        factory = EntityFactory()
-        src = make_source("X", Constant(2.0), 3, factory=factory, stream=substream(1, 0))
-
-        # A passive collector advances its own clock by each elapsed time, so
-        # it knows when each entity arrived.
+        # A passive collector advances its own clock by each elapsed time,
+        # from the start time, so it knows when each entity arrived.
         def collect(s, e, xs):
             s["now"] += e
             s["seen"].extend(s["now"] for m in xs)
             return s
 
-        collector = AtomicSpec(
-            initial_state={"now": 0.0, "seen": []},
-            time_advance=lambda s: INFINITY,
-            delta_int=lambda s: s,
-            delta_ext=collect,
-            output=lambda s: [],
-            input_ports=("in",),
-        )
+        def emission_times(gap, t0):
+            src = make_source("X", Constant(gap), 3, factory=EntityFactory(), stream=substream(1, 0))
+            collector = AtomicSpec(
+                initial_state={"now": t0, "seen": []},
+                time_advance=lambda s: INFINITY,
+                delta_int=lambda s: s,
+                delta_ext=collect,
+                output=lambda s: [],
+                input_ports=("in",),
+            )
+            model = CoupledSpec(
+                components={"src": src, "got": collector},
+                couplings=[Coupling("src", "out", "got", "in")],
+            )
+            handle = initialize(model, t0)
+            handle.run_until(20.0)
+            return handle.state_of("got")["seen"]
+
+        assert emission_times(2.0, 0.0) == [2.0, 4.0, 6.0]
+        # the source keeps no clock of its own: the kernel's start time counts
+        assert emission_times(1.0, 5.0) == [6.0, 7.0, 8.0]
+
+    def test_route_names_the_port_of_each_emission(self):
+        factory = EntityFactory()
+        routed = []
+
+        def route(entity):
+            routed.append(entity)
+            return "odd" if len(routed) % 2 else "even"
+
+        src = make_source("X", Constant(1.0), 5, factory=factory, stream=substream(1, 0),
+                          route=route, ports=("odd", "even"))
+        sinks = {"O": make_sink(), "E": make_sink()}
         model = CoupledSpec(
-            components={"src": src, "got": collector},
-            couplings=[Coupling("src", "out", "got", "in")],
+            components={"src": src, **sinks},
+            couplings=[Coupling("src", "odd", "O", "in"), Coupling("src", "even", "E", "in")],
         )
-        handle = initialize(model)
-        handle.run_until(10.0)
-        assert handle.state_of("got")["seen"] == [2.0, 4.0, 6.0]
+        trace = trace_rows(model, 10.0)
+        assert len(routed) == len(set(map(id, routed))) == 5  # once per emission
+        assert [port for _, c, _, port, _ in trace if c == "src"] == ["odd", "even"] * 2 + ["odd"]
+        assert [sink.initial_state.stats.entered for sink in sinks.values()] == [3, 2]
+
+    def test_route_to_an_undeclared_port_raises_routing_error(self):
+        src = make_source("X", Constant(1.0), None, factory=EntityFactory(),
+                          stream=substream(1, 0), route=lambda entity: "elsewhere")
+        with pytest.raises(RoutingError, match="undeclared port 'elsewhere'"):
+            initialize(src).step()
 
     def test_max_arrivals_zero_emits_nothing(self):
         factory = EntityFactory()
@@ -392,17 +420,6 @@ class TestTravelers:
         assert [phase for _, _, phase, _, _ in trace] == ["internal", "external"] * 4
 
 
-def choice_legs(choice):
-    """One leg per route of ``choice``, in route order."""
-    return [choice.leg(name) for name in choice.names]
-
-
-def route(legs, entity):
-    """Hand ``entity`` to every leg, as the kernel does with one message; the
-    indices of the legs that pass it."""
-    return [i for i, leg in enumerate(legs) if leg(entity) is not NO_EVENT]
-
-
 class CountingStream:
     """Returns the given uniforms in turn and counts the draws."""
 
@@ -417,21 +434,7 @@ class CountingStream:
 
 
 class TestSplitter:
-    """The weighted split of a flow: a WeightedChoice and its legs."""
-
-    def test_relabel_counts_dynamic_assignment(self):
-        factory = EntityFactory()
-        choice = WeightedChoice({"male": 0.595, "female": 0.405}, stream=substream(21, 0),
-                                relabel={"male": "MP", "female": "FP"}, factory=factory)
-        legs = choice_legs(choice)
-        n = 2000
-        for _ in range(n):
-            entity = factory.create("WP")
-            [picked] = route(legs, entity)
-            assert entity.class_label == ("MP", "FP")[picked]
-        assert factory.label_counts["MP"] + factory.label_counts["FP"] == n
-        p = 0.595
-        assert abs(factory.label_counts["MP"] / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
+    """The weighted split of a flow: a WeightedChoice's picks."""
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0), (1.0, math.nan)])
     def test_nonpositive_weight_rejected_at_build(self, weights):
@@ -454,8 +457,41 @@ class TestSplitter:
     @example(weights=[1.0, 1.0, 2.0], u=0.25)
     def test_pick_is_route_select(self, weights, u):
         weighted = [(f"p{i}", w) for i, w in enumerate(weights)]
-        choice = WeightedChoice(dict(weighted), stream=CountingStream(u))
-        assert route(choice_legs(choice), "entity") == [route_select(weighted, u)]
+        stream = CountingStream(u)
+        choice = WeightedChoice(dict(weighted), stream=stream)
+        assert choice.pick() == weighted[route_select(weighted, u)][0]
+        assert stream.drawn == 1
+
+    def test_picks_follow_the_weights_within_3_sigma(self):
+        choice = WeightedChoice({"male": 0.595, "female": 0.405}, stream=substream(21, 0))
+        n = 2000
+        males = sum(choice.pick() == "male" for _ in range(n))
+        p = 0.595
+        assert abs(males / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("per_event", [1, 2], ids=["two_events", "one_event"])
+    def test_same_entity_emitted_twice_draws_twice(self, per_event):
+        # One atomic routes the same Entity object twice in a row, in two
+        # events or as two messages of one event: each message draws anew.
+        entity = EntityFactory().create("X")
+        stream = CountingStream(0.2, 0.8)
+        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=stream)
+        emitter = AtomicSpec(
+            initial_state={"left": 2},
+            time_advance=lambda s: 1.0 if s["left"] else INFINITY,
+            delta_int=lambda s: {"left": s["left"] - per_event},
+            delta_ext=lambda s, e, xs: s,
+            output=lambda s: [Message(choice.pick(), entity) for _ in range(per_event)],
+            output_ports=("a", "b"),
+        )
+        sinks = {"A": make_sink(), "B": make_sink()}
+        model = CoupledSpec(
+            components={"src": emitter, **sinks},
+            couplings=[Coupling("src", "a", "A", "in"), Coupling("src", "b", "B", "in")],
+        )
+        initialize(model).run_until(10.0)
+        assert stream.drawn == 2
+        assert [reported(sink.initial_state)["[InputBuffer]"] for sink in sinks.values()] == [1, 1]
 
     def test_weighted_splitter_requires_stream(self):
         with pytest.raises(TypeError, match="stream"):
@@ -465,70 +501,3 @@ class TestSplitter:
     def test_empty_choices_rejected(self, weights):
         with pytest.raises(ConfigurationError, match="at least two"):
             WeightedChoice(weights, stream=substream(1, 0))
-
-    def test_relabel_without_factory_rejected(self):
-        with pytest.raises(ConfigurationError, match="needs an entity factory"):
-            WeightedChoice({"male": 1.0, "female": 1.0}, stream=substream(1, 0),
-                           relabel={"male": "MP"})
-
-    def test_relabel_of_unknown_route_rejected(self):
-        with pytest.raises(ConfigurationError, match="relabel of route 'males'"):
-            WeightedChoice({"male": 1.0, "female": 1.0}, stream=substream(1, 0),
-                           relabel={"males": "MP"}, factory=EntityFactory())
-
-    def test_leg_of_unknown_route_rejected(self):
-        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
-        with pytest.raises(ConfigurationError, match="no route 'c'"):
-            choice.leg("c")
-
-    def test_one_draw_serves_every_leg_of_one_message(self):
-        stream = CountingStream(0.7)
-        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=stream)
-        # two legs per route, as when a pick feeds a second pick
-        legs = [choice.leg("a"), choice.leg("a"), choice.leg("b"), choice.leg("b")]
-        entity = EntityFactory().create("X")
-        assert route(legs, entity) == [2, 3]
-        assert stream.drawn == 1
-
-    @pytest.mark.parametrize("per_event", [1, 2], ids=["two_events", "one_event"])
-    def test_same_entity_emitted_twice_draws_twice(self, per_event):
-        # One atomic emits the same Entity object twice in a row, in two
-        # events or as two messages of one event: each message draws anew.
-        entity = EntityFactory().create("X")
-        emitter = AtomicSpec(
-            initial_state={"left": 2},
-            time_advance=lambda s: 1.0 if s["left"] else INFINITY,
-            delta_int=lambda s: {"left": s["left"] - per_event},
-            delta_ext=lambda s, e, xs: s,
-            output=lambda s: [Message("out", entity)] * per_event,
-            output_ports=("out",),
-        )
-        stream = CountingStream(0.2, 0.8)
-        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=stream)
-        sinks = {"A": make_sink(), "B": make_sink()}
-        model = CoupledSpec(
-            components={"src": emitter, **sinks},
-            couplings=[
-                Coupling("src", "out", "A", "in", choice.leg("a")),
-                Coupling("src", "out", "B", "in", choice.leg("b")),
-            ],
-        )
-        initialize(model).run_until(10.0)
-        assert stream.drawn == 2
-        assert [reported(sink.initial_state)["[InputBuffer]"] for sink in sinks.values()] == [1, 1]
-
-    def test_message_that_skips_a_leg_is_rejected(self):
-        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
-        first, _unwired = choice_legs(choice)
-        factory = EntityFactory()
-        first(factory.create("X"))
-        with pytest.raises(RoutingError, match="all 2 legs"):
-            first(factory.create("X"))
-
-    def test_leg_reached_twice_by_one_message_is_rejected(self):
-        choice = WeightedChoice({"a": 1.0, "b": 1.0}, stream=substream(1, 0))
-        first, _ = choice_legs(choice)
-        entity = EntityFactory().create("X")
-        first(entity)
-        with pytest.raises(RoutingError, match="before the last one"):
-            first(entity)
