@@ -2,10 +2,13 @@
 
 Reproducibility contract
 ------------------------
-Every stream is a :class:`RngStream` wrapping numpy's PCG64 bit generator,
-which is documented, high quality, and bit-stable across platforms.  Stream
-seeds are derived with the SplitMix64 finalizer (Steele, Lea & Flood 2014;
-the same mixer used by ``java.util.SplittableRandom``), so
+Every stream is a :class:`RngStream`: a self-contained PCG64 generator
+(O'Neill 2014; 128-bit LCG state, XSL-RR output) seeded the way numpy's
+``SeedSequence`` seeds it, so the stream of seed ``s`` is bit for bit
+``numpy.random.Generator(numpy.random.PCG64(s)).random()``, on every
+platform, without numpy.  Stream seeds are derived with the SplitMix64
+finalizer (Steele, Lea & Flood 2014; the same mixer used by
+``java.util.SplittableRandom``), so
 
 * the same base seed always yields the same sample sequences, and
 * distinct replication indices or stream names yield well-separated seeds.
@@ -25,11 +28,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import ConfigurationError
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 #: Cumulative-probability tolerance: the final entry of a discrete table may
@@ -38,6 +41,9 @@ CUM_PROB_TOLERANCE = 1e-12
 
 # Doubles a stream draws per refill of its buffer.
 _BLOCK = 256
+
+# PCG64's 128-bit LCG multiplier (O'Neill 2014).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _mix64(x: int) -> int:
@@ -62,23 +68,67 @@ def derive_seed(base_seed: int, *components: Union[int, str]) -> int:
     return seed
 
 
-class RngStream:
-    """One deterministic 64-bit random stream (PCG64).
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) after numpy's ``PCG64(seed)``, 0 <= seed < 2⁶⁴.
 
-    A stream is owned by exactly one replication; equal seeds produce
-    identical sample sequences on every platform.
+    numpy hashes the seed with ``SeedSequence``: the seed's 32-bit words,
+    least significant first, are mixed into a pool of four words, and
+    ``generate_state(4, uint64)`` draws eight words from the pool, paired
+    low word first.  PCG64's set-seed then takes the first two as the
+    initial state and the last two as the stream selector.
+    """
+    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+
+    hash_const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32  # MULT_A
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32  # MIX_MULT_L, MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in words + [0] * (4 - len(words))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    hash_const = 0x8B51F9DD  # INIT_B
+    state_words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32  # MULT_B
+        value = (value * hash_const) & _MASK32
+        state_words.append(value ^ (value >> 16))
+    w0, w1, w2, w3 = (state_words[i] | state_words[i + 1] << 32 for i in range(0, 8, 2))
+
+    # Set-seed: inc = 2·initseq + 1; from state 0, step, add initstate, step.
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    return state, inc
+
+
+class RngStream:
+    """One deterministic 64-bit random stream: PCG64 with numpy's seeding.
+
+    A stream is owned by exactly one replication.  ``RngStream(s)`` gives
+    the doubles of ``numpy.random.Generator(numpy.random.PCG64(s)).random()``
+    bit for bit, on every platform, but needs no numpy.
 
     :meth:`uniform`, the one reader of the generator, serves doubles from a
-    block drawn at once, which PCG64 fills with the very doubles the same
-    number of scalar draws would give, so the sequence is that of scalar
-    draws.
+    block of ``_BLOCK`` drawn at once; the sequence is that of scalar draws.
     """
 
-    __slots__ = ("seed", "_gen", "_block")
+    __slots__ = ("seed", "_state", "_inc", "_block")
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._state, self._inc = _pcg64_seeded(self.seed)
         # Buffered doubles, the next one last, so a draw is one list pop.
         self._block: list[float] = []
 
@@ -87,9 +137,23 @@ class RngStream:
         try:
             return self._block.pop()
         except IndexError:
-            block = self._block = self._gen.random(_BLOCK).tolist()
-            block.reverse()
-            return block.pop()
+            return self._refill().pop()
+
+    def _refill(self) -> list[float]:
+        """Draw the next block of doubles into the buffer, the next one last."""
+        state, inc = self._state, self._inc
+        mult, mask128, mask64, mask53 = _PCG_MULT, _MASK128, _MASK64, (1 << 53) - 1
+        # x·(2⁶⁴ + 1) holds two copies of a 64-bit x, so one shift of it
+        # rotates x right; shifting 11 further keeps the double's 53 bits.
+        doubled, scale = (1 << 64) + 1, 2.0 ** -53
+        block = self._block = [0.0] * _BLOCK
+        for i in range(_BLOCK - 1, -1, -1):
+            state = (state * mult + inc) & mask128
+            # XSL-RR: fold the high half onto the low, rotate by the top 6 bits.
+            x = (state ^ state >> 64) & mask64
+            block[i] = ((x * doubled) >> ((state >> 122) + 11) & mask53) * scale
+        self._state = state
+        return block
 
     def named(self, name: str) -> "RngStream":
         """Child stream for one named decision point, derived from this seed."""

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,7 +288,6 @@ class TestDemo:
 class TestConsoleScript:
     def test_installed_entry_point(self, small_config_file, tmp_path):
         import shutil
-        import subprocess
 
         exe = shutil.which("kinsim")
         if exe is None:
@@ -296,3 +300,39 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.read_text(encoding="utf-8").startswith("object_name,data_source,")
+
+
+class TestWithoutNumpy:
+    """kinsim runs with no numpy: only the tests and kinbench's oracle need it."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    # The packaged config's report at its own seed (42), as pinned by
+    # test_experiment's test_packaged_report_bytes_pinned.
+    PACKAGED_SHA256 = "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
+
+    def python(self, code: str, *args: str) -> subprocess.CompletedProcess:
+        """Run ``code`` with ``args`` in a fresh interpreter that imports kinsim from src."""
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_packaged_run_with_numpy_blocked(self, tmp_path):
+        outs = [tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"]
+        proc = self.python(
+            "import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now raises\n"
+            "from kinsim.cli import main\n"
+            "for jobs, out in zip(('1', '2'), sys.argv[1:]):\n"
+            "    code = main(['run', '--seed', '42', '--jobs', jobs, '--out', out])\n"
+            "    if code:\n"
+            "        sys.exit(code)\n",
+            *map(str, outs),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for out in outs:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PACKAGED_SHA256
+
+    def test_import_leaves_numpy_unloaded(self):
+        proc = self.python("import sys, kinsim.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kinsim import (
@@ -176,6 +176,40 @@ class TestStreams:
         stream = substream(2, 0)
         samples = draws(stream, 10_000)
         assert samples.min() >= 0.0 and samples.max() < 1.0
+
+
+def numpy_draws(seed: int, n: int) -> list[float]:
+    """The first ``n`` doubles of numpy's own PCG64 at ``seed``: the oracle."""
+    return np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
+
+
+SEEDS_64 = st.integers(min_value=0, max_value=2**64 - 1)
+# Draw counts on both sides of the 256-double block edge, and across it.
+DRAW_COUNTS = st.integers(min_value=1, max_value=600)
+
+
+class TestNumpyPcg64Bits:
+    """A stream is numpy's ``Generator(PCG64(seed)).random()``, bit for bit."""
+
+    @given(SEEDS_64, DRAW_COUNTS)
+    # the 32-bit word boundaries of numpy's seed hash
+    @example(0, 600)
+    @example(2**32 - 1, 256)
+    @example(2**32, 257)
+    @example(2**64 - 1, 513)
+    def test_stream(self, seed, n):
+        stream = RngStream(seed)
+        assert draws(stream, n).tolist() == numpy_draws(seed, n)
+
+    @given(SEEDS_64, st.text(max_size=20), DRAW_COUNTS)
+    def test_named_stream(self, seed, name, n):
+        stream = RngStream(seed).named(name)
+        assert draws(stream, n).tolist() == numpy_draws(stream.seed, n)
+
+    @given(SEEDS_64, st.integers(min_value=0, max_value=10_000), DRAW_COUNTS)
+    def test_substream(self, base_seed, replication, n):
+        stream = substream(base_seed, replication)
+        assert draws(stream, n).tolist() == numpy_draws(stream.seed, n)
 
 
 class TestDistributions:
