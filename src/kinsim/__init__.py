@@ -10,7 +10,7 @@ Layering, bottom up:
   picks, and leg counters on couplings count what crosses them.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
   draws per-birth disorder flags.
-* :mod:`kinsim.model` wires the population-growth and consanguinity models.
+* :mod:`kinsim.model` holds the config and wires the consanguinity model.
 * :mod:`kinsim.experiment` runs seeded replications and writes CSV reports;
   :mod:`kinsim.cli` exposes them as the ``kinsim`` command.
 """
@@ -42,7 +42,6 @@ from .randomness import (
     RngStream,
     Uniform,
     make_distribution,
-    mean_of,
     sample_discrete,
     substream,
 )
@@ -65,7 +64,6 @@ from .model import (
     SourceSettings,
     Violation,
     build_consanguinity_model,
-    build_population_growth_model,
     collect_run_stats,
     validate_config,
 )

@@ -1,4 +1,4 @@
-"""Command line interface: ``kinsim run | validate | demo``.
+"""Command line interface: ``kinsim run | validate``.
 
 Exit codes: 0 success, 1 config validation failure (a file that is not
 UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
@@ -11,24 +11,14 @@ import argparse
 import json
 import sys
 from importlib import resources
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, SimulationError
 from .experiment import export_csv, run_experiment
-from .kernel import initialize
-from .model import (
-    ModelConfig,
-    build_population_growth_model,
-    collect_run_stats,
-    validate_config,
-)
+from .model import ModelConfig, validate_config
 
 DEFAULT_OUT = "report.csv"
-
-
-def default_config_path() -> str:
-    """Filesystem path of the packaged default configuration."""
-    return str(resources.files("kinsim").joinpath("data/default_config.json"))
 
 
 def _positive_int(text: str) -> int:
@@ -61,17 +51,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="check a config file and list violations")
     validate.add_argument("--config", default=None, help="JSON config file (defaults to the packaged config)")
-
-    sub.add_parser("demo", help="run the population-growth submodel with stock settings")
     return parser
 
 
 def _load_config(path: Optional[str]) -> ModelConfig:
+    """Parse the config file at ``path``, or the packaged one when ``path`` is None.
+
+    The packaged config is read through :mod:`importlib.resources`, so it
+    loads however kinsim was imported, from a zip too.
+    """
     if path is None:
-        path = default_config_path()
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return ModelConfig.from_dict(data)
+        source = resources.files("kinsim").joinpath("data/default_config.json")
+    else:
+        source = Path(path)
+    return ModelConfig.from_dict(json.loads(source.read_text(encoding="utf-8")))
 
 
 def _checked_config(
@@ -120,24 +113,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    config = ModelConfig.default()
-    config.run_length = 5000.0
-    handle = initialize(build_population_growth_model(config, replication=0))
-    handle.run_until(config.run_length)
-    stats = collect_run_stats(handle)
-    marriages = stats.value("Marriage", "[Processed]")
-    children = stats.label_counts.get("Child", 0)
-    print("population growth demo (one replication)")
-    print(f"  marriages completed:        {marriages}")
-    print(f"  children created:           {children}")
-    print(f"  children per marriage:      {children / marriages:.4f}" if marriages else "  no marriages")
-    print(f"  entities destroyed at sink: {stats.value('New Population', '[InputBuffer]')}")
-    print(f"  conservation: created {stats.created_total} = destroyed {stats.destroyed_individuals}"
-          f" + held {stats.held_individuals}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -146,9 +121,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_demo(args)
+    return _cmd_validate(args)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,11 @@
-"""Experiment configuration and the two coupled models built from it.
+"""Experiment configuration and the consanguinity model built from it.
 
-``build_population_growth_model`` wires the marriage-and-births submodel:
-two sources (male and female populations) feed a combiner that pairs one of
-each into a marriage, a growth server whose completion trigger creates a
-random number of children, and a sink that counts the new population.
-
-``build_consanguinity_model`` extends it: a single whole-population source is
-split by sex, each sex stream is split again into consanguineous and
-non-consanguineous branches by routing weights, and each branch runs its own
-marriage combiner, growth server (whose children receive a congenital
-disorder draw) and new-population sink.
+``build_consanguinity_model`` wires the paper's model: a single
+whole-population source is split by sex, each sex stream is split again
+into consanguineous and non-consanguineous branches by routing weights, and
+each branch runs its own marriage combiner (one female and one male per
+marriage), growth server (whose trigger creates a random number of children
+and draws each child's congenital disorder) and new-population sink.
 
 Objects are joined by direct couplings.  The splits are weighted picks that
 the whole-population source makes as it emits each individual, choosing
@@ -86,13 +82,28 @@ def _check_keys(mapping: Mapping, known: tuple[str, ...]) -> Mapping:
     return mapping
 
 
-# The whole-population source of the consanguinity model, then the male and
-# female sources of the population-growth model.
-_SOURCE_NAMES = ("WP", "MP", "FP")
+# The whole-population source of the consanguinity model.
+_SOURCE_NAMES = ("WP",)
+
+# The male and female sources of the population-growth submodel, which was
+# removed; a config that still sets them is told so, not just "unknown key".
+_REMOVED_SOURCE_NAMES = ("MP", "FP")
 
 
 def _default_sources() -> dict[str, SourceSettings]:
     return {name: SourceSettings() for name in _SOURCE_NAMES}
+
+
+def _parse_sources(sources: Mapping) -> dict[str, SourceSettings]:
+    for name in _REMOVED_SOURCE_NAMES:
+        if name in sources:
+            raise ValueError(f"source {name!r} belonged to the population-growth submodel, "
+                             f"which was removed; only 'WP' remains")
+    return {
+        **_default_sources(),
+        **{name: SourceSettings.from_dict(sub)
+           for name, sub in _check_keys(sources, _SOURCE_NAMES).items()},
+    }
 
 
 def _default_routing() -> dict[str, dict[str, float]]:
@@ -161,7 +172,8 @@ class ModelConfig:
         sex in ``sex_split``, or a sex or branch in ``routing_weights``.  So
         does a field whose value has the wrong shape or type (a fraction
         where a count belongs, a string or a boolean where a number
-        belongs).
+        belongs).  The error for a source ``MP`` or ``FP`` says that the
+        population-growth submodel, which read them, was removed.
         Values of the right shape are checked by :func:`validate_config`,
         not here.
         """
@@ -198,11 +210,7 @@ _FIELD_PARSERS = {
     "run_length": read_number,
     "replications": partial(read_number, integral=True),
     "base_seed": partial(read_number, integral=True),
-    "sources": lambda sources: {
-        **_default_sources(),
-        **{name: SourceSettings.from_dict(sub)
-           for name, sub in _check_keys(sources, _SOURCE_NAMES).items()},
-    },
+    "sources": _parse_sources,
     "sex_split": lambda split: (read_number(_check_keys(split, (MALE, FEMALE))[MALE]),
                                 read_number(split[FEMALE])),
     "routing_weights": lambda weights: {
@@ -311,27 +319,17 @@ def _require_valid(config: ModelConfig) -> None:
         raise ConfigurationError(f"invalid model config: {summary}")
 
 
-def _make_source(
-    config: ModelConfig, name: str, factory: EntityFactory, stream: RngStream, **routing
-) -> AtomicSpec:
-    """The source ``name`` of ``config``, drawing its gaps from ``stream``;
-    ``routing`` passes ``route`` and ``ports`` on to :func:`make_source`."""
-    settings = config.sources[name]
-    return make_source(name, make_distribution(settings.interarrival), settings.max_arrivals,
-                       factory=factory, stream=stream, **routing)
-
-
 def _growth_server(
     label: str,
     factory: EntityFactory,
     offspring_dist: DiscreteDistribution,
     offspring_stream: RngStream,
-    disorder: Optional[Callable[[Entity], Entity]] = None,
+    disorder: Callable[[Entity], Entity],
 ) -> AtomicSpec:
     """A growth server: each processed couple gets ``offspring_dist`` children.
 
     The children, drawn from ``offspring_stream``, are born under ``label``
-    and counted on ``factory``; ``disorder``, when given, draws each child's
+    and counted on ``factory``; ``disorder`` draws each child's
     ``affected`` flag at birth.
     """
     def on_growth(parent: Entity) -> list[Entity]:
@@ -339,40 +337,10 @@ def _growth_server(
         for _ in range(offspring_dist.sample(offspring_stream)):
             child = factory.create(label)
             factory.count_label(label)
-            if disorder is not None:
-                disorder(child)
+            disorder(child)
             children.append(child)
         return children
     return make_server(on_growth)
-
-
-def build_population_growth_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
-    """Marriage and births submodel: MP + FP sources into one combiner.
-
-    The female source feeds the combiner's parent entry and the male source
-    its member entry; each marriage then passes through the growth server,
-    whose trigger creates children per the offspring distribution, and ends
-    in the new-population sink together with its children.  The four legs
-    are counted couplings, reported as ``Path1``-``Path4``.
-    """
-    _require_valid(config)
-    root = substream(config.base_seed, replication)
-    factory = EntityFactory()
-    offspring_dist = make_distribution(config.offspring_distribution)
-    components = {
-        "MP": _make_source(config, "MP", factory, root.named("mp_interarrival")),
-        "FP": _make_source(config, "FP", factory, root.named("fp_interarrival")),
-        "Marriage": make_combiner(),
-        "Population Growth": _growth_server("Child", factory, offspring_dist, root.named("offspring")),
-        "New Population": make_sink(),
-    }
-    couplings = [
-        Coupling("MP", "out", "Marriage", "member_in", Travelers("Path1")),
-        Coupling("FP", "out", "Marriage", "parent_in", Travelers("Path2")),
-        Coupling("Marriage", "out", "Population Growth", "in", Travelers("Path3")),
-        Coupling("Population Growth", "out", "New Population", "in", Travelers("Path4")),
-    ]
-    return CoupledSpec(components, couplings)
 
 
 def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
@@ -413,10 +381,12 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         factory.count_label(label)
         return branch[label].pick()
 
+    wp = config.sources["WP"]
     males, females = Travelers("Path1"), Travelers("Path2")
     components = {
-        "WP": _make_source(config, "WP", factory, root.named("wp_interarrival"), route=route,
-                           ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
+        "WP": make_source("WP", make_distribution(wp.interarrival), wp.max_arrivals,
+                          factory=factory, stream=root.named("wp_interarrival"), route=route,
+                          ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
         "Marriage_C": make_combiner(),
         "Marriage_NC": make_combiner(),
         "PopulationG_C": _growth_server(

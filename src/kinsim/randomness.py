@@ -321,16 +321,6 @@ def sample_discrete(dist: DiscreteDistribution, u: float) -> int:
     return dist.values[i]
 
 
-def mean_of(dist: DiscreteDistribution) -> float:
-    """Expected value: sum of value * (cum prob - previous cum prob)."""
-    total = 0.0
-    previous = 0.0
-    for value, cum in zip(dist.values, dist.cum_probs):
-        total += value * (cum - previous)
-        previous = cum
-    return total
-
-
 Distribution = Union[Constant, Uniform, Exponential, DiscreteDistribution]
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own algorithms: kinship comes from
 Malecot path counting over explicit pedigrees (exact rational arithmetic),
 a weighted pick from a plain cumulative scan (:func:`route_select`, the
-oracle of :class:`~kinsim.objects.WeightedChoice`'s bisection), and event
+oracle of :class:`~kinsim.objects.WeightedChoice`'s bisection), the
+offspring law's moments from its percentages, and event
 schedules for constant-rate generators come from direct multiplication and
 sorting rather than an event loop.  The kernel's event
 trace, which it writes only as text, is read back with :func:`trace_rows`
@@ -126,6 +127,18 @@ def genotype_disorder_probability(q: Fraction, f: Fraction) -> Fraction:
     ibd_affected = f * q
     independent_affected = (1 - f) * q * q
     return ibd_affected + independent_affected
+
+
+def offspring_moments() -> tuple[Fraction, Fraction]:
+    """E[X] and E[X**2] of the default offspring law, in exact arithmetic.
+
+    The law is read from its percentages (10/20/30/30/8/2 for 0 to 5
+    children), not from the cumulative pairs that the config holds.
+    """
+    probs = [Fraction(p, 100) for p in (10, 20, 30, 30, 8, 2)]
+    mean = sum(value * p for value, p in enumerate(probs))
+    second = sum(value * value * p for value, p in enumerate(probs))
+    return mean, second
 
 
 def route_select(outgoing: Sequence[tuple[Any, float]], u: float) -> int:

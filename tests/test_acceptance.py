@@ -19,6 +19,7 @@ from _oracles import (
     first_cousin_once_removed_parents,
     first_cousin_parents,
     generator_schedule,
+    offspring_moments,
     parse_trace,
     pedigree_kinship,
     route_select,
@@ -33,8 +34,6 @@ from kinsim import (
     EntityFactory,
     ModelConfig,
     assign_disorder,
-    build_population_growth_model,
-    collect_run_stats,
     disorder_probability,
     inbreeding_coefficient,
     initialize,
@@ -155,23 +154,21 @@ def test_criterion_05_routing_three_sigma():
         )
 
 
-def test_criterion_06_offspring_mean():
-    config = ModelConfig.default()
-    config.run_length = 10_000.0
-    handle = initialize(build_population_growth_model(config))
-    handle.run_until(config.run_length)
-    stats = collect_run_stats(handle)
-    marriages = stats.value("Marriage", "[Processed]")
-    children = stats.label_counts["Child"]
-    assert marriages >= 10_000
-    # law moments: mean 2.12, E[X^2] = 5.88
-    mean = 2.12
-    sd = math.sqrt(5.88 - mean * mean)
+def test_criterion_06_offspring_mean(default_run):
+    _, result, _ = default_run
+    marriages = sum(result.row_value(name, "[Processed]", "Total")
+                    for name in ("Marriage_C", "Marriage_NC"))
+    children = sum(result.row_value(label, "[Dynamic Object]", "Total")
+                   for label in ("Child_C", "Child_NC"))
+    assert marriages >= 8_000
+    mean, second = offspring_moments()
+    assert (mean, second) == (Fraction(53, 25), Fraction(147, 25))  # 2.12 and 5.88
+    sd = math.sqrt(second - mean * mean)
     bound = 3.0 * sd / math.sqrt(marriages)
     assert abs(children / marriages - mean) <= bound
     print(
         f"PASS criterion 6: {children / marriages:.4f} children per marriage within "
-        f"{bound:.4f} of 2.12 over {marriages} marriages"
+        f"{bound:.4f} of 2.12 over {marriages:.0f} marriages, both branches pooled"
     )
 
 

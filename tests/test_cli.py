@@ -6,15 +6,17 @@ import hashlib
 import json
 import math
 import os
-import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
-from kinsim.cli import default_config_path, main
+from kinsim.cli import main
 from kinsim.model import ModelConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -30,7 +32,26 @@ def small_config_file(tmp_path):
 class TestValidate:
     def test_shipped_default_config_passes(self):
         assert main(["validate"]) == 0
-        assert main(["validate", "--config", default_config_path()]) == 0
+        assert main(["validate", "--config", str(SRC / "kinsim" / "data" / "default_config.json")]) == 0
+
+    def test_packaged_config_read_when_kinsim_is_imported_from_a_zip(self, tmp_path):
+        archive = tmp_path / "kinsim.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted((SRC / "kinsim").rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, path.relative_to(SRC).as_posix())
+        # -I -S: no PYTHONPATH, no site-packages, so the zip is the only kinsim
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c",
+             "import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import kinsim.cli\n"
+             "assert kinsim.cli.__file__.startswith(sys.argv[1]), kinsim.cli.__file__\n"
+             "sys.exit(kinsim.cli.main(['validate']))\n",
+             str(archive)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "config OK\n", "")
 
     def test_violations_exit_1(self, tmp_path, capsys):
         config = ModelConfig.default().to_dict()
@@ -273,16 +294,31 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
 
-class TestDemo:
-    def test_demo_prints_mean_children_near_2_12(self, capsys):
-        assert main(["demo"]) == 0
-        out = capsys.readouterr().out
-        assert "children per marriage" in out
-        value = float(out.split("children per marriage:")[1].split()[0])
-        assert abs(value - 2.12) < 0.05
-        ledger = re.search(r"conservation: created (\d+) = destroyed (\d+) \+ held (\d+)", out)
-        created, destroyed, held = map(int, ledger.groups())
-        assert created == destroyed + held > 0
+class TestRemovedSubmodel:
+    """The population-growth submodel, its ``demo`` command and its MP and
+    FP sources were removed; what still names them is refused cleanly."""
+
+    def test_demo_is_a_usage_error(self, capsys):
+        assert main(["demo"]) == 2
+        assert "invalid choice: 'demo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("name", ["MP", "FP"])
+    def test_config_naming_a_submodel_source_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                   command, name):
+        config = ModelConfig.default().to_dict()
+        config["sources"][name] = config["sources"]["WP"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "never.csv"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(path), *extra]) == 1
+        assert capsys.readouterr() == (
+            f"invalid config: malformed sources: source {name!r} belonged to the "
+            f"population-growth submodel, which was removed; only 'WP' remains\n",
+            "",
+        )
+        assert not out.exists()
 
 
 class TestConsoleScript:
@@ -305,14 +341,13 @@ class TestConsoleScript:
 class TestWithoutNumpy:
     """kinsim runs with no numpy: only the tests and kinbench's oracle need it."""
 
-    SRC = Path(__file__).resolve().parents[1] / "src"
     # The packaged config's report at its own seed (42), as pinned by
     # test_experiment's test_packaged_report_bytes_pinned.
     PACKAGED_SHA256 = "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
 
     def python(self, code: str, *args: str) -> subprocess.CompletedProcess:
         """Run ``code`` with ``args`` in a fresh interpreter that imports kinsim from src."""
-        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         return subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, timeout=120)
 

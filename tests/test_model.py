@@ -1,4 +1,4 @@
-"""Model wiring: config validation, both builders, flow identities, conservation."""
+"""Model wiring: config validation, the builder, flow identities, conservation."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import offspring_moments
 from kinsim import (
     ConsanguinityDegree,
     CoupledSpec,
@@ -17,13 +18,13 @@ from kinsim import (
     ModelConfig,
     SourceSettings,
     build_consanguinity_model,
-    build_population_growth_model,
     collect_run_stats,
     disorder_probability,
     initialize,
     validate_config,
 )
 from kinsim.errors import ConfigurationError
+from kinsim.model import DEFAULT_OFFSPRING_PAIRS
 from kinsim.objects import (
     CombinerState,
     ServerState,
@@ -59,8 +60,7 @@ def valid_configs(draw) -> ModelConfig:
         replications=draw(st.integers(1, 1000)),
         base_seed=draw(st.integers(0, 2**64 - 1)),
         sources={
-            name: SourceSettings(draw(interarrivals), draw(st.none() | st.integers(0, 10**6)))
-            for name in ("WP", "MP", "FP")
+            "WP": SourceSettings(draw(interarrivals), draw(st.none() | st.integers(0, 10**6)))
         },
         sex_split=(male, 1.0 - male),
         routing_weights={
@@ -73,6 +73,86 @@ def valid_configs(draw) -> ModelConfig:
         consanguinity_degree=draw(st.sampled_from(list(ConsanguinityDegree))),
         inbreeding_f=draw(st.none() | unit),
         metadata=draw(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3)),
+    )
+
+
+@st.composite
+def any_configs(draw) -> ModelConfig:
+    """Configs with no, one or a few fields set to an invalid value.
+
+    Valid interarrival laws draw gaps of at least 0.05 on average, so a
+    short run stays short.
+    """
+    broken = draw(st.sets(st.sampled_from([
+        "run_length", "replications", "base_seed", "sources", "sex_split", "routing_weights",
+        "offspring_distribution", "allele_frequency", "inbreeding_f",
+    ]), max_size=3))
+
+    def pick(name, valid, invalid):
+        return draw(invalid if name in broken else valid)
+
+    bad = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+    gap = st.floats(0.05, 5.0)
+    law = {
+        "constant": lambda v: {"type": "constant", "value": v},
+        "uniform": lambda low, high: {"type": "uniform", "low": low, "high": high},
+        "exponential": lambda m: {"type": "exponential", "mean": m},
+        "discrete": lambda pairs: {"type": "discrete", "pairs": pairs},
+    }
+    interarrival = st.one_of(
+        st.builds(law["constant"], gap),
+        st.builds(law["uniform"], st.sampled_from([0.0, 0.1]), st.sampled_from([1.0, 3.0])),
+        st.builds(law["exponential"], gap),
+        st.just(law["discrete"]([[0, 0.5], [1, 1.0]])),
+    )
+    bad_interarrival = st.one_of(
+        st.builds(law["constant"], bad),
+        st.sampled_from([law["uniform"](-1.0, 1.0), law["uniform"](0.0, 0.0), law["uniform"](2.0, 1.0)]),
+        st.builds(law["exponential"], bad),
+        st.sampled_from([law["discrete"]([[0, 1.0]]), law["discrete"]([[-1, 0.5], [1, 1.0]]),
+                         {"type": "gamma", "shape": 2.0}, {"value": 1.0}]),
+    )
+    cap = st.none() | st.integers(0, 50)
+    offspring = st.sampled_from([[list(p) for p in DEFAULT_OFFSPRING_PAIRS], [[0, 1.0]], [[2, 1.0]],
+                                 [[0, 0.5], [1, 1.0]]]).map(law["discrete"])
+    bad_offspring = st.sampled_from([
+        law["discrete"](pairs) for pairs in
+        ([[-1, 0.5], [1, 1.0]], [[1, 0.5]], [[1.5, 1.0]], [[2, 0.6], [1, 0.3]], [])
+    ] + [law["constant"](2.0), {"type": "poisson", "mean": 2.0}])
+    weight = st.floats(1e-3, 1e3)
+    weights = st.fixed_dictionaries({"consanguineous": weight, "non_consanguineous": weight})
+    bad_weights = st.one_of(
+        st.fixed_dictionaries({"consanguineous": bad, "non_consanguineous": weight}),
+        st.fixed_dictionaries({"consanguineous": weight, "non_consanguineous": bad}),
+        st.just({"consanguineous": 1.0}),
+    )
+    male = draw(st.floats(0.01, 0.99))
+    unit = st.floats(0.0, 1.0)
+    bad_unit = st.sampled_from([-0.1, 1.5, math.nan])
+    return ModelConfig(
+        run_length=pick("run_length", st.floats(0.5, 1e6), bad),
+        replications=pick("replications", st.integers(1, 20), st.integers(-1, 0)),
+        base_seed=pick("base_seed", st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])),
+        sources=pick(
+            "sources",
+            st.builds(lambda wp: {"WP": wp}, st.builds(SourceSettings, interarrival, cap)),
+            st.just({}) | st.builds(lambda wp: {"WP": wp}, st.one_of(
+                st.builds(SourceSettings, bad_interarrival, cap),
+                st.builds(SourceSettings, interarrival, st.integers(-3, -1)),
+            )),
+        ),
+        sex_split=pick("sex_split", st.just((male, 1.0 - male)),
+                        st.sampled_from([(0.0, 1.0), (0.7, 0.7), (1.5, -0.5), (math.nan, 0.5)])),
+        routing_weights=pick(
+            "routing_weights",
+            st.fixed_dictionaries({"male": weights, "female": weights}),
+            st.fixed_dictionaries({"male": bad_weights, "female": weights})
+            | st.fixed_dictionaries({"male": weights}),
+        ),
+        offspring_distribution=pick("offspring_distribution", offspring, bad_offspring),
+        allele_frequency=pick("allele_frequency", unit, bad_unit),
+        consanguinity_degree=draw(st.sampled_from(list(ConsanguinityDegree))),
+        inbreeding_f=pick("inbreeding_f", st.none() | unit, bad_unit),
     )
 
 
@@ -262,8 +342,18 @@ class TestValidateConfig:
         wp = {"interarrival": {"type": "constant", "value": 2.0}, "max_arrivals": 5}
         config = ModelConfig.from_dict({"sources": {"WP": wp}})
         assert config.sources["WP"].to_dict() == wp
-        assert config.sources["MP"] == config.sources["FP"] == SourceSettings()
+        assert ModelConfig.from_dict({"sources": {}}).sources == {"WP": SourceSettings()}
         assert validate_config(config) == []
+
+    @pytest.mark.parametrize("name", ["MP", "FP"])
+    def test_sources_of_the_removed_submodel_rejected_at_parse(self, name):
+        default = {"interarrival": {"type": "constant", "value": 1.0}, "max_arrivals": None}
+        with pytest.raises(ConfigurationError) as info:
+            ModelConfig.from_dict({"sources": {"WP": default, name: default}})
+        assert str(info.value) == (
+            f"malformed sources: source {name!r} belonged to the population-growth submodel, "
+            f"which was removed; only 'WP' remains"
+        )
 
     def test_integral_floats_parse_as_counts(self):
         config = ModelConfig.from_dict(
@@ -301,113 +391,146 @@ class TestNestedLegs:
         assert stats.value("Group/Sink", "[InputBuffer]") == 4
 
 
+BRANCHES = ("C", "NC")
+
+
+def growth_chain_rows(stats):
+    """The rows of both branches' marriage -> growth -> sink chains."""
+    objects = {f"{stage}_{tag}" for stage in ("Marriage", "PopulationG", "NewPopulation", "Child")
+               for tag in BRANCHES}
+    objects |= {f"Path{i}" for i in range(11, 15)}
+    return [row for row in stats.rows if row[0] in objects]
+
+
 class TestReportRowPins:
-    """Exact report rows on paths the packaged report does not reach."""
+    """Exact rows of one replication at instants the packaged report, an
+    aggregate over ten full runs, does not show: a short horizon, and
+    between the steps of one instant."""
 
     def test_population_growth_rows(self):
         config = ModelConfig.default()
         config.run_length = 200.0
-        stats = run_model(build_population_growth_model, config)
-        assert stats.rows == [
-            ("Marriage", "[MemberInputBuffer]", "Content", 200),
-            ("Marriage", "[OutputBuffer]", "Content", 200),
-            ("Marriage", "[ParentInputBuffer]", "Content", 200),
-            ("Marriage", "[Processed]", "Throughput", 200),
-            ("Population Growth", "[InputBuffer]", "Content", 200),
-            ("Population Growth", "[OutputBuffer]", "Content", 200),
-            ("Population Growth", "[Processed]", "Throughput", 200),
-            ("New Population", "[InputBuffer]", "Throughput", 642),
-            ("Path1", "[Travelers]", "Throughput", 200),
-            ("Path2", "[Travelers]", "Throughput", 200),
-            ("Path3", "[Travelers]", "Throughput", 200),
-            ("Path4", "[Travelers]", "Throughput", 642),
-            ("Child", "[Dynamic Object]", "Throughput", 442),
-            ("FP", "[Dynamic Object]", "Throughput", 200),
-            ("MP", "[Dynamic Object]", "Throughput", 200),
+        stats = run_model(build_consanguinity_model, config)
+        assert growth_chain_rows(stats) == [
+            ("Marriage_C", "[MemberInputBuffer]", "Content", 27),
+            ("Marriage_C", "[OutputBuffer]", "Content", 27),
+            ("Marriage_C", "[ParentInputBuffer]", "Content", 27),
+            ("Marriage_C", "[Processed]", "Throughput", 27),
+            ("Marriage_NC", "[MemberInputBuffer]", "Content", 42),
+            ("Marriage_NC", "[OutputBuffer]", "Content", 42),
+            ("Marriage_NC", "[ParentInputBuffer]", "Content", 42),
+            ("Marriage_NC", "[Processed]", "Throughput", 42),
+            ("PopulationG_C", "[InputBuffer]", "Content", 27),
+            ("PopulationG_C", "[OutputBuffer]", "Content", 27),
+            ("PopulationG_C", "[Processed]", "Throughput", 27),
+            ("PopulationG_NC", "[InputBuffer]", "Content", 42),
+            ("PopulationG_NC", "[OutputBuffer]", "Content", 42),
+            ("PopulationG_NC", "[Processed]", "Throughput", 42),
+            ("NewPopulation_C", "[InputBuffer]", "Throughput", 91),
+            ("NewPopulation_NC", "[InputBuffer]", "Throughput", 125),
+            ("Path11", "[Travelers]", "Throughput", 27),
+            ("Path12", "[Travelers]", "Throughput", 42),
+            ("Path13", "[Travelers]", "Throughput", 91),
+            ("Path14", "[Travelers]", "Throughput", 125),
+            ("Child_C", "[Dynamic Object]", "Throughput", 64),
+            ("Child_NC", "[Dynamic Object]", "Throughput", 83),
         ]
-        assert stats.created_total == 844
-        assert (stats.destroyed_individuals, stats.held_individuals) == (842, 2)
+        assert stats.created_total == 348
+        assert (stats.destroyed_individuals, stats.held_individuals) == (285, 63)
         assert stats.affected_by_class == {}
 
     def test_rows_between_steps_with_output_waiting(self):
         config = ModelConfig.default()
-        handle = initialize(build_population_growth_model(config))
+        handle = initialize(build_consanguinity_model(config))
         handle.run_until(100.0)
-        server = handle.state_of("Population Growth")
+        server = handle.state_of("PopulationG_C")
         while len(server.outq) < 2:
             handle.step()
-        # the couple married at 101 is processed, and it and its three
+        # the couple married at 123 is processed, and it and its two
         # children wait in the output buffer: they have not left yet
-        assert handle.clock == 101.0
-        assert [e.class_label for e in server.outq] == ["FP", "Child", "Child", "Child"]
+        assert handle.clock == 123.0
+        assert [e.class_label for e in server.outq] == ["FP", "Child_C", "Child_C"]
         stats = collect_run_stats(handle)
-        assert stats.rows == [
-            ("Marriage", "[MemberInputBuffer]", "Content", 101),
-            ("Marriage", "[OutputBuffer]", "Content", 101),
-            ("Marriage", "[ParentInputBuffer]", "Content", 101),
-            ("Marriage", "[Processed]", "Throughput", 101),
-            ("Population Growth", "[InputBuffer]", "Content", 101),
-            ("Population Growth", "[OutputBuffer]", "Content", 100),  # processed - waiting
-            ("Population Growth", "[Processed]", "Throughput", 101),
-            ("New Population", "[InputBuffer]", "Throughput", 328),
-            ("Path1", "[Travelers]", "Throughput", 101),
-            ("Path2", "[Travelers]", "Throughput", 101),
-            ("Path3", "[Travelers]", "Throughput", 101),
-            ("Path4", "[Travelers]", "Throughput", 328),
-            ("Child", "[Dynamic Object]", "Throughput", 231),
-            ("FP", "[Dynamic Object]", "Throughput", 101),
-            ("MP", "[Dynamic Object]", "Throughput", 101),
+        assert growth_chain_rows(stats) == [
+            ("Marriage_C", "[MemberInputBuffer]", "Content", 13),
+            ("Marriage_C", "[OutputBuffer]", "Content", 13),
+            ("Marriage_C", "[ParentInputBuffer]", "Content", 13),
+            ("Marriage_C", "[Processed]", "Throughput", 13),
+            ("Marriage_NC", "[MemberInputBuffer]", "Content", 27),
+            ("Marriage_NC", "[OutputBuffer]", "Content", 27),
+            ("Marriage_NC", "[ParentInputBuffer]", "Content", 27),
+            ("Marriage_NC", "[Processed]", "Throughput", 27),
+            ("PopulationG_C", "[InputBuffer]", "Content", 13),
+            ("PopulationG_C", "[OutputBuffer]", "Content", 12),  # processed - waiting
+            ("PopulationG_C", "[Processed]", "Throughput", 13),
+            ("PopulationG_NC", "[InputBuffer]", "Content", 27),
+            ("PopulationG_NC", "[OutputBuffer]", "Content", 27),
+            ("PopulationG_NC", "[Processed]", "Throughput", 27),
+            ("NewPopulation_C", "[InputBuffer]", "Throughput", 43),
+            ("NewPopulation_NC", "[InputBuffer]", "Throughput", 76),
+            ("Path11", "[Travelers]", "Throughput", 13),
+            ("Path12", "[Travelers]", "Throughput", 27),
+            ("Path13", "[Travelers]", "Throughput", 43),
+            ("Path14", "[Travelers]", "Throughput", 76),
+            ("Child_C", "[Dynamic Object]", "Throughput", 33),
+            ("Child_NC", "[Dynamic Object]", "Throughput", 49),
         ]
-        # held: the couple (2) and its children (3) at the server, and the
-        # next MP and FP each source holds until 102
-        assert stats.held_individuals == 7
-        assert (stats.created_total, stats.destroyed_individuals) == (435, 428)
+        # held: the couple (2) and its children (2) at the server, the
+        # 33 - 13 and 50 - 27 males still unmarried at the combiners, and
+        # the next individual, which the source holds until 124
+        assert (stats.value("Path7", "[Travelers]"), stats.value("Path8", "[Travelers]")) == (33, 50)
+        assert stats.held_individuals == 4 + 20 + 23 + 1
+        assert (stats.created_total, stats.destroyed_individuals) == (206, 158)
         assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
 
 
 class TestPopulationGrowthModel:
+    """The marriage -> growth -> new-population chain that each branch of
+    the consanguinity model runs."""
+
     def test_two_children_per_marriage_hand_trace(self):
         config = ModelConfig.default()
         config.offspring_distribution = {"type": "discrete", "pairs": [[2, 1.0]]}
-        stats = run_model(build_population_growth_model, config, until=10.0)
-        assert stats.value("Marriage", "[Processed]") == 10
-        assert stats.label_counts["Child"] == 20
-        # the sink destroys 10 couples and 20 children as flowing units
-        assert stats.value("New Population", "[InputBuffer]") == 30
-        # each couple carries its member, so 40 individuals were destroyed
-        assert stats.destroyed_individuals == 40
+        stats = run_model(build_consanguinity_model, config, until=50.0)
+        marriages = {tag: stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES}
+        assert marriages == {"C": 5, "NC": 11}
+        for tag in BRANCHES:
+            assert stats.label_counts[f"Child_{tag}"] == 2 * marriages[tag]
+            # the sink destroys each couple and its two children as flowing units
+            assert stats.value(f"NewPopulation_{tag}", "[InputBuffer]") == 3 * marriages[tag]
+        # each couple carries its member, so 4 individuals per marriage were destroyed
+        assert stats.destroyed_individuals == 4 * (5 + 11)
         assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
 
     def test_empty_run_when_sources_capped_at_zero(self):
         config = ModelConfig.default()
-        for name in ("MP", "FP"):
-            config.sources[name].max_arrivals = 0
-        stats = run_model(build_population_growth_model, config, until=50.0)
+        config.sources["WP"].max_arrivals = 0
+        stats = run_model(build_consanguinity_model, config, until=50.0)
         assert stats.created_total == 0
-        assert stats.value("Marriage", "[Processed]") == 0
+        for tag in BRANCHES:
+            assert stats.value(f"Marriage_{tag}", "[Processed]") == 0
         assert stats.destroyed_individuals == 0
         assert stats.held_individuals == 0
 
     def test_offspring_mean_near_2_12(self):
         config = ModelConfig.default()
         config.run_length = 2000.0
-        stats = run_model(build_population_growth_model, config)
-        marriages = stats.value("Marriage", "[Processed]")
-        children = stats.label_counts["Child"]
-        assert marriages == 2000
-        # offspring law variance: E[X^2] - 2.12^2 = 5.88 - 4.4944
-        sd = math.sqrt(5.88 - 2.12 ** 2)
-        assert abs(children / marriages - 2.12) <= 3 * sd / math.sqrt(marriages)
+        stats = run_model(build_consanguinity_model, config)
+        marriages = sum(stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
+        children = sum(stats.label_counts[f"Child_{tag}"] for tag in BRANCHES)
+        assert marriages == 316 + 504
+        mean, second = offspring_moments()
+        sd = math.sqrt(second - mean * mean)
+        assert abs(children / marriages - mean) <= 3 * sd / math.sqrt(marriages)
 
     def test_structure(self):
-        spec = build_population_growth_model(ModelConfig.default())
-        states = [type(c.initial_state).__name__ for c in spec.components.values()]
-        assert states.count("SourceState") == 2
-        assert states.count("CombinerState") == 1
-        assert states.count("ServerState") == 1
-        assert states.count("SinkState") == 1
-        assert len(states) == 5
-        assert counted_legs(spec) == sorted(f"Path{i}" for i in range(1, 5))
+        spec = build_consanguinity_model(ModelConfig.default())
+        for tag in BRANCHES:
+            chain = [f"Marriage_{tag}", f"PopulationG_{tag}", f"NewPopulation_{tag}"]
+            states = [type(spec.components[name].initial_state) for name in chain]
+            assert states == [CombinerState, ServerState, SinkState]
+            links = [(c.src, c.src_port, c.dst, c.dst_port) for c in spec.couplings if c.src in chain]
+            assert links == [(chain[0], "out", chain[1], "in"), (chain[1], "out", chain[2], "in")]
 
 
 class TestConsanguinityModel:
@@ -572,3 +695,38 @@ class TestConsanguinityModel:
                 assert arrived == carried_out + state.held_individuals(), name
             elif isinstance(state, ServerState):
                 assert not state.outq, name  # zero-time: all left by the end
+
+    def test_consanguineous_marriages_monotone_in_share(self):
+        # A branch pick names C exactly when u * (w_C + w_NC) < w_C, on the
+        # same stream at every share, so a larger C share moves individuals
+        # from NC to C only: per replication, C marriages never fall and NC
+        # marriages never rise.  Affected counts are not monotone.
+        config = ModelConfig.default()
+        config.run_length = 300.0
+        marriages = []
+        for share in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8):
+            for sex in ("male", "female"):
+                config.routing_weights[sex] = {"consanguineous": share,
+                                               "non_consanguineous": 1.0 - share}
+            runs = [run_model(build_consanguinity_model, config, r) for r in range(5)]
+            marriages.append([(stats.value("Marriage_C", "[Processed]"),
+                               stats.value("Marriage_NC", "[Processed]")) for stats in runs])
+        for lower, higher in zip(marriages, marriages[1:]):
+            for (c0, nc0), (c1, nc1) in zip(lower, higher):
+                assert c0 <= c1 and nc0 >= nc1
+        for (c0, nc0), (c1, nc1) in zip(marriages[0], marriages[-1]):
+            assert c0 < c1 and nc0 > nc1
+
+
+class TestConfigAcceptance:
+    @settings(max_examples=150, deadline=None)
+    @given(config=any_configs())
+    def test_validate_accepts_exactly_what_builder_and_run_accept(self, config):
+        violations = validate_config(config)
+        try:
+            handle = initialize(build_consanguinity_model(config))
+            handle.run_until(min(config.run_length, 5.0))
+        except ConfigurationError:
+            assert violations
+        else:
+            assert violations == []

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from kinsim import (
     RngStream,
     Uniform,
     make_distribution,
-    mean_of,
     sample_discrete,
     substream,
 )
@@ -32,13 +30,6 @@ OFFSPRING = DiscreteDistribution(OFFSPRING_PAIRS)
 def draws(stream: RngStream, n: int) -> np.ndarray:
     """The next ``n`` uniform draws of ``stream``, as an array."""
     return np.array([stream.uniform() for _ in range(n)])
-
-
-def offspring_mean_oracle() -> Fraction:
-    # Independent expected-value computation in exact arithmetic.
-    probs = [Fraction(10, 100), Fraction(20, 100), Fraction(30, 100),
-             Fraction(30, 100), Fraction(8, 100), Fraction(2, 100)]
-    return sum(value * p for value, p in zip(range(6), probs))
 
 
 class TestSampleDiscrete:
@@ -79,19 +70,6 @@ class TestSampleDiscrete:
     def test_monotone_in_u(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert sample_discrete(OFFSPRING, lo) <= sample_discrete(OFFSPRING, hi)
-
-
-class TestMeanOf:
-    def test_offspring_mean_is_2_12(self):
-        oracle = offspring_mean_oracle()
-        assert oracle == Fraction(53, 25)  # 2.12
-        assert mean_of(OFFSPRING) == pytest.approx(float(oracle), rel=1e-12)
-
-    def test_degenerate(self):
-        assert mean_of(DiscreteDistribution([(7, 1.0)])) == 7.0
-
-    def test_symmetric(self):
-        assert mean_of(DiscreteDistribution([(0, 0.5), (2, 1.0)])) == 1.0
 
 
 class TestDiscreteValidation:
