@@ -3,14 +3,17 @@ how consanguineous marriage shifts congenital-disorder prevalence.
 
 Layering, bottom up:
 
-* :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled).
+* :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled);
+  its couplings join ports and carry each message unchanged.
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
 * :mod:`kinsim.objects` realizes Source, Combiner, Server and Sink
-  objects as DEVS atomics; a source may route what it emits with weighted
-  picks, and leg counters on couplings count what crosses them.
+  objects as DEVS atomics; a source routes what it emits, for instance with
+  weighted picks, and the other objects tell how many entities arrived on
+  each input port.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
   draws per-birth disorder flags.
-* :mod:`kinsim.model` holds the config and wires the consanguinity model.
+* :mod:`kinsim.model` holds the config, wires the consanguinity model and
+  reads each leg's count off the arrivals at its end.
 * :mod:`kinsim.experiment` runs seeded replications and writes CSV reports;
   :mod:`kinsim.cli` exposes them as the ``kinsim`` command.
 """

@@ -9,14 +9,15 @@ represents.  :func:`initialize` relies on closure under coupling: in one
 pass over the hierarchy it checks every coupling and ``select``, collects
 the atomics in hierarchical select order, and joins all couplings into one
 graph of port endpoints.  A walk of that graph gives each atomic output
-port its routes to atomic inputs and root outputs, with the translates
-composed in hop order.  Every event, whether fired by
+port its routes to atomic inputs and root outputs.  Couplings carry a
+message unchanged, as in coupled DEVS with ports (Zeigler, Praehofer & Kim
+2000); only its port is renamed on the way.  Every event, whether fired by
 :meth:`SimulationHandle.step` or inside :meth:`SimulationHandle.run_until`,
 then runs one Classic-DEVS cycle over the flat atomics:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
-3. route its outputs along couplings, applying port translations,
+3. route its outputs along couplings to their destination ports,
 4. apply ``delta_int`` to the selected component and ``delta_ext`` (with the
    elapsed time ``t - t_last``) to every receiver,
 5. recompute ``t_next`` for every affected component.
@@ -64,38 +65,19 @@ class Message(NamedTuple):
     payload: Any
 
 
-Translate = Callable[[Any], Any]
-
-
 @dataclass(frozen=True, slots=True)
 class Coupling:
     """A directed connection between two ports of a coupled model.
 
     ``src``/``dst`` name child components; ``None`` refers to the coupled
     model's own boundary (external input when used as ``src``, external
-    output when used as ``dst``).  ``translate`` optionally rewrites the
-    payload in flight: one callable, or a sequence of them applied first
-    to last; the identity is used when omitted.  The kernel composes the
-    translates of each route from an atomic output to an atomic input or a
-    root output, and runs them once per route and message: a counter on a
-    coupling that fans out further on, inside a nested model, counts once
-    per target it reaches.
+    output when used as ``dst``).  The payload crosses unchanged.
     """
 
     src: str | None
     src_port: str
     dst: str | None
     dst_port: str
-    translate: Translate | Sequence[Translate] | None = None
-
-    def chain(self) -> tuple[Translate, ...]:
-        """The translates in the order they apply; empty for the identity."""
-        z = self.translate
-        chain = () if z is None else (z,) if callable(z) else tuple(z)
-        if not all(map(callable, chain)):
-            raise StructuralError(f"coupling {self.src}.{self.src_port} -> {self.dst}.{self.dst_port}: "
-                                  f"translate must be a callable or a sequence of callables, got {z!r}")
-        return chain
 
 
 @dataclass
@@ -147,7 +129,7 @@ def _flatten(
     path: str,
     key: tuple[int, ...],
     atoms: list[tuple[tuple[int, ...], str, AtomicSpec]],
-    edges: dict[Endpoint, list[tuple[Endpoint, tuple[Translate, ...]]]],
+    edges: dict[Endpoint, list[Endpoint]],
 ) -> None:
     """Check a model and close it into atomics plus an endpoint graph, in one pass.
 
@@ -181,7 +163,7 @@ def _flatten(
         # boundary output or a child input.
         src = _endpoint(spec, path, c.src, c.src_port, INPUT if c.src is None else OUTPUT)
         dst = _endpoint(spec, path, c.dst, c.dst_port, OUTPUT if c.dst is None else INPUT)
-        edges.setdefault(src, []).append((dst, c.chain()))
+        edges.setdefault(src, []).append(dst)
     if spec.select is not None and sorted(spec.select) != sorted(spec.components):
         raise StructuralError(
             f"{where}: select must be a total order over the components, "
@@ -210,21 +192,20 @@ def _endpoint(
     return path, port, direction
 
 
-def _reach(edges: dict, end: Endpoint, chain: tuple = ()) -> Iterator[tuple[Endpoint, tuple]]:
+def _reach(edges: dict[Endpoint, list[Endpoint]], end: Endpoint) -> Iterator[Endpoint]:
     """Yield ``end`` and every endpoint it reaches, depth first in coupling
-    declaration order, each with the translates met on the way, in hop order."""
-    yield end, chain
-    for nxt, hop in edges.get(end, ()):
-        yield from _reach(edges, nxt, chain + hop)
+    declaration order."""
+    yield end
+    for nxt in edges.get(end, ()):
+        yield from _reach(edges, nxt)
 
 
 class _Node:
     """One atomic of the flattened model; its ``t_next`` is kept by the handle.
 
     ``routes`` maps each declared output port to ``(deliveries,
-    root_outputs)``: deliveries are ``(node index, input port, translates)``
-    and root outputs ``(root port, translates)``, in coupling declaration
-    order, with each chain of translates applied first to last.
+    root_outputs)``: deliveries are ``(node index, input port)`` and root
+    outputs root port names, in coupling declaration order.
     """
 
     __slots__ = ("path", "spec", "state", "t_last", "routes")
@@ -234,14 +215,14 @@ class _Node:
         self.spec = spec
         self.state = spec.initial_state
         self.t_last = t0
-        self.routes: dict[str, tuple[list[tuple[int, str, tuple]], list[tuple[str, tuple]]]] = {}
+        self.routes: dict[str, tuple[list[tuple[int, str]], list[str]]] = {}
 
 
 class SimulationHandle:
     """Mutable run state for one simulation; confined to one thread at a time.
 
     Created by :func:`initialize`.  Carries the clock, the atomic components
-    in select order with their composed routes, the ``t_next`` table
+    in select order with their routes, the ``t_next`` table
     parallel to them, and the write method of the trace stream, if any.
     It keeps no record of past events.
     """
@@ -253,7 +234,7 @@ class SimulationHandle:
         trace_file: TextIO | None,
     ) -> None:
         atoms: list[tuple[tuple[int, ...], str, AtomicSpec]] = []
-        edges: dict[Endpoint, list[tuple[Endpoint, tuple[Translate, ...]]]] = {}
+        edges: dict[Endpoint, list[Endpoint]] = {}
         _flatten(model, "", (), atoms, edges)
         atoms.sort(key=lambda atom: atom[0])
         index = {path: i for i, (_, path, _) in enumerate(atoms)}
@@ -275,8 +256,8 @@ class SimulationHandle:
             for port in spec.output_ports:
                 reached = list(_reach(edges, (path, port, OUTPUT)))
                 node.routes[port] = (
-                    [(index[p], q, z) for (p, q, d), z in reached if d == INPUT and p in index],
-                    [(q, z) for (p, q, d), z in reached if p == "" and d == OUTPUT],
+                    [(index[p], q) for p, q, d in reached if d == INPUT and p in index],
+                    [q for p, q, d in reached if p == "" and d == OUTPUT],
                 )
             self._nodes.append(node)
             self._t_next.append(t0 + ta)
@@ -368,20 +349,14 @@ class SimulationHandle:
                 atom_targets, root_targets = routes[port]
             except KeyError:
                 raise RoutingError(f"{node.path}: output on undeclared port {port!r}") from None
-            for idx, dst_port, chain in atom_targets:
-                value = payload
-                for z in chain:
-                    value = z(value)
+            for idx, dst_port in atom_targets:
                 bag = deliveries.get(idx)
                 if bag is None:
-                    deliveries[idx] = [Message(dst_port, value)]
+                    deliveries[idx] = [Message(dst_port, payload)]
                 else:
-                    bag.append(Message(dst_port, value))
-            for root_port, chain in root_targets:
-                value = payload
-                for z in chain:
-                    value = z(value)
-                root_outputs.append(Message(root_port, value))
+                    bag.append(Message(dst_port, payload))
+            for root_port in root_targets:
+                root_outputs.append(Message(root_port, payload))
         # Internal transition of the selected component.
         node.state = state = spec.delta_int(node.state)
         ta = spec.time_advance(state)

@@ -7,12 +7,13 @@ each branch runs its own marriage combiner (one female and one male per
 marriage), growth server (whose trigger creates a random number of children
 and draws each child's congenital disorder) and new-population sink.
 
-Objects are joined by direct couplings.  The splits are weighted picks that
-the whole-population source makes as it emits each individual, choosing
-the port it leaves on, and every leg of the flow is counted by a
-:class:`~kinsim.objects.Travelers` translate on a coupling and reported as
-a ``Path<n>`` ``[Travelers]`` row, so neither routing nor counting costs a
-kernel step.
+Objects are joined by direct couplings, which carry each individual
+unchanged.  The splits are weighted picks that the whole-population source
+makes as it emits each individual, choosing the port it leaves on, so
+routing costs no kernel step.  Each leg of the flow is reported as a
+``Path<n>`` ``[Travelers]`` row, the entities that arrived over it: the
+arrivals at the input ports it leads to, listed in ``_LEGS`` and read off
+the objects' own counters, so counting costs no step either.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
 from .genetics import ConsanguinityDegree, assign_disorder
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
 from .objects import (
+    PORT_IN,
+    PORT_MEMBER_IN,
+    PORT_PARENT_IN,
     THROUGHPUT,
+    TRAVELERS,
     StatRow,
-    Travelers,
     WeightedChoice,
     make_combiner,
     make_server,
@@ -263,12 +267,17 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         if weights is None:
             violations.append(Violation(f"routing_weights.{sex}", "missing", None))
             continue
+        valid = True
         for branch in (CONSANG, NON_CONSANG):
             weight = weights.get(branch)
             if weight is None or not 0 < weight < math.inf:
+                valid = False
                 violations.append(
                     Violation(f"routing_weights.{sex}.{branch}", "must be finite and > 0", weight)
                 )
+        # The branch pick adds the pair, and an infinite total names NC every time.
+        if valid and weights[CONSANG] + weights[NON_CONSANG] == math.inf:
+            violations.append(Violation(f"routing_weights.{sex}", "must have a finite sum", math.inf))
     for name in _SOURCE_NAMES:
         settings = config.sources.get(name)
         if settings is None:
@@ -352,11 +361,9 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     WP as MP or FP, then that sex's branch, consanguineous (C) or not (NC).
     It leaves on one of four ports, ``MP_C``, ``MP_NC``, ``FP_C`` and
     ``FP_NC``, each coupled straight to its combiner entry, males as
-    members and females as parents.  The fourteen legs of the flow are
-    counted on the couplings and reported as ``Path1``-``Path14``: a port's
-    coupling counts its branch and stream legs together (Path3 and Path7
-    for MP_C), and its sex leg (Path1 for males) with a counter that both
-    ports of that sex share.
+    members and females as parents.  The couplings only carry; the
+    fourteen legs of the flow, ``Path1``-``Path14``, are read off the
+    objects they lead to by :func:`collect_run_stats`.
     """
     _require_valid(config)
     root = substream(config.base_seed, replication)
@@ -382,7 +389,6 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         return branch[label].pick()
 
     wp = config.sources["WP"]
-    males, females = Travelers("Path1"), Travelers("Path2")
     components = {
         "WP": make_source("WP", make_distribution(wp.interarrival), wp.max_arrivals,
                           factory=factory, stream=root.named("wp_interarrival"), route=route,
@@ -401,16 +407,40 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "NewPopulation_NC": make_sink(),
     }
     couplings = [
-        Coupling("WP", "MP_C", "Marriage_C", "member_in", (males, Travelers("Path3", "Path7"))),
-        Coupling("WP", "MP_NC", "Marriage_NC", "member_in", (males, Travelers("Path4", "Path8"))),
-        Coupling("WP", "FP_C", "Marriage_C", "parent_in", (females, Travelers("Path5", "Path9"))),
-        Coupling("WP", "FP_NC", "Marriage_NC", "parent_in", (females, Travelers("Path6", "Path10"))),
-        Coupling("Marriage_C", "out", "PopulationG_C", "in", Travelers("Path11")),
-        Coupling("Marriage_NC", "out", "PopulationG_NC", "in", Travelers("Path12")),
-        Coupling("PopulationG_C", "out", "NewPopulation_C", "in", Travelers("Path13")),
-        Coupling("PopulationG_NC", "out", "NewPopulation_NC", "in", Travelers("Path14")),
+        Coupling("WP", "MP_C", "Marriage_C", "member_in"),
+        Coupling("WP", "MP_NC", "Marriage_NC", "member_in"),
+        Coupling("WP", "FP_C", "Marriage_C", "parent_in"),
+        Coupling("WP", "FP_NC", "Marriage_NC", "parent_in"),
+        Coupling("Marriage_C", "out", "PopulationG_C", "in"),
+        Coupling("Marriage_NC", "out", "PopulationG_NC", "in"),
+        Coupling("PopulationG_C", "out", "NewPopulation_C", "in"),
+        Coupling("PopulationG_NC", "out", "NewPopulation_NC", "in"),
     ]
     return CoupledSpec(components, couplings)
+
+
+# Each leg of the consanguinity model -> the (component, input port) pairs
+# whose arrivals it sums.  A leg from WP's picks to a combiner entry and the
+# stream leg into that entry carry the same individuals (Path3 and Path7);
+# the sex legs take both entries of their side.
+_MEMBERS_C, _MEMBERS_NC = ("Marriage_C", PORT_MEMBER_IN), ("Marriage_NC", PORT_MEMBER_IN)
+_PARENTS_C, _PARENTS_NC = ("Marriage_C", PORT_PARENT_IN), ("Marriage_NC", PORT_PARENT_IN)
+_LEGS = {
+    "Path1": (_MEMBERS_C, _MEMBERS_NC),
+    "Path2": (_PARENTS_C, _PARENTS_NC),
+    "Path3": (_MEMBERS_C,),
+    "Path4": (_MEMBERS_NC,),
+    "Path5": (_PARENTS_C,),
+    "Path6": (_PARENTS_NC,),
+    "Path7": (_MEMBERS_C,),
+    "Path8": (_MEMBERS_NC,),
+    "Path9": (_PARENTS_C,),
+    "Path10": (_PARENTS_NC,),
+    "Path11": (("PopulationG_C", PORT_IN),),
+    "Path12": (("PopulationG_NC", PORT_IN),),
+    "Path13": (("NewPopulation_C", PORT_IN),),
+    "Path14": (("NewPopulation_NC", PORT_IN),),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +474,19 @@ class RunStats:
 def collect_run_stats(handle: SimulationHandle) -> RunStats:
     """Harvest report rows and conservation totals from a run, at any instant.
 
-    Every atomic must be a :mod:`kinsim.objects` object.  Each reports its
-    own rows through ``report_rows(name)``, in component order; held
-    individuals and the sink tallies of its counters are summed over all
-    of them alike.  Counted legs follow, read from the
-    :class:`~kinsim.objects.Travelers` on the couplings of every coupled
-    model in the hierarchy: the root's couplings first, then each nested
-    coupled model's, depth first in the order its components are declared.
-    A counter that several couplings share reports once, where first met.
-    One ``[Dynamic Object]`` row per class label counted by the entity
+    ``handle`` must run a model built by :func:`build_consanguinity_model`.
+    Each object reports its own rows through ``report_rows(name)``, in
+    component order; held individuals and the sink tallies of its counters
+    are summed over all of them alike.  One ``[Travelers]`` row per leg
+    follows, ``Path1`` to ``Path14``: the entities that arrived over it, the
+    sum of ``arrivals(port)`` over its entry in ``_LEGS``.  One
+    ``[Dynamic Object]`` row per class label counted by the entity
     factories ends the list, sorted.
     """
     stats = RunStats()
     factories: dict[int, EntityFactory] = {}
-    for name, state in handle.components():
+    states = dict(handle.components())
+    for name, state in states.items():
         stats.rows.extend(state.report_rows(name))
         stats.held_individuals += state.held_individuals()
         stats.destroyed_individuals += state.stats.destroyed_individuals
@@ -465,12 +494,9 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
         factory = getattr(state, "factory", None)
         if factory is not None:
             factories[id(factory)] = factory
-    counters = dict.fromkeys(
-        z for coupling in _all_couplings(handle.model) for z in coupling.chain()
-        if isinstance(z, Travelers)
-    )
-    for counter in counters:
-        stats.rows.extend(counter.report_rows())
+    for leg, ends in _LEGS.items():
+        arrived = sum(states[name].arrivals(port) for name, port in ends)
+        stats.rows.append((leg, TRAVELERS, THROUGHPUT, arrived))
     for factory in factories.values():
         stats.created_total += factory.created_total
         _add_counts(stats.label_counts, factory.label_counts)
@@ -482,11 +508,3 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
 def _add_counts(total: dict[str, int], counts: Mapping[str, int]) -> None:
     for label, count in counts.items():
         total[label] = total.get(label, 0) + count
-
-
-def _all_couplings(spec) -> Iterator[Coupling]:
-    """Every coupling of ``spec`` and of the coupled models nested in it."""
-    if isinstance(spec, CoupledSpec):
-        yield from spec.couplings
-        for child in spec.components.values():
-            yield from _all_couplings(child)

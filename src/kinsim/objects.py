@@ -1,19 +1,20 @@
-"""Process-object library: Source, Combiner, Server and Sink, plus two
-routing pieces, WeightedChoice and Travelers.
+"""Process-object library: Source, Combiner, Server and Sink, plus
+WeightedChoice, the weighted pick a source may route by.
 
 Each object is realized as one DEVS atomic whose state keeps flat
 counters in an :class:`~kinsim.entities.ObjectStats` and reports its own
-rows through ``report_rows(name)``.  Routing costs no atomic: a source
-given a ``route`` picks each entity's output port as it emits it, with
-:class:`WeightedChoice` picks, and a :class:`Travelers` translate on a
-coupling counts a leg and reports one row per leg name.  Conventions
-shared by all objects:
+rows through ``report_rows(name)``.  A combiner, server or sink also
+tells how many entities arrived on an input port, ``arrivals(port)``,
+derived from those counters.  Routing costs no atomic: a source's
+``route`` picks each entity's output port as it emits it, for instance
+with :class:`WeightedChoice` picks.  Conventions shared by all objects:
 
 * Every step but a source's emission takes zero time, as marriage and
   births do in the model: entities cascade through an arbitrary number of
   objects at a single clock value, one kernel step per object that holds
-  them, in FIFO order.  A leg that only forwards or counts entities costs
-  no step: it is a coupling.
+  them, in FIFO order.  A leg that only forwards entities costs no step:
+  it is a coupling, and what crossed it is read off the arrivals at its
+  end.
 * No object reads the time: a source holds the gap to its next emission,
   which the kernel adds to the time of the last one.
 * A report row is (object name, data source, category, value).  Buffer
@@ -26,6 +27,7 @@ shared by all objects:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate
@@ -96,7 +98,7 @@ def _source_ta(s: SourceState) -> Time:
 
 def _source_out(s: SourceState) -> list[Message]:
     entity = s.pending
-    return [Message(PORT_OUT if s.route is None else s.route(entity), entity)]
+    return [Message(s.route(entity), entity)]
 
 
 def _source_dint(s: SourceState) -> SourceState:
@@ -118,16 +120,15 @@ def make_source(
     *,
     factory: EntityFactory,
     stream: RngStream,
-    route: Optional[Callable[[Entity], str]] = None,
-    ports: tuple[str, ...] = (PORT_OUT,),
+    route: Callable[[Entity], str],
+    ports: tuple[str, ...],
 ) -> AtomicSpec:
     """Emit one fresh entity per interarrival sample, starting after the first.
 
     ``max_arrivals=None`` means unbounded.  Negative interarrival samples
-    raise :class:`ContractViolationError`.  Each entity leaves on ``out``,
-    or, given ``route``, on the port that ``route(entity)`` names, called
-    once per emission in the output function; ``ports`` declares the ports
-    it may name.
+    raise :class:`ContractViolationError`.  Each entity leaves on the port
+    that ``route(entity)`` names, called once per emission in the output
+    function; ``ports`` declares the ports it may name.
     """
     if max_arrivals is not None and max_arrivals < 0:
         raise ConfigurationError(f"max_arrivals must be >= 0 or None, got {max_arrivals}")
@@ -156,7 +157,8 @@ class WeightedChoice:
     Each :meth:`pick` returns one name, with probability
     ``weight / sum(weights)``, by one ``uniform()`` from ``stream``: the
     first name, in the mapping's order, whose running sum of weights
-    exceeds ``u * sum(weights)``.
+    exceeds ``u * sum(weights)``.  Every weight must be positive and their
+    sum finite.
     """
 
     __slots__ = ("names", "bounds", "total", "stream")
@@ -173,6 +175,8 @@ class WeightedChoice:
         # The last sum is left out of ``bounds``: a bisection over the rest
         # then clamps a roundoff overshoot to the last route.
         sums = list(accumulate(weights.values(), initial=0.0))
+        if not math.isfinite(sums[-1]):  # u * inf would name the last route every time
+            raise ConfigurationError(f"weights must have a finite sum, got {sums[-1]}")
         self.bounds = sums[1:-1]
         self.total = sums[-1]
         self.stream = stream
@@ -180,36 +184,6 @@ class WeightedChoice:
     def pick(self) -> str:
         """One route name, drawn by one ``uniform()``."""
         return self.names[bisect_right(self.bounds, self.stream.uniform() * self.total)]
-
-
-# ---------------------------------------------------------------------------
-# Travelers (counted zero-delay leg)
-
-
-class Travelers:
-    """Counts the entities that cross a coupling and passes them on unchanged.
-
-    Used as a :class:`~kinsim.kernel.Coupling`'s ``translate``, it makes the
-    coupling a counted zero-delay leg, reported as ``[Travelers]``, that
-    costs no kernel step.  One counter may carry several leg names when
-    every entity crosses those legs together; each name gets its own report
-    row with the shared count.  One counter may also sit on several
-    couplings, such as those out of the ports a source routes one sex to;
-    it still reports once.
-    """
-
-    __slots__ = ("legs", "count")
-
-    def __init__(self, *legs: str) -> None:
-        self.legs = legs
-        self.count = 0
-
-    def __call__(self, payload: Entity) -> Entity:
-        self.count += 1
-        return payload
-
-    def report_rows(self) -> list[StatRow]:
-        return [(leg, TRAVELERS, THROUGHPUT, self.count) for leg in self.legs]
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +212,17 @@ class CombinerState:
         held += sum(individual_count(e) for e in self.ready)
         return held
 
+    def arrivals(self, port: str) -> int:
+        """Each marriage took one arrival of each side; the rest still wait."""
+        waiting = self.parents if port == PORT_PARENT_IN else self.members
+        return self.stats.processed + len(waiting)
+
     def report_rows(self, name: str) -> list[StatRow]:
         s = self.stats
         return [
             (name, "[MemberInputBuffer]", CONTENT, s.processed),
             (name, OUTPUT_BUFFER, CONTENT, s.processed - len(self.ready)),  # married and left
-            # each marriage took one parent; the rest still wait
-            (name, "[ParentInputBuffer]", CONTENT, s.processed + len(self.parents)),
+            (name, "[ParentInputBuffer]", CONTENT, self.arrivals(PORT_PARENT_IN)),
             (name, PROCESSED, THROUGHPUT, s.processed),
         ]
 
@@ -309,6 +287,9 @@ class ServerState:
 
     def held_individuals(self) -> int:
         return sum(individual_count(e) for e in self.outq)
+
+    def arrivals(self, port: str) -> int:
+        return self.stats.processed  # each arrival is processed at once
 
     def report_rows(self, name: str) -> list[StatRow]:
         s = self.stats
@@ -376,6 +357,9 @@ class SinkState:
 
     def held_individuals(self) -> int:
         return 0
+
+    def arrivals(self, port: str) -> int:
+        return self.stats.entered
 
     def report_rows(self, name: str) -> list[StatRow]:
         return [(name, INPUT_BUFFER, THROUGHPUT, self.stats.entered)]

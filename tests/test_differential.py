@@ -3,7 +3,9 @@
 * Differential: ``kinbench/reference.py`` derives a replication's report
   counts straight from the named random streams, with numpy and no kinsim
   code.  Over random valid zero-delay configs, every row of
-  :func:`collect_run_stats` and every affected count must equal it.
+  :func:`collect_run_stats` and every affected count must equal it, and
+  so must every aggregate row (Total, Mean, Min, Max) over several
+  replications.
 * Metamorphic, from common random numbers: each decision draws from its
   own named stream and the disorder draw never steers the flow, so at a
   fixed seed the genetics parameters cannot move any report count, and
@@ -86,6 +88,20 @@ def test_replication_zero_equals_the_reference(config):
     assert rows == expected["rows"]
     affected = {label: n for label, n in stats.affected_by_class.items() if n}
     assert affected == expected["affected"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs(), replications=st.integers(2, 4))
+def test_several_replications_equal_the_reference_report(config, replications):
+    config.replications = replications
+    result = run_experiment(config, jobs=1)
+    expected = reference.report(
+        [reference.replicate(config.to_dict(), r) for r in range(replications)]
+    )
+    rows = {(row.object_name, row.data_source, row.statistic): (row.category, row.value)
+            for row in result.rows}
+    assert len(rows) == len(result.rows)  # one row per (object, data source, statistic)
+    assert rows == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -57,8 +57,9 @@ def generator(period: float) -> AtomicSpec:
     )
 
 
-def counter() -> AtomicSpec:
-    """Passive accumulator recording (elapsed, payloads) per delivery."""
+def counter(*ports: str) -> AtomicSpec:
+    """Passive accumulator recording (elapsed, payloads) per delivery, on
+    the input ports given, ``in`` by default."""
 
     def dext(s, e, xs):
         s["count"] += len(xs)
@@ -71,7 +72,7 @@ def counter() -> AtomicSpec:
         delta_int=lambda s: s,
         delta_ext=dext,
         output=lambda s: [],
-        input_ports=("in",),
+        input_ports=ports or ("in",),
     )
 
 
@@ -511,22 +512,23 @@ class TestGuardsAndInvariants:
 
 class TestHierarchy:
     def test_nested_coupled_flattens_and_translates(self):
-        double = lambda payload: payload * 2
-        plus_one = lambda payload: payload + 1
+        # gen's "out" leaves inner as "y" and reaches acc as "x": each
+        # coupling translates the port and carries the payload unchanged.
         inner = CoupledSpec(
             components={"gen": generator(1.0)},
-            couplings=[Coupling("gen", "out", None, "y", translate=double)],
+            couplings=[Coupling("gen", "out", None, "y")],
             output_ports=("y",),
         )
         model = CoupledSpec(
-            components={"inner": inner, "acc": counter()},
-            couplings=[Coupling("inner", "y", "acc", "in", translate=plus_one)],
+            components={"inner": inner, "acc": counter("x")},
+            couplings=[Coupling("inner", "y", "acc", "x")],
         )
-        handle = initialize(model)
+        stream = io.StringIO()
+        handle = initialize(model, trace_file=stream)
         handle.run_until(3.0)
-        state = handle.state_of("acc")
-        # payloads 0,1,2 doubled then incremented: 1, 3, 5
-        assert [p for _, [p] in state["seen"]] == [1, 3, 5]
+        assert [p for _, [p] in handle.state_of("acc")["seen"]] == [0, 1, 2]
+        rows = [row[1:] for row in parse_trace(stream.getvalue())]
+        assert rows[:2] == [("inner/gen", "internal", "out", "0"), ("acc", "external", "x", "0")]
 
     def test_external_input_coupling_descends_into_nested_model(self):
         inner = CoupledSpec(
@@ -558,22 +560,20 @@ class TestHierarchy:
         assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("root_out", 0)])
 
     def test_one_output_fans_out_to_sibling_nested_atomic_and_root(self):
-        tag = lambda label: lambda payload: f"{payload}{label}"
+        # Every route ends on its own port, so the trace shows which
+        # coupling delivered each message.
         inner = CoupledSpec(
-            components={"acc": counter()},
-            couplings=[
-                Coupling(None, "in", "acc", "in", translate=tag("i")),
-                Coupling(None, "in", "acc", "in", translate=tag("j")),
-            ],
+            components={"acc": counter("i", "j")},
+            couplings=[Coupling(None, "in", "acc", "i"), Coupling(None, "in", "acc", "j")],
             input_ports=("in",),
         )
         model = CoupledSpec(
-            components={"gen": generator(1.0), "inner": inner, "sib": counter()},
+            components={"gen": generator(1.0), "inner": inner, "sib": counter("s", "t")},
             couplings=[
-                Coupling("gen", "out", "sib", "in", translate=tag("s")),
-                Coupling("gen", "out", "inner", "in", translate=tag("o")),
-                Coupling("gen", "out", None, "y", translate=tag("r")),
-                Coupling("gen", "out", "sib", "in"),
+                Coupling("gen", "out", "sib", "s"),
+                Coupling("gen", "out", "inner", "in"),
+                Coupling("gen", "out", None, "y"),
+                Coupling("gen", "out", "sib", "t"),
                 Coupling("gen", "out", None, "z"),
             ],
             output_ports=("y", "z"),
@@ -581,18 +581,17 @@ class TestHierarchy:
         stream = io.StringIO()
         handle = initialize(model, trace_file=stream)
         t, outputs = handle.step()
-        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("y", "0r"), ("z", 0)])
-        # Bags keep coupling declaration order; translates compose in hop
-        # order, the outer coupling's first.
-        assert handle.state_of("sib")["seen"] == [(1.0, ["0s", 0])]
-        assert handle.state_of("inner/acc")["seen"] == [(1.0, ["0oi", "0oj"])]
-        # Receivers take their external transitions in select order.
+        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("y", 0), ("z", 0)])
+        # Each receiver gets one bag, in coupling declaration order, and the
+        # receivers take their external transitions in select order.
+        assert handle.state_of("sib")["seen"] == [(1.0, [0, 0])]
+        assert handle.state_of("inner/acc")["seen"] == [(1.0, [0, 0])]
         assert [row[1:] for row in parse_trace(stream.getvalue())] == [
             ("gen", "internal", "out", "0"),
-            ("inner/acc", "external", "in", "0oi"),
-            ("inner/acc", "external", "in", "0oj"),
-            ("sib", "external", "in", "0s"),
-            ("sib", "external", "in", "0"),
+            ("inner/acc", "external", "i", "0"),
+            ("inner/acc", "external", "j", "0"),
+            ("sib", "external", "s", "0"),
+            ("sib", "external", "t", "0"),
         ]
 
     def test_hierarchical_select_composes_lexicographically(self):
@@ -609,58 +608,6 @@ class TestHierarchy:
         assert internal_times(trace_rows(model, 1.0)) == [
             (1.0, "inner/y"), (1.0, "inner/x"), (1.0, "z"),
         ]
-
-
-class TestTranslate:
-    """Translates on couplings rewrite payloads along each route."""
-
-    def test_translate_sequence_joins_the_route_chain(self):
-        calls = []
-
-        def tag(label):
-            def z(payload):
-                calls.append(label)
-                return f"{payload}{label}"
-            return z
-
-        inner = CoupledSpec(
-            components={"acc": counter()},
-            couplings=[Coupling(None, "in", "acc", "in", translate=[tag("c"), tag("d")])],
-            input_ports=("in",),
-        )
-        model = CoupledSpec(
-            components={"gen": generator(1.0), "inner": inner},
-            couplings=[Coupling("gen", "out", "inner", "in", translate=(tag("a"), tag("b")))],
-        )
-        handle = initialize(model)
-        handle.step()
-        assert handle.state_of("inner/acc")["seen"] == [(1.0, ["0abcd"])]
-        assert calls == ["a", "b", "c", "d"]
-
-    def test_translate_runs_once_per_route(self):
-        # the outer coupling's translate lies on both routes of the fan-out
-        # inside ``inner``, so it runs twice for each message
-        calls = []
-        inner = CoupledSpec(
-            components={"a": counter(), "b": counter()},
-            couplings=[Coupling(None, "in", "a", "in"), Coupling(None, "in", "b", "in")],
-            input_ports=("in",),
-        )
-        model = CoupledSpec(
-            components={"gen": generator(1.0), "inner": inner},
-            couplings=[Coupling("gen", "out", "inner", "in",
-                                translate=lambda payload: calls.append(payload) or payload)],
-        )
-        initialize(model).run_until(3.0)
-        assert calls == [0, 0, 1, 1, 2, 2]
-
-    def test_non_callable_translate_rejected(self):
-        model = CoupledSpec(
-            components={"gen": generator(1.0), "acc": counter()},
-            couplings=[Coupling("gen", "out", "acc", "in", translate=(str, "oops"))],
-        )
-        with pytest.raises(StructuralError, match="sequence of callables"):
-            initialize(model)
 
 
 class TestTraceDump:

@@ -1,9 +1,10 @@
-"""Process objects: sources, combiners, zero-time servers, sinks, weighted choices
-and leg counters."""
+"""Process objects: sources, combiners, zero-time servers, sinks and weighted
+choices."""
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,9 @@ from kinsim import (
     substream,
 )
 from kinsim.errors import ConfigurationError, ContractViolationError, RoutingError
-from kinsim.objects import Travelers
+
+# A source that emits every entity on ``out``.
+out_source = partial(make_source, route=lambda entity: "out", ports=("out",))
 
 
 def deliver(spec, port_payloads, elapsed=0.0, state=None):
@@ -113,7 +116,7 @@ class TestSource:
 
     def test_constant_interarrival_emits_at_1_through_10(self):
         factory = EntityFactory()
-        src = make_source("X", Constant(1.0), None, factory=factory, stream=substream(1, 0))
+        src = out_source("X", Constant(1.0), None, factory=factory, stream=substream(1, 0))
         model, sink = self._sink_model(src)
         handle = initialize(model)
         handle.run_until(10.0)
@@ -129,7 +132,7 @@ class TestSource:
             return s
 
         def emission_times(gap, t0):
-            src = make_source("X", Constant(gap), 3, factory=EntityFactory(), stream=substream(1, 0))
+            src = out_source("X", Constant(gap), 3, factory=EntityFactory(), stream=substream(1, 0))
             collector = AtomicSpec(
                 initial_state={"now": t0, "seen": []},
                 time_advance=lambda s: INFINITY,
@@ -172,13 +175,17 @@ class TestSource:
 
     def test_route_to_an_undeclared_port_raises_routing_error(self):
         src = make_source("X", Constant(1.0), None, factory=EntityFactory(),
-                          stream=substream(1, 0), route=lambda entity: "elsewhere")
+                          stream=substream(1, 0), route=lambda entity: "elsewhere", ports=("out",))
         with pytest.raises(RoutingError, match="undeclared port 'elsewhere'"):
             initialize(src).step()
 
+    def test_route_and_ports_are_required(self):
+        with pytest.raises(TypeError, match="'route' and 'ports'"):
+            make_source("X", Constant(1.0), None, factory=EntityFactory(), stream=substream(1, 0))
+
     def test_max_arrivals_zero_emits_nothing(self):
         factory = EntityFactory()
-        src = make_source("X", Constant(1.0), 0, factory=factory, stream=substream(1, 0))
+        src = out_source("X", Constant(1.0), 0, factory=factory, stream=substream(1, 0))
         model, sink = self._sink_model(src)
         handle = initialize(model)
         handle.run_until(100.0)
@@ -187,7 +194,7 @@ class TestSource:
 
     def test_max_arrivals_caps_emissions(self):
         factory = EntityFactory()
-        src = make_source("X", Constant(1.0), 4, factory=factory, stream=substream(1, 0))
+        src = out_source("X", Constant(1.0), 4, factory=factory, stream=substream(1, 0))
         model, sink = self._sink_model(src)
         handle = initialize(model)
         handle.run_until(100.0)
@@ -196,8 +203,8 @@ class TestSource:
 
     def test_two_sources_are_independent_streams(self):
         factory = EntityFactory()
-        mp = make_source("MP", Constant(1.0), 5, factory=factory, stream=substream(1, 0))
-        fp = make_source("FP", Constant(1.5), 5, factory=factory, stream=substream(2, 0))
+        mp = out_source("MP", Constant(1.0), 5, factory=factory, stream=substream(1, 0))
+        fp = out_source("FP", Constant(1.5), 5, factory=factory, stream=substream(2, 0))
         sink = make_sink()
         model = CoupledSpec(
             components={"MP": mp, "FP": fp, "snk": sink},
@@ -210,11 +217,11 @@ class TestSource:
 
     def test_negative_interarrival_sample_rejected(self):
         with pytest.raises(ContractViolationError):
-            make_source("X", Constant(-1.0), None, factory=EntityFactory(), stream=substream(1, 0))
+            out_source("X", Constant(-1.0), None, factory=EntityFactory(), stream=substream(1, 0))
 
     def test_negative_max_arrivals_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_source("X", Constant(1.0), -1, factory=EntityFactory(), stream=substream(1, 0))
+            out_source("X", Constant(1.0), -1, factory=EntityFactory(), stream=substream(1, 0))
 
 
 class TestCombiner:
@@ -286,6 +293,18 @@ class TestCombiner:
         total_out = sum(individual_count(m.payload) for m in out)
         assert total_in == total_out + held
 
+    def test_arrivals_count_each_port_married_or_waiting(self):
+        factory = EntityFactory()
+        spec = make_combiner()
+        state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 5)])
+        state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 3)], state=state)
+        assert (state.arrivals("parent_in"), state.arrivals("member_in")) == (5, 3)
+        flush(spec, state)
+        state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 4)], state=state)
+        flush(spec, state)
+        # 5 marriages; 2 members wait
+        assert (state.arrivals("parent_in"), state.arrivals("member_in")) == (5, 7)
+
 
 def no_offspring(parent):
     return []
@@ -317,6 +336,7 @@ class TestServer:
         assert labels == ["Couple", "Child", "Child"]
         assert state.stats.processed == 1  # children are not counted as processed
         assert reported(state)["[OutputBuffer]"] == 1
+        assert state.arrivals("in") == 1  # nor as arrivals
 
     def test_processed_counter_accumulates(self):
         factory = EntityFactory()
@@ -377,7 +397,7 @@ class TestSink:
         assert state.stats.entered == 3  # flowing units
         assert state.stats.destroyed_individuals == 4
         assert state.stats.affected_by_class == {"MP": 1, "Child": 1}
-        assert reported(state)["[InputBuffer]"] == 3
+        assert reported(state)["[InputBuffer]"] == state.arrivals("in") == 3
 
     def test_no_arrivals_no_destruction(self):
         spec = make_sink()
@@ -392,32 +412,6 @@ class TestSink:
         healthy = factory.create("Child_C")
         state = deliver(spec, [("in", sick), ("in", healthy)])
         assert state.stats.affected_by_class == {"Child_C": 1}
-
-
-class TestTravelers:
-    def test_counts_and_passes_payload_unchanged(self):
-        factory = EntityFactory()
-        legs = Travelers("Path3", "Path7")
-        e1, e2 = entities(factory, "MP", 2)
-        assert legs(e1) is e1
-        assert legs(e2) is e2
-        assert legs.legs == ("Path3", "Path7")
-        assert legs.count == 2
-
-    def test_counts_a_coupling_without_kernel_steps(self):
-        factory = EntityFactory()
-        leg = Travelers("Leg")
-        sink = make_sink()
-        model = CoupledSpec(
-            components={
-                "src": make_source("E", Constant(1.0), 4, factory=factory, stream=substream(5, 0)),
-                "snk": sink,
-            },
-            couplings=[Coupling("src", "out", "snk", "in", translate=leg)],
-        )
-        trace = trace_rows(model, 10.0)
-        assert leg.count == reported(sink.initial_state)["[InputBuffer]"] == 4
-        assert [phase for _, _, phase, _, _ in trace] == ["internal", "external"] * 4
 
 
 class CountingStream:
@@ -492,6 +486,12 @@ class TestSplitter:
         initialize(model).run_until(10.0)
         assert stream.drawn == 2
         assert [reported(sink.initial_state)["[InputBuffer]"] for sink in sinks.values()] == [1, 1]
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (math.inf, 1.0)], ids=["overflow", "infinite"])
+    def test_weights_without_a_finite_sum_rejected(self, weights):
+        # u * inf would name the last route on every pick
+        with pytest.raises(ConfigurationError, match="finite sum"):
+            WeightedChoice({"a": weights[0], "b": weights[1]}, stream=substream(1, 0))
 
     def test_weighted_splitter_requires_stream(self):
         with pytest.raises(TypeError, match="stream"):
