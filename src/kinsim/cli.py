@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 config validation failure (a file that is not
 UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
-be read).
+be read, a report or trace file that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -97,16 +98,40 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why no file can be written at ``path``, when that shows without writing one."""
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"no directory {parent!r}"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _checked_config(args.config, args.replications, args.seed)
     if isinstance(config, int):
         return config
+    # Checked before the run, so a bad --out does not cost the whole run.
+    problem = _unwritable(args.out)
+    if problem is not None:
+        print(f"kinsim: cannot write report: {problem}", file=sys.stderr)
+        return 2
     try:
         result = run_experiment(config, trace_path=args.trace, jobs=args.jobs)
     except SimulationError as exc:
         print(f"kinsim: run failed: {exc}", file=sys.stderr)
         return 1
-    export_csv(result, args.out)
+    except OSError as exc:
+        if args.trace is None or exc.filename != args.trace:
+            raise
+        print(f"kinsim: cannot write trace: {exc}", file=sys.stderr)
+        return 2
+    try:
+        export_csv(result, args.out)
+    except OSError as exc:
+        print(f"kinsim: cannot write report: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(result.rows)} rows for {config.replications} replications to {args.out}")
     if args.trace:
         print(f"wrote event trace of replication 0 to {args.trace}")

@@ -14,14 +14,17 @@ no timestamp enters the CSV (run metadata stays on the result object).
 A run can also write replication 0's event trace.  The kernel streams it to
 the file as the run goes, so memory stays flat however long the horizon.
 
-Replications run in a pool of worker processes, one replication per worker
-at a time, started with the ``fork`` method so the config, the builder and
-the trace path are inherited rather than pickled (closure builders work).
-Each worker returns its :class:`~kinsim.model.RunStats`; the parent reduces
-them in replication order, so the report and the trace are byte-identical
-to an in-process run.  With one job, or where ``fork`` is not available,
-the replications run in process, one after another.  When replications
-fail, the lowest failing one's error is raised.
+Replications run in worker processes forked straight from the caller, so
+the config, the builder and the trace path are inherited rather than
+pickled (closure builders work).  The split is static: with N workers,
+worker k runs replications k, k + N, k + 2N, ... in order, since the
+replications of one config cost about the same.  Each worker sends its
+:class:`~kinsim.model.RunStats`, or the error that stopped it, back as one
+pickle down its own pipe; the parent reduces them in replication order, so
+the report and the trace are byte-identical to an in-process run.  With one
+job, or where ``fork`` is not available, the replications run in process,
+one after another.  When replications fail, the lowest failing one's error
+is raised.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ import csv
 import datetime
 import io
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, NoReturn, Optional, Sequence, TextIO
 
 from . import __version__
 from .errors import ConfigurationError, SimulationError
@@ -100,12 +104,13 @@ def run_experiment(
     run fails, it holds the events up to the failure.
 
     ``jobs`` is the number of worker processes; ``None`` means the usable
-    CPUs.  It is capped at ``config.replications``.  Workers are forked, so
-    ``builder`` need not be picklable.  With one job, or on a platform
-    without the ``fork`` start method, the replications run in this
-    process.  Either way the result is the same: when several replications
-    fail, the lowest failing one's :class:`SimulationError` is raised, and a
-    worker that dies raises a :class:`SimulationError` too.
+    CPUs.  It is capped at ``config.replications``.  Workers are forked
+    directly, worker k running replications k, k + jobs, ... and sending
+    its results back through a pipe, so ``builder`` need not be picklable.
+    With one job, or on a platform without ``fork``, the replications run
+    in this process.  Either way the result is the same: when several
+    replications fail, the lowest failing one's exception is raised, and a
+    worker that dies raises a :class:`SimulationError`.
     """
     _require_valid(config)
     jobs = _resolve_jobs(jobs, config.replications)
@@ -114,7 +119,7 @@ def run_experiment(
             _replicate(config, builder, trace_path, r) for r in range(config.replications)
         ]
     else:
-        per_replication = _replicate_in_pool(config, builder, trace_path, jobs)
+        per_replication = _replicate_in_workers(config, builder, trace_path, jobs)
     rows = _aggregate(per_replication)
     metadata = {
         "config": config.to_dict(),
@@ -159,44 +164,125 @@ def _resolve_jobs(jobs: Optional[int], replications: int) -> int:
     return min(jobs, replications)
 
 
-# (config, builder, trace_path), set by the pool's initializer inside each
-# forked worker; the calling process never writes it.
-_worker_args: tuple = ()
-
-
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _replicate_in_worker(r: int) -> RunStats:
-    return _replicate(*_worker_args, r)
-
-
-def _replicate_in_pool(
+def _replicate_in_workers(
     config: ModelConfig,
     builder: Callable[[ModelConfig, int], object],
     trace_path: Optional[str],
     jobs: int,
 ) -> list[RunStats]:
-    # Imported here, not at the top: loading them costs 30-55 ms, which every
-    # one-replication run and every `import kinsim` would otherwise pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    """Run the replications in ``jobs`` forked children, worker k taking
+    replications k, k + jobs, k + 2 * jobs, ... in that order.
+
+    Each child sends its outcomes back as one pickle down its own pipe.  A
+    child that exits non-zero, or whose pickle is empty or truncated, raises
+    :class:`SimulationError`; otherwise the lowest failing replication's
+    exception is raised as the child raised it.
+    """
+    # Imported here, not at the top: `import kinsim` and one-job runs do
+    # without it.
+    import pickle
+
+    # A child inherits the parent's unwritten buffers and would write them
+    # out a second time.
+    _flush_standard_streams()
+    pids: list[int] = []  # the children not yet reaped
+    read_fds: list[int] = []
+    try:
+        for k in range(jobs):
+            read_fd, write_fd = os.pipe()
+            read_fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(config, builder, trace_path, range(k, config.replications, jobs), write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        payloads = []
+        for read_fd in read_fds:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        statuses = []
+        while pids:
+            statuses.append(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+    finally:
+        for read_fd in read_fds:
+            os.close(read_fd)
+        if pids:  # this call was cut short: end the children still running
+            import signal
+
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    outcomes: dict[int, object] = {}
+    for status, payload in zip(statuses, payloads):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"exit code {code}" if code > 0 else f"signal {-code}"
+            raise SimulationError(f"a replication worker died ({how})")
+        try:
+            outcomes.update(pickle.loads(payload))
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise SimulationError(f"a replication worker died: its result was cut short ({exc})") from exc
+    # Each worker ran its share in increasing order and stopped at its first
+    # failure, so every replication below the lowest failure here succeeded.
+    for r in sorted(outcomes):
+        if isinstance(outcomes[r], BaseException):
+            raise outcomes[r]
+    return [outcomes[r] for r in range(config.replications)]
+
+
+def _work(
+    config: ModelConfig,
+    builder: Callable[[ModelConfig, int], object],
+    trace_path: Optional[str],
+    replications: range,
+    write_fd: int,
+) -> NoReturn:
+    """The body of a forked worker: run ``replications`` in order up to the
+    first that raises, write ``[(r, RunStats or exception)]`` to ``write_fd``
+    as one pickle and exit.  It never returns into the caller's code, so no
+    ``finally`` or ``atexit`` handler of the parent's runs twice."""
+    import pickle
+
+    code = 1
+    try:
+        outcomes: list[tuple[int, object]] = []
+        for r in replications:
+            try:
+                outcomes.append((r, _replicate(config, builder, trace_path, r)))
+            except Exception as exc:
+                outcomes.append((r, _sendable(r, exc)))
+                break
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcomes, pipe)
+        code = 0
+    finally:
+        try:
+            _flush_standard_streams()
+        finally:
+            os._exit(code)
+
+
+def _sendable(r: int, exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a
+    :class:`SimulationError` naming replication ``r`` and ``exc``."""
+    import pickle
 
     try:
-        with ProcessPoolExecutor(
-            jobs,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(config, builder, trace_path),
-        ) as pool:
-            # map yields in replication order, so the first error raised is
-            # that of the lowest failing replication.
-            return list(pool.map(_replicate_in_worker, range(config.replications)))
-    except BrokenProcessPool as exc:
-        raise SimulationError(f"a replication worker died: {exc}") from exc
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # pickling can raise anything an object's __reduce__ does
+        return SimulationError(f"replication {r}: {exc!r}")
+    return exc
+
+
+def _flush_standard_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
 
 
 def _aggregate(per_replication: Sequence[RunStats]) -> list[ReportRow]:

@@ -283,6 +283,47 @@ class TestRun:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["directory", "missing_directory"])
+    def test_unwritable_out_exits_2_before_running(self, small_config_file, tmp_path, capsys,
+                                                   monkeypatch, where):
+        out = tmp_path if where == "directory" else tmp_path / "absent" / "r.csv"
+        monkeypatch.setattr("kinsim.cli.run_experiment",
+                            lambda *args, **kwargs: pytest.fail("the replications ran"))
+        assert main(["run", "--config", small_config_file, "--jobs", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("kinsim: cannot write report: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "absent").exists()
+
+    def test_report_refused_at_write_exits_2_with_one_line(self, small_config_file, tmp_path,
+                                                           capsys, monkeypatch):
+        out = tmp_path / "r.csv"
+
+        def refuse(result, path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("kinsim.cli.export_csv", refuse)
+        assert main(["run", "--config", small_config_file, "--jobs", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"kinsim: cannot write report: [Errno 13] Permission denied: '{out}'\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_trace_exits_2_with_one_line(self, small_config_file, tmp_path, capsys, jobs):
+        # the trace is opened by replication 0, so at --jobs 2 the error
+        # comes from a forked worker
+        out = tmp_path / "never.csv"
+        trace = tmp_path / "absent" / "t.tsv"
+        assert main(["run", "--config", small_config_file, "--jobs", jobs,
+                     "--out", str(out), "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"kinsim: cannot write trace: [Errno 2] No such file or directory: '{trace}'\n"
+        )
+        assert not out.exists()
+
     def test_invalid_config_exit_1(self, tmp_path):
         config = ModelConfig.default().to_dict()
         config["replications"] = 0
@@ -338,6 +379,13 @@ class TestConsoleScript:
         assert out.read_text(encoding="utf-8").startswith("object_name,data_source,")
 
 
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports kinsim from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestWithoutNumpy:
     """kinsim runs with no numpy: only the tests and kinbench's oracle need it."""
 
@@ -346,10 +394,7 @@ class TestWithoutNumpy:
     PACKAGED_SHA256 = "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
 
     def python(self, code: str, *args: str) -> subprocess.CompletedProcess:
-        """Run ``code`` with ``args`` in a fresh interpreter that imports kinsim from src."""
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return fresh_python(code, *args)
 
     def test_packaged_run_with_numpy_blocked(self, tmp_path):
         outs = [tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"]
@@ -371,3 +416,18 @@ class TestWithoutNumpy:
         proc = self.python("import sys, kinsim.cli; print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+def test_workers_need_no_process_pool(tmp_path):
+    out = tmp_path / "jobs2.csv"
+    proc = fresh_python(
+        "import sys\n"
+        "# any import of either now raises\n"
+        "sys.modules['multiprocessing'] = sys.modules['concurrent.futures'] = None\n"
+        "from kinsim.cli import main\n"
+        "sys.exit(main(['run', '--seed', '42', '--jobs', '2', '--out', sys.argv[1]]))\n",
+        str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TestWithoutNumpy.PACKAGED_SHA256

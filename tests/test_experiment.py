@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from kinsim import (
+    INFINITY,
     AtomicSpec,
     CoupledSpec,
+    Coupling,
     ExperimentResult,
     Message,
     ModelConfig,
@@ -20,7 +27,9 @@ from kinsim import (
     read_csv,
     run_experiment,
 )
-from kinsim.errors import ConfigurationError, SimulationError
+from kinsim.errors import ConfigurationError, IllegitimateModelError, SimulationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -47,6 +56,44 @@ def failing_builder(config, replication):
         output=lambda s: [Message("out", s["n"])],
         output_ports=("out",),
     )})
+
+
+def relay(hot):
+    """A component that, once sent a message, outputs one at every zero delay."""
+    return AtomicSpec(
+        initial_state={"hot": hot},
+        time_advance=lambda s: 0.0 if s["hot"] else INFINITY,
+        delta_int=lambda s: s,
+        delta_ext=lambda s, e, xs: (s.__setitem__("hot", True), s)[1],
+        output=lambda s: [Message("out", None)],
+        input_ports=("in",),
+        output_ports=("out",),
+    )
+
+
+def looping_builder(config, replication):
+    """Two relays feeding each other: a zero-delay loop the clock never leaves."""
+    return CoupledSpec(
+        components={"a": relay(True), "b": relay(False)},
+        couplings=[Coupling("a", "out", "b", "in"), Coupling("b", "out", "a", "in")],
+    )
+
+
+class UnpicklableError(Exception):
+    """An error holding a closure, which pickle refuses."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: message
+
+
+class UnloadableError(Exception):
+    """An error that pickles but cannot be rebuilt: its ``args`` hold only
+    the message, and its constructor wants a second argument."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
 
 
 @pytest.fixture(scope="module")
@@ -122,26 +169,6 @@ class TestRunExperiment:
             run_experiment(small_config(replications=0))
 
     def test_kernel_failure_reports_replication_index(self):
-        from kinsim import AtomicSpec, CoupledSpec, Coupling, INFINITY, Message
-        from kinsim.errors import SimulationError
-
-        def relay(hot):
-            return AtomicSpec(
-                initial_state={"hot": hot},
-                time_advance=lambda s: 0.0 if s["hot"] else INFINITY,
-                delta_int=lambda s: s,
-                delta_ext=lambda s, e, xs: (s.__setitem__("hot", True), s)[1],
-                output=lambda s: [Message("out", None)],
-                input_ports=("in",),
-                output_ports=("out",),
-            )
-
-        def looping_builder(config, replication):
-            return CoupledSpec(
-                components={"a": relay(True), "b": relay(False)},
-                couplings=[Coupling("a", "out", "b", "in"), Coupling("b", "out", "a", "in")],
-            )
-
         with pytest.raises(SimulationError, match="replication 0"):
             run_experiment(small_config(replications=1), builder=looping_builder)
 
@@ -199,6 +226,19 @@ class TestTraceFile:
             "1\tgen\tinternal\tout\t0\n"
             "2\tgen\tinternal\tout\t1\n"
         )
+
+    def test_zero_delay_loop_writes_only_the_steps_that_ran(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kinsim.kernel.MAX_ZERO_STEPS", 50)
+        path = tmp_path / "events.tsv"
+        with pytest.raises(SimulationError, match="^replication 0: illegitimate model") as excinfo:
+            run_experiment(small_config(replications=1), builder=looping_builder,
+                           trace_path=str(path))
+        assert isinstance(excinfo.value.__cause__, IllegitimateModelError)
+        # steps 1-50 ran, each one internal line and one external line (a
+        # stays hot and comes first in select order, so it fires every step);
+        # the 51st step raised before it wrote any
+        step = "0\ta\tinternal\tout\tNone\n0\tb\texternal\tin\tNone\n"
+        assert path.read_text(encoding="utf-8") == step * 50
 
 
 class TestDeterminism:
@@ -338,6 +378,91 @@ class TestJobs:
 
         with pytest.raises(SimulationError, match="worker died"):
             run_experiment(small_config(replications=2), builder=dying_builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_worker_leaving_no_result_is_a_simulation_error(self):
+        def quitting_builder(config, replication):
+            os._exit(0)  # a clean exit that sends nothing
+
+        with pytest.raises(SimulationError, match="worker died: its result was cut short"):
+            run_experiment(small_config(replications=2), builder=quitting_builder, jobs=2)
+
+    def test_uneven_split_gives_the_same_report(self):
+        # 7 replications over 3 workers: two run 2 each, one runs 3
+        results = [run_experiment(small_config(replications=7), jobs=jobs) for jobs in (1, 3)]
+        assert csv_text(results[0]) == csv_text(results[1])
+        assert replication_facts(results[0]) == replication_facts(results[1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_builder_error_keeps_its_type(self, jobs):
+        def refusing_builder(config, replication):
+            if replication == 1:
+                raise ConfigurationError("no replication 1 here")
+            return build_consanguinity_model(config, replication)
+
+        with pytest.raises(ConfigurationError, match="^no replication 1 here$"):
+            run_experiment(small_config(replications=4), builder=refusing_builder, jobs=jobs)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    @pytest.mark.parametrize("error", [UnpicklableError("unsendable"),
+                                       UnloadableError("unsendable", "detail")],
+                             ids=["unpicklable", "unloadable"])
+    def test_error_that_cannot_cross_a_pipe_names_its_replication(self, error):
+        def raising_builder(config, replication):
+            if replication == 1:
+                raise error
+            return build_consanguinity_model(config, replication)
+
+        name = type(error).__name__
+        with pytest.raises(SimulationError, match=rf"^replication 1: {name}\('unsendable'\)$"):
+            run_experiment(small_config(replications=2), builder=raising_builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(signal, "setitimer"),
+                        reason="needs fork and interval timers")
+    def test_interrupted_call_ends_its_workers(self):
+        def stalling_builder(config, replication):
+            time.sleep(60)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            # a forked child inherits no interval timer, so only this
+            # process is interrupted
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(small_config(replications=2), builder=stalling_builder, jobs=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):  # both workers are gone and reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_pending_output_is_written_once(self):
+        # stdout is a buffered pipe here, so what the caller printed sits in
+        # its buffer when the workers fork
+        code = (
+            "from kinsim import ModelConfig, build_consanguinity_model, run_experiment\n"
+            "config = ModelConfig.default()\n"
+            "config.run_length = 50.0\n"
+            "config.replications = 2\n"
+            "def builder(config, replication):\n"
+            "    print(f'built {replication}')\n"
+            "    return build_consanguinity_model(config, replication)\n"
+            "print('before', end='')\n"
+            "run_experiment(config, builder=builder, jobs=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("before") and proc.stdout.count("before") == 1
+        assert sorted(proc.stdout[len("before"):].splitlines()) == ["built 0", "built 1"]
 
     def test_zero_jobs_rejected(self):
         with pytest.raises(ConfigurationError, match="jobs"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -682,6 +683,43 @@ class TestConsanguinityModel:
                 assert c0 <= c1 and nc0 >= nc1
         for (c0, nc0), (c1, nc1) in zip(marriages[0], marriages[-1]):
             assert c0 < c1 and nc0 > nc1
+
+
+def wp_routes(config: ModelConfig) -> list[tuple[str, str]]:
+    """(port, class label) of each ``WP internal`` line of replication 0's trace."""
+    trace = io.StringIO()
+    initialize(build_consanguinity_model(config), trace_file=trace).run_until(config.run_length)
+    routes = []
+    for line in trace.getvalue().splitlines():
+        _, component, phase, port, payload = line.split("\t")
+        if (component, phase) == ("WP", "internal"):
+            routes.append((port, payload.partition("#")[0]))
+    return routes
+
+
+class TestInterarrivalLaw:
+    ARRIVALS = 40
+
+    # The sex and branch picks draw on their own streams, so the law of the
+    # gaps between arrivals cannot move any individual's route.
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_routes_do_not_depend_on_the_interarrival_law(self, seed):
+        laws = [
+            {"type": "constant", "value": 1.0},
+            {"type": "exponential", "mean": 1.0},
+            {"type": "uniform", "low": 0.5, "high": 1.5},
+        ]
+        routes = []
+        for law in laws:
+            config = ModelConfig.default()
+            config.base_seed = seed
+            # long enough for all the arrivals: the uniform law needs at most 60
+            config.run_length = 200.0
+            config.sources["WP"] = SourceSettings(interarrival=law, max_arrivals=self.ARRIVALS)
+            routes.append(wp_routes(config))
+        assert len(routes[0]) == self.ARRIVALS
+        assert routes[0] == routes[1] == routes[2]
 
 
 class TestConfigAcceptance:
