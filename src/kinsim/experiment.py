@@ -137,18 +137,26 @@ def _replicate(
     trace_path: Optional[str],
     r: int,
 ) -> RunStats:
-    """Build, run and harvest replication ``r``; only replication 0 is traced."""
+    """Build, run and harvest replication ``r``; only replication 0 is traced.
+
+    The trace is the one file a run writes.  An :class:`OSError` from
+    writing or closing it names no file, so it is raised again with
+    ``trace_path`` as its filename, as an error from opening it is.
+    """
     spec = builder(config, r)
-    if trace_path is not None and r == 0:
-        trace = open(trace_path, "w", encoding="utf-8", newline="")
-    else:
-        trace = contextlib.nullcontext()
-    with trace as trace_file:
-        handle = initialize(spec, 0.0, trace_file=trace_file)
-        try:
-            handle.run_until(config.run_length)
-        except SimulationError as exc:
-            raise SimulationError(f"replication {r}: {exc}") from exc
+    traced = trace_path is not None and r == 0
+    trace = open(trace_path, "w", encoding="utf-8", newline="") if traced else contextlib.nullcontext()
+    try:
+        with trace as trace_file:
+            handle = initialize(spec, 0.0, trace_file=trace_file)
+            try:
+                handle.run_until(config.run_length)
+            except SimulationError as exc:
+                raise SimulationError(f"replication {r}: {exc}") from exc
+    except OSError as exc:
+        if not traced or exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, trace_path) from exc
     return collect_run_stats(handle)
 
 

@@ -452,13 +452,13 @@ class RunStats:
     """Raw statistics of one finished replication.
 
     ``rows`` are (object name, data source, category, value) tuples in a
-    stable order; the conservation fields count individuals so that
-    ``created_total == destroyed_individuals + held_individuals`` holds
-    exactly at any observation instant.
+    stable order; the count of a class label is its ``[Dynamic Object]``
+    row, read with :meth:`value`.  The conservation fields count
+    individuals so that ``created_total == destroyed_individuals +
+    held_individuals`` holds exactly at any observation instant.
     """
 
     rows: list[StatRow] = field(default_factory=list)
-    label_counts: dict[str, int] = field(default_factory=dict)
     created_total: int = 0
     destroyed_individuals: int = 0
     held_individuals: int = 0
@@ -480,28 +480,23 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     are summed over all of them alike.  One ``[Travelers]`` row per leg
     follows, ``Path1`` to ``Path14``: the entities that arrived over it, the
     sum of ``arrivals(port)`` over its entry in ``_LEGS``.  One
-    ``[Dynamic Object]`` row per class label counted by the entity
-    factories ends the list, sorted.
+    ``[Dynamic Object]`` row per class label counted by the model's one
+    entity factory, the one its source ``WP`` holds, ends the list, sorted.
     """
     stats = RunStats()
-    factories: dict[int, EntityFactory] = {}
     states = dict(handle.components())
     for name, state in states.items():
         stats.rows.extend(state.report_rows(name))
         stats.held_individuals += state.held_individuals()
         stats.destroyed_individuals += state.stats.destroyed_individuals
         _add_counts(stats.affected_by_class, state.stats.affected_by_class)
-        factory = getattr(state, "factory", None)
-        if factory is not None:
-            factories[id(factory)] = factory
     for leg, ends in _LEGS.items():
         arrived = sum(states[name].arrivals(port) for name, port in ends)
         stats.rows.append((leg, TRAVELERS, THROUGHPUT, arrived))
-    for factory in factories.values():
-        stats.created_total += factory.created_total
-        _add_counts(stats.label_counts, factory.label_counts)
-    for label in sorted(stats.label_counts):
-        stats.rows.append((label, DYNAMIC_OBJECT, THROUGHPUT, stats.label_counts[label]))
+    factory = states["WP"].factory
+    stats.created_total = factory.created_total
+    for label, count in sorted(factory.label_counts.items()):
+        stats.rows.append((label, DYNAMIC_OBJECT, THROUGHPUT, count))
     return stats
 
 

@@ -19,10 +19,11 @@ with :class:`WeightedChoice` picks.  Conventions shared by all objects:
   which the kernel adds to the time of the last one.
 * A report row is (object name, data source, category, value).  Buffer
   rows are read off the object's counters at the moment of the report: a
-  server's and a sink's input buffer report arrivals, a server's output
-  buffer reports processed entities that have left, a combiner's parent
-  buffer reports candidates that arrived and its member buffer reports
-  members consumed into a marriage, one per marriage.
+  server's and a sink's input buffer report arrivals; a combiner's and a
+  server's output buffer report the processed entities that had left by
+  the object's last internal transition; a combiner's parent buffer
+  reports candidates that arrived and its member buffer reports members
+  consumed into a marriage, one per marriage.
 """
 
 from __future__ import annotations
@@ -187,29 +188,49 @@ class WeightedChoice:
 
 
 # ---------------------------------------------------------------------------
+# Zero-time output, shared by the combiner and the server
+
+
+def _zero_time_ta(s: CombinerState | ServerState) -> Time:
+    return 0.0 if s.outq else INFINITY
+
+
+def _zero_time_out(s: CombinerState | ServerState) -> list[Message]:
+    return [Message(PORT_OUT, entity) for entity in s.outq]
+
+
+def _zero_time_dint(s: CombinerState | ServerState) -> CombinerState | ServerState:
+    """Everything in ``outq`` has left, so each entity processed so far has."""
+    s.outq.clear()
+    s.left = s.stats.processed
+    return s
+
+
+# ---------------------------------------------------------------------------
 # Combiner
 
 
 class CombinerState:
-    __slots__ = ("parents", "members", "ready", "stats")
+    __slots__ = ("parents", "members", "outq", "left", "stats")
 
     def __init__(self):
         self.parents: deque[Entity] = deque()
         self.members: deque[Entity] = deque()
-        self.ready: list[Entity] = []
+        self.outq: list[Entity] = []
+        self.left = 0  # marriages whose parent has left
         self.stats = ObjectStats()
 
     def _match(self) -> None:
         while self.parents and self.members:
             parent = self.parents.popleft()
             parent.member = self.members.popleft()
-            self.ready.append(parent)
+            self.outq.append(parent)
             self.stats.processed += 1
 
     def held_individuals(self) -> int:
         held = sum(individual_count(e) for e in self.parents)
         held += sum(individual_count(e) for e in self.members)
-        held += sum(individual_count(e) for e in self.ready)
+        held += sum(individual_count(e) for e in self.outq)
         return held
 
     def arrivals(self, port: str) -> int:
@@ -221,23 +242,10 @@ class CombinerState:
         s = self.stats
         return [
             (name, "[MemberInputBuffer]", CONTENT, s.processed),
-            (name, OUTPUT_BUFFER, CONTENT, s.processed - len(self.ready)),  # married and left
+            (name, OUTPUT_BUFFER, CONTENT, self.left),
             (name, "[ParentInputBuffer]", CONTENT, self.arrivals(PORT_PARENT_IN)),
             (name, PROCESSED, THROUGHPUT, s.processed),
         ]
-
-
-def _combiner_ta(s: CombinerState) -> Time:
-    return 0.0 if s.ready else INFINITY
-
-
-def _combiner_out(s: CombinerState) -> list[Message]:
-    return [Message(PORT_OUT, parent) for parent in s.ready]
-
-
-def _combiner_dint(s: CombinerState) -> CombinerState:
-    s.ready.clear()
-    return s
 
 
 def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
@@ -260,10 +268,10 @@ def make_combiner() -> AtomicSpec:
     """
     return AtomicSpec(
         initial_state=CombinerState(),
-        time_advance=_combiner_ta,
-        delta_int=_combiner_dint,
+        time_advance=_zero_time_ta,
+        delta_int=_zero_time_dint,
         delta_ext=_combiner_dext,
-        output=_combiner_out,
+        output=_zero_time_out,
         input_ports=(PORT_PARENT_IN, PORT_MEMBER_IN),
         output_ports=(PORT_OUT,),
     )
@@ -277,12 +285,12 @@ ProcessedTrigger = Callable[[Entity], list[Entity]]
 
 
 class ServerState:
-    __slots__ = ("on_processed", "outq", "outq_serviced", "stats")
+    __slots__ = ("on_processed", "outq", "left", "stats")
 
     def __init__(self, on_processed: ProcessedTrigger):
         self.on_processed = on_processed
         self.outq: list[Entity] = []
-        self.outq_serviced = 0  # processed entities in ``outq``; offspring are not
+        self.left = 0  # processed entities that have left; offspring are not counted
         self.stats = ObjectStats()
 
     def held_individuals(self) -> int:
@@ -295,30 +303,15 @@ class ServerState:
         s = self.stats
         return [
             (name, INPUT_BUFFER, CONTENT, s.processed),  # each arrival is processed at once
-            (name, OUTPUT_BUFFER, CONTENT, s.processed - self.outq_serviced),
+            (name, OUTPUT_BUFFER, CONTENT, self.left),
             (name, PROCESSED, THROUGHPUT, s.processed),
         ]
-
-
-def _server_ta(s: ServerState) -> Time:
-    return 0.0 if s.outq else INFINITY
-
-
-def _server_out(s: ServerState) -> list[Message]:
-    return [Message(PORT_OUT, entity) for entity in s.outq]
-
-
-def _server_dint(s: ServerState) -> ServerState:
-    s.outq.clear()
-    s.outq_serviced = 0
-    return s
 
 
 def _server_dext(s: ServerState, elapsed: Time, bag) -> ServerState:
     for msg in bag:
         entity = msg.payload
         s.stats.processed += 1
-        s.outq_serviced += 1
         s.outq.append(entity)
         s.outq.extend(s.on_processed(entity))  # offspring leave behind their parent
     return s
@@ -336,10 +329,10 @@ def make_server(on_processed: ProcessedTrigger) -> AtomicSpec:
     """
     return AtomicSpec(
         initial_state=ServerState(on_processed),
-        time_advance=_server_ta,
-        delta_int=_server_dint,
+        time_advance=_zero_time_ta,
+        delta_int=_zero_time_dint,
         delta_ext=_server_dext,
-        output=_server_out,
+        output=_zero_time_out,
         input_ports=(PORT_IN,),
         output_ports=(PORT_OUT,),
     )

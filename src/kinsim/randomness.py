@@ -6,9 +6,10 @@ Every stream is a :class:`RngStream`: a self-contained PCG64 generator
 (O'Neill 2014; 128-bit LCG state, XSL-RR output) seeded the way numpy's
 ``SeedSequence`` seeds it, so the stream of seed ``s`` is bit for bit
 ``numpy.random.Generator(numpy.random.PCG64(s)).random()``, on every
-platform, without numpy.  Stream seeds are derived with the SplitMix64
-finalizer (Steele, Lea & Flood 2014; the same mixer used by
-``java.util.SplittableRandom``), so
+platform, without numpy.  Each draw steps the generator once and computes
+that one double, so a stream computes nothing ahead of what is asked of
+it.  Stream seeds are derived with the SplitMix64 finalizer (Steele, Lea &
+Flood 2014; the same mixer used by ``java.util.SplittableRandom``), so
 
 * the same base seed always yields the same sample sequences, and
 * distinct replication indices or stream names yield well-separated seeds.
@@ -39,11 +40,12 @@ _GAMMA = 0x9E3779B97F4A7C15
 #: miss 1.0 by at most this much before the table is rejected.
 CUM_PROB_TOLERANCE = 1e-12
 
-# Doubles a stream draws per refill of its buffer.
-_BLOCK = 256
-
 # PCG64's 128-bit LCG multiplier (O'Neill 2014).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The constants of one double: 2⁶⁴ + 1, 53 low bits and 2⁻⁵³.
+_DOUBLED = (1 << 64) + 1
+_MASK53 = (1 << 53) - 1
+_SCALE = 2.0 ** -53
 
 
 def _mix64(x: int) -> int:
@@ -120,40 +122,24 @@ class RngStream:
     the doubles of ``numpy.random.Generator(numpy.random.PCG64(s)).random()``
     bit for bit, on every platform, but needs no numpy.
 
-    :meth:`uniform`, the one reader of the generator, serves doubles from a
-    block of ``_BLOCK`` drawn at once; the sequence is that of scalar draws.
+    :meth:`uniform`, the one reader of the generator, steps the LCG once
+    per double, so the state after ``n`` draws is numpy's after ``random(n)``.
     """
 
-    __slots__ = ("seed", "_state", "_inc", "_block")
+    __slots__ = ("seed", "_state", "_inc")
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
         self._state, self._inc = _pcg64_seeded(self.seed)
-        # Buffered doubles, the next one last, so a draw is one list pop.
-        self._block: list[float] = []
 
     def uniform(self) -> float:
         """Next sample, uniform on [0, 1)."""
-        try:
-            return self._block.pop()
-        except IndexError:
-            return self._refill().pop()
-
-    def _refill(self) -> list[float]:
-        """Draw the next block of doubles into the buffer, the next one last."""
-        state, inc = self._state, self._inc
-        mult, mask128, mask64, mask53 = _PCG_MULT, _MASK128, _MASK64, (1 << 53) - 1
-        # x·(2⁶⁴ + 1) holds two copies of a 64-bit x, so one shift of it
-        # rotates x right; shifting 11 further keeps the double's 53 bits.
-        doubled, scale = (1 << 64) + 1, 2.0 ** -53
-        block = self._block = [0.0] * _BLOCK
-        for i in range(_BLOCK - 1, -1, -1):
-            state = (state * mult + inc) & mask128
-            # XSL-RR: fold the high half onto the low, rotate by the top 6 bits.
-            x = (state ^ state >> 64) & mask64
-            block[i] = ((x * doubled) >> ((state >> 122) + 11) & mask53) * scale
-        self._state = state
-        return block
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        # XSL-RR: fold the high half onto the low, rotate right by the top 6
+        # bits.  x·(2⁶⁴ + 1) holds two copies of the 64-bit x, so one shift
+        # of it rotates x; shifting 11 further keeps the double's 53 bits.
+        x = (state ^ state >> 64) & _MASK64
+        return ((x * _DOUBLED) >> ((state >> 122) + 11) & _MASK53) * _SCALE
 
     def named(self, name: str) -> "RngStream":
         """Child stream for one named decision point, derived from this seed."""

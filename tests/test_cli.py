@@ -324,6 +324,22 @@ class TestRun:
         )
         assert not out.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trace_write_refused_mid_run_exits_2_with_one_line(self, small_config_file, tmp_path,
+                                                              capsys, jobs):
+        # /dev/full opens but refuses every write, so the error comes from a
+        # write partway through replication 0, and names no file of its own
+        out = tmp_path / "never.csv"
+        assert main(["run", "--config", small_config_file, "--jobs", jobs,
+                     "--out", str(out), "--trace", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "kinsim: cannot write trace: [Errno 28] No space left on device: '/dev/full'\n"
+        )
+        assert not out.exists()
+
     def test_invalid_config_exit_1(self, tmp_path):
         config = ModelConfig.default().to_dict()
         config["replications"] = 0

@@ -463,7 +463,7 @@ class TestPopulationGrowthModel:
         marriages = {tag: stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES}
         assert marriages == {"C": 5, "NC": 11}
         for tag in BRANCHES:
-            assert stats.label_counts[f"Child_{tag}"] == 2 * marriages[tag]
+            assert stats.value(f"Child_{tag}", "[Dynamic Object]") == 2 * marriages[tag]
             # the sink destroys each couple and its two children as flowing units
             assert stats.value(f"NewPopulation_{tag}", "[InputBuffer]") == 3 * marriages[tag]
         # each couple carries its member, so 4 individuals per marriage were destroyed
@@ -485,7 +485,7 @@ class TestPopulationGrowthModel:
         config.run_length = 2000.0
         stats = run_model(build_consanguinity_model, config)
         marriages = sum(stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
-        children = sum(stats.label_counts[f"Child_{tag}"] for tag in BRANCHES)
+        children = sum(stats.value(f"Child_{tag}", "[Dynamic Object]") for tag in BRANCHES)
         assert marriages == 316 + 504
         mean, second = offspring_moments()
         sd = math.sqrt(second - mean * mean)
@@ -536,7 +536,7 @@ class TestConsanguinityModel:
         config.run_length = 800.0
         stats = run_model(build_consanguinity_model, config)
         legs = {i: stats.value(f"Path{i}", "[Travelers]") for i in range(1, 15)}
-        assert legs[1] == stats.label_counts["MP"]
+        assert legs[1] == stats.value("MP", "[Dynamic Object]")
         assert legs[3] + legs[4] == legs[1]
         assert legs[3] == legs[7]
         assert legs[13] == stats.value("NewPopulation_C", "[InputBuffer]")
@@ -574,9 +574,9 @@ class TestConsanguinityModel:
         config = ModelConfig.default()
         config.run_length = 2000.0
         stats = run_model(build_consanguinity_model, config)
-        total = stats.label_counts["WP"]
-        males = stats.label_counts["MP"]
-        females = stats.label_counts["FP"]
+        total = stats.value("WP", "[Dynamic Object]")
+        males = stats.value("MP", "[Dynamic Object]")
+        females = stats.value("FP", "[Dynamic Object]")
         assert males + females == total
         assert abs(males / total - 0.595) <= 3 * math.sqrt(0.595 * 0.405 / total)
         mp_c = stats.value("Path3", "[Travelers]")
@@ -593,7 +593,8 @@ class TestConsanguinityModel:
         config.routing_weights["female"]["consanguineous"] = 1e-9
         stats = run_model(build_consanguinity_model, config)
         assert stats.value("Marriage_C", "[Processed]") == 0
-        assert stats.label_counts.get("Child_C", 0) == 0
+        with pytest.raises(KeyError):  # no Child_C was born, so it has no row
+            stats.value("Child_C", "[Dynamic Object]")
         assert stats.value("Marriage_NC", "[Processed]") > 0
 
     def test_growth_triggers_assign_branch_specific_risk(self):
@@ -624,8 +625,8 @@ class TestConsanguinityModel:
         config.allele_frequency = 0.3
         config.inbreeding_f = 1.0
         stats = run_model(build_consanguinity_model, config)
-        children_c = stats.label_counts["Child_C"]
-        children_nc = stats.label_counts["Child_NC"]
+        children_c = stats.value("Child_C", "[Dynamic Object]")
+        children_nc = stats.value("Child_NC", "[Dynamic Object]")
         rate_c = stats.affected_by_class.get("Child_C", 0) / children_c
         rate_nc = stats.affected_by_class.get("Child_NC", 0) / children_nc
         assert abs(rate_c - 0.30) <= 3 * math.sqrt(0.30 * 0.70 / children_c)

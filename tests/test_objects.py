@@ -249,6 +249,7 @@ class TestCombiner:
         spec = make_combiner()
         state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 91)])
         state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 74)], state=state)
+        assert reported(state)["[OutputBuffer]"] == 0  # married, but not left yet
         out = flush(spec, state)
         assert len(out) == 74
         assert state.stats.processed == 74
@@ -361,6 +362,7 @@ class TestServer:
         first, second, third = entities(factory, "E", 3)
         state = deliver(spec, [("in", first), ("in", second)])
         state = deliver(spec, [("in", third)], state=state)
+        assert reported(state)["[OutputBuffer]"] == 0  # processed, but not left yet
         out = [m.payload for m in flush(spec, state)]
         assert out[::2] == [first, second, third]
         assert [child.class_label for child in out[1::2]] == [f"Child of {e.id}" for e in out[::2]]

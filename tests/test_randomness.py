@@ -145,7 +145,7 @@ class TestStreams:
             substream(1, -1)
 
     def test_buffered_uniform_is_the_scalar_sequence(self):
-        # 1 000 draws cross several refills of the stream's buffer.
+        # 1 000 draws one at a time are numpy's one vector call.
         stream = RngStream(2024)
         draws = [stream.uniform() for _ in range(1000)]
         assert draws == np.random.Generator(np.random.PCG64(2024)).random(1000).tolist()
@@ -162,7 +162,7 @@ def numpy_draws(seed: int, n: int) -> list[float]:
 
 
 SEEDS_64 = st.integers(min_value=0, max_value=2**64 - 1)
-# Draw counts on both sides of the 256-double block edge, and across it.
+# Draw counts up to 600, past any batch a generator might compute ahead.
 DRAW_COUNTS = st.integers(min_value=1, max_value=600)
 
 
@@ -188,6 +188,15 @@ class TestNumpyPcg64Bits:
     def test_substream(self, base_seed, replication, n):
         stream = substream(base_seed, replication)
         assert draws(stream, n).tolist() == numpy_draws(stream.seed, n)
+
+    @given(SEEDS_64, st.integers(min_value=0, max_value=600))
+    def test_state_after_n_draws(self, seed, n):
+        # a stream computes no double ahead of the ones drawn
+        stream = RngStream(seed)
+        draws(stream, n)
+        generator = np.random.Generator(np.random.PCG64(seed))
+        generator.random(n)
+        assert {"state": stream._state, "inc": stream._inc} == generator.bit_generator.state["state"]
 
 
 class TestDistributions:
