@@ -6,10 +6,10 @@ Layering, bottom up:
 * :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled);
   its couplings join ports and carry each message unchanged.
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
-* :mod:`kinsim.objects` realizes Source, Combiner, Server and Sink
-  objects as DEVS atomics; a source routes what it emits, for instance with
-  weighted picks, and the other objects tell how many entities arrived on
-  each input port.
+* :mod:`kinsim.objects` realizes Source, Combiner and Sink objects as DEVS
+  atomics; a source routes what it emits, for instance with weighted picks,
+  a combiner's trigger gives each couple its offspring as it marries them,
+  and the other objects tell how many entities arrived on each input port.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
   draws per-birth disorder flags.
 * :mod:`kinsim.model` holds the config, wires the consanguinity model and
@@ -51,7 +51,6 @@ from .randomness import (
 from .objects import (
     WeightedChoice,
     make_combiner,
-    make_server,
     make_sink,
     make_source,
 )

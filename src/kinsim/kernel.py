@@ -344,6 +344,9 @@ class SimulationHandle:
         routes = node.routes
         deliveries: dict[int, list[Message]] = {}
         root_outputs: list[Message] = []
+        # A Message built as the tuple it is: calling the class would run
+        # the named tuple's Python-level __new__, a frame per message.
+        new = tuple.__new__
         for port, payload in outputs:
             try:
                 atom_targets, root_targets = routes[port]
@@ -352,11 +355,11 @@ class SimulationHandle:
             for idx, dst_port in atom_targets:
                 bag = deliveries.get(idx)
                 if bag is None:
-                    deliveries[idx] = [Message(dst_port, payload)]
+                    deliveries[idx] = [new(Message, (dst_port, payload))]
                 else:
-                    bag.append(Message(dst_port, payload))
+                    bag.append(new(Message, (dst_port, payload)))
             for root_port in root_targets:
-                root_outputs.append(Message(root_port, payload))
+                root_outputs.append(new(Message, (root_port, payload)))
         # Internal transition of the selected component.
         node.state = state = spec.delta_int(node.state)
         ta = spec.time_advance(state)

@@ -4,7 +4,7 @@
 whole-population source is split by sex, each sex stream is split again
 into consanguineous and non-consanguineous branches by routing weights, and
 each branch runs its own marriage combiner (one female and one male per
-marriage), growth server (whose trigger creates a random number of children
+marriage, whose trigger creates a random number of children for each couple
 and draws each child's congenital disorder) and new-population sink.
 
 Objects are joined by direct couplings, which carry each individual
@@ -13,7 +13,10 @@ makes as it emits each individual, choosing the port it leaves on, so
 routing costs no kernel step.  Each leg of the flow is reported as a
 ``Path<n>`` ``[Travelers]`` row, the entities that arrived over it: the
 arrivals at the input ports it leads to, listed in ``_LEGS`` and read off
-the objects' own counters, so counting costs no step either.
+the objects' own counters, so counting costs no step either.  The paper's
+model passes each couple through a growth server of its own; here the
+combiner's trigger does that work as it marries them, and the server's
+rows and the leg into it are read off the combiner.
 """
 
 from __future__ import annotations
@@ -28,15 +31,18 @@ from .errors import ConfigurationError
 from .genetics import ConsanguinityDegree, assign_disorder
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
 from .objects import (
+    CONTENT,
+    INPUT_BUFFER,
+    OUTPUT_BUFFER,
     PORT_IN,
     PORT_MEMBER_IN,
     PORT_PARENT_IN,
+    PROCESSED,
     THROUGHPUT,
     TRAVELERS,
     StatRow,
     WeightedChoice,
     make_combiner,
-    make_server,
     make_sink,
     make_source,
 )
@@ -328,14 +334,14 @@ def _require_valid(config: ModelConfig) -> None:
         raise ConfigurationError(f"invalid model config: {summary}")
 
 
-def _growth_server(
+def _marriage(
     label: str,
     factory: EntityFactory,
     offspring_dist: DiscreteDistribution,
     offspring_stream: RngStream,
     disorder: Callable[[Entity], Entity],
 ) -> AtomicSpec:
-    """A growth server: each processed couple gets ``offspring_dist`` children.
+    """A marriage combiner whose every couple gets ``offspring_dist`` children.
 
     The children, drawn from ``offspring_stream``, are born under ``label``
     and counted on ``factory``; ``disorder`` draws each child's
@@ -349,12 +355,13 @@ def _growth_server(
             disorder(child)
             children.append(child)
         return children
-    return make_server(on_growth)
+    return make_combiner(on_growth)
 
 
 def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
-    """Full model: one whole-population source, two marriage combiners, two
-    growth servers with disorder draws and two sinks: seven atomics.
+    """Full model: one whole-population source, two marriage combiners whose
+    triggers give each couple its children and their disorder draws, and two
+    sinks: five atomics.
 
     The source routes each individual it emits with two
     :class:`~kinsim.objects.WeightedChoice` picks: the sex, which relabels
@@ -393,13 +400,11 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "WP": make_source("WP", make_distribution(wp.interarrival), wp.max_arrivals,
                           factory=factory, stream=root.named("wp_interarrival"), route=route,
                           ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
-        "Marriage_C": make_combiner(),
-        "Marriage_NC": make_combiner(),
-        "PopulationG_C": _growth_server(
+        "Marriage_C": _marriage(
             "Child_C", factory, offspring_dist, root.named("offspring_consanguineous"),
             disorder("disorder_consanguineous", config.consanguinity_degree, config.inbreeding_f),
         ),
-        "PopulationG_NC": _growth_server(
+        "Marriage_NC": _marriage(
             "Child_NC", factory, offspring_dist, root.named("offspring_nonconsanguineous"),
             disorder("disorder_nonconsanguineous", ConsanguinityDegree.UNRELATED, None),
         ),
@@ -411,10 +416,8 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         Coupling("WP", "MP_NC", "Marriage_NC", "member_in"),
         Coupling("WP", "FP_C", "Marriage_C", "parent_in"),
         Coupling("WP", "FP_NC", "Marriage_NC", "parent_in"),
-        Coupling("Marriage_C", "out", "PopulationG_C", "in"),
-        Coupling("Marriage_NC", "out", "PopulationG_NC", "in"),
-        Coupling("PopulationG_C", "out", "NewPopulation_C", "in"),
-        Coupling("PopulationG_NC", "out", "NewPopulation_NC", "in"),
+        Coupling("Marriage_C", "out", "NewPopulation_C", "in"),
+        Coupling("Marriage_NC", "out", "NewPopulation_NC", "in"),
     ]
     return CoupledSpec(components, couplings)
 
@@ -422,7 +425,9 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
 # Each leg of the consanguinity model -> the (component, input port) pairs
 # whose arrivals it sums.  A leg from WP's picks to a combiner entry and the
 # stream leg into that entry carry the same individuals (Path3 and Path7);
-# the sex legs take both entries of their side.
+# the sex legs take both entries of their side.  A leg into a growth server
+# of the paper's model (Path11 and Path12) is crossed by each couple as it
+# is married: port None counts the combiner's marriages.
 _MEMBERS_C, _MEMBERS_NC = ("Marriage_C", PORT_MEMBER_IN), ("Marriage_NC", PORT_MEMBER_IN)
 _PARENTS_C, _PARENTS_NC = ("Marriage_C", PORT_PARENT_IN), ("Marriage_NC", PORT_PARENT_IN)
 _LEGS = {
@@ -436,11 +441,16 @@ _LEGS = {
     "Path8": (_MEMBERS_NC,),
     "Path9": (_PARENTS_C,),
     "Path10": (_PARENTS_NC,),
-    "Path11": (("PopulationG_C", PORT_IN),),
-    "Path12": (("PopulationG_NC", PORT_IN),),
+    "Path11": (("Marriage_C", None),),
+    "Path12": (("Marriage_NC", None),),
     "Path13": (("NewPopulation_C", PORT_IN),),
     "Path14": (("NewPopulation_NC", PORT_IN),),
 }
+
+# The growth server of each branch in the paper's model -> the combiner
+# whose trigger does its work.  Each couple arrives there and is processed
+# as it is married, and leaves with its children.
+_GROWTH = {"PopulationG_C": "Marriage_C", "PopulationG_NC": "Marriage_NC"}
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +486,31 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
 
     ``handle`` must run a model built by :func:`build_consanguinity_model`.
     Each object reports its own rows through ``report_rows(name)``, in
-    component order; held individuals and the sink tallies of its counters
-    are summed over all of them alike.  One ``[Travelers]`` row per leg
-    follows, ``Path1`` to ``Path14``: the entities that arrived over it, the
-    sum of ``arrivals(port)`` over its entry in ``_LEGS``.  One
+    component order, with the rows of the growth servers in ``_GROWTH``
+    after the combiners'; held individuals and the sink tallies of its
+    counters are summed over all of them alike.  One ``[Travelers]`` row per
+    leg follows, ``Path1`` to ``Path14``: the entities that arrived over it,
+    the sum of ``arrivals(port)``, or of the marriages for port None, over
+    its entry in ``_LEGS``.  One
     ``[Dynamic Object]`` row per class label counted by the model's one
     entity factory, the one its source ``WP`` holds, ends the list, sorted.
     """
     stats = RunStats()
     states = dict(handle.components())
     for name, state in states.items():
+        if name == "NewPopulation_C":  # the growth servers' place, before the sinks
+            for growth, marriage in _GROWTH.items():
+                married, left = states[marriage].stats.processed, states[marriage].left
+                stats.rows += [(growth, INPUT_BUFFER, CONTENT, married),
+                               (growth, OUTPUT_BUFFER, CONTENT, left),
+                               (growth, PROCESSED, THROUGHPUT, married)]
         stats.rows.extend(state.report_rows(name))
         stats.held_individuals += state.held_individuals()
         stats.destroyed_individuals += state.stats.destroyed_individuals
         _add_counts(stats.affected_by_class, state.stats.affected_by_class)
     for leg, ends in _LEGS.items():
-        arrived = sum(states[name].arrivals(port) for name, port in ends)
+        arrived = sum(states[name].stats.processed if port is None else states[name].arrivals(port)
+                      for name, port in ends)
         stats.rows.append((leg, TRAVELERS, THROUGHPUT, arrived))
     factory = states["WP"].factory
     stats.created_total = factory.created_total

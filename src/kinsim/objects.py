@@ -1,13 +1,16 @@
-"""Process-object library: Source, Combiner, Server and Sink, plus
-WeightedChoice, the weighted pick a source may route by.
+"""Process-object library: Source, Combiner and Sink, plus WeightedChoice,
+the weighted pick a source may route by.
 
 Each object is realized as one DEVS atomic whose state keeps flat
 counters in an :class:`~kinsim.entities.ObjectStats` and reports its own
-rows through ``report_rows(name)``.  A combiner, server or sink also
-tells how many entities arrived on an input port, ``arrivals(port)``,
-derived from those counters.  Routing costs no atomic: a source's
-``route`` picks each entity's output port as it emits it, for instance
-with :class:`WeightedChoice` picks.  Conventions shared by all objects:
+rows through ``report_rows(name)``.  A combiner or sink also tells how
+many entities arrived on an input port, ``arrivals(port)``, derived from
+those counters.  Routing costs no atomic: a source's ``route`` picks each
+entity's output port as it emits it, for instance with
+:class:`WeightedChoice` picks.  A combiner's trigger runs on each couple
+as it is married and puts what it creates (offspring) behind it, so the
+work of a zero-time server after the combiner costs no atomic either.
+Conventions shared by all objects:
 
 * Every step but a source's emission takes zero time, as marriage and
   births do in the model: entities cascade through an arbitrary number of
@@ -19,11 +22,10 @@ with :class:`WeightedChoice` picks.  Conventions shared by all objects:
   which the kernel adds to the time of the last one.
 * A report row is (object name, data source, category, value).  Buffer
   rows are read off the object's counters at the moment of the report: a
-  server's and a sink's input buffer report arrivals; a combiner's and a
-  server's output buffer report the processed entities that had left by
-  the object's last internal transition; a combiner's parent buffer
-  reports candidates that arrived and its member buffer reports members
-  consumed into a marriage, one per marriage.
+  sink's input buffer reports arrivals; a combiner's output buffer reports
+  the marriages whose couple had left by its last internal transition;
+  its parent buffer reports candidates that arrived and its member buffer
+  reports members consumed into a marriage, one per marriage.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ CONTENT = "Content"
 
 # One report row: (object name, data source, category, value).
 StatRow = tuple[str, str, str, int]
+
+_message = tuple.__new__  # builds a Message without the named tuple's Python-level __new__
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +103,7 @@ def _source_ta(s: SourceState) -> Time:
 
 def _source_out(s: SourceState) -> list[Message]:
     entity = s.pending
-    return [Message(s.route(entity), entity)]
+    return [_message(Message, (s.route(entity), entity))]
 
 
 def _source_dint(s: SourceState) -> SourceState:
@@ -188,32 +192,17 @@ class WeightedChoice:
 
 
 # ---------------------------------------------------------------------------
-# Zero-time output, shared by the combiner and the server
-
-
-def _zero_time_ta(s: CombinerState | ServerState) -> Time:
-    return 0.0 if s.outq else INFINITY
-
-
-def _zero_time_out(s: CombinerState | ServerState) -> list[Message]:
-    return [Message(PORT_OUT, entity) for entity in s.outq]
-
-
-def _zero_time_dint(s: CombinerState | ServerState) -> CombinerState | ServerState:
-    """Everything in ``outq`` has left, so each entity processed so far has."""
-    s.outq.clear()
-    s.left = s.stats.processed
-    return s
-
-
-# ---------------------------------------------------------------------------
 # Combiner
 
 
-class CombinerState:
-    __slots__ = ("parents", "members", "outq", "left", "stats")
+ProcessedTrigger = Callable[[Entity], list[Entity]]
 
-    def __init__(self):
+
+class CombinerState:
+    __slots__ = ("on_processed", "parents", "members", "outq", "left", "stats")
+
+    def __init__(self, on_processed: ProcessedTrigger):
+        self.on_processed = on_processed
         self.parents: deque[Entity] = deque()
         self.members: deque[Entity] = deque()
         self.outq: list[Entity] = []
@@ -225,6 +214,7 @@ class CombinerState:
             parent = self.parents.popleft()
             parent.member = self.members.popleft()
             self.outq.append(parent)
+            self.outq.extend(self.on_processed(parent))  # children leave behind their parent
             self.stats.processed += 1
 
     def held_individuals(self) -> int:
@@ -248,6 +238,21 @@ class CombinerState:
         ]
 
 
+def _combiner_ta(s: CombinerState) -> Time:
+    return 0.0 if s.outq else INFINITY
+
+
+def _combiner_out(s: CombinerState) -> list[Message]:
+    return [_message(Message, (PORT_OUT, entity)) for entity in s.outq]
+
+
+def _combiner_dint(s: CombinerState) -> CombinerState:
+    """Everything in ``outq`` has left, so each couple married so far has."""
+    s.outq.clear()
+    s.left = s.stats.processed
+    return s
+
+
 def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
     for msg in bag:
         if msg.port == PORT_PARENT_IN:
@@ -258,82 +263,26 @@ def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
     return s
 
 
-def make_combiner() -> AtomicSpec:
+def make_combiner(on_processed: ProcessedTrigger) -> AtomicSpec:
     """Attach one member to a parent entity and emit the parent at once.
 
     Parents and members wait in FIFO buffers; whenever a parent and a member
     are both available the member becomes the parent's ``member`` and the
     parent leaves with zero service time.  Surplus arrivals on either
-    side stay held in their buffer.
+    side stay held in their buffer.  ``on_processed(parent)`` is called
+    once per marriage, in marriage order, and returns the entities it
+    creates (offspring): they go to the output buffer directly behind
+    their parent and leave with it, in order.  The buffer rows count
+    marriages only; trigger-created entities are counted under their own
+    class labels by the factory that created them.
     """
     return AtomicSpec(
-        initial_state=CombinerState(),
-        time_advance=_zero_time_ta,
-        delta_int=_zero_time_dint,
+        initial_state=CombinerState(on_processed),
+        time_advance=_combiner_ta,
+        delta_int=_combiner_dint,
         delta_ext=_combiner_dext,
-        output=_zero_time_out,
+        output=_combiner_out,
         input_ports=(PORT_PARENT_IN, PORT_MEMBER_IN),
-        output_ports=(PORT_OUT,),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Server
-
-
-ProcessedTrigger = Callable[[Entity], list[Entity]]
-
-
-class ServerState:
-    __slots__ = ("on_processed", "outq", "left", "stats")
-
-    def __init__(self, on_processed: ProcessedTrigger):
-        self.on_processed = on_processed
-        self.outq: list[Entity] = []
-        self.left = 0  # processed entities that have left; offspring are not counted
-        self.stats = ObjectStats()
-
-    def held_individuals(self) -> int:
-        return sum(individual_count(e) for e in self.outq)
-
-    def arrivals(self, port: str) -> int:
-        return self.stats.processed  # each arrival is processed at once
-
-    def report_rows(self, name: str) -> list[StatRow]:
-        s = self.stats
-        return [
-            (name, INPUT_BUFFER, CONTENT, s.processed),  # each arrival is processed at once
-            (name, OUTPUT_BUFFER, CONTENT, self.left),
-            (name, PROCESSED, THROUGHPUT, s.processed),
-        ]
-
-
-def _server_dext(s: ServerState, elapsed: Time, bag) -> ServerState:
-    for msg in bag:
-        entity = msg.payload
-        s.stats.processed += 1
-        s.outq.append(entity)
-        s.outq.extend(s.on_processed(entity))  # offspring leave behind their parent
-    return s
-
-
-def make_server(on_processed: ProcessedTrigger) -> AtomicSpec:
-    """Zero-time FIFO process with a completion trigger.
-
-    Each arrival is processed the moment it arrives, in arrival order, so
-    the server keeps no clock: ``on_processed(entity)`` returns the entities
-    it creates (offspring), which go to the output buffer directly behind
-    the triggering entity and leave with it, in order.  Buffer rows count
-    processed entities only; trigger-created entities are counted under
-    their own class labels by the factory that created them.
-    """
-    return AtomicSpec(
-        initial_state=ServerState(on_processed),
-        time_advance=_zero_time_ta,
-        delta_int=_zero_time_dint,
-        delta_ext=_server_dext,
-        output=_zero_time_out,
-        input_ports=(PORT_IN,),
         output_ports=(PORT_OUT,),
     )
 

@@ -191,9 +191,9 @@ class TestTraceFile:
         run_experiment(config, trace_path=str(path))
         data = path.read_bytes()
         assert data.startswith(b"1\tWP\tinternal\tFP_C\tFP#0\n")
-        assert data.count(b"\n") == 10812
+        assert data.count(b"\n") == 9172
         assert hashlib.sha256(data).hexdigest() == (
-            "c7b75ffc90084bd22c584e6a07e98eced15c33c3cfb1c3ff2216f70682585458"
+            "4546569c4d9e8c085a78c0d6cfab2ee1825d822ced4e7e95d718ef249f2c0b7a"
         )
 
     def test_wp_port_names_the_entry_it_feeds(self, tmp_path):
@@ -366,6 +366,47 @@ class TestJobs:
 
         with pytest.raises(SimulationError, match="^replication 1: "):
             run_experiment(small_config(replications=4), builder=odd_failing_builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_failure_stops_the_workers_above_it(self, tmp_path):
+        def counting_builder(config, replication):
+            (tmp_path / f"built-{replication}").touch()
+            if replication == 0:
+                raise ConfigurationError("no replication 0 here")
+            time.sleep(0.2)
+            return build_consanguinity_model(config, replication)
+
+        with pytest.raises(ConfigurationError, match="^no replication 0 here$"):
+            run_experiment(small_config(replications=20), builder=counting_builder, jobs=2)
+        built = sorted(int(path.name.removeprefix("built-")) for path in tmp_path.iterdir())
+        # worker 1, whose first replication is 1, would build 10 in 2 s; it
+        # was killed once replication 0 had failed, and is reaped
+        assert built[0] == 0 and len(built) < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_lower_failure_reported_after_a_higher_one_wins(self):
+        def builder(config, replication):
+            if replication == 0:
+                time.sleep(0.3)  # replication 1 fails first
+            if replication < 2:
+                raise ConfigurationError(f"no replication {replication} here")
+            return build_consanguinity_model(config, replication)
+
+        with pytest.raises(ConfigurationError, match="^no replication 0 here$"):
+            run_experiment(small_config(replications=4), builder=builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_dead_worker_above_a_failure_is_ignored(self):
+        def builder(config, replication):
+            if replication == 1:
+                os._exit(3)  # at once, before replication 0 fails
+            time.sleep(0.2)
+            raise ConfigurationError(f"no replication {replication} here")
+
+        with pytest.raises(ConfigurationError, match="^no replication 0 here$"):
+            run_experiment(small_config(replications=2), builder=builder, jobs=2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
     def test_dead_worker_is_a_simulation_error(self):

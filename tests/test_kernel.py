@@ -594,6 +594,53 @@ class TestHierarchy:
             ("sib", "external", "t", "0"),
         ]
 
+    def test_routed_messages_are_message_instances_with_the_same_payload(self):
+        payload = object()
+        bags = {}
+
+        def keeper(name, *ports):
+            def dext(s, e, xs):
+                bags[name] = list(xs)
+                return s
+
+            return AtomicSpec(
+                initial_state={},
+                time_advance=lambda s: INFINITY,
+                delta_int=lambda s: s,
+                delta_ext=dext,
+                output=lambda s: [],
+                input_ports=ports,
+            )
+
+        model = CoupledSpec(
+            components={
+                "src": AtomicSpec(
+                    initial_state={},
+                    time_advance=lambda s: 1.0,
+                    delta_int=lambda s: s,
+                    delta_ext=lambda s, e, xs: s,
+                    output=lambda s: [Message("out", payload)],
+                    output_ports=("out",),
+                ),
+                "a": keeper("a", "p", "q"),
+                "b": keeper("b", "r"),
+            },
+            couplings=[
+                Coupling("src", "out", "a", "p"),
+                Coupling("src", "out", "b", "r"),
+                Coupling("src", "out", None, "y"),
+                Coupling("src", "out", "a", "q"),
+            ],
+            output_ports=("y",),
+        )
+        _, outputs = initialize(model).step()
+        delivered = {name: [(type(m), m.port) for m in bag] for name, bag in bags.items()}
+        assert delivered == {"a": [(Message, "p"), (Message, "q")], "b": [(Message, "r")]}
+        assert [(type(m), m.port) for m in outputs] == [(Message, "y")]
+        for message in [*bags["a"], *bags["b"], *outputs]:
+            port, carried = message
+            assert carried is message.payload is payload and port == message.port
+
     def test_hierarchical_select_composes_lexicographically(self):
         # inner comes before the sibling atomic at the root level, and within
         # inner its own select decides; all three fire at t=1.

@@ -24,7 +24,7 @@ from kinsim import (
 )
 from kinsim.errors import ConfigurationError
 from kinsim.model import DEFAULT_OFFSPRING_PAIRS
-from kinsim.objects import CombinerState, ServerState, SinkState, SourceState
+from kinsim.objects import CombinerState, SinkState, SourceState
 from kinsim.randomness import substream
 
 MALE_C_FRACTION = 35.7 / (35.7 + 65.9)
@@ -148,10 +148,10 @@ def any_configs(draw) -> ModelConfig:
     )
 
 
-def trigger_flags(spec, server, label, couples=1000):
-    """The affected flags of the children that ``server``'s trigger gives
+def trigger_flags(spec, marriage, label, couples=1000):
+    """The affected flags of the children that ``marriage``'s trigger gives
     ``couples`` couples, checking that each child is born under ``label``."""
-    trigger = spec.components[server].initial_state.on_processed
+    trigger = spec.components[marriage].initial_state.on_processed
     factory = EntityFactory()
     children = [child for _ in range(couples) for child in trigger(factory.create("FP"))]
     assert {child.class_label for child in children} == {label}
@@ -411,17 +411,17 @@ class TestReportRowPins:
         config = ModelConfig.default()
         handle = initialize(build_consanguinity_model(config))
         handle.run_until(100.0)
-        server = handle.state_of("PopulationG_C")
-        while len(server.outq) < 2:
+        marriage = handle.state_of("Marriage_C")
+        while len(marriage.outq) < 2:
             handle.step()
         # the couple married at 123 is processed, and it and its two
         # children wait in the output buffer: they have not left yet
         assert handle.clock == 123.0
-        assert [e.class_label for e in server.outq] == ["FP", "Child_C", "Child_C"]
+        assert [e.class_label for e in marriage.outq] == ["FP", "Child_C", "Child_C"]
         stats = collect_run_stats(handle)
         assert growth_chain_rows(stats) == [
             ("Marriage_C", "[MemberInputBuffer]", "Content", 13),
-            ("Marriage_C", "[OutputBuffer]", "Content", 13),
+            ("Marriage_C", "[OutputBuffer]", "Content", 12),  # processed - waiting
             ("Marriage_C", "[ParentInputBuffer]", "Content", 13),
             ("Marriage_C", "[Processed]", "Throughput", 13),
             ("Marriage_NC", "[MemberInputBuffer]", "Content", 27),
@@ -443,7 +443,7 @@ class TestReportRowPins:
             ("Child_C", "[Dynamic Object]", "Throughput", 33),
             ("Child_NC", "[Dynamic Object]", "Throughput", 49),
         ]
-        # held: the couple (2) and its children (2) at the server, the
+        # held: the couple (2) and its children (2) at the combiner, the
         # 33 - 13 and 50 - 27 males still unmarried at the combiners, and
         # the next individual, which the source holds until 124
         assert (stats.value("Path7", "[Travelers]"), stats.value("Path8", "[Travelers]")) == (33, 50)
@@ -470,6 +470,36 @@ class TestPopulationGrowthModel:
         assert stats.destroyed_individuals == 4 * (5 + 11)
         assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
 
+    def test_each_marriage_event_is_delivered_whole_to_its_sink(self):
+        # The combiner's internal event emits each couple with its children
+        # behind it, and the branch's sink receives exactly those, in order.
+        config = ModelConfig.default()
+        config.run_length = 300.0
+        trace = io.StringIO()
+        initialize(build_consanguinity_model(config), trace_file=trace).run_until(config.run_length)
+        events = []  # [(time, component, phase), [(port, payload), ...]]
+        for line in trace.getvalue().splitlines():
+            at, component, phase, port, payload = line.split("\t")
+            if not events or events[-1][0] != (at, component, phase):
+                events.append(((at, component, phase), []))
+            events[-1][1].append((port, payload))
+        marriages = children = 0
+        for (head, lines), (next_head, next_lines) in zip(events, events[1:]):
+            at, component, phase = head
+            if not (component.startswith("Marriage_") and phase == "internal"):
+                continue
+            tag = component.removeprefix("Marriage_")
+            assert next_head == (at, f"NewPopulation_{tag}", "external")
+            assert [port for port, _ in lines] == ["out"] * len(lines)
+            assert [port for port, _ in next_lines] == ["in"] * len(lines)
+            assert [payload for _, payload in next_lines] == [payload for _, payload in lines]
+            marriages += sum(payload.startswith("FP#") for _, payload in lines)
+            children += sum(payload.startswith(f"Child_{tag}#") for _, payload in lines)
+        stats = run_model(build_consanguinity_model, config)
+        assert marriages == sum(stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
+        assert children == sum(stats.value(f"Child_{tag}", "[Dynamic Object]") for tag in BRANCHES)
+        assert marriages > 0 and children > 0
+
     def test_empty_run_when_sources_capped_at_zero(self):
         config = ModelConfig.default()
         config.sources["WP"].max_arrivals = 0
@@ -494,11 +524,11 @@ class TestPopulationGrowthModel:
     def test_structure(self):
         spec = build_consanguinity_model(ModelConfig.default())
         for tag in BRANCHES:
-            chain = [f"Marriage_{tag}", f"PopulationG_{tag}", f"NewPopulation_{tag}"]
+            chain = [f"Marriage_{tag}", f"NewPopulation_{tag}"]
             states = [type(spec.components[name].initial_state) for name in chain]
-            assert states == [CombinerState, ServerState, SinkState]
+            assert states == [CombinerState, SinkState]
             links = [(c.src, c.src_port, c.dst, c.dst_port) for c in spec.couplings if c.src in chain]
-            assert links == [(chain[0], "out", chain[1], "in"), (chain[1], "out", chain[2], "in")]
+            assert links == [(chain[0], "out", chain[1], "in")]
 
 
 class TestConsanguinityModel:
@@ -509,10 +539,10 @@ class TestConsanguinityModel:
             by_type.setdefault(type(component.initial_state), 0)
             by_type[type(component.initial_state)] += 1
         assert by_type[CombinerState] == 2
-        assert by_type[ServerState] == 2
         assert by_type[SinkState] == 2
         assert by_type[SourceState] == 1
-        assert len(spec.components) == 7  # the source routes, and couplings carry
+        # the source routes, couplings carry, and each combiner's trigger gives births
+        assert len(spec.components) == 5
         assert spec.select is None  # the order of the components
 
     def test_travelers_rows_are_the_fourteen_paths(self):
@@ -602,11 +632,11 @@ class TestConsanguinityModel:
         config.consanguinity_degree = ConsanguinityDegree.SECOND_COUSIN
         config.allele_frequency = 0.5
         spec = build_consanguinity_model(config)
-        c = trigger_flags(spec, "PopulationG_C", "Child_C")
+        c = trigger_flags(spec, "Marriage_C", "Child_C")
         assert c == draws_below(config, "consanguineous", len(c), 1 / 64)
         # q = 0.5 puts some of ~2 000 draws in the 1/256 gap that f = 1/64 opens
         assert c != draws_below(config, "consanguineous", len(c), 0.0)
-        nc = trigger_flags(spec, "PopulationG_NC", "Child_NC")
+        nc = trigger_flags(spec, "Marriage_NC", "Child_NC")
         assert nc == draws_below(config, "nonconsanguineous", len(nc), 0.0)
 
     def test_inbreeding_override_reaches_trigger(self):
@@ -614,7 +644,7 @@ class TestConsanguinityModel:
         config.inbreeding_f = 0.5
         config.allele_frequency = 0.5
         spec = build_consanguinity_model(config)
-        flags = trigger_flags(spec, "PopulationG_C", "Child_C")
+        flags = trigger_flags(spec, "Marriage_C", "Child_C")
         assert flags == draws_below(config, "consanguineous", len(flags), 0.5)
 
     def test_prevalence_separates_branches_with_exaggerated_parameters(self):
@@ -660,9 +690,8 @@ class TestConsanguinityModel:
             if isinstance(state, CombinerState):
                 arrived = sum(stats.value(leg, "[Travelers]") for leg in arrivals[name])
                 carried_out = state.stats.processed * 2  # a parent and its member
-                assert arrived == carried_out + state.held_individuals(), name
-            elif isinstance(state, ServerState):
                 assert not state.outq, name  # zero-time: all left by the end
+                assert arrived == carried_out + state.held_individuals(), name
 
     def test_consanguineous_marriages_monotone_in_share(self):
         # A branch pick names C exactly when u * (w_C + w_NC) < w_C, on the

@@ -1,4 +1,4 @@
-"""Process objects: sources, combiners, zero-time servers, sinks and weighted
+"""Process objects: sources, combiners with their triggers, sinks and weighted
 choices."""
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from kinsim import (
     individual_count,
     initialize,
     make_combiner,
-    make_server,
     make_sink,
     make_source,
     substream,
@@ -224,10 +223,14 @@ class TestSource:
             out_source("X", Constant(1.0), -1, factory=EntityFactory(), stream=substream(1, 0))
 
 
+def no_offspring(parent):
+    return []
+
+
 class TestCombiner:
     def test_marriage_attaches_member_to_parent(self):
         factory = EntityFactory()
-        spec = make_combiner()
+        spec = make_combiner(no_offspring)
         fp, mp = factory.create("FP"), factory.create("MP")
         state = deliver(spec, [("parent_in", fp), ("member_in", mp)])
         out = flush(spec, state)
@@ -237,7 +240,7 @@ class TestCombiner:
 
     def test_parents_wait_when_no_members(self):
         factory = EntityFactory()
-        spec = make_combiner()
+        spec = make_combiner(no_offspring)
         state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 3)])
         assert flush(spec, state) == []
         assert reported(state)["[ParentInputBuffer]"] == 3
@@ -246,7 +249,7 @@ class TestCombiner:
     def test_surplus_parents_stay_held(self):
         # 91 candidates arrive against 74 members: 74 marriages, 17 held.
         factory = EntityFactory()
-        spec = make_combiner()
+        spec = make_combiner(no_offspring)
         state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 91)])
         state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 74)], state=state)
         assert reported(state)["[OutputBuffer]"] == 0  # married, but not left yet
@@ -261,7 +264,7 @@ class TestCombiner:
 
     def test_fifo_pairing_order(self):
         factory = EntityFactory()
-        spec = make_combiner()
+        spec = make_combiner(no_offspring)
         parents = entities(factory, "FP", 2)
         members = entities(factory, "MP", 2)
         state = deliver(spec, [("member_in", members[0]), ("member_in", members[1])])
@@ -276,7 +279,7 @@ class TestCombiner:
     def test_drained_output_equals_min_rule(self, arrivals):
         # True = parent arrival, False = member arrival, in random order.
         factory = EntityFactory()
-        spec = make_combiner()
+        spec = make_combiner(no_offspring)
         state = spec.initial_state
         for is_parent in arrivals:
             port = "parent_in" if is_parent else "member_in"
@@ -296,7 +299,7 @@ class TestCombiner:
 
     def test_arrivals_count_each_port_married_or_waiting(self):
         factory = EntityFactory()
-        spec = make_combiner()
+        spec = make_combiner(no_offspring)
         state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 5)])
         state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 3)], state=state)
         assert (state.arrivals("parent_in"), state.arrivals("member_in")) == (5, 3)
@@ -306,67 +309,75 @@ class TestCombiner:
         # 5 marriages; 2 members wait
         assert (state.arrivals("parent_in"), state.arrivals("member_in")) == (5, 7)
 
-
-def no_offspring(parent):
-    return []
-
-
-class TestServer:
-    def test_zero_service_time_is_passthrough(self):
+    def test_trigger_runs_once_per_marriage_in_fifo_order(self):
         factory = EntityFactory()
-        spec = make_server(no_offspring)
-        e = factory.create("E")
-        state = deliver(spec, [("in", e)])
-        assert spec.time_advance(state) == 0.0
-        out = flush(spec, state)
-        assert [m.payload for m in out] == [e]
-        assert state.stats.processed == 1
-        assert spec.time_advance(state) == INFINITY
+        triggered = []
 
-    def test_trigger_children_leave_behind_parent(self):
+        def record(parent):
+            triggered.append(parent)
+            return []
+
+        spec = make_combiner(record)
+        parents = entities(factory, "FP", 4)
+        members = entities(factory, "MP", 3)
+        state = deliver(spec, [("parent_in", e) for e in parents])
+        assert triggered == []  # no marriage yet
+        state = deliver(spec, [("member_in", members[0])], state=state)
+        assert triggered == parents[:1]
+        state = deliver(spec, [("member_in", e) for e in members[1:]], state=state)
+        flush(spec, state)
+        assert triggered == parents[:3]
+        assert [parent.member for parent in triggered] == members  # married when triggered
+
+    def test_children_sit_directly_behind_their_parent(self):
+        factory = EntityFactory()
+
+        def children_by_id(parent):  # parent i gets i % 3 children
+            return [factory.create(f"Child of {parent.id}") for _ in range(parent.id % 3)]
+
+        spec = make_combiner(children_by_id)
+        parents = [factory.create("FP") for _ in range(4)]
+        state = deliver(spec, [("parent_in", e) for e in parents])
+        state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 4)], state=state)
+        expected = []
+        for parent in parents:
+            expected += [parent.class_label] + [f"Child of {parent.id}"] * (parent.id % 3)
+        assert [e.class_label for e in state.outq] == expected
+        assert [m.payload.class_label for m in flush(spec, state)] == expected
+        assert state.stats.processed == 4  # children are not counted as marriages
+        assert state.arrivals("parent_in") == state.arrivals("member_in") == 4  # nor as arrivals
+
+    def test_left_lags_processed_until_the_internal_transition(self):
         factory = EntityFactory()
 
         def twins(parent):
             return [factory.create("Child"), factory.create("Child")]
 
-        spec = make_server(on_processed=twins)
-        couple = factory.create("Couple")
-        state = deliver(spec, [("in", couple)])
-        out = flush(spec, state)
-        labels = [m.payload.class_label for m in out]
-        assert labels == ["Couple", "Child", "Child"]
-        assert state.stats.processed == 1  # children are not counted as processed
-        assert reported(state)["[OutputBuffer]"] == 1
-        assert state.arrivals("in") == 1  # nor as arrivals
+        spec = make_combiner(twins)
+        state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 2)])
+        state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 2)], state=state)
+        assert (state.stats.processed, state.left) == (2, 0)
+        assert reported(state)["[OutputBuffer]"] == 0  # married, but not left yet
+        # the couples (2 each) and their children wait in the output buffer
+        assert state.held_individuals() == 2 * (2 + 2)
+        assert spec.time_advance(state) == 0.0
+        out = spec.output(state)
+        assert state.left == 0  # the output function changes nothing
+        state = spec.delta_int(state)
+        assert (state.stats.processed, state.left) == (2, 2)
+        assert len(out) == 6 and state.held_individuals() == 0
+        assert spec.time_advance(state) == INFINITY
 
-    def test_processed_counter_accumulates(self):
+    def test_marriage_counter_accumulates(self):
         factory = EntityFactory()
-        spec = make_server(no_offspring)
+        spec = make_combiner(no_offspring)
         state = spec.initial_state
         for _ in range(299):
-            state = deliver(spec, [("in", factory.create("E"))], state=state)
+            state = deliver(spec, [("parent_in", factory.create("FP")),
+                                   ("member_in", factory.create("MP"))], state=state)
             flush(spec, state)
-        assert state.stats.processed == 299
-        assert reported(state)["[InputBuffer]"] == 299 and not state.outq
-
-    def test_fifo_service_order_preserved(self):
-        # Same-instant arrivals are processed in arrival order, each parent
-        # followed by its own offspring, also when a later arrival comes
-        # before the earlier ones have left.
-        factory = EntityFactory()
-
-        def one_child_each(parent):
-            return [factory.create(f"Child of {parent.id}")]
-
-        spec = make_server(one_child_each)
-        first, second, third = entities(factory, "E", 3)
-        state = deliver(spec, [("in", first), ("in", second)])
-        state = deliver(spec, [("in", third)], state=state)
-        assert reported(state)["[OutputBuffer]"] == 0  # processed, but not left yet
-        out = [m.payload for m in flush(spec, state)]
-        assert out[::2] == [first, second, third]
-        assert [child.class_label for child in out[1::2]] == [f"Child of {e.id}" for e in out[::2]]
-        assert reported(state)["[OutputBuffer]"] == 3
+        assert state.stats.processed == reported(state)["[MemberInputBuffer]"] == 299
+        assert not state.outq and state.left == 299
 
     def test_unit_balance_includes_trigger_children(self):
         factory = EntityFactory()
@@ -374,15 +385,26 @@ class TestServer:
         def twins(parent):
             return [factory.create("Child"), factory.create("Child")]
 
-        spec = make_server(on_processed=twins)
+        spec = make_combiner(twins)
         state = spec.initial_state
         emitted = 0
         for _ in range(3):
-            state = deliver(spec, [("in", factory.create("Couple"))], state=state)
+            state = deliver(spec, [("parent_in", factory.create("FP")),
+                                   ("member_in", factory.create("MP"))], state=state)
             emitted += len(flush(spec, state))
-        # 3 couples in plus 6 children born inside equals 9 units out
+        # 3 couples married plus 6 children born inside equals 9 units out
         assert state.stats.processed + 6 == emitted == 9
         assert state.held_individuals() == 0
+
+    def test_trigger_returning_nothing_emits_only_the_couple(self):
+        factory = EntityFactory()
+        spec = make_combiner(no_offspring)
+        fp, mp = factory.create("FP"), factory.create("MP")
+        state = deliver(spec, [("parent_in", fp), ("member_in", mp)])
+        out = spec.output(state)
+        assert out == [Message("out", fp)]
+        assert out[0].payload.member is mp
+        assert factory.created_total == 2
 
 
 class TestSink:
