@@ -7,13 +7,13 @@ Layering, bottom up:
   its couplings join ports and carry each message unchanged.
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
 * :mod:`kinsim.objects` realizes Source, Combiner and Sink objects as DEVS
-  atomics; a source routes what it emits, for instance with weighted picks,
-  a combiner's trigger gives each couple its offspring as it marries them,
-  and the other objects tell how many entities arrived on each input port.
+  atomics that keep counters; a source routes what it emits, for instance
+  with weighted picks, and a combiner's trigger gives each couple its
+  offspring as it marries them.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
   draws per-birth disorder flags.
 * :mod:`kinsim.model` holds the config, wires the consanguinity model and
-  reads each leg's count off the arrivals at its end.
+  lays out its report, every row read off the objects' counters.
 * :mod:`kinsim.experiment` runs seeded replications and writes CSV reports;
   :mod:`kinsim.cli` exposes them as the ``kinsim`` command.
 """

@@ -40,33 +40,27 @@ class EntityFactory:
 
     Ids are assigned in creation order from 0, so ``created_total``, which
     counts every allocated entity and anchors the conservation checks, is
-    also the next id.  ``label_counts`` counts population-class assignments
-    (source emissions, relabels, offspring births) and feeds the
-    dynamic-object report rows.
+    also the next id.
     """
 
-    __slots__ = ("created_total", "label_counts")
+    __slots__ = ("created_total",)
 
     def __init__(self) -> None:
         self.created_total = 0
-        self.label_counts: Counter[str] = Counter()
 
     def create(self, class_label: str) -> Entity:
         entity = Entity(self.created_total, class_label)
         self.created_total += 1
         return entity
 
-    def count_label(self, class_label: str) -> None:
-        self.label_counts[class_label] += 1
-
 
 @dataclass(slots=True)
 class ObjectStats:
-    """Flat counters kept by every process object.
+    """Flat counters kept by a combiner or a sink.
 
-    ``entered`` counts the flowing units a sink absorbed; ``processed``
-    counts a server's services and a combiner's marriages.  A sink also
-    counts ``destroyed_individuals``, a married couple as two, so that
+    ``processed`` counts a combiner's marriages; ``entered`` counts the
+    flowing units a sink absorbed.  A sink also counts
+    ``destroyed_individuals``, a married couple as two, so that
     conservation can be checked per individual, and, by class label, the
     individuals flagged ``affected``.
     """

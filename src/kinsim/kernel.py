@@ -85,12 +85,13 @@ class AtomicSpec:
     """Behavior contract of an atomic DEVS model.
 
     ``time_advance`` maps a state to the remaining dwell time (``INFINITY``
-    for passive states and never negative).  ``output`` is invoked exactly
-    once, immediately before ``delta_int``, when the component is imminent.
-    ``delta_ext`` receives the elapsed time since the last transition, which
-    the kernel guarantees to lie in ``[0, ta(state)]``.  Callbacks may mutate
-    the state in place or return a fresh one; the kernel tracks whatever they
-    return.
+    for passive states); a negative or NaN one raises
+    :class:`~kinsim.errors.ContractViolationError` naming the component.
+    ``output`` is invoked exactly once, immediately before ``delta_int``,
+    when the component is imminent.  ``delta_ext`` receives the elapsed
+    time since the last transition, which the kernel guarantees to lie in
+    ``[0, ta(state)]``.  Callbacks may mutate the state in place or return
+    a fresh one; the kernel tracks whatever they return.
     """
 
     initial_state: Any
@@ -251,7 +252,7 @@ class SimulationHandle:
             # An atomic root is named "model"; its output ports are the root's.
             node = _Node(path or "model", spec, t0)
             ta = spec.time_advance(node.state)
-            if ta < 0:
+            if not ta >= 0:  # NaN too
                 raise ContractViolationError(f"{node.path}: time advance of initial state is {ta}")
             for port in spec.output_ports:
                 reached = list(_reach(edges, (path, port, OUTPUT)))
@@ -321,8 +322,8 @@ class SimulationHandle:
         index.  The selected component's internal transition comes first,
         then every receiver's external transition in select order; each
         transition is followed at once by the new time advance, which must
-        not be negative.  The event reaches the trace only after all of
-        them, so the trace shows each payload as the event left it (a
+        not be negative or NaN.  The event reaches the trace only after all
+        of them, so the trace shows each payload as the event left it (a
         receiver may relabel a payload it was just sent).
         """
         if t > self.clock:
@@ -363,7 +364,7 @@ class SimulationHandle:
         # Internal transition of the selected component.
         node.state = state = spec.delta_int(node.state)
         ta = spec.time_advance(state)
-        if ta < 0:
+        if not ta >= 0:  # NaN too
             raise ContractViolationError(f"{node.path}: time advance returned {ta}")
         node.t_last = t
         t_next[i] = t + ta
@@ -375,7 +376,7 @@ class SimulationHandle:
             elapsed = t - receiver.t_last
             receiver.state = state = rspec.delta_ext(receiver.state, elapsed, deliveries[idx])
             ta = rspec.time_advance(state)
-            if ta < 0:
+            if not ta >= 0:  # NaN too
                 raise ContractViolationError(f"{receiver.path}: time advance returned {ta}")
             receiver.t_last = t
             t_next[idx] = t + ta
@@ -399,8 +400,8 @@ def initialize(
 
     Every component starts with ``t_last = t0`` and
     ``t_next = t0 + ta(initial state)``.  Structural problems raise
-    :class:`StructuralError`; a negative initial time advance raises
-    :class:`ContractViolationError`.
+    :class:`StructuralError`; a negative or NaN initial time advance
+    raises :class:`ContractViolationError`.
 
     ``trace_file``, an open text stream, receives the event trace: each
     event's lines are written to it as soon as that event's transitions

@@ -10,13 +10,14 @@ and draws each child's congenital disorder) and new-population sink.
 Objects are joined by direct couplings, which carry each individual
 unchanged.  The splits are weighted picks that the whole-population source
 makes as it emits each individual, choosing the port it leaves on, so
-routing costs no kernel step.  Each leg of the flow is reported as a
-``Path<n>`` ``[Travelers]`` row, the entities that arrived over it: the
-arrivals at the input ports it leads to, listed in ``_LEGS`` and read off
-the objects' own counters, so counting costs no step either.  The paper's
-model passes each couple through a growth server of its own; here the
-combiner's trigger does that work as it marries them, and the server's
-rows and the leg into it are read off the combiner.
+routing costs no kernel step.  The paper's model passes each couple
+through a growth server of its own; here the combiner's trigger does that
+work as it marries them.
+
+``collect_run_stats`` owns the report: it lays out every row of the
+paper's model, its buffers, the ``Path<n>`` ``[Travelers]`` legs, the
+growth servers' rows and the ``[Dynamic Object]`` class counts, from the
+counters the five objects keep, so counting costs no kernel step.
 """
 
 from __future__ import annotations
@@ -30,22 +31,7 @@ from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
 from .genetics import ConsanguinityDegree, assign_disorder
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
-from .objects import (
-    CONTENT,
-    INPUT_BUFFER,
-    OUTPUT_BUFFER,
-    PORT_IN,
-    PORT_MEMBER_IN,
-    PORT_PARENT_IN,
-    PROCESSED,
-    THROUGHPUT,
-    TRAVELERS,
-    StatRow,
-    WeightedChoice,
-    make_combiner,
-    make_sink,
-    make_source,
-)
+from .objects import WeightedChoice, make_combiner, make_sink, make_source
 from .randomness import DiscreteDistribution, RngStream, make_distribution, read_number, substream
 
 MALE = "male"
@@ -53,7 +39,8 @@ FEMALE = "female"
 CONSANG = "consanguineous"
 NON_CONSANG = "non_consanguineous"
 
-DYNAMIC_OBJECT = "[Dynamic Object]"
+# The branches, consanguineous and not: the suffix of each one's object names.
+BRANCHES = ("C", "NC")
 
 _FRACTION_TOLERANCE = 1e-9
 
@@ -343,15 +330,14 @@ def _marriage(
 ) -> AtomicSpec:
     """A marriage combiner whose every couple gets ``offspring_dist`` children.
 
-    The children, drawn from ``offspring_stream``, are born under ``label``
-    and counted on ``factory``; ``disorder`` draws each child's
-    ``affected`` flag at birth.
+    The children, drawn from ``offspring_stream``, are created under
+    ``label`` by ``factory``; ``disorder`` draws each child's ``affected``
+    flag at birth.
     """
     def on_growth(parent: Entity) -> list[Entity]:
         children = []
         for _ in range(offspring_dist.sample(offspring_stream)):
             child = factory.create(label)
-            factory.count_label(label)
             disorder(child)
             children.append(child)
         return children
@@ -392,7 +378,6 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     def route(individual: Entity) -> str:
         label = sex.pick()
         individual.class_label = label
-        factory.count_label(label)
         return branch[label].pick()
 
     wp = config.sources["WP"]
@@ -422,39 +407,12 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     return CoupledSpec(components, couplings)
 
 
-# Each leg of the consanguinity model -> the (component, input port) pairs
-# whose arrivals it sums.  A leg from WP's picks to a combiner entry and the
-# stream leg into that entry carry the same individuals (Path3 and Path7);
-# the sex legs take both entries of their side.  A leg into a growth server
-# of the paper's model (Path11 and Path12) is crossed by each couple as it
-# is married: port None counts the combiner's marriages.
-_MEMBERS_C, _MEMBERS_NC = ("Marriage_C", PORT_MEMBER_IN), ("Marriage_NC", PORT_MEMBER_IN)
-_PARENTS_C, _PARENTS_NC = ("Marriage_C", PORT_PARENT_IN), ("Marriage_NC", PORT_PARENT_IN)
-_LEGS = {
-    "Path1": (_MEMBERS_C, _MEMBERS_NC),
-    "Path2": (_PARENTS_C, _PARENTS_NC),
-    "Path3": (_MEMBERS_C,),
-    "Path4": (_MEMBERS_NC,),
-    "Path5": (_PARENTS_C,),
-    "Path6": (_PARENTS_NC,),
-    "Path7": (_MEMBERS_C,),
-    "Path8": (_MEMBERS_NC,),
-    "Path9": (_PARENTS_C,),
-    "Path10": (_PARENTS_NC,),
-    "Path11": (("Marriage_C", None),),
-    "Path12": (("Marriage_NC", None),),
-    "Path13": (("NewPopulation_C", PORT_IN),),
-    "Path14": (("NewPopulation_NC", PORT_IN),),
-}
-
-# The growth server of each branch in the paper's model -> the combiner
-# whose trigger does its work.  Each couple arrives there and is processed
-# as it is married, and leaves with its children.
-_GROWTH = {"PopulationG_C": "Marriage_C", "PopulationG_NC": "Marriage_NC"}
-
-
 # ---------------------------------------------------------------------------
 # Statistics harvesting
+
+
+# One report row: (object name, data source, category, value).
+StatRow = tuple[str, str, str, int]
 
 
 @dataclass
@@ -482,43 +440,59 @@ class RunStats:
 
 
 def collect_run_stats(handle: SimulationHandle) -> RunStats:
-    """Harvest report rows and conservation totals from a run, at any instant.
+    """Lay out the report rows of a run, and its conservation totals, at any instant.
 
-    ``handle`` must run a model built by :func:`build_consanguinity_model`.
-    Each object reports its own rows through ``report_rows(name)``, in
-    component order, with the rows of the growth servers in ``_GROWTH``
-    after the combiners'; held individuals and the sink tallies of its
-    counters are summed over all of them alike.  One ``[Travelers]`` row per
-    leg follows, ``Path1`` to ``Path14``: the entities that arrived over it,
-    the sum of ``arrivals(port)``, or of the marriages for port None, over
-    its entry in ``_LEGS``.  One
-    ``[Dynamic Object]`` row per class label counted by the model's one
-    entity factory, the one its source ``WP`` holds, ends the list, sorted.
+    ``handle`` must run a model built by :func:`build_consanguinity_model`;
+    every row is read off the counters of its five objects, by name.  The
+    rows of both branches' combiners, ``Marriage_C`` then ``Marriage_NC``,
+    come first, then those of the paper's growth servers, ``PopulationG_*``,
+    whose work each combiner's trigger does as it marries a couple, then
+    those of the sinks, ``NewPopulation_*``.  What arrived on a combiner
+    side is its marriages plus those still waiting there.  The
+    ``[Travelers]`` rows of the fourteen legs of the paper's flow,
+    ``Path1``-``Path14``, follow: the males and the females that WP's picks
+    sent; each combiner side's arrivals, once for the pick's leg and once
+    for the stream leg into the entry; the couples entering each growth
+    server; each sink's arrivals.  One ``[Dynamic Object]`` row per class
+    label with a nonzero count ends the list, sorted: ``MP`` and ``FP`` are
+    the males and the females that reached the combiners, ``WP`` their sum
+    (WP relabels each individual it emits by its sex), and ``Child_*`` the
+    branch combiner's births.
     """
-    stats = RunStats()
     states = dict(handle.components())
-    for name, state in states.items():
-        if name == "NewPopulation_C":  # the growth servers' place, before the sinks
-            for growth, marriage in _GROWTH.items():
-                married, left = states[marriage].stats.processed, states[marriage].left
-                stats.rows += [(growth, INPUT_BUFFER, CONTENT, married),
-                               (growth, OUTPUT_BUFFER, CONTENT, left),
-                               (growth, PROCESSED, THROUGHPUT, married)]
-        stats.rows.extend(state.report_rows(name))
-        stats.held_individuals += state.held_individuals()
-        stats.destroyed_individuals += state.stats.destroyed_individuals
-        _add_counts(stats.affected_by_class, state.stats.affected_by_class)
-    for leg, ends in _LEGS.items():
-        arrived = sum(states[name].stats.processed if port is None else states[name].arrivals(port)
-                      for name, port in ends)
-        stats.rows.append((leg, TRAVELERS, THROUGHPUT, arrived))
-    factory = states["WP"].factory
-    stats.created_total = factory.created_total
-    for label, count in sorted(factory.label_counts.items()):
-        stats.rows.append((label, DYNAMIC_OBJECT, THROUGHPUT, count))
-    return stats
-
-
-def _add_counts(total: dict[str, int], counts: Mapping[str, int]) -> None:
-    for label, count in counts.items():
-        total[label] = total.get(label, 0) + count
+    marriages = [states[f"Marriage_{tag}"] for tag in BRANCHES]
+    sinks = [states[f"NewPopulation_{tag}"] for tag in BRANCHES]
+    married = [m.stats.processed for m in marriages]
+    members = [n + len(m.members) for n, m in zip(married, marriages)]
+    parents = [n + len(m.parents) for n, m in zip(married, marriages)]
+    entered = [s.stats.entered for s in sinks]
+    rows: list[StatRow] = []
+    for tag, m, n, p in zip(BRANCHES, marriages, married, parents):
+        rows += [(f"Marriage_{tag}", "[MemberInputBuffer]", "Content", n),
+                 (f"Marriage_{tag}", "[OutputBuffer]", "Content", m.left),
+                 (f"Marriage_{tag}", "[ParentInputBuffer]", "Content", p),
+                 (f"Marriage_{tag}", "[Processed]", "Throughput", n)]
+    for tag, m, n in zip(BRANCHES, marriages, married):
+        rows += [(f"PopulationG_{tag}", "[InputBuffer]", "Content", n),
+                 (f"PopulationG_{tag}", "[OutputBuffer]", "Content", m.left),
+                 (f"PopulationG_{tag}", "[Processed]", "Throughput", n)]
+    rows += [(f"NewPopulation_{tag}", "[InputBuffer]", "Throughput", n)
+             for tag, n in zip(BRANCHES, entered)]
+    legs = [sum(members), sum(parents), *members, *parents, *members, *parents, *married, *entered]
+    rows += [(f"Path{i}", "[Travelers]", "Throughput", n) for i, n in enumerate(legs, start=1)]
+    labels = {"WP": sum(members) + sum(parents), "MP": sum(members), "FP": sum(parents),
+              **{f"Child_{tag}": m.born for tag, m in zip(BRANCHES, marriages)}}
+    rows += [(label, "[Dynamic Object]", "Throughput", n)
+             for label, n in sorted(labels.items()) if n]
+    affected: dict[str, int] = {}
+    for sink in sinks:
+        for label, count in sink.stats.affected_by_class.items():
+            affected[label] = affected.get(label, 0) + count
+    source = states["WP"]
+    return RunStats(
+        rows,
+        created_total=source.factory.created_total,
+        destroyed_individuals=sum(s.stats.destroyed_individuals for s in sinks),
+        held_individuals=source.held_individuals() + sum(m.held_individuals() for m in marriages),
+        affected_by_class=affected,
+    )

@@ -2,10 +2,9 @@
 the weighted pick a source may route by.
 
 Each object is realized as one DEVS atomic whose state keeps flat
-counters in an :class:`~kinsim.entities.ObjectStats` and reports its own
-rows through ``report_rows(name)``.  A combiner or sink also tells how
-many entities arrived on an input port, ``arrivals(port)``, derived from
-those counters.  Routing costs no atomic: a source's ``route`` picks each
+counters, in an :class:`~kinsim.entities.ObjectStats` for a combiner or
+sink; :func:`kinsim.model.collect_run_stats` lays the report rows out
+from them.  Routing costs no atomic: a source's ``route`` picks each
 entity's output port as it emits it, for instance with
 :class:`WeightedChoice` picks.  A combiner's trigger runs on each couple
 as it is married and puts what it creates (offspring) behind it, so the
@@ -16,16 +15,15 @@ Conventions shared by all objects:
   births do in the model: entities cascade through an arbitrary number of
   objects at a single clock value, one kernel step per object that holds
   them, in FIFO order.  A leg that only forwards entities costs no step:
-  it is a coupling, and what crossed it is read off the arrivals at its
+  it is a coupling, and what crossed it is read off the counters at its
   end.
 * No object reads the time: a source holds the gap to its next emission,
   which the kernel adds to the time of the last one.
-* A report row is (object name, data source, category, value).  Buffer
-  rows are read off the object's counters at the moment of the report: a
-  sink's input buffer reports arrivals; a combiner's output buffer reports
-  the marriages whose couple had left by its last internal transition;
-  its parent buffer reports candidates that arrived and its member buffer
-  reports members consumed into a marriage, one per marriage.
+* The counters are read at any instant between steps: a sink's
+  ``entered`` counts arrivals; a combiner's ``processed`` counts
+  marriages, ``left`` the marriages whose couple had left by its last
+  internal transition and ``born`` the entities its trigger returned, and
+  what arrived on a side is its marriages plus those still waiting there.
 """
 
 from __future__ import annotations
@@ -46,16 +44,6 @@ PORT_OUT = "out"
 PORT_PARENT_IN = "parent_in"
 PORT_MEMBER_IN = "member_in"
 
-INPUT_BUFFER = "[InputBuffer]"
-OUTPUT_BUFFER = "[OutputBuffer]"
-PROCESSED = "[Processed]"
-TRAVELERS = "[Travelers]"
-THROUGHPUT = "Throughput"
-CONTENT = "Content"
-
-# One report row: (object name, data source, category, value).
-StatRow = tuple[str, str, str, int]
-
 _message = tuple.__new__  # builds a Message without the named tuple's Python-level __new__
 
 
@@ -65,7 +53,7 @@ _message = tuple.__new__  # builds a Message without the named tuple's Python-le
 
 class SourceState:
     __slots__ = ("class_label", "dist", "remaining", "factory", "stream", "route", "gap",
-                 "pending", "stats")
+                 "pending")
 
     def __init__(self, class_label, dist, max_arrivals, factory, stream, route):
         self.class_label = class_label
@@ -77,7 +65,6 @@ class SourceState:
         # From the last emission, or the start, to ``pending``'s: the time advance.
         self.gap: Time = INFINITY
         self.pending: Optional[Entity] = None
-        self.stats = ObjectStats()
         if max_arrivals is None or max_arrivals > 0:
             self._schedule_next()
 
@@ -93,9 +80,6 @@ class SourceState:
     def held_individuals(self) -> int:
         return individual_count(self.pending) if self.pending is not None else 0
 
-    def report_rows(self, name: str) -> list[StatRow]:
-        return []
-
 
 def _source_ta(s: SourceState) -> Time:
     return s.gap
@@ -107,7 +91,6 @@ def _source_out(s: SourceState) -> list[Message]:
 
 
 def _source_dint(s: SourceState) -> SourceState:
-    s.factory.count_label(s.class_label)
     if s.remaining is not None:
         s.remaining -= 1
         if s.remaining == 0:
@@ -199,7 +182,7 @@ ProcessedTrigger = Callable[[Entity], list[Entity]]
 
 
 class CombinerState:
-    __slots__ = ("on_processed", "parents", "members", "outq", "left", "stats")
+    __slots__ = ("on_processed", "parents", "members", "outq", "left", "born", "stats")
 
     def __init__(self, on_processed: ProcessedTrigger):
         self.on_processed = on_processed
@@ -207,6 +190,7 @@ class CombinerState:
         self.members: deque[Entity] = deque()
         self.outq: list[Entity] = []
         self.left = 0  # marriages whose parent has left
+        self.born = 0  # entities the trigger returned
         self.stats = ObjectStats()
 
     def _match(self) -> None:
@@ -214,7 +198,9 @@ class CombinerState:
             parent = self.parents.popleft()
             parent.member = self.members.popleft()
             self.outq.append(parent)
-            self.outq.extend(self.on_processed(parent))  # children leave behind their parent
+            children = self.on_processed(parent)
+            self.outq += children  # directly behind their parent
+            self.born += len(children)
             self.stats.processed += 1
 
     def held_individuals(self) -> int:
@@ -222,20 +208,6 @@ class CombinerState:
         held += sum(individual_count(e) for e in self.members)
         held += sum(individual_count(e) for e in self.outq)
         return held
-
-    def arrivals(self, port: str) -> int:
-        """Each marriage took one arrival of each side; the rest still wait."""
-        waiting = self.parents if port == PORT_PARENT_IN else self.members
-        return self.stats.processed + len(waiting)
-
-    def report_rows(self, name: str) -> list[StatRow]:
-        s = self.stats
-        return [
-            (name, "[MemberInputBuffer]", CONTENT, s.processed),
-            (name, OUTPUT_BUFFER, CONTENT, self.left),
-            (name, "[ParentInputBuffer]", CONTENT, self.arrivals(PORT_PARENT_IN)),
-            (name, PROCESSED, THROUGHPUT, s.processed),
-        ]
 
 
 def _combiner_ta(s: CombinerState) -> Time:
@@ -272,9 +244,8 @@ def make_combiner(on_processed: ProcessedTrigger) -> AtomicSpec:
     side stay held in their buffer.  ``on_processed(parent)`` is called
     once per marriage, in marriage order, and returns the entities it
     creates (offspring): they go to the output buffer directly behind
-    their parent and leave with it, in order.  The buffer rows count
-    marriages only; trigger-created entities are counted under their own
-    class labels by the factory that created them.
+    their parent and leave with it, in order, and add to ``born``;
+    ``processed`` counts marriages only.
     """
     return AtomicSpec(
         initial_state=CombinerState(on_processed),
@@ -296,15 +267,6 @@ class SinkState:
 
     def __init__(self):
         self.stats = ObjectStats()
-
-    def held_individuals(self) -> int:
-        return 0
-
-    def arrivals(self, port: str) -> int:
-        return self.stats.entered
-
-    def report_rows(self, name: str) -> list[StatRow]:
-        return [(name, INPUT_BUFFER, THROUGHPUT, self.stats.entered)]
 
 
 def _sink_ta(s: SinkState) -> Time:

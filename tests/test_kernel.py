@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 
 import pytest
@@ -17,6 +18,8 @@ from kinsim import (
     Coupling,
     CoupledSpec,
     Message,
+    ModelConfig,
+    build_consanguinity_model,
     initialize,
 )
 from kinsim.errors import (
@@ -105,16 +108,17 @@ class TestInitialize:
             assert t_last == 1.0
             assert t_next in (4.0, INFINITY)
 
-    def test_negative_initial_time_advance_rejected(self):
+    @pytest.mark.parametrize("ta", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_negative_initial_time_advance_rejected(self, ta):
         bad = AtomicSpec(
             initial_state={},
-            time_advance=lambda s: -1.0,
+            time_advance=lambda s: ta,
             delta_int=lambda s: s,
             delta_ext=lambda s, e, xs: s,
             output=lambda s: [],
         )
-        with pytest.raises(ContractViolationError):
-            initialize(bad, 0.0)
+        with pytest.raises(ContractViolationError, match="model: time advance of initial state"):
+            initialize(bad, 0.0)  # an atomic root is named "model"
 
 
 class TestStructuralValidation:
@@ -481,6 +485,39 @@ class TestGuardsAndInvariants:
         with pytest.raises(IllegitimateModelError):
             handle.run_until(1.0)
 
+    def test_nan_time_advance_after_internal_transition_rejected(self):
+        def dint(s):
+            s["n"] += 1
+            return s
+
+        bad = AtomicSpec(
+            initial_state={"n": 0},
+            time_advance=lambda s: 1.0 if s["n"] == 0 else math.nan,
+            delta_int=dint,
+            delta_ext=lambda s, e, xs: s,
+            output=lambda s: [],
+        )
+        handle = initialize(CoupledSpec(components={"bad": bad}))
+        with pytest.raises(ContractViolationError, match="bad: time advance returned nan"):
+            handle.step()
+
+    def test_nan_time_advance_after_external_transition_rejected(self):
+        bad = AtomicSpec(
+            initial_state={"hit": False},
+            time_advance=lambda s: math.nan if s["hit"] else INFINITY,
+            delta_int=lambda s: s,
+            delta_ext=lambda s, e, xs: {"hit": True},
+            output=lambda s: [],
+            input_ports=("in",),
+        )
+        model = CoupledSpec(
+            components={"gen": generator(1.0), "bad": bad},
+            couplings=[Coupling("gen", "out", "bad", "in")],
+        )
+        handle = initialize(model)
+        with pytest.raises(ContractViolationError, match="bad: time advance returned nan"):
+            handle.step()
+
     def test_clock_monotone_and_nodes_consistent(self):
         model = CoupledSpec(
             components={
@@ -655,6 +692,77 @@ class TestHierarchy:
         assert internal_times(trace_rows(model, 1.0)) == [
             (1.0, "inner/y"), (1.0, "inner/x"), (1.0, "z"),
         ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_nesting_the_consanguinity_model_keeps_its_trace(self, data):
+        # Closure under coupling: wrapping contiguous runs of the components
+        # in coupled models, each cut coupling routed through boundary
+        # ports, changes only the component paths of the trace.
+        flat = consanguinity_trace(lambda spec: spec)
+        tree = data.draw(nestings(list(build_consanguinity_model(ModelConfig.default()).components)))
+        nested = consanguinity_trace(lambda spec: nest(spec, tree))
+        assert [(t, path.rsplit("/", 1)[-1], *rest) for t, path, *rest in nested] == flat
+
+
+@st.composite
+def nestings(draw, names):
+    """``names`` cut into contiguous runs: a run of one is that name, a
+    longer run a nested list drawn the same way; no cut leaves them flat."""
+    cuts = draw(st.sets(st.integers(1, len(names) - 1))) if len(names) > 1 else set()
+    bounds = [0, *sorted(cuts), len(names)]
+    runs = [names[a:b] for a, b in zip(bounds, bounds[1:])]
+    if len(runs) == 1:
+        return list(names)
+    return [run[0] if len(run) == 1 else draw(nestings(run)) for run in runs]
+
+
+def nest(flat: CoupledSpec, tree: list) -> CoupledSpec:
+    """``flat``'s atomics in coupled models shaped by ``tree`` (nested lists
+    of their names, in order, so the select order holds).  Coupling ``k``
+    climbs out of each group around its source on output port ``ck``,
+    crosses in the lowest group that holds both ends, and descends into
+    each group around its destination on input port ``ck``."""
+    groups: dict[tuple[str, ...], CoupledSpec] = {}
+    where: dict[str, tuple[str, ...]] = {}  # atomic name -> the groups around it
+
+    def build(children, prefix):
+        components = {}
+        for i, child in enumerate(children):
+            if isinstance(child, str):
+                components[child] = flat.components[child]
+                where[child] = prefix
+            else:
+                components[f"G{i}"] = build(child, (*prefix, f"G{i}"))
+        groups[prefix] = CoupledSpec(components)
+        return groups[prefix]
+
+    root = build(tree, ())
+    for k, c in enumerate(flat.couplings):
+        port = f"c{k}"
+        up, down = where[c.src], where[c.dst]
+        common = 0
+        while common < min(len(up), len(down)) and up[common] == down[common]:
+            common += 1
+        src, src_port = c.src, c.src_port
+        for depth in range(len(up), common, -1):
+            group = groups[up[:depth]]
+            group.couplings.append(Coupling(src, src_port, None, port))
+            group.output_ports += (port,)
+            src, src_port = up[depth - 1], port
+        dst, dst_port = c.dst, c.dst_port
+        for depth in range(len(down), common, -1):
+            group = groups[down[:depth]]
+            group.couplings.append(Coupling(None, port, dst, dst_port))
+            group.input_ports += (port,)
+            dst, dst_port = down[depth - 1], port
+        groups[up[:common]].couplings.append(Coupling(src, src_port, dst, dst_port))
+    return root
+
+
+def consanguinity_trace(wrap) -> list:
+    """The trace rows of the packaged consanguinity model, wrapped by ``wrap``, to 300."""
+    return trace_rows(wrap(build_consanguinity_model(ModelConfig.default())), 300.0)
 
 
 class TestTraceDump:

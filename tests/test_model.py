@@ -447,6 +447,10 @@ class TestReportRowPins:
         # 33 - 13 and 50 - 27 males still unmarried at the combiners, and
         # the next individual, which the source holds until 124
         assert (stats.value("Path7", "[Travelers]"), stats.value("Path8", "[Travelers]")) == (33, 50)
+        # 123 individuals emitted, by 123: 83 males and 40 females, married
+        # or waiting at the combiners
+        assert [(label, stats.value(label, "[Dynamic Object]")) for label in ("WP", "MP", "FP")] == [
+            ("WP", 123), ("MP", 83), ("FP", 40)]
         assert stats.held_individuals == 4 + 20 + 23 + 1
         assert (stats.created_total, stats.destroyed_individuals) == (206, 158)
         assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
