@@ -11,7 +11,7 @@ Layering, bottom up:
   with weighted picks, and a combiner's trigger gives each couple its
   offspring as it marries them.
 * :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
-  draws per-birth disorder flags.
+  a per-birth disorder probability.
 * :mod:`kinsim.model` holds the config, wires the consanguinity model and
   lays out its report, every row read off the objects' counters.
 * :mod:`kinsim.experiment` runs seeded replications and writes CSV reports;
@@ -56,8 +56,8 @@ from .objects import (
 )
 from .genetics import (
     ConsanguinityDegree,
-    assign_disorder,
     disorder_probability,
+    disorder_risk,
     inbreeding_coefficient,
 )
 from .model import (

@@ -40,7 +40,8 @@ class EntityFactory:
 
     Ids are assigned in creation order from 0, so ``created_total``, which
     counts every allocated entity and anchors the conservation checks, is
-    also the next id.
+    also the next id.  :meth:`reserve` allocates the ids of several entities
+    that the caller builds itself.
     """
 
     __slots__ = ("created_total",)
@@ -52,6 +53,12 @@ class EntityFactory:
         entity = Entity(self.created_total, class_label)
         self.created_total += 1
         return entity
+
+    def reserve(self, n: int) -> range:
+        """The ids of ``n`` new entities, in creation order."""
+        first = self.created_total
+        self.created_total = first + n
+        return range(first, first + n)
 
 
 @dataclass(slots=True)

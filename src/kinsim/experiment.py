@@ -11,8 +11,9 @@ Reports are byte-deterministic for a fixed config and seed: replications use
 independent derived streams, aggregation reduces in replication order, and
 no timestamp enters the CSV (run metadata stays on the result object).
 
-A run can also write replication 0's event trace.  The kernel streams it to
-the file as the run goes, so memory stays flat however long the horizon.
+A run can also write replication 0's event trace.  The kernel writes it to
+the file in batches of bounded size as the run goes, so memory stays flat
+however long the horizon.
 
 Replications run in worker processes forked straight from the caller, so
 the config, the builder and the trace path are inherited rather than
@@ -100,10 +101,11 @@ def run_experiment(
     Replication ``r`` builds a fresh model seeded from (base_seed, r) and
     runs it to ``run_length``.  Kernel failures are re-raised with the
     replication index attached.  ``trace_path``, when given, receives the
-    event trace of replication 0, written event by event as the run goes
-    (see :func:`~kinsim.kernel.initialize` for the format), so the trace
-    costs no memory.  The file is closed when replication 0 ends; if the
-    run fails, it holds the events up to the failure.
+    event trace of replication 0, written in batches of bounded size as the
+    run goes (see :func:`~kinsim.kernel.initialize` for the format and the
+    batches), so the trace's memory does not grow with the horizon.  The
+    file is closed when replication 0 ends; if the run fails, it holds
+    every event before the failure.
 
     ``jobs`` is the number of worker processes; ``None`` means the usable
     CPUs.  It is capped at ``config.replications``.  Workers are forked

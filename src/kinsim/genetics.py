@@ -8,18 +8,18 @@ affected with probability
 
 where ``q`` is the deleterious allele frequency.  With ``f = 0`` this
 collapses to random-mating Hardy-Weinberg (q**2); with ``f = 1`` it reaches
-``q``.  This is deliberately the minimal standard realization and the main
-extension point of the package: swap :func:`disorder_probability` (or pass a
-different trigger to the model builders) to study multi-locus or
-multifactorial risk models.
+``q``.  The model resolves each branch's ``p`` once, with
+:func:`disorder_risk`, when it is built; its birth trigger
+(:func:`kinsim.model.birth_trigger`) then flags each child affected when
+one uniform draw falls below ``p``.  This is deliberately the minimal
+standard realization and the main extension point of the package: swap
+:func:`disorder_probability` (or pass a different trigger to the marriage
+combiners) to study multi-locus or multifactorial risk models.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-from .entities import Entity
-from .randomness import RngStream
 
 
 class ConsanguinityDegree(str, Enum):
@@ -59,20 +59,16 @@ def disorder_probability(allele_frequency: float, inbreeding: float) -> float:
     return q * q + inbreeding * q * (1.0 - q)
 
 
-def assign_disorder(
-    child: Entity,
+def disorder_risk(
     degree: ConsanguinityDegree,
     allele_frequency: float,
-    stream: RngStream,
     *,
     inbreeding_override: float | None = None,
-) -> Entity:
-    """Draw the child's ``affected`` flag with probability ``q**2 + f*q*(1 - q)``.
+) -> float:
+    """Per-birth disorder probability of a child of parents related by ``degree``.
 
-    One uniform sample is always consumed, so a run's draw sequence does not
-    depend on the configured frequencies.  ``inbreeding_override``, when not
-    None, is ``f``; otherwise ``f`` is the coefficient of ``degree``.
+    ``inbreeding_override``, when not None, is ``f``; otherwise ``f`` is the
+    coefficient of ``degree``.
     """
     f = inbreeding_coefficient(degree) if inbreeding_override is None else inbreeding_override
-    child.affected = stream.uniform() < disorder_probability(allele_frequency, f)
-    return child
+    return disorder_probability(allele_frequency, f)

@@ -11,9 +11,9 @@ the atomics in hierarchical select order, and joins all couplings into one
 graph of port endpoints.  A walk of that graph gives each atomic output
 port its routes to atomic inputs and root outputs.  Couplings carry a
 message unchanged, as in coupled DEVS with ports (Zeigler, Praehofer & Kim
-2000); only its port is renamed on the way.  Every event, whether fired by
-:meth:`SimulationHandle.step` or inside :meth:`SimulationHandle.run_until`,
-then runs one Classic-DEVS cycle over the flat atomics:
+2000); only its port is renamed on the way.  :meth:`SimulationHandle.step`
+and :meth:`SimulationHandle.run_until` drive one event loop, in which every
+event runs one Classic-DEVS cycle over the flat atomics:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
@@ -48,6 +48,10 @@ INFINITY: Time = math.inf
 #: Maximum consecutive steps at a single clock value before the model is
 #: declared illegitimate (a zero-delay loop that never advances time).
 MAX_ZERO_STEPS = 1_000_000
+
+#: Size of a pending trace batch, in lines: the batch is written in one
+#: call at the end of the event that brings it to this size.
+TRACE_BATCH_LINES = 1000
 
 INPUT = "input"
 OUTPUT = "output"
@@ -204,19 +208,28 @@ def _reach(edges: dict[Endpoint, list[Endpoint]], end: Endpoint) -> Iterator[End
 class _Node:
     """One atomic of the flattened model; its ``t_next`` is kept by the handle.
 
+    Holds the spec's four callbacks, read once when the handle is built.
     ``routes`` maps each declared output port to ``(deliveries,
     root_outputs)``: deliveries are ``(node index, input port)`` and root
-    outputs root port names, in coupling declaration order.
+    outputs root port names, in coupling declaration order.  ``internal``
+    and ``external`` are the middle of the node's trace lines in each
+    phase, between the time and the port.
     """
 
-    __slots__ = ("path", "spec", "state", "t_last", "routes")
+    __slots__ = ("path", "state", "t_last", "routes", "time_advance", "delta_int",
+                 "delta_ext", "output", "internal", "external")
 
     def __init__(self, path: str, spec: AtomicSpec, t0: Time) -> None:
         self.path = path
-        self.spec = spec
         self.state = spec.initial_state
         self.t_last = t0
         self.routes: dict[str, tuple[list[tuple[int, str]], list[str]]] = {}
+        self.time_advance = spec.time_advance
+        self.delta_int = spec.delta_int
+        self.delta_ext = spec.delta_ext
+        self.output = spec.output
+        self.internal = f"\t{path}\tinternal\t"
+        self.external = f"\t{path}\texternal\t"
 
 
 class SimulationHandle:
@@ -241,7 +254,6 @@ class SimulationHandle:
         index = {path: i for i, (_, path, _) in enumerate(atoms)}
         self.model = model
         self.clock: Time = t0
-        # Each event's lines go here once its transitions are done.
         self._write_trace: Callable[[str], Any] | None = (
             None if trace_file is None else trace_file.write
         )
@@ -251,7 +263,7 @@ class SimulationHandle:
         for _, path, spec in atoms:
             # An atomic root is named "model"; its output ports are the root's.
             node = _Node(path or "model", spec, t0)
-            ta = spec.time_advance(node.state)
+            ta = node.time_advance(node.state)
             if not ta >= 0:  # NaN too
                 raise ContractViolationError(f"{node.path}: time advance of initial state is {ta}")
             for port in spec.output_ports:
@@ -293,10 +305,10 @@ class SimulationHandle:
         Returns the event time and any messages that crossed the root
         boundary.
         """
-        t = min(self._t_next, default=INFINITY)
-        if t == INFINITY:
+        if self.next_event_time == INFINITY:
             raise SimulationError("step() called with no pending events")
-        return self._fire(t)
+        root_outputs = self._run(INFINITY, True)
+        return self.clock, root_outputs
 
     def run_until(self, t_end: Time) -> None:
         """Process every event with time <= t_end.
@@ -306,88 +318,108 @@ class SimulationHandle:
         """
         if t_end < self.clock:
             raise SimulationError(f"run_until({t_end}) is before the current clock {self.clock}")
-        t_next = self._t_next
-        fire = self._fire
-        while True:
-            t = min(t_next, default=INFINITY)
-            if t > t_end or t == INFINITY:
-                break
-            fire(t)
+        self._run(t_end, False)
 
-    def _fire(self, t: Time) -> tuple[Time, list[Message]]:
-        """Fire the first imminent component in select order at ``t``.
+    def _run(self, t_end: Time, once: bool) -> list[Message]:
+        """The event loop: fire events up to ``t_end``, or only the next if ``once``.
 
-        ``t`` must be the minimum over ``_t_next``; both callers have just
-        computed it, so the step body scans the table once more, for the
-        index.  The selected component's internal transition comes first,
-        then every receiver's external transition in select order; each
-        transition is followed at once by the new time advance, which must
-        not be negative or NaN.  The event reaches the trace only after all
-        of them, so the trace shows each payload as the event left it (a
-        receiver may relabel a payload it was just sent).
+        Each event fires the first imminent component in select order.  Its
+        internal transition comes first, then every receiver's external
+        transition in select order; each transition is followed at once by
+        the new time advance, which must not be negative or NaN.  The
+        event's trace lines are made only after all of them, so the trace
+        shows each payload as the event left it (a receiver may relabel a
+        payload it was just sent).  They join a pending batch, written once
+        it holds ``TRACE_BATCH_LINES`` lines and when the loop ends, however
+        it ends.  Returns the messages the last event sent across the root
+        boundary.
         """
-        if t > self.clock:
-            self.clock = t
-            self._steps_at_clock = 1
-        else:
-            self._steps_at_clock += 1
-            if self._steps_at_clock > MAX_ZERO_STEPS:
-                raise IllegitimateModelError(
-                    f"illegitimate model: more than {MAX_ZERO_STEPS} "
-                    f"steps without the clock advancing past {t}"
-                )
         t_next = self._t_next
         nodes = self._nodes
-        i = t_next.index(t)  # first in select order among the imminent
-        node = nodes[i]
-        spec = node.spec
-        outputs = spec.output(node.state)
-        routes = node.routes
-        deliveries: dict[int, list[Message]] = {}
-        root_outputs: list[Message] = []
+        write = self._write_trace
+        pending: list[str] = []
+        clock = self.clock
+        at = _time_text(clock)  # the trace's time column, made once per clock value
+        steps = self._steps_at_clock
+        max_steps = MAX_ZERO_STEPS
         # A Message built as the tuple it is: calling the class would run
         # the named tuple's Python-level __new__, a frame per message.
         new = tuple.__new__
-        for port, payload in outputs:
-            try:
-                atom_targets, root_targets = routes[port]
-            except KeyError:
-                raise RoutingError(f"{node.path}: output on undeclared port {port!r}") from None
-            for idx, dst_port in atom_targets:
-                bag = deliveries.get(idx)
-                if bag is None:
-                    deliveries[idx] = [new(Message, (dst_port, payload))]
+        root_outputs: list[Message] = []
+        try:
+            while True:
+                t = min(t_next, default=INFINITY)
+                if t > t_end or t == INFINITY:
+                    break
+                if t > clock:
+                    clock = t
+                    steps = 1
+                    if write is not None:
+                        at = _time_text(t)
                 else:
-                    bag.append(new(Message, (dst_port, payload)))
-            for root_port in root_targets:
-                root_outputs.append(new(Message, (root_port, payload)))
-        # Internal transition of the selected component.
-        node.state = state = spec.delta_int(node.state)
-        ta = spec.time_advance(state)
-        if not ta >= 0:  # NaN too
-            raise ContractViolationError(f"{node.path}: time advance returned {ta}")
-        node.t_last = t
-        t_next[i] = t + ta
-        # External transitions of every receiver, in select order.
-        receivers = sorted(deliveries) if len(deliveries) > 1 else deliveries
-        for idx in receivers:
-            receiver = nodes[idx]
-            rspec = receiver.spec
-            elapsed = t - receiver.t_last
-            receiver.state = state = rspec.delta_ext(receiver.state, elapsed, deliveries[idx])
-            ta = rspec.time_advance(state)
-            if not ta >= 0:  # NaN too
-                raise ContractViolationError(f"{receiver.path}: time advance returned {ta}")
-            receiver.t_last = t
-            t_next[idx] = t + ta
-        write = self._write_trace
-        if write is not None:
-            at = f"{t:g}"
-            text = _event_text(at, node.path, "internal", outputs)
-            for idx in receivers:
-                text += _event_text(at, nodes[idx].path, "external", deliveries[idx])
-            write(text)
-        return t, root_outputs
+                    steps += 1
+                    if steps > max_steps:
+                        raise IllegitimateModelError(
+                            f"illegitimate model: more than {max_steps} "
+                            f"steps without the clock advancing past {t}"
+                        )
+                i = t_next.index(t)  # first in select order among the imminent
+                node = nodes[i]
+                outputs = node.output(node.state)
+                routes = node.routes
+                deliveries: dict[int, list[Message]] = {}
+                root_outputs = []
+                for port, payload in outputs:
+                    try:
+                        atom_targets, root_targets = routes[port]
+                    except KeyError:
+                        raise RoutingError(f"{node.path}: output on undeclared port {port!r}") from None
+                    for idx, dst_port in atom_targets:
+                        bag = deliveries.get(idx)
+                        if bag is None:
+                            deliveries[idx] = [new(Message, (dst_port, payload))]
+                        else:
+                            bag.append(new(Message, (dst_port, payload)))
+                    for root_port in root_targets:
+                        root_outputs.append(new(Message, (root_port, payload)))
+                # Internal transition of the selected component.
+                node.state = state = node.delta_int(node.state)
+                ta = node.time_advance(state)
+                if not ta >= 0:  # NaN too
+                    raise ContractViolationError(f"{node.path}: time advance returned {ta}")
+                node.t_last = t
+                t_next[i] = t + ta
+                # External transitions of every receiver, in select order.
+                receivers = sorted(deliveries) if len(deliveries) > 1 else deliveries
+                for idx in receivers:
+                    receiver = nodes[idx]
+                    receiver.state = state = receiver.delta_ext(
+                        receiver.state, t - receiver.t_last, deliveries[idx])
+                    ta = receiver.time_advance(state)
+                    if not ta >= 0:  # NaN too
+                        raise ContractViolationError(f"{receiver.path}: time advance returned {ta}")
+                    receiver.t_last = t
+                    t_next[idx] = t + ta
+                if write is not None:
+                    phase = node.internal
+                    for port, payload in outputs or _NO_MESSAGES:
+                        pending.append(f"{at}{phase}{port}\t{payload}\n")
+                    for idx in receivers:
+                        phase = nodes[idx].external
+                        for port, payload in deliveries[idx]:
+                            pending.append(f"{at}{phase}{port}\t{payload}\n")
+                    if len(pending) >= TRACE_BATCH_LINES:
+                        batch = "".join(pending)
+                        pending.clear()  # first, so a failed write is not repeated
+                        write(batch)
+                if once:
+                    break
+        finally:
+            self.clock = clock
+            self._steps_at_clock = steps
+            if pending:
+                write("".join(pending))
+        return root_outputs
 
 
 def initialize(
@@ -403,11 +435,16 @@ def initialize(
     :class:`StructuralError`; a negative or NaN initial time advance
     raises :class:`ContractViolationError`.
 
-    ``trace_file``, an open text stream, receives the event trace: each
-    event's lines are written to it as soon as that event's transitions
-    are done, and the caller closes it.  Without it nothing is recorded.
+    ``trace_file``, an open text stream, receives the event trace, and the
+    caller closes it.  Without it nothing is recorded.  Each event's lines
+    join a pending batch once that event's transitions are done; the batch
+    is written in one call at the end of the event that brings it to
+    ``TRACE_BATCH_LINES`` lines, and whenever :meth:`~SimulationHandle.step`
+    or :meth:`~SimulationHandle.run_until` returns or raises, so after a
+    failure the stream holds every event before it.
     The trace is tab-separated text, one line per message, with columns
-    time (formatted ``:g``), component path, phase (``internal`` or
+    time (the shortest text that reads back as the time, without a
+    trailing ``.0``), component path, phase (``internal`` or
     ``external``), port and payload (its ``str``).  An internal event lists
     the selected component's outputs, then each receiver's external event
     lists the messages it was delivered, in select order; an event without
@@ -424,9 +461,7 @@ def initialize(
 _NO_MESSAGES = (("-", "-"),)
 
 
-def _event_text(at: str, component: str, phase: str, messages: Sequence[Message]) -> str:
-    """The trace lines of one event, the one trace format; ``at`` is its time as ``:g``."""
-    text = ""
-    for port, payload in messages or _NO_MESSAGES:
-        text += f"{at}\t{component}\t{phase}\t{port}\t{payload}\n"
-    return text
+def _time_text(t: Time) -> str:
+    """The trace's time column: the shortest text that reads back as ``t``,
+    without a trailing ``.0``."""
+    return repr(float(t)).removesuffix(".0")

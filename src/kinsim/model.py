@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
-from .genetics import ConsanguinityDegree, assign_disorder
+from .genetics import ConsanguinityDegree, disorder_risk
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
-from .objects import WeightedChoice, make_combiner, make_sink, make_source
+from .objects import ProcessedTrigger, WeightedChoice, make_combiner, make_sink, make_source
 from .randomness import DiscreteDistribution, RngStream, make_distribution, read_number, substream
 
 MALE = "male"
@@ -321,27 +321,27 @@ def _require_valid(config: ModelConfig) -> None:
         raise ConfigurationError(f"invalid model config: {summary}")
 
 
-def _marriage(
+def birth_trigger(
     label: str,
     factory: EntityFactory,
     offspring_dist: DiscreteDistribution,
     offspring_stream: RngStream,
-    disorder: Callable[[Entity], Entity],
-) -> AtomicSpec:
-    """A marriage combiner whose every couple gets ``offspring_dist`` children.
+    p: float,
+    disorder_stream: RngStream,
+) -> ProcessedTrigger:
+    """A marriage combiner's trigger: each couple gets ``offspring_dist`` children.
 
-    The children, drawn from ``offspring_stream``, are created under
-    ``label`` by ``factory``; ``disorder`` draws each child's ``affected``
-    flag at birth.
+    The count is drawn from ``offspring_stream``.  The children are created
+    under ``label``, with ids reserved from ``factory``, in birth order; each
+    one is ``affected`` when its own draw from ``disorder_stream`` falls
+    below ``p``, so a child costs one draw whatever ``p`` is.
     """
+    uniform = disorder_stream.uniform
+
     def on_growth(parent: Entity) -> list[Entity]:
-        children = []
-        for _ in range(offspring_dist.sample(offspring_stream)):
-            child = factory.create(label)
-            disorder(child)
-            children.append(child)
-        return children
-    return make_combiner(on_growth)
+        ids = factory.reserve(offspring_dist.sample(offspring_stream))
+        return [Entity(i, label, uniform() < p) for i in ids]
+    return on_growth
 
 
 def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> CoupledSpec:
@@ -363,9 +363,11 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)
 
-    def disorder(stream_name, degree, override):
-        return partial(assign_disorder, degree=degree, allele_frequency=config.allele_frequency,
-                       stream=root.named(stream_name), inbreeding_override=override)
+    def marriage(tag, stem, degree, override=None):
+        p = disorder_risk(degree, config.allele_frequency, inbreeding_override=override)
+        return make_combiner(birth_trigger(f"Child_{tag}", factory, offspring_dist,
+                                           root.named(f"offspring_{stem}"), p,
+                                           root.named(f"disorder_{stem}")))
 
     sex = WeightedChoice(dict(zip(("MP", "FP"), config.sex_split)), stream=root.named("sex_split"))
     branch = {
@@ -385,14 +387,8 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "WP": make_source("WP", make_distribution(wp.interarrival), wp.max_arrivals,
                           factory=factory, stream=root.named("wp_interarrival"), route=route,
                           ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
-        "Marriage_C": _marriage(
-            "Child_C", factory, offspring_dist, root.named("offspring_consanguineous"),
-            disorder("disorder_consanguineous", config.consanguinity_degree, config.inbreeding_f),
-        ),
-        "Marriage_NC": _marriage(
-            "Child_NC", factory, offspring_dist, root.named("offspring_nonconsanguineous"),
-            disorder("disorder_nonconsanguineous", ConsanguinityDegree.UNRELATED, None),
-        ),
+        "Marriage_C": marriage("C", "consanguineous", config.consanguinity_degree, config.inbreeding_f),
+        "Marriage_NC": marriage("NC", "nonconsanguineous", ConsanguinityDegree.UNRELATED),
         "NewPopulation_C": make_sink(),
         "NewPopulation_NC": make_sink(),
     }
@@ -443,7 +439,9 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     """Lay out the report rows of a run, and its conservation totals, at any instant.
 
     ``handle`` must run a model built by :func:`build_consanguinity_model`;
-    every row is read off the counters of its five objects, by name.  The
+    every row is read off the counters of its five objects, each found by
+    the last segment of its component path, so the model gives the same
+    rows when it is nested in coupled models (closure under coupling).  The
     rows of both branches' combiners, ``Marriage_C`` then ``Marriage_NC``,
     come first, then those of the paper's growth servers, ``PopulationG_*``,
     whose work each combiner's trigger does as it marries a couple, then
@@ -459,7 +457,7 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     (WP relabels each individual it emits by its sex), and ``Child_*`` the
     branch combiner's births.
     """
-    states = dict(handle.components())
+    states = {path.rsplit("/", 1)[-1]: state for path, state in handle.components()}
     marriages = [states[f"Marriage_{tag}"] for tag in BRANCHES]
     sinks = [states[f"NewPopulation_{tag}"] for tag in BRANCHES]
     married = [m.stats.processed for m in marriages]

@@ -31,16 +31,18 @@ from _oracles import (
 from kinsim import (
     ConsanguinityDegree,
     CoupledSpec,
+    DiscreteDistribution,
     EntityFactory,
     ModelConfig,
-    assign_disorder,
     disorder_probability,
+    disorder_risk,
     inbreeding_coefficient,
     initialize,
     run_experiment,
     substream,
 )
 from kinsim.cli import main as cli_main
+from kinsim.model import birth_trigger
 from test_kernel import counter, generator, internal_times
 from kinsim.kernel import Coupling
 
@@ -181,13 +183,17 @@ def test_criterion_07_genetics_oracle():
         ("Child_NC", ConsanguinityDegree.UNRELATED, q * q),
     )
     assert disorder_probability(q, 1 / 16) == pytest.approx(0.00071875, rel=1e-12)
+    # the model's birth trigger, 1 000 children per couple
+    thousand = DiscreteDistribution([(1000, 1.0)])
     for label, degree, p in cases:
         stream = substream(826, 0).named(f"disorder_{label}")
-        child = factory.create(label)
+        births = birth_trigger(label, factory, thousand, substream(826, 1),
+                               disorder_risk(degree, q), stream)
+        parent = factory.create("FP")
         affected = 0
-        for _ in range(n):
-            assign_disorder(child, degree, q, stream)
-            affected += child.affected
+        for _ in range(n // 1000):
+            for child in births(parent):
+                affected += child.affected
         assert abs(affected / n - p) <= three_sigma(p, n), label
         print(
             f"PASS criterion 7: {label} affected fraction {affected / n:.6f} within "

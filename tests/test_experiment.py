@@ -28,6 +28,7 @@ from kinsim import (
     run_experiment,
 )
 from kinsim.errors import ConfigurationError, IllegitimateModelError, SimulationError
+from kinsim.kernel import TRACE_BATCH_LINES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -228,17 +229,19 @@ class TestTraceFile:
         )
 
     def test_zero_delay_loop_writes_only_the_steps_that_ran(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("kinsim.kernel.MAX_ZERO_STEPS", 50)
-        path = tmp_path / "events.tsv"
-        with pytest.raises(SimulationError, match="^replication 0: illegitimate model") as excinfo:
-            run_experiment(small_config(replications=1), builder=looping_builder,
-                           trace_path=str(path))
-        assert isinstance(excinfo.value.__cause__, IllegitimateModelError)
-        # steps 1-50 ran, each one internal line and one external line (a
-        # stays hot and comes first in select order, so it fires every step);
-        # the 51st step raised before it wrote any
-        step = "0\ta\tinternal\tout\tNone\n0\tb\texternal\tin\tNone\n"
-        assert path.read_text(encoding="utf-8") == step * 50
+        # The second limit makes twice as many lines as one trace batch holds.
+        for max_steps in (50, TRACE_BATCH_LINES):
+            monkeypatch.setattr("kinsim.kernel.MAX_ZERO_STEPS", max_steps)
+            path = tmp_path / "events.tsv"
+            with pytest.raises(SimulationError, match="^replication 0: illegitimate model") as excinfo:
+                run_experiment(small_config(replications=1), builder=looping_builder,
+                               trace_path=str(path))
+            assert isinstance(excinfo.value.__cause__, IllegitimateModelError)
+            # steps 1-max_steps ran, each one internal line and one external
+            # line (a stays hot and comes first in select order, so it fires
+            # every step); the next step raised before it wrote any
+            step = "0\ta\tinternal\tout\tNone\n0\tb\texternal\tin\tNone\n"
+            assert path.read_text(encoding="utf-8") == step * max_steps
 
 
 class TestDeterminism:

@@ -20,14 +20,19 @@ from _oracles import (
 )
 from kinsim import (
     ConsanguinityDegree,
+    DiscreteDistribution,
     EntityFactory,
-    assign_disorder,
     disorder_probability,
+    disorder_risk,
     inbreeding_coefficient,
     substream,
 )
+from kinsim.model import birth_trigger
 
 D = ConsanguinityDegree
+
+# Every couple has exactly one child.
+ONE_CHILD = DiscreteDistribution([(1, 1.0)])
 
 
 class TestInbreedingTable:
@@ -106,28 +111,31 @@ class TestDisorderProbability:
 
 
 class TestAssignDisorder:
-    def _child(self, factory, label="Child_C"):
-        return factory.create(label)
+    """The ``affected`` flag the model's birth trigger draws for each child."""
+
+    @staticmethod
+    def _children(degree, q, stream, n, **kwargs):
+        """The children of ``n`` one-child couples related by ``degree``,
+        each flag drawn from ``stream`` at the risk for ``degree`` and ``q``."""
+        factory = EntityFactory()
+        births = birth_trigger("Child_C", factory, ONE_CHILD, substream(0, 1),
+                               disorder_risk(degree, q, **kwargs), stream)
+        parent = factory.create("FP")
+        return [child for _ in range(n) for child in births(parent)]
 
     def test_zero_frequency_never_affected(self):
-        factory = EntityFactory()
         stream = substream(1, 0)
-        for _ in range(1000):
-            child = assign_disorder(self._child(factory), D.FIRST_COUSIN, 0.0, stream)
+        for child in self._children(D.FIRST_COUSIN, 0.0, stream, 1000):
             assert child.affected is False
 
     def test_certain_allele_always_affected(self):
-        factory = EntityFactory()
         stream = substream(2, 0)
-        for _ in range(1000):
-            child = assign_disorder(self._child(factory), D.UNRELATED, 1.0, stream)
+        for child in self._children(D.UNRELATED, 1.0, stream, 1000):
             assert child.affected is True
 
     def _flags(self, seed, degree, q, n=4000, **kwargs):
         """``n`` children's affected flags drawn from one stream."""
-        factory, stream = EntityFactory(), substream(seed, 0)
-        return [assign_disorder(self._child(factory), degree, q, stream, **kwargs).affected
-                for _ in range(n)]
+        return [child.affected for child in self._children(degree, q, substream(seed, 0), n, **kwargs)]
 
     def _draws_below(self, seed, p, n=4000):
         """Whether each of the first ``n`` draws of the same stream falls below ``p``."""
@@ -148,21 +156,18 @@ class TestAssignDisorder:
 
     def test_always_consumes_exactly_one_draw(self):
         # Stream alignment must not depend on the configured probabilities.
-        factory = EntityFactory()
         a = substream(9, 0)
         b = substream(9, 0)
-        assign_disorder(self._child(factory), D.FIRST_COUSIN, 0.0, a)
-        assign_disorder(self._child(factory), D.UNRELATED, 0.9, b)
+        self._children(D.FIRST_COUSIN, 0.0, a, 1)
+        self._children(D.UNRELATED, 0.9, b, 1)
         assert a.uniform() == b.uniform()
 
     def test_empirical_rate_matches_formula(self):
-        factory = EntityFactory()
         stream = substream(5, 0)
         q, n = 0.05, 20_000
         p = disorder_probability(q, 1 / 16)
         affected = 0
-        for _ in range(n):
-            child = assign_disorder(self._child(factory), D.FIRST_COUSIN, q, stream)
+        for child in self._children(D.FIRST_COUSIN, q, stream, n):
             affected += child.affected
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(affected / n - p) <= 3 * sigma

@@ -20,6 +20,7 @@ from kinsim import (
     Message,
     ModelConfig,
     build_consanguinity_model,
+    collect_run_stats,
     initialize,
 )
 from kinsim.errors import (
@@ -440,16 +441,27 @@ class TestRunUntil:
                 select=["b", "first", "a", "second"],
             )
 
-        expected = io.StringIO()
-        by_run = initialize(build(), trace_file=expected)
-        by_run.run_until(12.0)
-        stepped = io.StringIO()
-        by_step = initialize(build(), trace_file=stepped)
-        while by_step.next_event_time <= 12.0:
-            by_step.step()
-        assert stepped.getvalue() == expected.getvalue()
-        assert by_step.clock == by_run.clock == 12.0
-        assert [row[1] for row in parse_trace(expected.getvalue())[:3]] == ["a", "first", "second"]
+        # The longer horizon writes more lines than one trace batch holds,
+        # and slices of 0.7 end between events as well as on them.
+        for horizon in (12.0, 500.0):
+            expected = io.StringIO()
+            by_run = initialize(build(), trace_file=expected)
+            by_run.run_until(horizon)
+            stepped = io.StringIO()
+            by_step = initialize(build(), trace_file=stepped)
+            while by_step.next_event_time <= horizon:
+                by_step.step()
+            sliced = io.StringIO()
+            by_slice = initialize(build(), trace_file=sliced)
+            t_end = 0.0
+            while t_end < horizon:
+                t_end = min(t_end + 0.7, horizon)
+                by_slice.run_until(t_end)
+            assert stepped.getvalue() == expected.getvalue()
+            assert sliced.getvalue() == expected.getvalue()
+            assert by_step.clock == by_run.clock == by_slice.clock == horizon
+            assert [row[1] for row in parse_trace(expected.getvalue())[:3]] == ["a", "first", "second"]
+        assert len(expected.getvalue().splitlines()) > kinsim.kernel.TRACE_BATCH_LINES
 
 
 class TestGuardsAndInvariants:
@@ -517,6 +529,41 @@ class TestGuardsAndInvariants:
         handle = initialize(model)
         with pytest.raises(ContractViolationError, match="bad: time advance returned nan"):
             handle.step()
+
+    def test_a_raising_callback_leaves_the_clock_at_its_event(self):
+        # The receiver fails on its third delivery, at t = 3, whether the
+        # event runs alone or inside run_until; the trace keeps the events
+        # before it.
+        def dext(s, e, xs):
+            s["n"] += 1
+            if s["n"] == 3:
+                raise ValueError("third delivery")
+            return s
+
+        def build():
+            failing = AtomicSpec(
+                initial_state={"n": 0},
+                time_advance=lambda s: INFINITY,
+                delta_int=lambda s: s,
+                delta_ext=dext,
+                output=lambda s: [],
+                input_ports=("in",),
+            )
+            return CoupledSpec(
+                components={"gen": generator(1.0), "fail": failing},
+                couplings=[Coupling("gen", "out", "fail", "in")],
+            )
+
+        before = "".join(f"{t}\tgen\tinternal\tout\t{n}\n{t}\tfail\texternal\tin\t{n}\n"
+                         for t, n in ((1, 0), (2, 1)))
+        for run in (lambda handle: handle.run_until(10.0),
+                    lambda handle: [handle.step() for _ in range(3)]):
+            stream = io.StringIO()
+            handle = initialize(build(), trace_file=stream)
+            with pytest.raises(ValueError, match="third delivery"):
+                run(handle)
+            assert handle.clock == 3.0
+            assert stream.getvalue() == before
 
     def test_clock_monotone_and_nodes_consistent(self):
         model = CoupledSpec(
@@ -704,6 +751,20 @@ class TestHierarchy:
         nested = consanguinity_trace(lambda spec: nest(spec, tree))
         assert [(t, path.rsplit("/", 1)[-1], *rest) for t, path, *rest in nested] == flat
 
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_nesting_the_consanguinity_model_keeps_its_report(self, data):
+        # The CSV half of closure under coupling: the nested model's
+        # statistics, read off its objects by the last segment of each path,
+        # equal the flat model's over a whole packaged replication.
+        config = ModelConfig.default()
+        tree = data.draw(nestings(list(build_consanguinity_model(config).components)))
+        flat, nested = (initialize(wrap(build_consanguinity_model(config)))
+                        for wrap in (lambda spec: spec, lambda spec: nest(spec, tree)))
+        for handle in (flat, nested):
+            handle.run_until(config.run_length)
+        assert collect_run_stats(nested) == collect_run_stats(flat)
+
 
 @st.composite
 def nestings(draw, names):
@@ -777,6 +838,22 @@ class TestTraceDump:
         assert lines[0] == "1\tgen\tinternal\tout\t0"
         assert lines[1] == "1\tacc\texternal\tin\t0"
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+    def test_time_column_reads_back_as_the_event_time(self):
+        # Integral times carry no ".0", also past 1e6; close fractional
+        # times stay apart.
+        stream = io.StringIO()
+        handle = initialize(generator(1.0), 1_000_000.0, trace_file=stream)
+        handle.run_until(1_000_002.0)
+        assert [line.split("\t")[0] for line in stream.getvalue().splitlines()] == [
+            "1000001", "1000002"]
+        for start, period in ((1234.5678, 0.0034), (0.1, 0.2), (1e-7, 1e-9)):
+            stream = io.StringIO()
+            handle = initialize(generator(period), start - period, trace_file=stream)
+            times = [handle.step()[0] for _ in range(3)]
+            columns = [line.split("\t")[0] for line in stream.getvalue().splitlines()]
+            assert [float(column) for column in columns] == times
+            assert len(set(columns)) == 3
 
 
 class TestStreamedTrace:
