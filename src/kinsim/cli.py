@@ -100,6 +100,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _unwritable(path: str) -> Optional[str]:
     """Why no file can be written at ``path``, when that shows without writing one."""
+    if not path:
+        return "the path is empty"
     if os.path.isdir(path):
         return f"{path!r} is a directory"
     parent = os.path.dirname(path) or "."

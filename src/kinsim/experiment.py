@@ -21,13 +21,13 @@ pickled (closure builders work).  The split is static: with N workers,
 worker k runs replications k, k + N, k + 2N, ... in order, since the
 replications of one config cost about the same.  Each worker sends its
 :class:`~kinsim.model.RunStats`, or the error that stopped it, back as one
-pickle down its own pipe; the parent reads the pipes as they become ready
-and reduces the results in replication order, so the report and the trace
-are byte-identical to an in-process run.  With one job, or where ``fork``
-is not available, the replications run in process, one after another.
-When replications fail, the lowest failing one's error is raised, and a
-worker whose replications all lie above a failure already reported is
-killed rather than left to run them.
+pickle down its own pipe; the parent reads the pipes in worker order and
+reduces the results in replication order, so the report and the trace are
+byte-identical to an in-process run.  With one job, or where ``fork`` is
+not available, the replications run in process, one after another.  When
+replications fail or a worker dies, the first dead worker or the lowest
+failure decides, and the workers whose replications all lie above a
+failure already read are killed rather than left to run them.
 """
 
 from __future__ import annotations
@@ -185,18 +185,19 @@ def _replicate_in_workers(
     """Run the replications in ``jobs`` forked children, worker k taking
     replications k, k + jobs, k + 2 * jobs, ... in that order.
 
-    Each child sends its outcomes back as one pickle down its own pipe, and
-    the pipes are read as they become ready.  Once a child reports a failure
-    at replication r, the children whose first replication is above r can
-    hold no lower failure, so they are killed.  A child that exits non-zero,
-    or whose pickle is empty or truncated, raises :class:`SimulationError`
-    unless a replication below its first failed; otherwise the lowest
-    failing replication's exception is raised as the child raised it.
+    Each child sends its outcomes back as one pickle down its own pipe.
+    The pipes are read in worker order, and the first dead worker or the
+    lowest failure decides: every replication of a worker above k lies
+    above k, so a dead worker k outranks any failure read after it, and a
+    failure at replication r outranks every worker above r.  A child that
+    exits non-zero, or whose pickle is empty or truncated, raises
+    :class:`SimulationError` at once.  Once a child reports a failure at r,
+    the children above r are killed and left unread, and the lowest failing
+    replication's exception is raised as the child raised it.
     """
     # Imported here, not at the top: `import kinsim` and one-job runs do
     # without them.
     import pickle
-    import selectors
     import signal
 
     # A child inherits the parent's unwritten buffers and would write them
@@ -204,15 +205,12 @@ def _replicate_in_workers(
     _flush_standard_streams()
     pids: dict[int, int] = {}  # worker -> pid, for the children not yet reaped
     read_fds: dict[int, int] = {}  # worker -> the read end of its pipe, while open
-    selector = selectors.DefaultSelector()
     outcomes: dict[int, object] = {}
-    deaths: dict[int, str] = {}  # worker -> why it sent no outcomes
     lowest_failure = config.replications  # none yet
     try:
         for k in range(jobs):
             read_fd, write_fd = os.pipe()
             read_fds[k] = read_fd
-            selector.register(read_fd, selectors.EVENT_READ, k)
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -220,48 +218,36 @@ def _replicate_in_workers(
             finally:
                 os.close(write_fd)
             pids[k] = pid
-        chunks: dict[int, list[bytes]] = {k: [] for k in pids}
-        while read_fds:
-            for key, _ in selector.select():
-                k = key.data
-                data = os.read(key.fd, 1 << 16)
-                if data:
-                    chunks[k].append(data)
-                    continue
-                selector.unregister(key.fd)
-                os.close(read_fds.pop(k))
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
-                if code:
-                    how = f"exit code {code}" if code > 0 else f"signal {-code}"
-                    deaths[k] = f"a replication worker died ({how})"
-                    continue
-                try:
-                    sent = pickle.loads(b"".join(chunks[k]))
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    deaths[k] = f"a replication worker died: its result was cut short ({exc})"
-                    continue
-                outcomes.update(sent)
-                r, last = sent[-1]  # a worker stops at its first failure
-                if isinstance(last, BaseException) and r < lowest_failure:
-                    lowest_failure = r
-                    for j in pids:  # not reaped yet, so each pid is still its own
-                        if j > r:
-                            os.kill(pids[j], signal.SIGKILL)
+        for k in range(jobs):
+            if k > lowest_failure:
+                break
+            with open(read_fds.pop(k), "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+            if code:
+                how = f"exit code {code}" if code > 0 else f"signal {-code}"
+                raise SimulationError(f"a replication worker died ({how})")
+            try:
+                sent = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise SimulationError(
+                    f"a replication worker died: its result was cut short ({exc})"
+                ) from None
+            outcomes.update(sent)
+            r, last = sent[-1]  # a worker stops at its first failure
+            if isinstance(last, BaseException) and r < lowest_failure:
+                lowest_failure = r
+                for j in pids:  # not reaped yet, so each pid is still its own
+                    if j > r:
+                        os.kill(pids[j], signal.SIGKILL)
     finally:
-        selector.close()
         for read_fd in read_fds.values():
             os.close(read_fd)
-        for pid in pids.values():  # this call was cut short: end the children still running
+        for pid in pids.values():  # left unread above a failure, or this call stopped early
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    # Each worker ran its share in increasing order and stopped at its first
-    # failure, so every replication below the lowest failure here succeeded,
-    # unless a worker whose first replication lies below it died.
-    for k in sorted(deaths):
-        if k < lowest_failure:
-            raise SimulationError(deaths[k])
     if lowest_failure < config.replications:
         raise outcomes[lowest_failure]
     return [outcomes[r] for r in range(config.replications)]

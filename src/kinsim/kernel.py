@@ -252,7 +252,6 @@ class SimulationHandle:
         _flatten(model, "", (), atoms, edges)
         atoms.sort(key=lambda atom: atom[0])
         index = {path: i for i, (_, path, _) in enumerate(atoms)}
-        self.model = model
         self.clock: Time = t0
         self._write_trace: Callable[[str], Any] | None = (
             None if trace_file is None else trace_file.write

@@ -283,10 +283,11 @@ class TestRun:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["directory", "missing_directory"])
+    @pytest.mark.parametrize("where", ["directory", "missing_directory", "empty"])
     def test_unwritable_out_exits_2_before_running(self, small_config_file, tmp_path, capsys,
                                                    monkeypatch, where):
-        out = tmp_path if where == "directory" else tmp_path / "absent" / "r.csv"
+        out = {"directory": tmp_path, "missing_directory": tmp_path / "absent" / "r.csv",
+               "empty": ""}[where]
         monkeypatch.setattr("kinsim.cli.run_experiment",
                             lambda *args, **kwargs: pytest.fail("the replications ran"))
         assert main(["run", "--config", small_config_file, "--jobs", "2", "--out", str(out)]) == 2

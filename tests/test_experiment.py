@@ -371,7 +371,8 @@ class TestJobs:
             run_experiment(small_config(replications=4), builder=odd_failing_builder, jobs=2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
-    def test_failure_stops_the_workers_above_it(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_failure_stops_the_workers_above_it(self, tmp_path, jobs):
         def counting_builder(config, replication):
             (tmp_path / f"built-{replication}").touch()
             if replication == 0:
@@ -380,10 +381,10 @@ class TestJobs:
             return build_consanguinity_model(config, replication)
 
         with pytest.raises(ConfigurationError, match="^no replication 0 here$"):
-            run_experiment(small_config(replications=20), builder=counting_builder, jobs=2)
+            run_experiment(small_config(replications=20), builder=counting_builder, jobs=jobs)
         built = sorted(int(path.name.removeprefix("built-")) for path in tmp_path.iterdir())
-        # worker 1, whose first replication is 1, would build 10 in 2 s; it
-        # was killed once replication 0 had failed, and is reaped
+        # the workers above worker 0 would build at least 10 more in 2 s;
+        # they were killed once replication 0 had failed, and are reaped
         assert built[0] == 0 and len(built) < 10
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -409,6 +410,17 @@ class TestJobs:
             raise ConfigurationError(f"no replication {replication} here")
 
         with pytest.raises(ConfigurationError, match="^no replication 0 here$"):
+            run_experiment(small_config(replications=2), builder=builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_dead_worker_below_a_failure_is_reported(self):
+        def builder(config, replication):
+            if replication == 1:
+                raise ConfigurationError("no replication 1 here")  # at once
+            time.sleep(0.2)
+            os._exit(3)
+
+        with pytest.raises(SimulationError, match="worker died"):
             run_experiment(small_config(replications=2), builder=builder, jobs=2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
