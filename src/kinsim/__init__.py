@@ -4,7 +4,7 @@ how consanguineous marriage shifts congenital-disorder prevalence.
 Layering, bottom up:
 
 * :mod:`kinsim.kernel` runs any Classic-DEVS model (atomic or coupled);
-  its couplings join ports and carry each message unchanged.
+  its couplings carry each ``(port, payload)`` message, renaming its port.
 * :mod:`kinsim.randomness` provides seeded streams and the distribution kit.
 * :mod:`kinsim.objects` realizes Source, Combiner and Sink objects as DEVS
   atomics that keep counters; a source routes what it emits, for instance
@@ -33,7 +33,6 @@ from .kernel import (
     AtomicSpec,
     Coupling,
     CoupledSpec,
-    Message,
     SimulationHandle,
     initialize,
 )

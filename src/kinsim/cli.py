@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 config validation failure (a file that is not
 UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
-be read, a report or trace file that cannot be written).
+be read, an unwritable report or trace file, or one file named as both).
 """
 
 from __future__ import annotations
@@ -118,6 +118,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     problem = _unwritable(args.out)
     if problem is not None:
         print(f"kinsim: cannot write report: {problem}", file=sys.stderr)
+        return 2
+    if args.trace is not None and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        print(f"kinsim: --out and --trace name the same file {args.out!r}", file=sys.stderr)
         return 2
     try:
         result = run_experiment(config, trace_path=args.trace, jobs=args.jobs)

@@ -9,9 +9,9 @@ represents.  :func:`initialize` relies on closure under coupling: in one
 pass over the hierarchy it checks every coupling and ``select``, collects
 the atomics in hierarchical select order, and joins all couplings into one
 graph of port endpoints.  A walk of that graph gives each atomic output
-port its routes to atomic inputs and root outputs.  Couplings carry a
-message unchanged, as in coupled DEVS with ports (Zeigler, Praehofer & Kim
-2000); only its port is renamed on the way.  :meth:`SimulationHandle.step`
+port its routes to atomic inputs and root outputs.  A message is a plain
+``(port, payload)`` pair, as in coupled DEVS with ports (Zeigler, Praehofer
+& Kim 2000); couplings rename its port only.  :meth:`SimulationHandle.step`
 and :meth:`SimulationHandle.run_until` drive one event loop, in which every
 event runs one Classic-DEVS cycle over the flat atomics:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Any, Callable, Iterator, Sequence, TextIO, Union
 
 from .errors import (
     ContractViolationError,
@@ -57,16 +57,9 @@ INPUT = "input"
 OUTPUT = "output"
 
 
-class Message(NamedTuple):
-    """A value travelling through a port.
-
-    ``port`` is relative to whichever component emits or receives the
-    message; the kernel rewrites it while routing.  A named tuple, so it
-    is immutable and cheap to build, and unpacks as ``port, payload``.
-    """
-
-    port: str
-    payload: Any
+#: A message, ``(port, payload)``: the port is relative to whichever
+#: component emits or receives it, and routing renames it.
+Message = tuple[str, Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,10 +85,12 @@ class AtomicSpec:
     for passive states); a negative or NaN one raises
     :class:`~kinsim.errors.ContractViolationError` naming the component.
     ``output`` is invoked exactly once, immediately before ``delta_int``,
-    when the component is imminent.  ``delta_ext`` receives the elapsed
+    when the component is imminent, and returns a sequence of
+    ``(output port, payload)`` pairs.  ``delta_ext`` receives the elapsed
     time since the last transition, which the kernel guarantees to lie in
-    ``[0, ta(state)]``.  Callbacks may mutate the state in place or return
-    a fresh one; the kernel tracks whatever they return.
+    ``[0, ta(state)]``, and its bag, a list of ``(input port, payload)``
+    pairs in routing order.  Callbacks may mutate the state in place or
+    return a fresh one; the kernel tracks whatever they return.
     """
 
     initial_state: Any
@@ -301,8 +296,8 @@ class SimulationHandle:
     def step(self) -> tuple[Time, list[Message]]:
         """Run one event: fire the selected imminent component.
 
-        Returns the event time and any messages that crossed the root
-        boundary.
+        Returns the event time and the messages that crossed the root
+        boundary, as ``(root output port, payload)`` pairs.
         """
         if self.next_event_time == INFINITY:
             raise SimulationError("step() called with no pending events")
@@ -310,13 +305,14 @@ class SimulationHandle:
         return self.clock, root_outputs
 
     def run_until(self, t_end: Time) -> None:
-        """Process every event with time <= t_end.
+        """Process every event with time <= t_end; a NaN ``t_end``, or one
+        before the clock, raises :class:`SimulationError`.
 
         The clock ends at the time of the last processed event (it does not
         jump to ``t_end``).  Deterministic given the model and its seeds.
         """
-        if t_end < self.clock:
-            raise SimulationError(f"run_until({t_end}) is before the current clock {self.clock}")
+        if not t_end >= self.clock:  # NaN too: no event time is ever past it
+            raise SimulationError(f"run_until({t_end}) is NaN or before the clock {self.clock}")
         self._run(t_end, False)
 
     def _run(self, t_end: Time, once: bool) -> list[Message]:
@@ -341,9 +337,6 @@ class SimulationHandle:
         at = _time_text(clock)  # the trace's time column, made once per clock value
         steps = self._steps_at_clock
         max_steps = MAX_ZERO_STEPS
-        # A Message built as the tuple it is: calling the class would run
-        # the named tuple's Python-level __new__, a frame per message.
-        new = tuple.__new__
         root_outputs: list[Message] = []
         try:
             while True:
@@ -376,11 +369,11 @@ class SimulationHandle:
                     for idx, dst_port in atom_targets:
                         bag = deliveries.get(idx)
                         if bag is None:
-                            deliveries[idx] = [new(Message, (dst_port, payload))]
+                            deliveries[idx] = [(dst_port, payload)]
                         else:
-                            bag.append(new(Message, (dst_port, payload)))
+                            bag.append((dst_port, payload))
                     for root_port in root_targets:
-                        root_outputs.append(new(Message, (root_port, payload)))
+                        root_outputs.append((root_port, payload))
                 # Internal transition of the selected component.
                 node.state = state = node.delta_int(node.state)
                 ta = node.time_advance(state)
@@ -430,9 +423,9 @@ def initialize(
     """Validate a model and build a simulation handle starting at ``t0``.
 
     Every component starts with ``t_last = t0`` and
-    ``t_next = t0 + ta(initial state)``.  Structural problems raise
-    :class:`StructuralError`; a negative or NaN initial time advance
-    raises :class:`ContractViolationError`.
+    ``t_next = t0 + ta(initial state)``.  A NaN or infinite ``t0`` raises
+    :class:`SimulationError`, structural problems :class:`StructuralError`
+    and a negative or NaN initial time advance :class:`ContractViolationError`.
 
     ``trace_file``, an open text stream, receives the event trace, and the
     caller closes it.  Without it nothing is recorded.  Each event's lines
@@ -453,6 +446,8 @@ def initialize(
     built model as single-use: construct a fresh spec per run, as the model
     builders do.
     """
+    if not math.isfinite(t0):  # a NaN or infinite clock never advances
+        raise SimulationError(f"initialize needs a finite start time, got {t0}")
     return SimulationHandle(model, t0, trace_file)
 
 

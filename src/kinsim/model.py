@@ -334,8 +334,11 @@ def birth_trigger(
     The count is drawn from ``offspring_stream``.  The children are created
     under ``label``, with ids reserved from ``factory``, in birth order; each
     one is ``affected`` when its own draw from ``disorder_stream`` falls
-    below ``p``, so a child costs one draw whatever ``p`` is.
+    below ``p``, so a child costs one draw whatever ``p`` is.  A law that
+    can draw a negative count raises :class:`ConfigurationError`.
     """
+    if offspring_dist.support[0] < 0:  # reserve() would rewind the id counter
+        raise ConfigurationError(f"offspring counts must be >= 0, got {offspring_dist!r}")
     uniform = disorder_stream.uniform
 
     def on_growth(parent: Entity) -> list[Entity]:

@@ -11,6 +11,8 @@ as it is married and puts what it creates (offspring) behind it, so the
 work of a zero-time server after the combiner costs no atomic either.
 Conventions shared by all objects:
 
+* A message is the kernel's ``(port, payload)`` pair, with an entity as
+  its payload; combiners and sinks unpack each bag they are delivered.
 * Every step but a source's emission takes zero time, as marriage and
   births do in the model: entities cascade through an arbitrary number of
   objects at a single clock value, one kernel step per object that holds
@@ -43,8 +45,6 @@ PORT_IN = "in"
 PORT_OUT = "out"
 PORT_PARENT_IN = "parent_in"
 PORT_MEMBER_IN = "member_in"
-
-_message = tuple.__new__  # builds a Message without the named tuple's Python-level __new__
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def _source_ta(s: SourceState) -> Time:
 
 def _source_out(s: SourceState) -> list[Message]:
     entity = s.pending
-    return [_message(Message, (s.route(entity), entity))]
+    return [(s.route(entity), entity)]
 
 
 def _source_dint(s: SourceState) -> SourceState:
@@ -215,7 +215,7 @@ def _combiner_ta(s: CombinerState) -> Time:
 
 
 def _combiner_out(s: CombinerState) -> list[Message]:
-    return [_message(Message, (PORT_OUT, entity)) for entity in s.outq]
+    return [(PORT_OUT, entity) for entity in s.outq]
 
 
 def _combiner_dint(s: CombinerState) -> CombinerState:
@@ -226,11 +226,11 @@ def _combiner_dint(s: CombinerState) -> CombinerState:
 
 
 def _combiner_dext(s: CombinerState, elapsed: Time, bag) -> CombinerState:
-    for msg in bag:
-        if msg.port == PORT_PARENT_IN:
-            s.parents.append(msg.payload)
+    for port, entity in bag:
+        if port == PORT_PARENT_IN:
+            s.parents.append(entity)
         else:
-            s.members.append(msg.payload)
+            s.members.append(entity)
     s._match()
     return s
 
@@ -283,9 +283,8 @@ def _sink_dint(s: SinkState) -> SinkState:
 
 def _sink_dext(s: SinkState, elapsed: Time, bag) -> SinkState:
     stats = s.stats
-    for msg in bag:
+    for _, entity in bag:
         stats.entered += 1
-        entity = msg.payload
         while entity is not None:  # the entity, then its member
             stats.destroyed_individuals += 1
             if entity.affected:

@@ -297,6 +297,25 @@ class TestRun:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_out_and_trace_naming_one_file_exits_2_before_running(
+            self, small_config_file, tmp_path, capsys, monkeypatch, spelling):
+        # The report, written last, would replace the trace.
+        out = tmp_path / "same.tsv"
+        trace = {"same": str(out), "dotted": f"{tmp_path}/./same.tsv",
+                 "symlink": str(tmp_path / "link" / "same.tsv")}[spelling]
+        if spelling == "symlink":
+            (tmp_path / "link").symlink_to(tmp_path)
+        monkeypatch.setattr("kinsim.cli.run_experiment",
+                            lambda *args, **kwargs: pytest.fail("the replications ran"))
+        assert main(["run", "--config", small_config_file, "--jobs", "1",
+                     "--out", str(out), "--trace", trace]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("kinsim: --out and --trace name the same file")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
     def test_report_refused_at_write_exits_2_with_one_line(self, small_config_file, tmp_path,
                                                            capsys, monkeypatch):
         out = tmp_path / "r.csv"

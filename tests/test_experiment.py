@@ -18,7 +18,6 @@ from kinsim import (
     CoupledSpec,
     Coupling,
     ExperimentResult,
-    Message,
     ModelConfig,
     ReportRow,
     build_consanguinity_model,
@@ -54,7 +53,7 @@ def failing_builder(config, replication):
         time_advance=lambda s: 1.0 if s["n"] < 3 else -1.0,
         delta_int=dint,
         delta_ext=lambda s, e, xs: s,
-        output=lambda s: [Message("out", s["n"])],
+        output=lambda s: [("out", s["n"])],
         output_ports=("out",),
     )})
 
@@ -66,7 +65,7 @@ def relay(hot):
         time_advance=lambda s: 0.0 if s["hot"] else INFINITY,
         delta_int=lambda s: s,
         delta_ext=lambda s, e, xs: (s.__setitem__("hot", True), s)[1],
-        output=lambda s: [Message("out", None)],
+        output=lambda s: [("out", None)],
         input_ports=("in",),
         output_ports=("out",),
     )

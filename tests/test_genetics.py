@@ -27,6 +27,7 @@ from kinsim import (
     inbreeding_coefficient,
     substream,
 )
+from kinsim.errors import ConfigurationError
 from kinsim.model import birth_trigger
 
 D = ConsanguinityDegree
@@ -171,3 +172,13 @@ class TestAssignDisorder:
             affected += child.affected
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(affected / n - p) <= 3 * sigma
+
+    def test_offspring_law_with_a_negative_count_rejected(self):
+        # reserve(-2) would rewind the id counter, and the next entity
+        # would reuse an id already given out.
+        factory = EntityFactory()
+        factory.create("FP")
+        with pytest.raises(ConfigurationError, match="offspring counts must be >= 0"):
+            birth_trigger("Child_C", factory, DiscreteDistribution([(-2, 0.5), (3, 1.0)]),
+                          substream(0, 1), 0.0, substream(0, 0))
+        assert factory.created_total == 1

@@ -17,7 +17,6 @@ from kinsim import (
     AtomicSpec,
     Coupling,
     CoupledSpec,
-    Message,
     ModelConfig,
     build_consanguinity_model,
     collect_run_stats,
@@ -56,7 +55,7 @@ def generator(period: float) -> AtomicSpec:
         time_advance=lambda s: period,
         delta_int=dint,
         delta_ext=lambda s, e, xs: s,
-        output=lambda s: [Message("out", s["n"])],
+        output=lambda s: [("out", s["n"])],
         output_ports=("out",),
     )
 
@@ -67,7 +66,7 @@ def counter(*ports: str) -> AtomicSpec:
 
     def dext(s, e, xs):
         s["count"] += len(xs)
-        s["seen"].append((e, [m.payload for m in xs]))
+        s["seen"].append((e, [payload for _, payload in xs]))
         return s
 
     return AtomicSpec(
@@ -120,6 +119,13 @@ class TestInitialize:
         )
         with pytest.raises(ContractViolationError, match="model: time advance of initial state"):
             initialize(bad, 0.0)  # an atomic root is named "model"
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_start_time_that_is_not_finite_rejected(self, t0):
+        # A NaN or infinite clock never advances: the zero-time guard
+        # would end the run only after a million steps.
+        with pytest.raises(SimulationError, match="finite start time"):
+            initialize(generator(2.0), t0)
 
 
 class TestStructuralValidation:
@@ -267,7 +273,7 @@ class TestStructuralValidation:
             time_advance=lambda s: 1.0,
             delta_int=lambda s: s,
             delta_ext=lambda s, e, xs: s,
-            output=lambda s: [Message("oops", 1)],
+            output=lambda s: [("oops", 1)],
             output_ports=("out",),
         )
         handle = initialize(rogue)
@@ -280,8 +286,7 @@ class TestStep:
         handle = initialize(generator(2.0))
         t, outputs = handle.step()
         assert t == 2.0
-        assert [m.payload for m in outputs] == [0]
-        assert outputs[0].port == "out"
+        assert outputs == [("out", 0)]
 
     def test_step_without_events_rejected(self):
         handle = initialize(passive())
@@ -335,7 +340,7 @@ class TestStep:
             time_advance=lambda s: 1.0,
             delta_int=lambda s: (s.__setitem__("n", s["n"] + 1), s)[1],
             delta_ext=b_dext,
-            output=lambda s: [Message("out", "b")],
+            output=lambda s: [("out", "b")],
             input_ports=("in",),
             output_ports=("out",),
         )
@@ -387,6 +392,21 @@ class TestRunUntil:
         with pytest.raises(SimulationError):
             handle.run_until(5.0)
 
+    def test_nan_horizon_rejected(self):
+        # Three events, then passive: a run to a NaN horizon would fire all
+        # three and return, as if NaN were past every event time.
+        three = AtomicSpec(
+            initial_state={"left": 3},
+            time_advance=lambda s: 1.0 if s["left"] else INFINITY,
+            delta_int=lambda s: {"left": s["left"] - 1},
+            delta_ext=lambda s, e, xs: s,
+            output=lambda s: [],
+        )
+        handle = initialize(three)
+        with pytest.raises(SimulationError, match="NaN"):
+            handle.run_until(math.nan)
+        assert handle.clock == 0.0 and handle.next_event_time == 1.0
+
     def test_resume_continues_schedule(self):
         stream = io.StringIO()
         handle = initialize(generator(2.0), trace_file=stream)
@@ -410,7 +430,7 @@ class TestRunUntil:
                 time_advance=lambda s: s["next"],
                 delta_int=dint,
                 delta_ext=lambda s, e, xs: s,
-                output=lambda s: [Message("out", round(s["next"], 6))],
+                output=lambda s: [("out", round(s["next"], 6))],
                 output_ports=("out",),
             )
 
@@ -480,7 +500,7 @@ class TestGuardsAndInvariants:
                 time_advance=lambda s: 0.0 if s["hot"] else INFINITY,
                 delta_int=dint,
                 delta_ext=dext,
-                output=lambda s: [Message("out", "tick")],
+                output=lambda s: [("out", "tick")],
                 input_ports=("in",),
                 output_ports=("out",),
             )
@@ -641,7 +661,7 @@ class TestHierarchy:
         )
         handle = initialize(model)
         t, outputs = handle.step()
-        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("root_out", 0)])
+        assert (t, outputs) == (1.0, [("root_out", 0)])
 
     def test_one_output_fans_out_to_sibling_nested_atomic_and_root(self):
         # Every route ends on its own port, so the trace shows which
@@ -665,7 +685,7 @@ class TestHierarchy:
         stream = io.StringIO()
         handle = initialize(model, trace_file=stream)
         t, outputs = handle.step()
-        assert (t, [(m.port, m.payload) for m in outputs]) == (1.0, [("y", 0), ("z", 0)])
+        assert (t, outputs) == (1.0, [("y", 0), ("z", 0)])
         # Each receiver gets one bag, in coupling declaration order, and the
         # receivers take their external transitions in select order.
         assert handle.state_of("sib")["seen"] == [(1.0, [0, 0])]
@@ -678,7 +698,7 @@ class TestHierarchy:
             ("sib", "external", "t", "0"),
         ]
 
-    def test_routed_messages_are_message_instances_with_the_same_payload(self):
+    def test_routed_messages_are_pairs_with_the_same_payload(self):
         payload = object()
         bags = {}
 
@@ -703,7 +723,7 @@ class TestHierarchy:
                     time_advance=lambda s: 1.0,
                     delta_int=lambda s: s,
                     delta_ext=lambda s, e, xs: s,
-                    output=lambda s: [Message("out", payload)],
+                    output=lambda s: [("out", payload)],
                     output_ports=("out",),
                 ),
                 "a": keeper("a", "p", "q"),
@@ -718,12 +738,14 @@ class TestHierarchy:
             output_ports=("y",),
         )
         _, outputs = initialize(model).step()
-        delivered = {name: [(type(m), m.port) for m in bag] for name, bag in bags.items()}
-        assert delivered == {"a": [(Message, "p"), (Message, "q")], "b": [(Message, "r")]}
-        assert [(type(m), m.port) for m in outputs] == [(Message, "y")]
+        # Each message is a 2-tuple on the renamed port, carrying the
+        # emitted object itself.
         for message in [*bags["a"], *bags["b"], *outputs]:
-            port, carried = message
-            assert carried is message.payload is payload and port == message.port
+            assert type(message) is tuple and len(message) == 2
+            assert message[1] is payload
+        delivered = {name: [port for port, _ in bag] for name, bag in bags.items()}
+        assert delivered == {"a": ["p", "q"], "b": ["r"]}
+        assert [port for port, _ in outputs] == ["y"]
 
     def test_hierarchical_select_composes_lexicographically(self):
         # inner comes before the sibling atomic at the root level, and within

@@ -18,7 +18,6 @@ from kinsim import (
     CoupledSpec,
     Coupling,
     EntityFactory,
-    Message,
     WeightedChoice,
     individual_count,
     initialize,
@@ -36,8 +35,7 @@ out_source = partial(make_source, route=lambda entity: "out", ports=("out",))
 def deliver(spec, port_payloads, elapsed=0.0, state=None):
     """Hand one external event to an atomic the way the kernel would."""
     state = spec.initial_state if state is None else state
-    bag = [Message(port, payload) for port, payload in port_payloads]
-    return spec.delta_ext(state, elapsed, bag)
+    return spec.delta_ext(state, elapsed, list(port_payloads))
 
 
 def flush(spec, state):
@@ -236,7 +234,7 @@ class TestCombiner:
         fp, mp = factory.create("FP"), factory.create("MP")
         state = deliver(spec, [("parent_in", fp), ("member_in", mp)])
         out = flush(spec, state)
-        assert [m.payload for m in out] == [fp]
+        assert [payload for _, payload in out] == [fp]
         assert fp.member is mp
         assert state.stats.processed == 1
 
@@ -271,7 +269,7 @@ class TestCombiner:
         state = deliver(spec, [("member_in", members[0]), ("member_in", members[1])])
         state = deliver(spec, [("parent_in", parents[0]), ("parent_in", parents[1])], state=state)
         out = flush(spec, state)
-        assert [m.payload for m in out] == parents
+        assert [payload for _, payload in out] == parents
         assert parents[0].member is members[0]
         assert parents[1].member is members[1]
 
@@ -296,7 +294,7 @@ class TestCombiner:
         # conservation at the object: everything in is out or held
         held = state.held_individuals()
         total_in = len(arrivals)
-        total_out = sum(individual_count(m.payload) for m in out)
+        total_out = sum(individual_count(payload) for _, payload in out)
         assert total_in == total_out + held
 
     def test_arrivals_count_each_port_married_or_waiting(self):
@@ -346,7 +344,7 @@ class TestCombiner:
         for parent in parents:
             expected += [parent.class_label] + [f"Child of {parent.id}"] * (parent.id % 3)
         assert [e.class_label for e in state.outq] == expected
-        assert [m.payload.class_label for m in flush(spec, state)] == expected
+        assert [payload.class_label for _, payload in flush(spec, state)] == expected
         assert state.stats.processed == 4  # children are not counted as marriages
         assert arrived(state) == (4, 4)  # nor as arrivals
         assert state.born == 0 + 1 + 2 + 0  # but as births
@@ -407,8 +405,8 @@ class TestCombiner:
         fp, mp = factory.create("FP"), factory.create("MP")
         state = deliver(spec, [("parent_in", fp), ("member_in", mp)])
         out = spec.output(state)
-        assert out == [Message("out", fp)]
-        assert out[0].payload.member is mp
+        [(port, couple)] = out
+        assert port == "out" and couple is fp and couple.member is mp
         assert factory.created_total == 2
         assert state.born == 0
 
@@ -504,7 +502,7 @@ class TestSplitter:
             time_advance=lambda s: 1.0 if s["left"] else INFINITY,
             delta_int=lambda s: {"left": s["left"] - per_event},
             delta_ext=lambda s, e, xs: s,
-            output=lambda s: [Message(choice.pick(), entity) for _ in range(per_event)],
+            output=lambda s: [(choice.pick(), entity) for _ in range(per_event)],
             output_ports=("a", "b"),
         )
         sinks = {"A": make_sink(), "B": make_sink()}
