@@ -16,6 +16,8 @@ Layering, bottom up:
   lays out its report, every row read off the objects' counters.
 * :mod:`kinsim.experiment` runs seeded replications and writes CSV reports;
   :mod:`kinsim.cli` exposes them as the ``kinsim`` command.
+
+The names imported below are the API that programs call.
 """
 
 __version__ = "0.1.0"
@@ -44,7 +46,6 @@ from .randomness import (
     RngStream,
     Uniform,
     make_distribution,
-    sample_discrete,
     substream,
 )
 from .objects import (
@@ -71,10 +72,6 @@ from .model import (
 from .experiment import (
     ExperimentResult,
     ReportRow,
-    csv_text,
     export_csv,
-    read_csv,
     run_experiment,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

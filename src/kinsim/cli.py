@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 config validation failure (a file that is not
 UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
-be read, an unwritable report or trace file, or one file named as both).
+be read, an unwritable report or trace file, or an output file that is the
+config or the other output).
 """
 
 from __future__ import annotations
@@ -119,9 +120,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"kinsim: cannot write report: {problem}", file=sys.stderr)
         return 2
-    if args.trace is not None and os.path.realpath(args.trace) == os.path.realpath(args.out):
-        print(f"kinsim: --out and --trace name the same file {args.out!r}", file=sys.stderr)
-        return 2
+    # No output may overwrite the config or the other output.
+    taken = {} if args.config is None else {os.path.realpath(args.config): "--config"}
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path is not None:
+            other = taken.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                print(f"kinsim: {other} and {flag} name the same file {path!r}", file=sys.stderr)
+                return 2
     try:
         result = run_experiment(config, trace_path=args.trace, jobs=args.jobs)
     except SimulationError as exc:

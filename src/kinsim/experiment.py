@@ -4,8 +4,9 @@ A report is a flat table of (object name, data source, category, statistic,
 value) rows.  Each replication contributes one integer total per
 (object, data source) pair; the aggregate carries four statistic rows per
 pair: Total (sum across replications), Mean, Min and Max.  Mean values are
-quantized to six significant digits at aggregation time so that the written
-CSV reproduces every row exactly when parsed back.
+quantized to six significant digits at aggregation time so that the CSV that
+:func:`export_csv` writes reproduces every row exactly when a CSV reader
+parses it back.
 
 Reports are byte-deterministic for a fixed config and seed: replications use
 independent derived streams, aggregation reduces in replication order, and
@@ -35,11 +36,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime
-import io
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NoReturn, Optional, Sequence, TextIO
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import __version__
 from .errors import ConfigurationError, SimulationError
@@ -74,14 +74,6 @@ class ExperimentResult:
     rows: list[ReportRow]
     per_replication: list[RunStats]
     metadata: dict = field(default_factory=dict)
-
-    def row_value(self, object_name: str, data_source: str, statistic: str) -> float:
-        for row in self.rows:
-            if (row.object_name, row.data_source, row.statistic) == (
-                object_name, data_source, statistic,
-            ):
-                return row.value
-        raise KeyError((object_name, data_source, statistic))
 
 
 def _quantize(value: float) -> float:
@@ -334,16 +326,6 @@ def _format_value(value: float) -> str:
     return format(value, ".6g")
 
 
-def _write_rows(rows: Sequence[ReportRow], fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    ordered = sorted(rows, key=lambda r: (r.object_name, r.data_source, r.statistic))
-    for row in ordered:
-        writer.writerow(
-            (row.object_name, row.data_source, row.category, row.statistic, _format_value(row.value))
-        )
-
-
 def export_csv(result: ExperimentResult, path: str) -> None:
     """Write the report as UTF-8 CSV with LF line endings.
 
@@ -351,26 +333,11 @@ def export_csv(result: ExperimentResult, path: str) -> None:
     values carry no decimal point and the rest at most six significant
     digits, so repeated exports of the same result are byte-identical.
     """
+    ordered = sorted(result.rows, key=lambda r: (r.object_name, r.data_source, r.statistic))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(result.rows, fh)
-
-
-def csv_text(result: ExperimentResult) -> str:
-    """The exact text :func:`export_csv` would write."""
-    buffer = io.StringIO()
-    _write_rows(result.rows, buffer)
-    return buffer.getvalue()
-
-
-def read_csv(path: str) -> list[ReportRow]:
-    """Parse a report CSV back into rows (inverse of :func:`export_csv`)."""
-    rows: list[ReportRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ConfigurationError(f"{path}: unexpected header {header!r}")
-        for record in reader:
-            object_name, data_source, category, statistic, value = record
-            rows.append(ReportRow(object_name, data_source, category, statistic, float(value)))
-    return rows
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in ordered:
+            writer.writerow(
+                (row.object_name, row.data_source, row.category, row.statistic, _format_value(row.value))
+            )

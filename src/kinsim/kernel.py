@@ -281,12 +281,6 @@ class SimulationHandle:
         for node in self._nodes:
             yield node.path, node.state
 
-    def state_of(self, path: str) -> Any:
-        for node in self._nodes:
-            if node.path == path:
-                return node.state
-        raise KeyError(path)
-
     def node_times(self) -> Iterator[tuple[str, Time, Time]]:
         for node, t_next in zip(self._nodes, self._t_next):
             yield node.path, node.t_last, t_next

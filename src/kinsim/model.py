@@ -141,10 +141,6 @@ class ModelConfig:
         default_factory=lambda: {"region": "", "religion": "", "commitment": ""}
     )
 
-    @classmethod
-    def default(cls) -> "ModelConfig":
-        return cls()
-
     def to_dict(self) -> dict:
         return {
             "run_length": self.run_length,
@@ -419,8 +415,8 @@ class RunStats:
     """Raw statistics of one finished replication.
 
     ``rows`` are (object name, data source, category, value) tuples in a
-    stable order; the count of a class label is its ``[Dynamic Object]``
-    row, read with :meth:`value`.  The conservation fields count
+    stable order; the count of a class label is the value of its
+    ``[Dynamic Object]`` row.  The conservation fields count
     individuals so that ``created_total == destroyed_individuals +
     held_individuals`` holds exactly at any observation instant.
     """
@@ -430,12 +426,6 @@ class RunStats:
     destroyed_individuals: int = 0
     held_individuals: int = 0
     affected_by_class: dict[str, int] = field(default_factory=dict)
-
-    def value(self, object_name: str, data_source: str) -> int:
-        for name, source, _, value in self.rows:
-            if name == object_name and source == data_source:
-                return value
-        raise KeyError((object_name, data_source))
 
 
 def collect_run_stats(handle: SimulationHandle) -> RunStats:

@@ -277,7 +277,11 @@ class DiscreteDistribution:
         self.cum_probs: tuple[float, ...] = tuple(cums)
 
     def sample(self, stream: RngStream) -> int:
-        return sample_discrete(self, stream.uniform())
+        """Value of the first entry whose cumulative probability exceeds a
+        uniform draw ``u``: the right-continuous inverse of the CDF, monotone
+        non-decreasing in ``u``.  ``u`` is below 1 and ``cum_probs`` ends at
+        exactly 1.0, so some entry always exceeds it."""
+        return self.values[bisect_right(self.cum_probs, stream.uniform())]
 
     @property
     def support(self) -> tuple[int, int]:
@@ -293,18 +297,6 @@ class DiscreteDistribution:
             and self.values == other.values
             and self.cum_probs == other.cum_probs
         )
-
-
-def sample_discrete(dist: DiscreteDistribution, u: float) -> int:
-    """Value of the first entry whose cumulative probability exceeds ``u``.
-
-    This is the right-continuous inverse of the CDF: monotone non-decreasing
-    in ``u`` on [0, 1).
-    """
-    i = bisect_right(dist.cum_probs, u)
-    if i >= len(dist.values):  # only reachable for u >= 1, outside the contract
-        i = len(dist.values) - 1
-    return dist.values[i]
 
 
 Distribution = Union[Constant, Uniform, Exponential, DiscreteDistribution]

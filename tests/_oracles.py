@@ -8,7 +8,10 @@ offspring law's moments from its percentages, and event
 schedules for constant-rate generators come from direct multiplication and
 sorting rather than an event loop.  The kernel's event
 trace, which it writes only as text, is read back with :func:`trace_rows`
-and :func:`parse_trace`.
+and :func:`parse_trace`.  The report is read off its public rows:
+:func:`stat_value` reads one replication's count, :func:`report_value` one
+aggregated statistic, and :func:`report_bytes` what :func:`~kinsim.export_csv`
+writes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Any, Sequence
 
-from kinsim import initialize
+from kinsim import export_csv, initialize
 from kinsim.errors import ConfigurationError
 
 # One trace line: (time, component path, phase, port, payload text).
@@ -199,3 +202,20 @@ def trace_rows(model, until: float) -> list[TraceRow]:
     stream = io.StringIO()
     initialize(model, trace_file=stream).run_until(until)
     return parse_trace(stream.getvalue())
+
+
+def stat_value(stats, object_name: str, data_source: str) -> int:
+    """The count of one (object, data source) row of a replication's ``RunStats``."""
+    return {(name, source): value for name, source, _, value in stats.rows}[object_name, data_source]
+
+
+def report_value(result, object_name: str, data_source: str, statistic: str) -> float:
+    """One aggregated statistic of an ``ExperimentResult``."""
+    return {(r.object_name, r.data_source, r.statistic): r.value for r in result.rows}[
+        object_name, data_source, statistic]
+
+
+def report_bytes(result, path) -> bytes:
+    """The bytes :func:`~kinsim.export_csv` writes for ``result`` at ``path``, a ``Path``."""
+    export_csv(result, str(path))
+    return path.read_bytes()

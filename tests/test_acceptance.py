@@ -22,8 +22,10 @@ from _oracles import (
     offspring_moments,
     parse_trace,
     pedigree_kinship,
+    report_value,
     route_select,
     second_cousin_parents,
+    stat_value,
     third_cousin_parents,
     trace_rows,
     unrelated_parents,
@@ -57,7 +59,7 @@ def three_sigma(p: float, n: int) -> float:
 @pytest.fixture(scope="module")
 def default_run():
     """The default experiment: 10 replications of the full model."""
-    config = ModelConfig.default()
+    config = ModelConfig()
     started = time.perf_counter()
     result = run_experiment(config)
     elapsed = time.perf_counter() - started
@@ -90,7 +92,7 @@ def test_criterion_01_kernel_hand_trace_equality():
         for t in (1.0, 2.0, 3.0, 4.0, 5.0)
         for comp, phase in (("gen", "internal"), ("acc", "external"))
     ]
-    assert handle.state_of("acc")["seen"][0] == (1.0, [0])
+    assert dict(handle.components())["acc"]["seen"][0] == (1.0, [0])
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -118,17 +120,17 @@ def test_criterion_03_marriage_flow_identity(default_run):
     _, result, _ = default_run
     for replication, stats in enumerate(result.per_replication):
         for name in ("Marriage_C", "Marriage_NC"):
-            processed = stats.value(name, "[Processed]")
-            members = stats.value(name, "[MemberInputBuffer]")
-            exits = stats.value(name, "[OutputBuffer]")
-            candidates = stats.value(name, "[ParentInputBuffer]")
+            processed = stat_value(stats, name, "[Processed]")
+            members = stat_value(stats, name, "[MemberInputBuffer]")
+            exits = stat_value(stats, name, "[OutputBuffer]")
+            candidates = stat_value(stats, name, "[ParentInputBuffer]")
             assert members == processed == exits, (replication, name)
             assert candidates >= processed, (replication, name)
     print("PASS criterion 3: members = processed = exits at drain for every marriage combiner")
 
 
 def test_criterion_04_sex_split_three_sigma():
-    config = ModelConfig.default()
+    config = ModelConfig()
     male_w, female_w = config.sex_split
     outgoing = [("male", male_w), ("female", female_w)]
     stream = substream(config.base_seed, 0).named("sex_split_acceptance")
@@ -158,9 +160,9 @@ def test_criterion_05_routing_three_sigma():
 
 def test_criterion_06_offspring_mean(default_run):
     _, result, _ = default_run
-    marriages = sum(result.row_value(name, "[Processed]", "Total")
+    marriages = sum(report_value(result, name, "[Processed]", "Total")
                     for name in ("Marriage_C", "Marriage_NC"))
-    children = sum(result.row_value(label, "[Dynamic Object]", "Total")
+    children = sum(report_value(result, label, "[Dynamic Object]", "Total")
                    for label in ("Child_C", "Child_NC"))
     assert marriages >= 8_000
     mean, second = offspring_moments()
@@ -208,7 +210,7 @@ def test_criterion_07_genetics_oracle():
 
 
 def test_criterion_08_cli_determinism(tmp_path):
-    config = ModelConfig.default()
+    config = ModelConfig()
     config.run_length = 300.0
     config.replications = 3
     config_path = tmp_path / "config.json"
@@ -244,7 +246,7 @@ def test_criterion_09_report_schema(default_run):
     assert len(roster) == 34
     for object_name, data_source in roster:
         for statistic in ("Total", "Mean", "Min", "Max"):
-            value = result.row_value(object_name, data_source, statistic)
+            value = report_value(result, object_name, data_source, statistic)
             assert value >= 0
     print(f"PASS criterion 9: all {len(roster)} roster rows present with all four statistics")
 

@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture()
 def small_config_file(tmp_path):
-    config = ModelConfig.default()
+    config = ModelConfig()
     config.run_length = 300.0
     config.replications = 3
     path = tmp_path / "config.json"
@@ -54,7 +54,7 @@ class TestValidate:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "config OK\n", "")
 
     def test_violations_exit_1(self, tmp_path, capsys):
-        config = ModelConfig.default().to_dict()
+        config = ModelConfig().to_dict()
         config["sex_split"] = {"male": 0.7, "female": 0.7}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -127,7 +127,7 @@ def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, ca
 ])
 def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     # Each of these once validated and then hung or ran silently wrong.
-    config = ModelConfig.default().to_dict()
+    config = ModelConfig().to_dict()
     *parents, key = field.split(".")
     target = config
     for name in parents:
@@ -150,7 +150,7 @@ def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     {"type": "uniform", "low": 0.0, "high": 0.0},
 ], ids=["constant-0", "constant-negative", "uniform-negative-low", "uniform-0"])
 def test_never_positive_interarrival_exit_1(interarrival, tmp_path, capsys):
-    config = ModelConfig.default().to_dict()
+    config = ModelConfig().to_dict()
     config["sources"]["WP"]["interarrival"] = interarrival
     path = tmp_path / "stuck.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -170,7 +170,7 @@ def test_zero_sex_fraction_exit_1(split, tmp_path, capsys):
     # A zero fraction once passed validation, then failed every replication
     # at the sex pick, which needs positive weights.  Both fractions lie
     # outside (0, 1), so both are named.
-    config = ModelConfig.default().to_dict()
+    config = ModelConfig().to_dict()
     config["sex_split"] = split
     path = tmp_path / "one_sex.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -316,6 +316,26 @@ class TestRun:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_output_naming_the_config_exits_2_before_running(
+            self, small_config_file, tmp_path, capsys, flag, spelling):
+        # The run would overwrite its own config with the report or the trace.
+        config = Path(small_config_file)
+        before = config.read_bytes()
+        outputs = {"--out": str(tmp_path / "r.csv"),
+                   flag: {"same": small_config_file, "dotted": f"{tmp_path}/./{config.name}"}[spelling]}
+        argv = ["run", "--config", small_config_file, "--jobs", "1"]
+        for name, path in outputs.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"kinsim: --config and {flag} name the same file")
+        assert len(captured.err.splitlines()) == 1
+        assert config.read_bytes() == before
+        assert not (tmp_path / "r.csv").exists()
+
     def test_report_refused_at_write_exits_2_with_one_line(self, small_config_file, tmp_path,
                                                            capsys, monkeypatch):
         out = tmp_path / "r.csv"
@@ -361,7 +381,7 @@ class TestRun:
         assert not out.exists()
 
     def test_invalid_config_exit_1(self, tmp_path):
-        config = ModelConfig.default().to_dict()
+        config = ModelConfig().to_dict()
         config["replications"] = 0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -383,7 +403,7 @@ class TestRemovedSubmodel:
     @pytest.mark.parametrize("name", ["MP", "FP"])
     def test_config_naming_a_submodel_source_exits_1_with_one_line(self, tmp_path, capsys,
                                                                    command, name):
-        config = ModelConfig.default().to_dict()
+        config = ModelConfig().to_dict()
         config["sources"][name] = config["sources"]["WP"]
         path = tmp_path / "old.json"
         path.write_text(json.dumps(config), encoding="utf-8")

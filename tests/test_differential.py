@@ -25,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import report_bytes
 from kinsim import (
     ConsanguinityDegree,
     ModelConfig,
     SourceSettings,
     build_consanguinity_model,
     collect_run_stats,
-    csv_text,
     initialize,
     run_experiment,
 )
@@ -59,7 +59,7 @@ interarrivals = st.one_of(
 
 @st.composite
 def configs(draw) -> ModelConfig:
-    config = ModelConfig.default()
+    config = ModelConfig()
     config.base_seed = draw(st.integers(0, 2**32 - 1))
     config.run_length = draw(st.floats(1.0, 300.0))
     config.sources["WP"] = SourceSettings(interarrival=draw(interarrivals))
@@ -121,7 +121,7 @@ F_VALUES = (0.0, 1 / 64, 1 / 16, 0.5)
 
 @cache  # both tests below read the same grid of runs
 def _run(seed, **genetics):
-    config = ModelConfig.default()
+    config = ModelConfig()
     config.base_seed = seed
     config.replications = 3
     config.run_length = 500.0
@@ -135,13 +135,14 @@ def _affected(result, label):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
-def test_genetics_parameters_leave_the_report_unchanged(seed):
-    baseline = csv_text(_run(seed))
+def test_genetics_parameters_leave_the_report_unchanged(seed, tmp_path):
+    path = tmp_path / "report.csv"
+    baseline = report_bytes(_run(seed), path)
     for degree in ConsanguinityDegree:
-        assert csv_text(_run(seed, consanguinity_degree=degree)) == baseline, degree
+        assert report_bytes(_run(seed, consanguinity_degree=degree), path) == baseline, degree
     for q in Q_VALUES:
         for f in F_VALUES:
-            assert csv_text(_run(seed, allele_frequency=q, inbreeding_f=f)) == baseline, (q, f)
+            assert report_bytes(_run(seed, allele_frequency=q, inbreeding_f=f), path) == baseline, (q, f)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])

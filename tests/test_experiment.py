@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import signal
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import report_bytes, report_value, stat_value
 from kinsim import (
     INFINITY,
     AtomicSpec,
@@ -21,19 +23,18 @@ from kinsim import (
     ModelConfig,
     ReportRow,
     build_consanguinity_model,
-    csv_text,
     export_csv,
-    read_csv,
     run_experiment,
 )
 from kinsim.errors import ConfigurationError, IllegitimateModelError, SimulationError
+from kinsim.experiment import CSV_HEADER
 from kinsim.kernel import TRACE_BATCH_LINES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_config(**overrides) -> ModelConfig:
-    config = ModelConfig.default()
+    config = ModelConfig()
     config.run_length = 300.0
     config.replications = 3
     for key, value in overrides.items():
@@ -128,20 +129,20 @@ class TestRunExperiment:
         for row in small_result.rows:
             if row.statistic != "Mean":
                 continue
-            total = small_result.row_value(row.object_name, row.data_source, "Total")
+            total = report_value(small_result, row.object_name, row.data_source, "Total")
             assert row.value == float(format(total / 3, ".6g"))
 
     def test_min_max_bracket_mean(self, small_result):
         for row in small_result.rows:
             if row.statistic != "Mean":
                 continue
-            low = small_result.row_value(row.object_name, row.data_source, "Min")
-            high = small_result.row_value(row.object_name, row.data_source, "Max")
+            low = report_value(small_result, row.object_name, row.data_source, "Min")
+            high = report_value(small_result, row.object_name, row.data_source, "Max")
             assert low <= row.value <= high
 
     def test_dynamic_object_rows_present(self, small_result):
         for label in ("Child_C", "Child_NC", "MP", "FP"):
-            assert small_result.row_value(label, "[Dynamic Object]", "Total") > 0
+            assert report_value(small_result, label, "[Dynamic Object]", "Total") > 0
 
     def test_category_vocabulary(self, small_result):
         assert {row.category for row in small_result.rows} == {"Throughput", "Content"}
@@ -154,9 +155,9 @@ class TestRunExperiment:
     def test_server_chain_monotone_per_replication(self, small_result):
         for stats in small_result.per_replication:
             for server in ("PopulationG_C", "PopulationG_NC"):
-                entered = stats.value(server, "[InputBuffer]")
-                processed = stats.value(server, "[Processed]")
-                exited = stats.value(server, "[OutputBuffer]")
+                entered = stat_value(stats, server, "[InputBuffer]")
+                processed = stat_value(stats, server, "[Processed]")
+                exited = stat_value(stats, server, "[OutputBuffer]")
                 assert entered >= processed >= exited
 
     def test_metadata_echoes_config(self, small_result):
@@ -184,7 +185,7 @@ class TestTraceFile:
     def test_trace_bytes_pinned(self, tmp_path):
         # the first line shows WP#0 under the FP label, and on the FP_C port,
         # that WP's route gave it as it emitted it
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.replications = 2
         config.run_length = 2000.0
         path = tmp_path / "events.tsv"
@@ -197,7 +198,7 @@ class TestTraceFile:
         )
 
     def test_wp_port_names_the_entry_it_feeds(self, tmp_path):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.replications = 1
         path = tmp_path / "events.tsv"
         run_experiment(config, trace_path=str(path))
@@ -244,21 +245,21 @@ class TestTraceFile:
 
 
 class TestDeterminism:
-    def test_same_config_same_bytes(self):
-        first = csv_text(run_experiment(small_config()))
-        second = csv_text(run_experiment(small_config()))
+    def test_same_config_same_bytes(self, tmp_path):
+        first = report_bytes(run_experiment(small_config()), tmp_path / "first.csv")
+        second = report_bytes(run_experiment(small_config()), tmp_path / "second.csv")
         assert first == second
 
-    def test_packaged_report_bytes_pinned(self):
+    def test_packaged_report_bytes_pinned(self, tmp_path):
         # SHA-256 of the packaged config's report at its own seed (42)
-        text = csv_text(run_experiment(ModelConfig.default()))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        data = report_bytes(run_experiment(ModelConfig()), tmp_path / "report.csv")
+        assert hashlib.sha256(data).hexdigest() == (
             "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
         )
 
-    def test_seed_changes_some_stochastic_row(self):
-        base = csv_text(run_experiment(small_config()))
-        other = csv_text(run_experiment(small_config(base_seed=7)))
+    def test_seed_changes_some_stochastic_row(self, tmp_path):
+        base = report_bytes(run_experiment(small_config()), tmp_path / "base.csv")
+        other = report_bytes(run_experiment(small_config(base_seed=7)), tmp_path / "other.csv")
         assert base != other
 
 
@@ -280,14 +281,20 @@ class TestCsv:
     def test_rows_sorted_by_object_source_statistic(self, small_result, tmp_path):
         path = tmp_path / "report.csv"
         export_csv(small_result, str(path))
-        rows = read_csv(str(path))
-        keys = [(r.object_name, r.data_source, r.statistic) for r in rows]
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        keys = [(object_name, data_source, statistic)
+                for object_name, data_source, _, statistic, _ in records]
         assert keys == sorted(keys)
 
     def test_round_trip_reproduces_rows_exactly(self, small_result, tmp_path):
         path = tmp_path / "report.csv"
         export_csv(small_result, str(path))
-        parsed = read_csv(str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *records = csv.reader(fh)
+        assert header == list(CSV_HEADER)
+        parsed = [ReportRow(object_name, data_source, category, statistic, float(value))
+                  for object_name, data_source, category, statistic, value in records]
         original = sorted(
             small_result.rows, key=lambda r: (r.object_name, r.data_source, r.statistic)
         )
@@ -308,9 +315,10 @@ class TestCsv:
             if "." in value:
                 assert float(value) != int(float(value))
 
-    def test_six_significant_digits(self):
+    def test_six_significant_digits(self, tmp_path):
         row = ReportRow("X", "[Processed]", "Throughput", "Mean", 1234.5678)
-        text = csv_text(ExperimentResult(rows=[row], per_replication=[]))
+        text = report_bytes(ExperimentResult(rows=[row], per_replication=[]),
+                            tmp_path / "one.csv").decode("utf-8")
         assert text.splitlines()[1].endswith("1234.57")
 
 
@@ -339,16 +347,16 @@ def replication_facts(result):
 
 
 class TestJobs:
-    @pytest.mark.parametrize("make_config", [ModelConfig.default, birth_heavy_config],
+    @pytest.mark.parametrize("make_config", [ModelConfig, birth_heavy_config],
                              ids=["packaged", "birth_heavy"])
-    def test_jobs_do_not_change_the_report(self, make_config):
+    def test_jobs_do_not_change_the_report(self, make_config, tmp_path):
         results = [run_experiment(make_config(), jobs=jobs) for jobs in (1, 2, 7)]
-        texts = {csv_text(result) for result in results}
+        texts = {report_bytes(result, tmp_path / "report.csv") for result in results}
         assert len(texts) == 1
         facts = [replication_facts(result) for result in results]
         assert facts[0] == facts[1] == facts[2]
 
-    def test_closure_builder_runs_in_workers(self):
+    def test_closure_builder_runs_in_workers(self, tmp_path):
         built = []
 
         def builder(config, replication):
@@ -358,7 +366,8 @@ class TestJobs:
         pooled = run_experiment(small_config(), builder=builder, jobs=2)
         # the workers build every replication; this process builds none
         assert built == []
-        assert csv_text(pooled) == csv_text(run_experiment(small_config(), jobs=1))
+        assert report_bytes(pooled, tmp_path / "pooled.csv") == report_bytes(
+            run_experiment(small_config(), jobs=1), tmp_path / "in_process.csv")
 
     def test_lowest_failing_replication_is_reported(self):
         def odd_failing_builder(config, replication):
@@ -442,10 +451,11 @@ class TestJobs:
         with pytest.raises(SimulationError, match="worker died: its result was cut short"):
             run_experiment(small_config(replications=2), builder=quitting_builder, jobs=2)
 
-    def test_uneven_split_gives_the_same_report(self):
+    def test_uneven_split_gives_the_same_report(self, tmp_path):
         # 7 replications over 3 workers: two run 2 each, one runs 3
         results = [run_experiment(small_config(replications=7), jobs=jobs) for jobs in (1, 3)]
-        assert csv_text(results[0]) == csv_text(results[1])
+        assert report_bytes(results[0], tmp_path / "one.csv") == report_bytes(
+            results[1], tmp_path / "three.csv")
         assert replication_facts(results[0]) == replication_facts(results[1])
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -502,7 +512,7 @@ class TestJobs:
         # its buffer when the workers fork
         code = (
             "from kinsim import ModelConfig, build_consanguinity_model, run_experiment\n"
-            "config = ModelConfig.default()\n"
+            "config = ModelConfig()\n"
             "config.run_length = 50.0\n"
             "config.replications = 2\n"
             "def builder(config, replication):\n"

@@ -323,7 +323,7 @@ class TestStep:
         )
         handle = initialize(model)
         t, _ = handle.step()
-        state = handle.state_of("acc")
+        state = dict(handle.components())["acc"]
         assert t == 1.0
         assert state["count"] == 1
         assert state["seen"] == [(1.0, [0])]
@@ -352,7 +352,7 @@ class TestStep:
         stream = io.StringIO()
         handle = initialize(model, trace_file=stream)
         handle.step()
-        state = handle.state_of("b")
+        state = dict(handle.components())["b"]
         assert state["elapsed"] == [1.0]
         assert state["n"] == 0  # its own internal event at t=1 was preempted
         assert internal_times(parse_trace(stream.getvalue())) == [(1.0, "a")]
@@ -630,7 +630,7 @@ class TestHierarchy:
         stream = io.StringIO()
         handle = initialize(model, trace_file=stream)
         handle.run_until(3.0)
-        assert [p for _, [p] in handle.state_of("acc")["seen"]] == [0, 1, 2]
+        assert [p for _, [p] in dict(handle.components())["acc"]["seen"]] == [0, 1, 2]
         rows = [row[1:] for row in parse_trace(stream.getvalue())]
         assert rows[:2] == [("inner/gen", "internal", "out", "0"), ("acc", "external", "x", "0")]
 
@@ -646,7 +646,7 @@ class TestHierarchy:
         )
         handle = initialize(model)
         handle.run_until(6.0)
-        assert handle.state_of("inner/acc")["count"] == 3
+        assert dict(handle.components())["inner/acc"]["count"] == 3
 
     def test_root_boundary_outputs_returned(self):
         inner = CoupledSpec(
@@ -688,8 +688,8 @@ class TestHierarchy:
         assert (t, outputs) == (1.0, [("y", 0), ("z", 0)])
         # Each receiver gets one bag, in coupling declaration order, and the
         # receivers take their external transitions in select order.
-        assert handle.state_of("sib")["seen"] == [(1.0, [0, 0])]
-        assert handle.state_of("inner/acc")["seen"] == [(1.0, [0, 0])]
+        assert dict(handle.components())["sib"]["seen"] == [(1.0, [0, 0])]
+        assert dict(handle.components())["inner/acc"]["seen"] == [(1.0, [0, 0])]
         assert [row[1:] for row in parse_trace(stream.getvalue())] == [
             ("gen", "internal", "out", "0"),
             ("inner/acc", "external", "i", "0"),
@@ -769,7 +769,7 @@ class TestHierarchy:
         # in coupled models, each cut coupling routed through boundary
         # ports, changes only the component paths of the trace.
         flat = consanguinity_trace(lambda spec: spec)
-        tree = data.draw(nestings(list(build_consanguinity_model(ModelConfig.default()).components)))
+        tree = data.draw(nestings(list(build_consanguinity_model(ModelConfig()).components)))
         nested = consanguinity_trace(lambda spec: nest(spec, tree))
         assert [(t, path.rsplit("/", 1)[-1], *rest) for t, path, *rest in nested] == flat
 
@@ -779,7 +779,7 @@ class TestHierarchy:
         # The CSV half of closure under coupling: the nested model's
         # statistics, read off its objects by the last segment of each path,
         # equal the flat model's over a whole packaged replication.
-        config = ModelConfig.default()
+        config = ModelConfig()
         tree = data.draw(nestings(list(build_consanguinity_model(config).components)))
         flat, nested = (initialize(wrap(build_consanguinity_model(config)))
                         for wrap in (lambda spec: spec, lambda spec: nest(spec, tree)))
@@ -845,7 +845,7 @@ def nest(flat: CoupledSpec, tree: list) -> CoupledSpec:
 
 def consanguinity_trace(wrap) -> list:
     """The trace rows of the packaged consanguinity model, wrapped by ``wrap``, to 300."""
-    return trace_rows(wrap(build_consanguinity_model(ModelConfig.default())), 300.0)
+    return trace_rows(wrap(build_consanguinity_model(ModelConfig())), 300.0)
 
 
 class TestTraceDump:

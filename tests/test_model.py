@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import offspring_moments
+from _oracles import offspring_moments, stat_value
 from kinsim import (
     ConsanguinityDegree,
     EntityFactory,
@@ -174,16 +174,16 @@ def run_model(builder, config, replication=0, until=None):
 
 class TestValidateConfig:
     def test_defaults_are_valid(self):
-        assert validate_config(ModelConfig.default()) == []
+        assert validate_config(ModelConfig()) == []
 
     @pytest.mark.parametrize("seed, flagged", [(0, False), (2**64 - 1, False), (-1, True), (2**64, True)])
     def test_base_seed_must_fit_64_bits(self, seed, flagged):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.base_seed = seed
         assert [v.field for v in validate_config(config)] == (["base_seed"] if flagged else [])
 
     def test_sex_split_must_sum_to_one(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.sex_split = (0.7, 0.7)
         violations = validate_config(config)
         assert any("sum to 1" in v.constraint for v in violations)
@@ -192,7 +192,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize("split", [(1.0, 0.0), (0.0, 1.0), (1.5, -0.5)])
     def test_sex_fraction_outside_open_unit_interval_flagged(self, split):
         # Each sex is a route of a weighted choice, whose weight must be positive.
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.sex_split = split
         violations = validate_config(config)
         assert [(v.field, v.constraint, v.observed) for v in violations] == [
@@ -201,14 +201,14 @@ class TestValidateConfig:
         ]
 
     def test_zero_replications_flagged(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.replications = 0
         violations = validate_config(config)
         assert [v.field for v in violations] == ["replications"]
 
     def test_weights_whose_sum_overflows_flagged(self):
         # Each weight is finite, but the branch pick's total is not.
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.routing_weights["male"] = {"consanguineous": 1e308, "non_consanguineous": 1e308}
         violations = validate_config(config)
         assert [(v.field, v.constraint) for v in violations] == [
@@ -218,7 +218,7 @@ class TestValidateConfig:
             build_consanguinity_model(config)
 
     def test_nonpositive_weight_flagged(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.routing_weights["male"]["consanguineous"] = 0.0
         violations = validate_config(config)
         assert any(v.field == "routing_weights.male.consanguineous" for v in violations)
@@ -229,7 +229,7 @@ class TestValidateConfig:
         ("routing_weights.female.non_consanguineous", math.inf),
     ])
     def test_nonfinite_number_flagged(self, field, value):
-        config = ModelConfig.default()
+        config = ModelConfig()
         if field == "run_length":
             config.run_length = value
         else:
@@ -238,7 +238,7 @@ class TestValidateConfig:
         assert [v.field for v in validate_config(config)] == [field]
 
     def test_nonfinite_interarrival_flagged(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.sources["WP"].interarrival = {"type": "constant", "value": math.nan}
         violations = validate_config(config)
         assert [(v.field, v.constraint) for v in violations] == [
@@ -254,7 +254,7 @@ class TestValidateConfig:
     ], ids=["constant-0", "constant-negative", "uniform-negative-low", "uniform-0", "discrete-0"])
     def test_never_positive_interarrival_flagged(self, interarrival):
         # each of these once validated, then spun at time 0 or failed mid-run
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.sources["WP"].interarrival = interarrival
         assert [v.field for v in validate_config(config)] == ["sources.WP.interarrival"]
 
@@ -264,35 +264,35 @@ class TestValidateConfig:
         {"type": "discrete", "pairs": [[0, 0.5], [1, 1.0]]},
     ])
     def test_interarrival_that_can_be_0_but_not_always_passes(self, interarrival):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.sources["WP"].interarrival = interarrival
         assert validate_config(config) == []
 
     def test_bad_offspring_distribution_flagged(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.offspring_distribution = {"type": "discrete", "pairs": [[0, 0.5], [1, 0.8]]}
         violations = validate_config(config)
         assert any(v.field == "offspring_distribution" for v in violations)
 
     def test_allele_frequency_range_flagged(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.allele_frequency = 1.5
         assert any(v.field == "allele_frequency" for v in validate_config(config))
 
     def test_missing_source_flagged(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         del config.sources["WP"]
         assert any(v.field == "sources.WP" for v in validate_config(config))
 
     def test_violations_carry_observed_values(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = -3.0
         violation = validate_config(config)[0]
         assert violation.observed == -3.0
         assert "run_length" in str(violation)
 
     def test_config_round_trips_through_dict(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.consanguinity_degree = ConsanguinityDegree.SECOND_COUSIN
         config.inbreeding_f = 0.03
         restored = ModelConfig.from_dict(config.to_dict())
@@ -376,7 +376,7 @@ class TestReportRowPins:
     between the steps of one instant."""
 
     def test_population_growth_rows(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 200.0
         stats = run_model(build_consanguinity_model, config)
         assert growth_chain_rows(stats) == [
@@ -408,10 +408,10 @@ class TestReportRowPins:
         assert stats.affected_by_class == {}
 
     def test_rows_between_steps_with_output_waiting(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         handle = initialize(build_consanguinity_model(config))
         handle.run_until(100.0)
-        marriage = handle.state_of("Marriage_C")
+        marriage = dict(handle.components())["Marriage_C"]
         while len(marriage.outq) < 2:
             handle.step()
         # the couple married at 123 is processed, and it and its two
@@ -446,10 +446,11 @@ class TestReportRowPins:
         # held: the couple (2) and its children (2) at the combiner, the
         # 33 - 13 and 50 - 27 males still unmarried at the combiners, and
         # the next individual, which the source holds until 124
-        assert (stats.value("Path7", "[Travelers]"), stats.value("Path8", "[Travelers]")) == (33, 50)
+        assert (stat_value(stats, "Path7", "[Travelers]"),
+                stat_value(stats, "Path8", "[Travelers]")) == (33, 50)
         # 123 individuals emitted, by 123: 83 males and 40 females, married
         # or waiting at the combiners
-        assert [(label, stats.value(label, "[Dynamic Object]")) for label in ("WP", "MP", "FP")] == [
+        assert [(label, stat_value(stats, label, "[Dynamic Object]")) for label in ("WP", "MP", "FP")] == [
             ("WP", 123), ("MP", 83), ("FP", 40)]
         assert stats.held_individuals == 4 + 20 + 23 + 1
         assert (stats.created_total, stats.destroyed_individuals) == (206, 158)
@@ -461,15 +462,15 @@ class TestPopulationGrowthModel:
     the consanguinity model runs."""
 
     def test_two_children_per_marriage_hand_trace(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.offspring_distribution = {"type": "discrete", "pairs": [[2, 1.0]]}
         stats = run_model(build_consanguinity_model, config, until=50.0)
-        marriages = {tag: stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES}
+        marriages = {tag: stat_value(stats, f"Marriage_{tag}", "[Processed]") for tag in BRANCHES}
         assert marriages == {"C": 5, "NC": 11}
         for tag in BRANCHES:
-            assert stats.value(f"Child_{tag}", "[Dynamic Object]") == 2 * marriages[tag]
+            assert stat_value(stats, f"Child_{tag}", "[Dynamic Object]") == 2 * marriages[tag]
             # the sink destroys each couple and its two children as flowing units
-            assert stats.value(f"NewPopulation_{tag}", "[InputBuffer]") == 3 * marriages[tag]
+            assert stat_value(stats, f"NewPopulation_{tag}", "[InputBuffer]") == 3 * marriages[tag]
         # each couple carries its member, so 4 individuals per marriage were destroyed
         assert stats.destroyed_individuals == 4 * (5 + 11)
         assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
@@ -477,7 +478,7 @@ class TestPopulationGrowthModel:
     def test_each_marriage_event_is_delivered_whole_to_its_sink(self):
         # The combiner's internal event emits each couple with its children
         # behind it, and the branch's sink receives exactly those, in order.
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 300.0
         trace = io.StringIO()
         initialize(build_consanguinity_model(config), trace_file=trace).run_until(config.run_length)
@@ -500,33 +501,33 @@ class TestPopulationGrowthModel:
             marriages += sum(payload.startswith("FP#") for _, payload in lines)
             children += sum(payload.startswith(f"Child_{tag}#") for _, payload in lines)
         stats = run_model(build_consanguinity_model, config)
-        assert marriages == sum(stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
-        assert children == sum(stats.value(f"Child_{tag}", "[Dynamic Object]") for tag in BRANCHES)
+        assert marriages == sum(stat_value(stats, f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
+        assert children == sum(stat_value(stats, f"Child_{tag}", "[Dynamic Object]") for tag in BRANCHES)
         assert marriages > 0 and children > 0
 
     def test_empty_run_when_sources_capped_at_zero(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.sources["WP"].max_arrivals = 0
         stats = run_model(build_consanguinity_model, config, until=50.0)
         assert stats.created_total == 0
         for tag in BRANCHES:
-            assert stats.value(f"Marriage_{tag}", "[Processed]") == 0
+            assert stat_value(stats, f"Marriage_{tag}", "[Processed]") == 0
         assert stats.destroyed_individuals == 0
         assert stats.held_individuals == 0
 
     def test_offspring_mean_near_2_12(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 2000.0
         stats = run_model(build_consanguinity_model, config)
-        marriages = sum(stats.value(f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
-        children = sum(stats.value(f"Child_{tag}", "[Dynamic Object]") for tag in BRANCHES)
+        marriages = sum(stat_value(stats, f"Marriage_{tag}", "[Processed]") for tag in BRANCHES)
+        children = sum(stat_value(stats, f"Child_{tag}", "[Dynamic Object]") for tag in BRANCHES)
         assert marriages == 316 + 504
         mean, second = offspring_moments()
         sd = math.sqrt(second - mean * mean)
         assert abs(children / marriages - mean) <= 3 * sd / math.sqrt(marriages)
 
     def test_structure(self):
-        spec = build_consanguinity_model(ModelConfig.default())
+        spec = build_consanguinity_model(ModelConfig())
         for tag in BRANCHES:
             chain = [f"Marriage_{tag}", f"NewPopulation_{tag}"]
             states = [type(spec.components[name].initial_state) for name in chain]
@@ -537,7 +538,7 @@ class TestPopulationGrowthModel:
 
 class TestConsanguinityModel:
     def test_structure_matches_roster(self):
-        spec = build_consanguinity_model(ModelConfig.default())
+        spec = build_consanguinity_model(ModelConfig())
         by_type = {}
         for component in spec.components.values():
             by_type.setdefault(type(component.initial_state), 0)
@@ -550,14 +551,14 @@ class TestConsanguinityModel:
         assert spec.select is None  # the order of the components
 
     def test_travelers_rows_are_the_fourteen_paths(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 50.0
         stats = run_model(build_consanguinity_model, config)
         legs = [(name, category) for name, source, category, _ in stats.rows if source == "[Travelers]"]
         assert legs == [(f"Path{i}", "Throughput") for i in range(1, 15)]
 
     def test_source_feeds_the_four_combiner_entries_through_two_picks(self):
-        spec = build_consanguinity_model(ModelConfig.default())
+        spec = build_consanguinity_model(ModelConfig())
         assert spec.components["WP"].output_ports == ("MP_C", "MP_NC", "FP_C", "FP_NC")
         from_wp = [c for c in spec.couplings if c.src == "WP"]
         assert [(c.src_port, c.dst, c.dst_port) for c in from_wp] == [
@@ -566,73 +567,73 @@ class TestConsanguinityModel:
         ]
 
     def test_leg_flow_identities_at_drain(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 800.0
         stats = run_model(build_consanguinity_model, config)
-        legs = {i: stats.value(f"Path{i}", "[Travelers]") for i in range(1, 15)}
-        assert legs[1] == stats.value("MP", "[Dynamic Object]")
+        legs = {i: stat_value(stats, f"Path{i}", "[Travelers]") for i in range(1, 15)}
+        assert legs[1] == stat_value(stats, "MP", "[Dynamic Object]")
         assert legs[3] + legs[4] == legs[1]
         assert legs[3] == legs[7]
-        assert legs[13] == stats.value("NewPopulation_C", "[InputBuffer]")
+        assert legs[13] == stat_value(stats, "NewPopulation_C", "[InputBuffer]")
 
     def test_conservation_exact_across_replications(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 500.0
         for replication in range(3):
             stats = run_model(build_consanguinity_model, config, replication)
             assert stats.created_total == stats.destroyed_individuals + stats.held_individuals
 
     def test_marriage_flow_identity_at_drain(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 800.0
         stats = run_model(build_consanguinity_model, config)
         for name in ("Marriage_C", "Marriage_NC"):
-            processed = stats.value(name, "[Processed]")
-            assert stats.value(name, "[MemberInputBuffer]") == processed
-            assert stats.value(name, "[OutputBuffer]") == processed
-            assert stats.value(name, "[ParentInputBuffer]") >= processed
+            processed = stat_value(stats, name, "[Processed]")
+            assert stat_value(stats, name, "[MemberInputBuffer]") == processed
+            assert stat_value(stats, name, "[OutputBuffer]") == processed
+            assert stat_value(stats, name, "[ParentInputBuffer]") >= processed
 
     def test_marriages_equal_min_of_delivered_sides(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 600.0
         stats = run_model(build_consanguinity_model, config)
         # members delivered via Path7/Path8, parents via Path9/Path10
-        assert stats.value("Marriage_C", "[Processed]") == min(
-            stats.value("Path7", "[Travelers]"), stats.value("Path9", "[Travelers]")
+        assert stat_value(stats, "Marriage_C", "[Processed]") == min(
+            stat_value(stats, "Path7", "[Travelers]"), stat_value(stats, "Path9", "[Travelers]")
         )
-        assert stats.value("Marriage_NC", "[Processed]") == min(
-            stats.value("Path8", "[Travelers]"), stats.value("Path10", "[Travelers]")
+        assert stat_value(stats, "Marriage_NC", "[Processed]") == min(
+            stat_value(stats, "Path8", "[Travelers]"), stat_value(stats, "Path10", "[Travelers]")
         )
 
     def test_sex_split_and_branch_fractions_within_3_sigma(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 2000.0
         stats = run_model(build_consanguinity_model, config)
-        total = stats.value("WP", "[Dynamic Object]")
-        males = stats.value("MP", "[Dynamic Object]")
-        females = stats.value("FP", "[Dynamic Object]")
+        total = stat_value(stats, "WP", "[Dynamic Object]")
+        males = stat_value(stats, "MP", "[Dynamic Object]")
+        females = stat_value(stats, "FP", "[Dynamic Object]")
         assert males + females == total
         assert abs(males / total - 0.595) <= 3 * math.sqrt(0.595 * 0.405 / total)
-        mp_c = stats.value("Path3", "[Travelers]")
-        fp_c = stats.value("Path5", "[Travelers]")
+        mp_c = stat_value(stats, "Path3", "[Travelers]")
+        fp_c = stat_value(stats, "Path5", "[Travelers]")
         sigma_m = math.sqrt(MALE_C_FRACTION * (1 - MALE_C_FRACTION) / males)
         sigma_f = math.sqrt(FEMALE_C_FRACTION * (1 - FEMALE_C_FRACTION) / females)
         assert abs(mp_c / males - MALE_C_FRACTION) <= 3 * sigma_m
         assert abs(fp_c / females - FEMALE_C_FRACTION) <= 3 * sigma_f
 
     def test_vanishing_consanguineous_weight_empties_branch(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 1000.0
         config.routing_weights["male"]["consanguineous"] = 1e-9
         config.routing_weights["female"]["consanguineous"] = 1e-9
         stats = run_model(build_consanguinity_model, config)
-        assert stats.value("Marriage_C", "[Processed]") == 0
+        assert stat_value(stats, "Marriage_C", "[Processed]") == 0
         with pytest.raises(KeyError):  # no Child_C was born, so it has no row
-            stats.value("Child_C", "[Dynamic Object]")
-        assert stats.value("Marriage_NC", "[Processed]") > 0
+            stat_value(stats, "Child_C", "[Dynamic Object]")
+        assert stat_value(stats, "Marriage_NC", "[Processed]") > 0
 
     def test_growth_triggers_assign_branch_specific_risk(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.consanguinity_degree = ConsanguinityDegree.SECOND_COUSIN
         config.allele_frequency = 0.5
         spec = build_consanguinity_model(config)
@@ -644,7 +645,7 @@ class TestConsanguinityModel:
         assert nc == draws_below(config, "nonconsanguineous", len(nc), 0.0)
 
     def test_inbreeding_override_reaches_trigger(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.inbreeding_f = 0.5
         config.allele_frequency = 0.5
         spec = build_consanguinity_model(config)
@@ -654,13 +655,13 @@ class TestConsanguinityModel:
     def test_prevalence_separates_branches_with_exaggerated_parameters(self):
         # f=1 and q=0.3 give affected rates 0.3 (consanguineous) vs 0.09;
         # exercises the full pipeline end to end, including stream isolation.
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 3000.0
         config.allele_frequency = 0.3
         config.inbreeding_f = 1.0
         stats = run_model(build_consanguinity_model, config)
-        children_c = stats.value("Child_C", "[Dynamic Object]")
-        children_nc = stats.value("Child_NC", "[Dynamic Object]")
+        children_c = stat_value(stats, "Child_C", "[Dynamic Object]")
+        children_nc = stat_value(stats, "Child_NC", "[Dynamic Object]")
         rate_c = stats.affected_by_class.get("Child_C", 0) / children_c
         rate_nc = stats.affected_by_class.get("Child_NC", 0) / children_nc
         assert abs(rate_c - 0.30) <= 3 * math.sqrt(0.30 * 0.70 / children_c)
@@ -668,13 +669,13 @@ class TestConsanguinityModel:
         assert rate_c > rate_nc
 
     def test_invalid_config_raises_at_build(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.replications = 0
         with pytest.raises(ConfigurationError):
             build_consanguinity_model(config)
 
     def test_replications_are_statistically_distinct_but_reproducible(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 300.0
         a0 = run_model(build_consanguinity_model, config, replication=0)
         a1 = run_model(build_consanguinity_model, config, replication=1)
@@ -683,7 +684,7 @@ class TestConsanguinityModel:
         assert a0.rows != a1.rows
 
     def test_per_object_balances_at_end_of_run(self):
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 400.0
         handle = initialize(build_consanguinity_model(config))
         handle.run_until(config.run_length)
@@ -692,7 +693,7 @@ class TestConsanguinityModel:
         arrivals = {"Marriage_C": ("Path7", "Path9"), "Marriage_NC": ("Path8", "Path10")}
         for name, state in handle.components():
             if isinstance(state, CombinerState):
-                arrived = sum(stats.value(leg, "[Travelers]") for leg in arrivals[name])
+                arrived = sum(stat_value(stats, leg, "[Travelers]") for leg in arrivals[name])
                 carried_out = state.stats.processed * 2  # a parent and its member
                 assert not state.outq, name  # zero-time: all left by the end
                 assert arrived == carried_out + state.held_individuals(), name
@@ -702,7 +703,7 @@ class TestConsanguinityModel:
         # same stream at every share, so a larger C share moves individuals
         # from NC to C only: per replication, C marriages never fall and NC
         # marriages never rise.  Affected counts are not monotone.
-        config = ModelConfig.default()
+        config = ModelConfig()
         config.run_length = 300.0
         marriages = []
         for share in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8):
@@ -710,8 +711,8 @@ class TestConsanguinityModel:
                 config.routing_weights[sex] = {"consanguineous": share,
                                                "non_consanguineous": 1.0 - share}
             runs = [run_model(build_consanguinity_model, config, r) for r in range(5)]
-            marriages.append([(stats.value("Marriage_C", "[Processed]"),
-                               stats.value("Marriage_NC", "[Processed]")) for stats in runs])
+            marriages.append([(stat_value(stats, "Marriage_C", "[Processed]"),
+                               stat_value(stats, "Marriage_NC", "[Processed]")) for stats in runs])
         for lower, higher in zip(marriages, marriages[1:]):
             for (c0, nc0), (c1, nc1) in zip(lower, higher):
                 assert c0 <= c1 and nc0 >= nc1
@@ -746,7 +747,7 @@ class TestInterarrivalLaw:
         ]
         routes = []
         for law in laws:
-            config = ModelConfig.default()
+            config = ModelConfig()
             config.base_seed = seed
             # long enough for all the arrivals: the uniform law needs at most 60
             config.run_length = 200.0

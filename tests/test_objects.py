@@ -146,7 +146,7 @@ class TestSource:
             )
             handle = initialize(model, t0)
             handle.run_until(20.0)
-            return handle.state_of("got")["seen"]
+            return dict(handle.components())["got"]["seen"]
 
         assert emission_times(2.0, 0.0) == [2.0, 4.0, 6.0]
         # the source keeps no clock of its own: the kernel's start time counts

@@ -16,7 +16,6 @@ from kinsim import (
     RngStream,
     Uniform,
     make_distribution,
-    sample_discrete,
     substream,
 )
 from kinsim.errors import ConfigurationError
@@ -30,6 +29,21 @@ OFFSPRING = DiscreteDistribution(OFFSPRING_PAIRS)
 def draws(stream: RngStream, n: int) -> np.ndarray:
     """The next ``n`` uniform draws of ``stream``, as an array."""
     return np.array([stream.uniform() for _ in range(n)])
+
+
+class FixedStream:
+    """A stand-in for an :class:`RngStream` whose every draw is ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def uniform(self) -> float:
+        return self.u
+
+
+def sample_at(dist: DiscreteDistribution, u: float) -> int:
+    """What ``dist.sample`` gives when the stream's draw is ``u``."""
+    return dist.sample(FixedStream(u))
 
 
 class TestSampleDiscrete:
@@ -50,18 +64,24 @@ class TestSampleDiscrete:
         ],
     )
     def test_cumulative_scan(self, u, expected):
-        assert sample_discrete(OFFSPRING, u) == expected
+        assert sample_at(OFFSPRING, u) == expected
+
+    def test_largest_draw_gives_the_last_value(self):
+        # A stream's draws are below 1, and the largest, 1 - 2**-53, still
+        # lies below the closing cumulative probability of exactly 1.0.
+        assert sample_at(OFFSPRING, 1.0 - 2.0 ** -53) == 5
+        assert sample_at(DiscreteDistribution([(0, 0.5), (1, 1.0 - 5e-13)]), 1.0 - 2.0 ** -53) == 1
 
     def test_single_entry_always_selected(self):
         dist = DiscreteDistribution([(7, 1.0)])
         for u in (0.0, 0.3, 0.999999):
-            assert sample_discrete(dist, u) == 7
+            assert sample_at(dist, u) == 7
 
     @given(st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False))
     def test_matches_searchsorted(self, u):
         # Cross-check against numpy's independent inverse-CDF lookup.
         expected = OFFSPRING.values[int(np.searchsorted(OFFSPRING.cum_probs, u, side="right"))]
-        assert sample_discrete(OFFSPRING, u) == expected
+        assert sample_at(OFFSPRING, u) == expected
 
     @given(
         st.floats(min_value=0.0, max_value=0.999999, allow_nan=False),
@@ -69,7 +89,7 @@ class TestSampleDiscrete:
     )
     def test_monotone_in_u(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert sample_discrete(OFFSPRING, lo) <= sample_discrete(OFFSPRING, hi)
+        assert sample_at(OFFSPRING, lo) <= sample_at(OFFSPRING, hi)
 
 
 class TestDiscreteValidation:
@@ -110,7 +130,7 @@ class TestDiscreteValidation:
         # and the scalar sampler agrees with the vectorized tally pointwise
         for u in us[:2000]:
             expected = OFFSPRING.values[int(np.searchsorted(OFFSPRING.cum_probs, u, side="right"))]
-            assert sample_discrete(OFFSPRING, float(u)) == expected
+            assert sample_at(OFFSPRING, float(u)) == expected
 
 
 class TestStreams:
