@@ -10,8 +10,8 @@ Layering, bottom up:
   atomics that keep counters; a source routes what it emits, for instance
   with weighted picks, and a combiner's trigger gives each couple its
   offspring as it marries them.
-* :mod:`kinsim.genetics` maps cousin degree to an inbreeding coefficient and
-  a per-birth disorder probability.
+* :mod:`kinsim.genetics` holds one table, cousin degree to inbreeding
+  coefficient, and the formula for the per-birth disorder probability.
 * :mod:`kinsim.model` holds the config, wires the consanguinity model and
   lays out its report, every row read off the objects' counters.
 * :mod:`kinsim.experiment` runs seeded replications and writes CSV reports;
@@ -54,12 +54,7 @@ from .objects import (
     make_sink,
     make_source,
 )
-from .genetics import (
-    ConsanguinityDegree,
-    disorder_probability,
-    disorder_risk,
-    inbreeding_coefficient,
-)
+from .genetics import INBREEDING_COEFFICIENTS, disorder_probability
 from .model import (
     ModelConfig,
     RunStats,

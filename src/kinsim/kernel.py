@@ -242,6 +242,8 @@ class SimulationHandle:
         t0: Time,
         trace_file: TextIO | None,
     ) -> None:
+        if not math.isfinite(t0):  # a NaN or infinite clock never advances
+            raise SimulationError(f"a simulation needs a finite start time, got {t0}")
         atoms: list[tuple[tuple[int, ...], str, AtomicSpec]] = []
         edges: dict[Endpoint, list[Endpoint]] = {}
         _flatten(model, "", (), atoms, edges)
@@ -440,8 +442,6 @@ def initialize(
     built model as single-use: construct a fresh spec per run, as the model
     builders do.
     """
-    if not math.isfinite(t0):  # a NaN or infinite clock never advances
-        raise SimulationError(f"initialize needs a finite start time, got {t0}")
     return SimulationHandle(model, t0, trace_file)
 
 

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Optional
 
 from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
-from .genetics import ConsanguinityDegree, disorder_risk
+from .genetics import INBREEDING_COEFFICIENTS, disorder_probability
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
 from .objects import ProcessedTrigger, WeightedChoice, make_combiner, make_sink, make_source
 from .randomness import DiscreteDistribution, RngStream, make_distribution, read_number, substream
@@ -119,10 +119,11 @@ class ModelConfig:
     ``sex_split`` is the (male, female) fraction pair, a ``{"male",
     "female"}`` mapping in the JSON form; ``routing_weights`` carries the
     per-sex path weights for the consanguineous and non-consanguineous
-    branches.  ``inbreeding_f``, when set, overrides the
-    coefficient implied by ``consanguinity_degree`` for the consanguineous
-    branch.  ``metadata`` holds free-text experiment-frame labels (region,
-    religion, commitment) that do not influence the dynamics.
+    branches.  ``consanguinity_degree`` names a key of
+    :data:`~kinsim.genetics.INBREEDING_COEFFICIENTS`; ``inbreeding_f``, when
+    set, overrides its coefficient for the consanguineous branch.
+    ``metadata`` holds free-text experiment-frame labels (region, religion,
+    commitment) that do not influence the dynamics.
     """
 
     run_length: float = 2000.0
@@ -135,7 +136,7 @@ class ModelConfig:
         default_factory=lambda: {"type": "discrete", "pairs": [list(p) for p in DEFAULT_OFFSPRING_PAIRS]}
     )
     allele_frequency: float = 0.01
-    consanguinity_degree: ConsanguinityDegree = ConsanguinityDegree.FIRST_COUSIN
+    consanguinity_degree: str = "first_cousin"
     inbreeding_f: Optional[float] = None
     metadata: dict[str, str] = field(
         default_factory=lambda: {"region": "", "religion": "", "commitment": ""}
@@ -151,7 +152,7 @@ class ModelConfig:
             "routing_weights": {sex: dict(w) for sex, w in self.routing_weights.items()},
             "offspring_distribution": dict(self.offspring_distribution),
             "allele_frequency": self.allele_frequency,
-            "consanguinity_degree": self.consanguinity_degree.value,
+            "consanguinity_degree": self.consanguinity_degree,
             "inbreeding_f": self.inbreeding_f,
             "metadata": dict(self.metadata),
         }
@@ -188,14 +189,17 @@ class ModelConfig:
         return config
 
 
-def _parse_degree(raw) -> ConsanguinityDegree:
-    try:
-        return ConsanguinityDegree(raw)
-    except ValueError:
-        names = [d.value for d in ConsanguinityDegree]
-        raise ConfigurationError(
-            f"unknown consanguinity_degree {raw!r}; expected one of {names}"
-        ) from None
+# The degree names a config may give, checked at parse and by
+# validate_config.  A list, not the table, so that an unhashable value
+# compares unequal to each name instead of raising TypeError.
+_DEGREES = list(INBREEDING_COEFFICIENTS)
+_DEGREE_RULE = f"must be one of {_DEGREES}"
+
+
+def _parse_degree(raw) -> str:
+    if raw not in _DEGREES:
+        raise ValueError(f"{_DEGREE_RULE} (got {raw!r})")
+    return raw
 
 
 # ModelConfig field -> parser of its JSON value, in parse order.
@@ -303,6 +307,8 @@ def validate_config(config: ModelConfig) -> list[Violation]:
             )
     except ConfigurationError as exc:
         violations.append(Violation("offspring_distribution", "must be a valid distribution", str(exc)))
+    if config.consanguinity_degree not in _DEGREES:
+        violations.append(Violation("consanguinity_degree", _DEGREE_RULE, config.consanguinity_degree))
     if not 0.0 <= config.allele_frequency <= 1.0:
         violations.append(Violation("allele_frequency", "must lie in [0, 1]", config.allele_frequency))
     if config.inbreeding_f is not None and not 0.0 <= config.inbreeding_f <= 1.0:
@@ -362,8 +368,14 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)
 
-    def marriage(tag, stem, degree, override=None):
-        p = disorder_risk(degree, config.allele_frequency, inbreeding_override=override)
+    # The consanguineous branch's f is inbreeding_f when it is set, else its
+    # degree's coefficient; the other branch's parents are unrelated, f = 0.
+    q = config.allele_frequency
+    f = config.inbreeding_f
+    if f is None:
+        f = INBREEDING_COEFFICIENTS[config.consanguinity_degree]
+
+    def marriage(tag, stem, p):
         return make_combiner(birth_trigger(f"Child_{tag}", factory, offspring_dist,
                                            root.named(f"offspring_{stem}"), p,
                                            root.named(f"disorder_{stem}")))
@@ -386,8 +398,8 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "WP": make_source("WP", make_distribution(wp.interarrival), wp.max_arrivals,
                           factory=factory, stream=root.named("wp_interarrival"), route=route,
                           ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
-        "Marriage_C": marriage("C", "consanguineous", config.consanguinity_degree, config.inbreeding_f),
-        "Marriage_NC": marriage("NC", "nonconsanguineous", ConsanguinityDegree.UNRELATED),
+        "Marriage_C": marriage("C", "consanguineous", disorder_probability(q, f)),
+        "Marriage_NC": marriage("NC", "nonconsanguineous", disorder_probability(q, 0.0)),
         "NewPopulation_C": make_sink(),
         "NewPopulation_NC": make_sink(),
     }

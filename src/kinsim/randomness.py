@@ -291,13 +291,6 @@ class DiscreteDistribution:
         pairs = ", ".join(f"{v}:{c}" for v, c in zip(self.values, self.cum_probs))
         return f"DiscreteDistribution({pairs})"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DiscreteDistribution)
-            and self.values == other.values
-            and self.cum_probs == other.cum_probs
-        )
-
 
 Distribution = Union[Constant, Uniform, Exponential, DiscreteDistribution]
 

@@ -31,14 +31,12 @@ from _oracles import (
     unrelated_parents,
 )
 from kinsim import (
-    ConsanguinityDegree,
+    INBREEDING_COEFFICIENTS,
     CoupledSpec,
     DiscreteDistribution,
     EntityFactory,
     ModelConfig,
     disorder_probability,
-    disorder_risk,
-    inbreeding_coefficient,
     initialize,
     run_experiment,
     substream,
@@ -181,8 +179,8 @@ def test_criterion_07_genetics_oracle():
     n = 1_000_000
     factory = EntityFactory()
     cases = (
-        ("Child_C", ConsanguinityDegree.FIRST_COUSIN, disorder_probability(q, 1 / 16)),
-        ("Child_NC", ConsanguinityDegree.UNRELATED, q * q),
+        ("Child_C", "first_cousin", disorder_probability(q, 1 / 16)),
+        ("Child_NC", "unrelated", q * q),
     )
     assert disorder_probability(q, 1 / 16) == pytest.approx(0.00071875, rel=1e-12)
     # the model's birth trigger, 1 000 children per couple
@@ -190,7 +188,7 @@ def test_criterion_07_genetics_oracle():
     for label, degree, p in cases:
         stream = substream(826, 0).named(f"disorder_{label}")
         births = birth_trigger(label, factory, thousand, substream(826, 1),
-                               disorder_risk(degree, q), stream)
+                               disorder_probability(q, INBREEDING_COEFFICIENTS[degree]), stream)
         parent = factory.create("FP")
         affected = 0
         for _ in range(n // 1000):
@@ -253,18 +251,19 @@ def test_criterion_09_report_schema(default_run):
 
 def test_criterion_10_inbreeding_table_against_pedigree_oracle():
     oracle_cases = (
-        (ConsanguinityDegree.UNRELATED, unrelated_parents),
-        (ConsanguinityDegree.FIRST_COUSIN, first_cousin_parents),
-        (ConsanguinityDegree.FIRST_COUSIN_ONCE_REMOVED, first_cousin_once_removed_parents),
-        (ConsanguinityDegree.SECOND_COUSIN, second_cousin_parents),
-        (ConsanguinityDegree.THIRD_COUSIN, third_cousin_parents),
+        ("unrelated", unrelated_parents),
+        ("first_cousin", first_cousin_parents),
+        ("first_cousin_once_removed", first_cousin_once_removed_parents),
+        ("second_cousin", second_cousin_parents),
+        ("third_cousin", third_cousin_parents),
     )
+    assert sorted(INBREEDING_COEFFICIENTS) == sorted(degree for degree, _ in oracle_cases)
     for degree, make_parents in oracle_cases:
         father, mother = make_parents()
         oracle = pedigree_kinship(father, mother)
-        assert inbreeding_coefficient(degree) == float(oracle), degree
-    first = inbreeding_coefficient(ConsanguinityDegree.FIRST_COUSIN)
-    assert first == 4 * inbreeding_coefficient(ConsanguinityDegree.SECOND_COUSIN)
-    assert inbreeding_coefficient(ConsanguinityDegree.FIRST_COUSIN_ONCE_REMOVED) == first / 2
+        assert INBREEDING_COEFFICIENTS[degree] == float(oracle), degree
+    first = INBREEDING_COEFFICIENTS["first_cousin"]
+    assert first == 4 * INBREEDING_COEFFICIENTS["second_cousin"]
+    assert INBREEDING_COEFFICIENTS["first_cousin_once_removed"] == first / 2
     assert Fraction(1, 16) == pedigree_kinship(*first_cousin_parents())
     print("PASS criterion 10: degree table equals the pedigree path-counting oracle")

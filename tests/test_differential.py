@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from _oracles import report_bytes
 from kinsim import (
-    ConsanguinityDegree,
+    INBREEDING_COEFFICIENTS,
     ModelConfig,
     SourceSettings,
     build_consanguinity_model,
@@ -72,7 +72,7 @@ def configs(draw) -> ModelConfig:
     config.offspring_distribution = draw(offspring_tables())
     config.allele_frequency = draw(st.floats(0.0, 1.0))
     config.inbreeding_f = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
-    config.consanguinity_degree = draw(st.sampled_from(list(ConsanguinityDegree)))
+    config.consanguinity_degree = draw(st.sampled_from(list(INBREEDING_COEFFICIENTS)))
     return config
 
 
@@ -138,7 +138,7 @@ def _affected(result, label):
 def test_genetics_parameters_leave_the_report_unchanged(seed, tmp_path):
     path = tmp_path / "report.csv"
     baseline = report_bytes(_run(seed), path)
-    for degree in ConsanguinityDegree:
+    for degree in INBREEDING_COEFFICIENTS:
         assert report_bytes(_run(seed, consanguinity_degree=degree), path) == baseline, degree
     for q in Q_VALUES:
         for f in F_VALUES:

@@ -19,18 +19,18 @@ from _oracles import (
     unrelated_parents,
 )
 from kinsim import (
-    ConsanguinityDegree,
+    INBREEDING_COEFFICIENTS,
     DiscreteDistribution,
     EntityFactory,
+    ModelConfig,
+    build_consanguinity_model,
     disorder_probability,
-    disorder_risk,
-    inbreeding_coefficient,
     substream,
 )
 from kinsim.errors import ConfigurationError
 from kinsim.model import birth_trigger
 
-D = ConsanguinityDegree
+F = INBREEDING_COEFFICIENTS
 
 # Every couple has exactly one child.
 ONE_CHILD = DiscreteDistribution([(1, 1.0)])
@@ -40,34 +40,34 @@ class TestInbreedingTable:
     @pytest.mark.parametrize(
         "degree,parents",
         [
-            (D.UNRELATED, unrelated_parents),
-            (D.FIRST_COUSIN, first_cousin_parents),
-            (D.FIRST_COUSIN_ONCE_REMOVED, first_cousin_once_removed_parents),
-            (D.SECOND_COUSIN, second_cousin_parents),
-            (D.THIRD_COUSIN, third_cousin_parents),
+            ("unrelated", unrelated_parents),
+            ("first_cousin", first_cousin_parents),
+            ("first_cousin_once_removed", first_cousin_once_removed_parents),
+            ("second_cousin", second_cousin_parents),
+            ("third_cousin", third_cousin_parents),
         ],
     )
     def test_matches_pedigree_path_counting(self, degree, parents):
         father, mother = parents()
         oracle = pedigree_kinship(father, mother)
-        assert inbreeding_coefficient(degree) == float(oracle)
+        assert F[degree] == float(oracle)
 
     def test_expected_exact_values(self):
-        assert inbreeding_coefficient(D.FIRST_COUSIN) == 1 / 16
-        assert inbreeding_coefficient(D.FIRST_COUSIN_ONCE_REMOVED) == 1 / 32
-        assert inbreeding_coefficient(D.SECOND_COUSIN) == 1 / 64
-        assert inbreeding_coefficient(D.THIRD_COUSIN) == 1 / 256
-        assert inbreeding_coefficient(D.UNRELATED) == 0.0
+        # Every degree, in the order a config's hypothesis strategies draw them.
+        assert F == {"unrelated": 0.0, "third_cousin": 1 / 256, "second_cousin": 1 / 64,
+                     "first_cousin_once_removed": 1 / 32, "first_cousin": 1 / 16}
+        assert list(F) == ["unrelated", "third_cousin", "second_cousin",
+                           "first_cousin_once_removed", "first_cousin"]
 
     def test_first_cousins_carry_four_times_second_cousins(self):
-        assert inbreeding_coefficient(D.FIRST_COUSIN) == 4 * inbreeding_coefficient(D.SECOND_COUSIN)
+        assert F["first_cousin"] == 4 * F["second_cousin"]
 
     def test_once_removed_is_half_of_full_first_cousins(self):
-        assert inbreeding_coefficient(D.FIRST_COUSIN_ONCE_REMOVED) == inbreeding_coefficient(D.FIRST_COUSIN) / 2
+        assert F["first_cousin_once_removed"] == F["first_cousin"] / 2
 
     def test_strictly_ordered_by_closeness(self):
-        chain = [D.FIRST_COUSIN, D.FIRST_COUSIN_ONCE_REMOVED, D.SECOND_COUSIN, D.THIRD_COUSIN, D.UNRELATED]
-        values = [inbreeding_coefficient(d) for d in chain]
+        chain = ["first_cousin", "first_cousin_once_removed", "second_cousin", "third_cousin", "unrelated"]
+        values = [F[d] for d in chain]
         assert values == sorted(values, reverse=True)
         assert len(set(values)) == len(values)
 
@@ -115,28 +115,28 @@ class TestAssignDisorder:
     """The ``affected`` flag the model's birth trigger draws for each child."""
 
     @staticmethod
-    def _children(degree, q, stream, n, **kwargs):
+    def _children(degree, q, stream, n):
         """The children of ``n`` one-child couples related by ``degree``,
         each flag drawn from ``stream`` at the risk for ``degree`` and ``q``."""
         factory = EntityFactory()
         births = birth_trigger("Child_C", factory, ONE_CHILD, substream(0, 1),
-                               disorder_risk(degree, q, **kwargs), stream)
+                               disorder_probability(q, F[degree]), stream)
         parent = factory.create("FP")
         return [child for _ in range(n) for child in births(parent)]
 
     def test_zero_frequency_never_affected(self):
         stream = substream(1, 0)
-        for child in self._children(D.FIRST_COUSIN, 0.0, stream, 1000):
+        for child in self._children("first_cousin", 0.0, stream, 1000):
             assert child.affected is False
 
     def test_certain_allele_always_affected(self):
         stream = substream(2, 0)
-        for child in self._children(D.UNRELATED, 1.0, stream, 1000):
+        for child in self._children("unrelated", 1.0, stream, 1000):
             assert child.affected is True
 
-    def _flags(self, seed, degree, q, n=4000, **kwargs):
+    def _flags(self, seed, degree, q, n=4000):
         """``n`` children's affected flags drawn from one stream."""
-        return [child.affected for child in self._children(degree, q, substream(seed, 0), n, **kwargs)]
+        return [child.affected for child in self._children(degree, q, substream(seed, 0), n)]
 
     def _draws_below(self, seed, p, n=4000):
         """Whether each of the first ``n`` draws of the same stream falls below ``p``."""
@@ -146,21 +146,30 @@ class TestAssignDisorder:
     def test_draws_with_the_degree_coefficient(self):
         # At q = 0.5 the second-cousin coefficient 1/64 moves p by 1/256;
         # 4 000 draws put some inside that gap, so f = 0 gives other flags.
-        flags = self._flags(3, D.SECOND_COUSIN, 0.5)
+        flags = self._flags(3, "second_cousin", 0.5)
         assert flags == self._draws_below(3, disorder_probability(0.5, 1 / 64))
         assert flags != self._draws_below(3, disorder_probability(0.5, 0.0))
 
     def test_override_bypasses_degree_table(self):
-        flags = self._flags(4, D.FIRST_COUSIN, 0.5, inbreeding_override=0.5)
-        assert flags == self._draws_below(4, disorder_probability(0.5, 0.5))
-        assert flags != self._draws_below(4, disorder_probability(0.5, 1 / 16))
+        # The builder resolves the consanguineous branch's f to inbreeding_f
+        # when it is set, not to the degree's entry in the table.
+        config = ModelConfig(allele_frequency=0.5, consanguinity_degree="first_cousin",
+                             inbreeding_f=0.5, base_seed=4,
+                             offspring_distribution={"type": "discrete", "pairs": [[1, 1.0]]})
+        births = build_consanguinity_model(config).components["Marriage_C"].initial_state.on_processed
+        parent = EntityFactory().create("FP")
+        flags = [child.affected for _ in range(4000) for child in births(parent)]
+        stream = substream(4, 0).named("disorder_consanguineous")
+        draws = [stream.uniform() for _ in range(4000)]
+        assert flags == [u < disorder_probability(0.5, 0.5) for u in draws]
+        assert flags != [u < disorder_probability(0.5, 1 / 16) for u in draws]
 
     def test_always_consumes_exactly_one_draw(self):
         # Stream alignment must not depend on the configured probabilities.
         a = substream(9, 0)
         b = substream(9, 0)
-        self._children(D.FIRST_COUSIN, 0.0, a, 1)
-        self._children(D.UNRELATED, 0.9, b, 1)
+        self._children("first_cousin", 0.0, a, 1)
+        self._children("unrelated", 0.9, b, 1)
         assert a.uniform() == b.uniform()
 
     def test_empirical_rate_matches_formula(self):
@@ -168,7 +177,7 @@ class TestAssignDisorder:
         q, n = 0.05, 20_000
         p = disorder_probability(q, 1 / 16)
         affected = 0
-        for child in self._children(D.FIRST_COUSIN, q, stream, n):
+        for child in self._children("first_cousin", q, stream, n):
             affected += child.affected
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(affected / n - p) <= 3 * sigma

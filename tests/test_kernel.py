@@ -18,6 +18,7 @@ from kinsim import (
     Coupling,
     CoupledSpec,
     ModelConfig,
+    SimulationHandle,
     build_consanguinity_model,
     collect_run_stats,
     initialize,
@@ -126,6 +127,12 @@ class TestInitialize:
         # would end the run only after a million steps.
         with pytest.raises(SimulationError, match="finite start time"):
             initialize(generator(2.0), t0)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_handle_built_directly_rejects_a_start_time_that_is_not_finite(self, t0):
+        # The check lives in the constructor, so no handle runs on a NaN clock.
+        with pytest.raises(SimulationError, match="finite start time"):
+            SimulationHandle(generator(2.0), t0, None)
 
 
 class TestStructuralValidation:

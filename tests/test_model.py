@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from _oracles import offspring_moments, stat_value
 from kinsim import (
-    ConsanguinityDegree,
+    INBREEDING_COEFFICIENTS,
     EntityFactory,
     ModelConfig,
     SourceSettings,
@@ -20,6 +20,7 @@ from kinsim import (
     collect_run_stats,
     disorder_probability,
     initialize,
+    run_experiment,
     validate_config,
 )
 from kinsim.errors import ConfigurationError
@@ -61,7 +62,7 @@ def valid_configs(draw) -> ModelConfig:
         offspring_distribution={"type": "discrete",
                                 "pairs": [[v, c] for v, c in zip(offspring, cums + [1.0])]},
         allele_frequency=draw(unit),
-        consanguinity_degree=draw(st.sampled_from(list(ConsanguinityDegree))),
+        consanguinity_degree=draw(st.sampled_from(list(INBREEDING_COEFFICIENTS))),
         inbreeding_f=draw(st.none() | unit),
         metadata=draw(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3)),
     )
@@ -143,7 +144,7 @@ def any_configs(draw) -> ModelConfig:
         ),
         offspring_distribution=pick("offspring_distribution", offspring, bad_offspring),
         allele_frequency=pick("allele_frequency", unit, bad_unit),
-        consanguinity_degree=draw(st.sampled_from(list(ConsanguinityDegree))),
+        consanguinity_degree=draw(st.sampled_from(list(INBREEDING_COEFFICIENTS))),
         inbreeding_f=pick("inbreeding_f", st.none() | unit, bad_unit),
     )
 
@@ -293,7 +294,7 @@ class TestValidateConfig:
 
     def test_config_round_trips_through_dict(self):
         config = ModelConfig()
-        config.consanguinity_degree = ConsanguinityDegree.SECOND_COUSIN
+        config.consanguinity_degree = "second_cousin"
         config.inbreeding_f = 0.03
         restored = ModelConfig.from_dict(config.to_dict())
         assert restored.to_dict() == config.to_dict()
@@ -307,6 +308,16 @@ class TestValidateConfig:
     def test_unknown_degree_rejected_at_parse(self):
         with pytest.raises(ConfigurationError, match="consanguinity_degree"):
             ModelConfig.from_dict({"consanguinity_degree": "sibling"})
+
+    def test_unknown_degree_set_in_code_is_one_violation(self):
+        # A config built in code skips the parse: the rule must catch the
+        # name before the builder looks it up in the table.
+        config = ModelConfig(consanguinity_degree="bogus")
+        violations = validate_config(config)
+        assert [(v.field, v.observed) for v in violations] == [("consanguinity_degree", "bogus")]
+        assert "first_cousin" in violations[0].constraint
+        with pytest.raises(ConfigurationError, match="consanguinity_degree"):
+            run_experiment(config, jobs=1)
 
     @pytest.mark.parametrize("field, data", [
         ("replications", {"replications": 2.7}),
@@ -634,7 +645,7 @@ class TestConsanguinityModel:
 
     def test_growth_triggers_assign_branch_specific_risk(self):
         config = ModelConfig()
-        config.consanguinity_degree = ConsanguinityDegree.SECOND_COUSIN
+        config.consanguinity_degree = "second_cousin"
         config.allele_frequency = 0.5
         spec = build_consanguinity_model(config)
         c = trigger_flags(spec, "Marriage_C", "Child_C")
