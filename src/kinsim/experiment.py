@@ -10,11 +10,11 @@ parses it back.
 
 Reports are byte-deterministic for a fixed config and seed: replications use
 independent derived streams, aggregation reduces in replication order, and
-no timestamp enters the CSV (run metadata stays on the result object).
+no timestamp enters the CSV.
 
-A run can also write replication 0's event trace.  The kernel writes it to
-the file in batches of bounded size as the run goes, so memory stays flat
-however long the horizon.
+A run can also write replication 0's event trace.  The kernel writes each
+event's lines to the file as the event ends, and the file's own buffer
+bounds the memory, however long the horizon.
 
 Replications run in worker processes forked straight from the caller, so
 the config, the builder and the trace path are inherited rather than
@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import datetime
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
-from . import __version__
 from .errors import ConfigurationError, SimulationError
 from .kernel import initialize
 from .model import (
@@ -69,11 +67,10 @@ class ReportRow:
 
 @dataclass
 class ExperimentResult:
-    """Aggregated rows plus the raw per-replication statistics and run metadata."""
+    """Aggregated rows plus the raw per-replication statistics."""
 
     rows: list[ReportRow]
     per_replication: list[RunStats]
-    metadata: dict = field(default_factory=dict)
 
 
 def _quantize(value: float) -> float:
@@ -93,9 +90,9 @@ def run_experiment(
     Replication ``r`` builds a fresh model seeded from (base_seed, r) and
     runs it to ``run_length``.  Kernel failures are re-raised with the
     replication index attached.  ``trace_path``, when given, receives the
-    event trace of replication 0, written in batches of bounded size as the
-    run goes (see :func:`~kinsim.kernel.initialize` for the format and the
-    batches), so the trace's memory does not grow with the horizon.  The
+    event trace of replication 0 (see :func:`~kinsim.kernel.initialize` for
+    the format), each event's lines written as the event ends, so the
+    trace's memory is the file's buffer however long the horizon.  The
     file is closed when replication 0 ends; if the run fails, it holds
     every event before the failure.
 
@@ -106,7 +103,7 @@ def run_experiment(
     With one job, or on a platform without ``fork``, the replications run
     in this process.  Either way the result is the same: when several
     replications fail, the lowest failing one's exception is raised, and a
-    worker that dies raises a :class:`SimulationError`.
+    worker that dies, or cannot be started, raises a :class:`SimulationError`.
     """
     _require_valid(config)
     jobs = _resolve_jobs(jobs, config.replications)
@@ -116,15 +113,7 @@ def run_experiment(
         ]
     else:
         per_replication = _replicate_in_workers(config, builder, trace_path, jobs)
-    rows = _aggregate(per_replication)
-    metadata = {
-        "config": config.to_dict(),
-        "base_seed": config.base_seed,
-        "replications": config.replications,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": __version__,
-    }
-    return ExperimentResult(rows=rows, per_replication=per_replication, metadata=metadata)
+    return ExperimentResult(rows=_aggregate(per_replication), per_replication=per_replication)
 
 
 def _replicate(
@@ -185,7 +174,10 @@ def _replicate_in_workers(
     exits non-zero, or whose pickle is empty or truncated, raises
     :class:`SimulationError` at once.  Once a child reports a failure at r,
     the children above r are killed and left unread, and the lowest failing
-    replication's exception is raised as the child raised it.
+    replication's exception is raised as the child raised it.  A worker
+    that cannot be started, for want of a file descriptor or a process,
+    raises :class:`SimulationError` naming how many had started; those are
+    killed.
     """
     # Imported here, not at the top: `import kinsim` and one-job runs do
     # without them.
@@ -201,14 +193,19 @@ def _replicate_in_workers(
     lowest_failure = config.replications  # none yet
     try:
         for k in range(jobs):
-            read_fd, write_fd = os.pipe()
-            read_fds[k] = read_fd
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(config, builder, trace_path, range(k, config.replications, jobs), write_fd)
-            finally:
-                os.close(write_fd)
+                read_fd, write_fd = os.pipe()
+                read_fds[k] = read_fd
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(config, builder, trace_path, range(k, config.replications, jobs), write_fd)
+                finally:
+                    os.close(write_fd)
+            except OSError as exc:  # out of file descriptors or processes
+                raise SimulationError(
+                    f"cannot start replication worker {k + 1} of {jobs} ({k} started): {exc}"
+                ) from exc
             pids[k] = pid
         for k in range(jobs):
             if k > lowest_failure:

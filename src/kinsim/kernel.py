@@ -49,10 +49,6 @@ INFINITY: Time = math.inf
 #: declared illegitimate (a zero-delay loop that never advances time).
 MAX_ZERO_STEPS = 1_000_000
 
-#: Size of a pending trace batch, in lines: the batch is written in one
-#: call at the end of the event that brings it to this size.
-TRACE_BATCH_LINES = 1000
-
 INPUT = "input"
 OUTPUT = "output"
 
@@ -318,17 +314,14 @@ class SimulationHandle:
         internal transition comes first, then every receiver's external
         transition in select order; each transition is followed at once by
         the new time advance, which must not be negative or NaN.  The
-        event's trace lines are made only after all of them, so the trace
+        event's trace lines are written only after all of them, so the trace
         shows each payload as the event left it (a receiver may relabel a
-        payload it was just sent).  They join a pending batch, written once
-        it holds ``TRACE_BATCH_LINES`` lines and when the loop ends, however
-        it ends.  Returns the messages the last event sent across the root
-        boundary.
+        payload it was just sent); buffering is the stream's.  Returns the
+        messages the last event sent across the root boundary.
         """
         t_next = self._t_next
         nodes = self._nodes
         write = self._write_trace
-        pending: list[str] = []
         clock = self.clock
         at = _time_text(clock)  # the trace's time column, made once per clock value
         steps = self._steps_at_clock
@@ -391,22 +384,16 @@ class SimulationHandle:
                 if write is not None:
                     phase = node.internal
                     for port, payload in outputs or _NO_MESSAGES:
-                        pending.append(f"{at}{phase}{port}\t{payload}\n")
+                        write(f"{at}{phase}{port}\t{payload}\n")
                     for idx in receivers:
                         phase = nodes[idx].external
                         for port, payload in deliveries[idx]:
-                            pending.append(f"{at}{phase}{port}\t{payload}\n")
-                    if len(pending) >= TRACE_BATCH_LINES:
-                        batch = "".join(pending)
-                        pending.clear()  # first, so a failed write is not repeated
-                        write(batch)
+                            write(f"{at}{phase}{port}\t{payload}\n")
                 if once:
                     break
         finally:
             self.clock = clock
             self._steps_at_clock = steps
-            if pending:
-                write("".join(pending))
         return root_outputs
 
 
@@ -425,11 +412,9 @@ def initialize(
 
     ``trace_file``, an open text stream, receives the event trace, and the
     caller closes it.  Without it nothing is recorded.  Each event's lines
-    join a pending batch once that event's transitions are done; the batch
-    is written in one call at the end of the event that brings it to
-    ``TRACE_BATCH_LINES`` lines, and whenever :meth:`~SimulationHandle.step`
-    or :meth:`~SimulationHandle.run_until` returns or raises, so after a
-    failure the stream holds every event before it.
+    are written, one call per line, once that event's transitions are done,
+    so after a failure the stream has every event before it; how much it
+    buffers is up to the stream.
     The trace is tab-separated text, one line per message, with columns
     time (the shortest text that reads back as the time, without a
     trailing ``.0``), component path, phase (``internal`` or

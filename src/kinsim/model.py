@@ -61,19 +61,30 @@ class SourceSettings:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SourceSettings":
-        """Parse one ``sources`` entry; an unknown key or a non-integral count
-        raises ValueError, which :meth:`ModelConfig.from_dict` reports."""
+        """Parse one ``sources`` entry; an unknown key, a non-integral count
+        or a value that is not a JSON object where one belongs raises
+        ValueError or TypeError, which :meth:`ModelConfig.from_dict` reports."""
         _check_keys(data, ("interarrival", "max_arrivals"))
+        interarrival = data.get("interarrival", {"type": "constant", "value": 1.0})
         max_arrivals = data.get("max_arrivals")
         return cls(
-            interarrival=dict(data.get("interarrival", {"type": "constant", "value": 1.0})),
+            interarrival=dict(_check_object(interarrival, "interarrival")),
             max_arrivals=None if max_arrivals is None else read_number(max_arrivals, integral=True),
         )
 
 
-def _check_keys(mapping: Mapping, known: tuple[str, ...]) -> Mapping:
-    """``mapping`` itself; a key outside ``known`` raises ValueError."""
-    for key in mapping:
+def _check_object(value: Any, what: str = "the value") -> Mapping:
+    """``value`` itself if it is a JSON object; anything else, a JSON array
+    of pairs too, raises TypeError."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _check_keys(mapping: Any, known: tuple[str, ...]) -> Mapping:
+    """``mapping`` itself; a value that is not a JSON object raises
+    TypeError, and a key outside ``known`` ValueError."""
+    for key in _check_object(mapping):
         if key not in known:
             raise ValueError(f"unknown key {key!r}")
     return mapping
@@ -91,7 +102,8 @@ def _default_sources() -> dict[str, SourceSettings]:
     return {name: SourceSettings() for name in _SOURCE_NAMES}
 
 
-def _parse_sources(sources: Mapping) -> dict[str, SourceSettings]:
+def _parse_sources(sources: Any) -> dict[str, SourceSettings]:
+    _check_object(sources)
     for name in _REMOVED_SOURCE_NAMES:
         if name in sources:
             raise ValueError(f"source {name!r} belonged to the population-growth submodel, "
@@ -166,8 +178,9 @@ class ModelConfig:
         sex in ``sex_split``, or a sex or branch in ``routing_weights``.  So
         does a field whose value has the wrong shape or type (a fraction
         where a count belongs, a string or a boolean where a number
-        belongs).  The error for a source ``MP`` or ``FP`` says that the
-        population-growth submodel, which read them, was removed.
+        belongs, an array where an object belongs).  The error for a
+        source ``MP`` or ``FP`` says that the population-growth submodel,
+        which read them, was removed.
         Values of the right shape are checked by :func:`validate_config`,
         not here.
         """
@@ -214,11 +227,11 @@ _FIELD_PARSERS = {
         sex: {branch: read_number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
         for sex, entry in _check_keys(weights, (MALE, FEMALE)).items()
     },
-    "offspring_distribution": dict,
+    "offspring_distribution": lambda law: dict(_check_object(law)),
     "allele_frequency": read_number,
     "consanguinity_degree": _parse_degree,
     "inbreeding_f": lambda value: None if value is None else read_number(value),
-    "metadata": lambda metadata: {str(k): str(v) for k, v in metadata.items()},
+    "metadata": lambda metadata: {str(k): str(v) for k, v in _check_object(metadata).items()},
 }
 
 

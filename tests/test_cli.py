@@ -93,6 +93,11 @@ MALFORMED_FIELDS = [
     ("sex_split", {"sex_split": {"male": 0.5, "female": "0.5"}}),
     ("run_length", {"run_length": 10**400}),
     ("sex_split", {"sex_split": [0.595, 0.405]}),  # only the documented mapping is read
+    # JSON arrays of key-value pairs, which dict() once read as objects
+    ("offspring_distribution", {"offspring_distribution": [["type", "discrete"], ["pairs", [[2, 1.0]]]]}),
+    ("sources", {"sources": {"WP": {"interarrival": [["type", "constant"], ["value", 1.0]]}}}),
+    ("sources", {"sources": None}),
+    ("metadata", {"metadata": [["region", "north"]]}),
 ]
 
 
@@ -487,3 +492,31 @@ def test_workers_need_no_process_pool(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TestWithoutNumpy.PACKAGED_SHA256
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+def test_jobs_past_the_open_file_limit_exit_1_with_one_line(tmp_path):
+    # A fresh interpreter lowers its own open-file limit to 24, so some of
+    # 30 workers get no pipe: the run ends in one line, writes no report and
+    # leaves no child of its own behind, running or unreaped.
+    out = tmp_path / "never.csv"
+    proc = fresh_python(
+        "import os, resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (24, hard))\n"
+        "from kinsim.cli import main\n"
+        "code = main(['run', '--replications', '30', '--jobs', '30', '--out', sys.argv[1]])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    print('a worker was left behind')\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "sys.exit(code)\n",
+        str(out),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("kinsim: run failed: cannot start replication worker ")
+    assert "Too many open files" in proc.stderr
+    assert not out.exists()

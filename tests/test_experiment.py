@@ -28,7 +28,6 @@ from kinsim import (
 )
 from kinsim.errors import ConfigurationError, IllegitimateModelError, SimulationError
 from kinsim.experiment import CSV_HEADER
-from kinsim.kernel import TRACE_BATCH_LINES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -160,11 +159,6 @@ class TestRunExperiment:
                 exited = stat_value(stats, server, "[OutputBuffer]")
                 assert entered >= processed >= exited
 
-    def test_metadata_echoes_config(self, small_result):
-        assert small_result.metadata["base_seed"] == 42
-        assert small_result.metadata["replications"] == 3
-        assert small_result.metadata["config"]["run_length"] == 300.0
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment(small_config(replications=0))
@@ -229,8 +223,8 @@ class TestTraceFile:
         )
 
     def test_zero_delay_loop_writes_only_the_steps_that_ran(self, tmp_path, monkeypatch):
-        # The second limit makes twice as many lines as one trace batch holds.
-        for max_steps in (50, TRACE_BATCH_LINES):
+        # The second limit makes a long trace: 2 000 lines.
+        for max_steps in (50, 1000):
             monkeypatch.setattr("kinsim.kernel.MAX_ZERO_STEPS", max_steps)
             path = tmp_path / "events.tsv"
             with pytest.raises(SimulationError, match="^replication 0: illegitimate model") as excinfo:

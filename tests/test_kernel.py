@@ -468,8 +468,8 @@ class TestRunUntil:
                 select=["b", "first", "a", "second"],
             )
 
-        # The longer horizon writes more lines than one trace batch holds,
-        # and slices of 0.7 end between events as well as on them.
+        # The longer horizon writes over 1 000 lines, and slices of 0.7 end
+        # between events as well as on them.
         for horizon in (12.0, 500.0):
             expected = io.StringIO()
             by_run = initialize(build(), trace_file=expected)
@@ -488,7 +488,7 @@ class TestRunUntil:
             assert sliced.getvalue() == expected.getvalue()
             assert by_step.clock == by_run.clock == by_slice.clock == horizon
             assert [row[1] for row in parse_trace(expected.getvalue())[:3]] == ["a", "first", "second"]
-        assert len(expected.getvalue().splitlines()) > kinsim.kernel.TRACE_BATCH_LINES
+        assert len(expected.getvalue().splitlines()) > 1000
 
 
 class TestGuardsAndInvariants:
@@ -912,6 +912,44 @@ class TestStreamedTrace:
             "1\tfirst\texternal\tin\t0\n"
             "1\tsecond\texternal\tin\t0\n"
         )
+
+    @pytest.mark.parametrize("accepted", [4, 5])
+    def test_a_failing_stream_stops_the_run_at_its_event(self, accepted):
+        # Each event writes an internal and an external line, so the stream
+        # refuses a line of the event at t = 3: its internal line (4
+        # accepted) or its external one (5).  The stream's error reaches the
+        # caller as raised, the stream holds every line before it once, and
+        # the clock stays at the failing event.
+        class FailingStream:
+            def __init__(self):
+                self.lines: list[str] = []
+                self.error = OSError(28, "No space left on device")
+
+            def write(self, text):
+                for line in text.splitlines(keepends=True):
+                    if len(self.lines) == accepted:
+                        raise self.error
+                    self.lines.append(line)
+                return len(text)
+
+        def build():
+            return CoupledSpec(
+                components={"gen": generator(1.0), "acc": counter()},
+                couplings=[Coupling("gen", "out", "acc", "in")],
+            )
+
+        expected = [f"{t}\t{path}\t{phase}\t{port}\t{t - 1}\n"
+                    for t in range(1, 4)
+                    for path, phase, port in (("gen", "internal", "out"), ("acc", "external", "in"))]
+        for run in (lambda handle: handle.run_until(10.0),
+                    lambda handle: [handle.step() for _ in range(10)]):
+            stream = FailingStream()
+            handle = initialize(build(), trace_file=stream)
+            with pytest.raises(OSError) as excinfo:
+                run(handle)
+            assert excinfo.value is stream.error
+            assert stream.lines == expected[:accepted]
+            assert handle.clock == 3.0
 
 
 class TestHandTraceOracle:
