@@ -12,8 +12,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, SimulationError
@@ -59,14 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: Optional[str]) -> ModelConfig:
     """Parse the config file at ``path``, or the packaged one when ``path`` is None.
 
-    The packaged config is read through :mod:`importlib.resources`, so it
-    loads however kinsim was imported, from a zip too.
+    The packaged config is read by the loader that imported this module,
+    from the ``data`` directory beside it, so it loads however kinsim was
+    imported, from a zip too.  Either file must be UTF-8.
     """
     if path is None:
-        source = resources.files("kinsim").joinpath("data/default_config.json")
+        data = __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "default_config.json"))
     else:
-        source = Path(path)
-    return ModelConfig.from_dict(json.loads(source.read_text(encoding="utf-8")))
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return ModelConfig.from_dict(json.loads(data.decode("utf-8")))
 
 
 def _checked_config(

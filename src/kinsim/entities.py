@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import Record
 
-@dataclass(eq=False, slots=True)
+
 class Entity:
     """One simulated individual, or a married couple led by one.
 
@@ -17,10 +17,16 @@ class Entity:
     entity; until then it is None.
     """
 
-    id: int
-    class_label: str
-    affected: bool = False
-    member: Optional["Entity"] = None
+    __slots__ = ("id", "class_label", "affected", "member")
+
+    def __init__(self, id: int, class_label: str, affected: bool = False,
+                 member: Optional["Entity"] = None) -> None:
+        self.id = id
+        self.class_label = class_label
+        self.affected = affected
+        self.member = member
+
+    __repr__ = Record.__repr__  # field-wise; equality stays identity
 
     def __str__(self) -> str:
         return f"{self.class_label}#{self.id}"
@@ -61,8 +67,7 @@ class EntityFactory:
         return range(first, first + n)
 
 
-@dataclass(slots=True)
-class ObjectStats:
+class ObjectStats(Record):
     """Flat counters kept by a combiner or a sink.
 
     ``processed`` counts a combiner's marriages; ``entered`` counts the
@@ -72,7 +77,11 @@ class ObjectStats:
     individuals flagged ``affected``.
     """
 
-    entered: int = 0
-    processed: int = 0
-    destroyed_individuals: int = 0
-    affected_by_class: Counter = field(default_factory=Counter)
+    __slots__ = ("entered", "processed", "destroyed_individuals", "affected_by_class")
+
+    def __init__(self, entered: int = 0, processed: int = 0, destroyed_individuals: int = 0,
+                 affected_by_class: Optional[Counter] = None) -> None:
+        self.entered = entered
+        self.processed = processed
+        self.destroyed_individuals = destroyed_individuals
+        self.affected_by_class = Counter() if affected_by_class is None else affected_by_class

@@ -37,9 +37,9 @@ import contextlib
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
+from ._record import FrozenRecord, Record
 from .errors import ConfigurationError, SimulationError
 from .kernel import initialize
 from .model import (
@@ -54,23 +54,24 @@ CSV_HEADER = ("object_name", "data_source", "category", "statistic", "value")
 STATISTICS = ("Total", "Mean", "Min", "Max")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(FrozenRecord):
     """One aggregated statistic; (object, source, statistic) is unique per report."""
 
-    object_name: str
-    data_source: str
-    category: str
-    statistic: str
-    value: float
+    __slots__ = ("object_name", "data_source", "category", "statistic", "value")
+
+    def __init__(self, object_name: str, data_source: str, category: str, statistic: str,
+                 value: float) -> None:
+        super().__init__(object_name, data_source, category, statistic, value)
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(Record):
     """Aggregated rows plus the raw per-replication statistics."""
 
-    rows: list[ReportRow]
-    per_replication: list[RunStats]
+    __slots__ = ("rows", "per_replication")
+
+    def __init__(self, rows: list[ReportRow], per_replication: list[RunStats]) -> None:
+        self.rows = rows
+        self.per_replication = per_replication
 
 
 def _quantize(value: float) -> float:

@@ -30,9 +30,9 @@ the same model and seed, a run is fully deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, TextIO, Union
 
+from ._record import FrozenRecord, Record
 from .errors import (
     ContractViolationError,
     IllegitimateModelError,
@@ -58,8 +58,7 @@ OUTPUT = "output"
 Message = tuple[str, Any]
 
 
-@dataclass(frozen=True, slots=True)
-class Coupling:
+class Coupling(FrozenRecord):
     """A directed connection between two ports of a coupled model.
 
     ``src``/``dst`` name child components; ``None`` refers to the coupled
@@ -67,14 +66,13 @@ class Coupling:
     output when used as ``dst``).  The payload crosses unchanged.
     """
 
-    src: str | None
-    src_port: str
-    dst: str | None
-    dst_port: str
+    __slots__ = ("src", "src_port", "dst", "dst_port")
+
+    def __init__(self, src: str | None, src_port: str, dst: str | None, dst_port: str) -> None:
+        super().__init__(src, src_port, dst, dst_port)
 
 
-@dataclass
-class AtomicSpec:
+class AtomicSpec(Record):
     """Behavior contract of an atomic DEVS model.
 
     ``time_advance`` maps a state to the remaining dwell time (``INFINITY``
@@ -89,17 +87,29 @@ class AtomicSpec:
     return a fresh one; the kernel tracks whatever they return.
     """
 
-    initial_state: Any
-    time_advance: Callable[[Any], Time]
-    delta_int: Callable[[Any], Any]
-    delta_ext: Callable[[Any, Time, Sequence[Message]], Any]
-    output: Callable[[Any], Sequence[Message]]
-    input_ports: tuple[str, ...] = ()
-    output_ports: tuple[str, ...] = ()
+    __slots__ = ("initial_state", "time_advance", "delta_int", "delta_ext", "output",
+                 "input_ports", "output_ports")
+
+    def __init__(
+        self,
+        initial_state: Any,
+        time_advance: Callable[[Any], Time],
+        delta_int: Callable[[Any], Any],
+        delta_ext: Callable[[Any, Time, Sequence[Message]], Any],
+        output: Callable[[Any], Sequence[Message]],
+        input_ports: tuple[str, ...] = (),
+        output_ports: tuple[str, ...] = (),
+    ) -> None:
+        self.initial_state = initial_state
+        self.time_advance = time_advance
+        self.delta_int = delta_int
+        self.delta_ext = delta_ext
+        self.output = output
+        self.input_ports = input_ports
+        self.output_ports = output_ports
 
 
-@dataclass
-class CoupledSpec:
+class CoupledSpec(Record):
     """A network of named child models plus couplings and a select order.
 
     ``select`` lists every child name exactly once; earlier names win ties
@@ -107,11 +117,21 @@ class CoupledSpec:
     order of ``components``.
     """
 
-    components: dict[str, Union[AtomicSpec, "CoupledSpec"]]
-    couplings: list[Coupling] = field(default_factory=list)
-    select: list[str] | None = None
-    input_ports: tuple[str, ...] = ()
-    output_ports: tuple[str, ...] = ()
+    __slots__ = ("components", "couplings", "select", "input_ports", "output_ports")
+
+    def __init__(
+        self,
+        components: dict[str, Union[AtomicSpec, "CoupledSpec"]],
+        couplings: list[Coupling] | None = None,
+        select: list[str] | None = None,
+        input_ports: tuple[str, ...] = (),
+        output_ports: tuple[str, ...] = (),
+    ) -> None:
+        self.components = components
+        self.couplings = [] if couplings is None else couplings
+        self.select = select
+        self.input_ports = input_ports
+        self.output_ports = output_ports
 
 
 ModelSpec = Union[AtomicSpec, CoupledSpec]

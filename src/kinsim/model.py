@@ -23,10 +23,10 @@ counters the five objects keep, so counting costs no kernel step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping, Optional
 
+from ._record import FrozenRecord, Record
 from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
 from .genetics import INBREEDING_COEFFICIENTS, disorder_probability
@@ -49,12 +49,14 @@ _FRACTION_TOLERANCE = 1e-9
 DEFAULT_OFFSPRING_PAIRS = [[0, 0.10], [1, 0.30], [2, 0.60], [3, 0.90], [4, 0.98], [5, 1.00]]
 
 
-@dataclass
-class SourceSettings:
+class SourceSettings(Record):
     """Interarrival law and arrival cap for one entity source."""
 
-    interarrival: dict = field(default_factory=lambda: {"type": "constant", "value": 1.0})
-    max_arrivals: Optional[int] = None
+    __slots__ = ("interarrival", "max_arrivals")
+
+    def __init__(self, interarrival: Optional[dict] = None, max_arrivals: Optional[int] = None) -> None:
+        self.interarrival = {"type": "constant", "value": 1.0} if interarrival is None else interarrival
+        self.max_arrivals = max_arrivals
 
     def to_dict(self) -> dict:
         return {"interarrival": dict(self.interarrival), "max_arrivals": self.max_arrivals}
@@ -124,8 +126,7 @@ def _default_routing() -> dict[str, dict[str, float]]:
     }
 
 
-@dataclass
-class ModelConfig:
+class ModelConfig(Record):
     """Every tunable of the consanguinity experiment, JSON round-trippable.
 
     ``sex_split`` is the (male, female) fraction pair, a ``{"male",
@@ -138,21 +139,38 @@ class ModelConfig:
     commitment) that do not influence the dynamics.
     """
 
-    run_length: float = 2000.0
-    replications: int = 10
-    base_seed: int = 42
-    sources: dict[str, SourceSettings] = field(default_factory=_default_sources)
-    sex_split: tuple[float, float] = (0.595, 0.405)
-    routing_weights: dict[str, dict[str, float]] = field(default_factory=_default_routing)
-    offspring_distribution: dict = field(
-        default_factory=lambda: {"type": "discrete", "pairs": [list(p) for p in DEFAULT_OFFSPRING_PAIRS]}
-    )
-    allele_frequency: float = 0.01
-    consanguinity_degree: str = "first_cousin"
-    inbreeding_f: Optional[float] = None
-    metadata: dict[str, str] = field(
-        default_factory=lambda: {"region": "", "religion": "", "commitment": ""}
-    )
+    __slots__ = ("run_length", "replications", "base_seed", "sources", "sex_split",
+                 "routing_weights", "offspring_distribution", "allele_frequency",
+                 "consanguinity_degree", "inbreeding_f", "metadata")
+
+    def __init__(
+        self,
+        run_length: float = 2000.0,
+        replications: int = 10,
+        base_seed: int = 42,
+        sources: Optional[dict[str, SourceSettings]] = None,
+        sex_split: tuple[float, float] = (0.595, 0.405),
+        routing_weights: Optional[dict[str, dict[str, float]]] = None,
+        offspring_distribution: Optional[dict] = None,
+        allele_frequency: float = 0.01,
+        consanguinity_degree: str = "first_cousin",
+        inbreeding_f: Optional[float] = None,
+        metadata: Optional[dict[str, str]] = None,
+    ) -> None:
+        self.run_length = run_length
+        self.replications = replications
+        self.base_seed = base_seed
+        self.sources = _default_sources() if sources is None else sources
+        self.sex_split = sex_split
+        self.routing_weights = _default_routing() if routing_weights is None else routing_weights
+        self.offspring_distribution = (
+            {"type": "discrete", "pairs": [list(p) for p in DEFAULT_OFFSPRING_PAIRS]}
+            if offspring_distribution is None else offspring_distribution
+        )
+        self.allele_frequency = allele_frequency
+        self.consanguinity_degree = consanguinity_degree
+        self.inbreeding_f = inbreeding_f
+        self.metadata = {"region": "", "religion": "", "commitment": ""} if metadata is None else metadata
 
     def to_dict(self) -> dict:
         return {
@@ -235,13 +253,13 @@ _FIELD_PARSERS = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenRecord):
     """One config-invariant failure: which field, what rule, what was seen."""
 
-    field: str
-    constraint: str
-    observed: Any
+    __slots__ = ("field", "constraint", "observed")
+
+    def __init__(self, field: str, constraint: str, observed: Any) -> None:
+        super().__init__(field, constraint, observed)
 
     def __str__(self) -> str:
         return f"{self.field}: {self.constraint} (got {self.observed!r})"
@@ -435,8 +453,7 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
 StatRow = tuple[str, str, str, int]
 
 
-@dataclass
-class RunStats:
+class RunStats(Record):
     """Raw statistics of one finished replication.
 
     ``rows`` are (object name, data source, category, value) tuples in a
@@ -446,11 +463,22 @@ class RunStats:
     held_individuals`` holds exactly at any observation instant.
     """
 
-    rows: list[StatRow] = field(default_factory=list)
-    created_total: int = 0
-    destroyed_individuals: int = 0
-    held_individuals: int = 0
-    affected_by_class: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("rows", "created_total", "destroyed_individuals", "held_individuals",
+                 "affected_by_class")
+
+    def __init__(
+        self,
+        rows: Optional[list[StatRow]] = None,
+        created_total: int = 0,
+        destroyed_individuals: int = 0,
+        held_individuals: int = 0,
+        affected_by_class: Optional[dict[str, int]] = None,
+    ) -> None:
+        self.rows = [] if rows is None else rows
+        self.created_total = created_total
+        self.destroyed_individuals = destroyed_individuals
+        self.held_individuals = held_individuals
+        self.affected_by_class = {} if affected_by_class is None else affected_by_class
 
 
 def collect_run_stats(handle: SimulationHandle) -> RunStats:

@@ -22,13 +22,14 @@ another, which keeps paired experiments comparable.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
+# hashlib's own blake2b, without the OpenSSL digests that importing hashlib loads
+from _blake2 import blake2b
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._record import FrozenRecord
 from .errors import ConfigurationError
 
 _MASK32 = 0xFFFFFFFF
@@ -57,7 +58,7 @@ def _mix64(x: int) -> int:
 
 
 def _hash_name(name: str) -> int:
-    digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -185,11 +186,13 @@ def read_number(value, *, integral: bool = False) -> Union[float, int]:
 # Distributions
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
+class Constant(FrozenRecord):
     """Degenerate distribution; draws nothing from the stream."""
 
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        super().__init__(value)
 
     def sample(self, stream: RngStream) -> float:
         return self.value
@@ -200,14 +203,13 @@ class Constant:
         return self.value, self.value
 
 
-@dataclass(frozen=True, slots=True)
-class Uniform:
-    low: float
-    high: float
+class Uniform(FrozenRecord):
+    __slots__ = ("low", "high")
 
-    def __post_init__(self) -> None:
-        if not self.low <= self.high:
-            raise ConfigurationError(f"uniform distribution needs low <= high, got [{self.low}, {self.high}]")
+    def __init__(self, low: float, high: float) -> None:
+        if not low <= high:
+            raise ConfigurationError(f"uniform distribution needs low <= high, got [{low}, {high}]")
+        super().__init__(low, high)
 
     def sample(self, stream: RngStream) -> float:
         return self.low + (self.high - self.low) * stream.uniform()
@@ -217,15 +219,15 @@ class Uniform:
         return self.low, self.high
 
 
-@dataclass(frozen=True, slots=True)
-class Exponential:
+class Exponential(FrozenRecord):
     """Exponential with the given mean, sampled by inverse CDF."""
 
-    mean: float
+    __slots__ = ("mean",)
 
-    def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ConfigurationError(f"exponential mean must be positive, got {self.mean}")
+    def __init__(self, mean: float) -> None:
+        if mean <= 0:
+            raise ConfigurationError(f"exponential mean must be positive, got {mean}")
+        super().__init__(mean)
 
     def sample(self, stream: RngStream) -> float:
         return -self.mean * math.log(1.0 - stream.uniform())

@@ -479,6 +479,24 @@ class TestWithoutNumpy:
         assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_none_of_the_start_up_weight():
+    # Modules a run does not need, and what they pull in: a fresh -I -S
+    # interpreter has loaded none of them, so any that is there after the
+    # import came in with kinsim.
+    dropped = ("dataclasses", "inspect", "hashlib", "_hashlib", "importlib.resources",
+               "pathlib", "zipfile", "tempfile")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         "import sys\n"
+         "sys.path.insert(0, sys.argv[1])\n"
+         "import kinsim.cli\n"
+         "print(sorted(set(sys.argv[2:]) & set(sys.modules)))\n",
+         str(SRC), *dropped],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
 def test_workers_need_no_process_pool(tmp_path):
     out = tmp_path / "jobs2.csv"

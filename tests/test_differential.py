@@ -5,7 +5,9 @@
   code.  Over random valid zero-delay configs, every row of
   :func:`collect_run_stats` and every affected count must equal it, and
   so must every aggregate row (Total, Mean, Min, Max) over several
-  replications.
+  replications.  Every stream seed :func:`derive_seed` mixes, from any
+  64-bit base and any integer or text parts, must equal the reference's,
+  whose name hash is hashlib's.
 * Metamorphic, from common random numbers: each decision draws from its
   own named stream and the disorder draw never steers the flow, so at a
   fixed seed the genetics parameters cannot move any report count, and
@@ -35,6 +37,7 @@ from kinsim import (
     initialize,
     run_experiment,
 )
+from kinsim.randomness import derive_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "kinbench"))
 import reference  # noqa: E402  (kinbench/reference.py, imports no kinsim code)
@@ -74,6 +77,13 @@ def configs(draw) -> ModelConfig:
     config.inbreeding_f = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
     config.consanguinity_degree = draw(st.sampled_from(list(INBREEDING_COEFFICIENTS)))
     return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.integers(0, 2**64 - 1),
+       parts=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.text()), max_size=4))
+def test_derive_seed_equals_the_reference(base, parts):
+    assert derive_seed(base, *parts) == reference.stream_seed(base, *parts)
 
 
 @settings(max_examples=150, deadline=None)
