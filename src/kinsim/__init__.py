@@ -58,7 +58,6 @@ from .genetics import INBREEDING_COEFFICIENTS, disorder_probability
 from .model import (
     ModelConfig,
     RunStats,
-    SourceSettings,
     Violation,
     build_consanguinity_model,
     collect_run_stats,

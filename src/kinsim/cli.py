@@ -55,17 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: Optional[str]) -> ModelConfig:
-    """Parse the config file at ``path``, or the packaged one when ``path`` is None.
-
-    The packaged config is read by the loader that imported this module,
-    from the ``data`` directory beside it, so it loads however kinsim was
-    imported, from a zip too.  Either file must be UTF-8.
-    """
+    """Parse the UTF-8 config file at ``path``; None gives ``ModelConfig()``,
+    the packaged config, which is the default of every field."""
     if path is None:
-        data = __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "default_config.json"))
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return ModelConfig()
+    with open(path, "rb") as fh:
+        data = fh.read()
     return ModelConfig.from_dict(json.loads(data.decode("utf-8")))
 
 

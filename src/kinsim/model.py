@@ -22,8 +22,10 @@ counters the five objects keep, so counting costs no kernel step.
 
 from __future__ import annotations
 
+import json
 import math
-from functools import partial
+import os
+from functools import cache, partial
 from typing import Any, Mapping, Optional
 
 from ._record import FrozenRecord, Record
@@ -44,35 +46,26 @@ BRANCHES = ("C", "NC")
 
 _FRACTION_TOLERANCE = 1e-9
 
-# Offspring-per-marriage law used by default: 10% of couples have no child,
-# 20% one, 30% two, 30% three, 8% four and 2% five (cumulative form).
-DEFAULT_OFFSPRING_PAIRS = [[0, 0.10], [1, 0.30], [2, 0.60], [3, 0.90], [4, 0.98], [5, 1.00]]
+
+@cache
+def _packaged() -> dict:
+    """The packaged config's JSON document, read once per process.
+
+    The loader that imported this module reads it from the ``data``
+    directory beside it, so it loads however kinsim was imported, from a
+    zip too.  Callers copy what they take from it.
+    """
+    data = __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "default_config.json"))
+    return json.loads(data.decode("utf-8"))
 
 
-class SourceSettings(Record):
-    """Interarrival law and arrival cap for one entity source."""
-
-    __slots__ = ("interarrival", "max_arrivals")
-
-    def __init__(self, interarrival: Optional[dict] = None, max_arrivals: Optional[int] = None) -> None:
-        self.interarrival = {"type": "constant", "value": 1.0} if interarrival is None else interarrival
-        self.max_arrivals = max_arrivals
-
-    def to_dict(self) -> dict:
-        return {"interarrival": dict(self.interarrival), "max_arrivals": self.max_arrivals}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SourceSettings":
-        """Parse one ``sources`` entry; an unknown key, a non-integral count
-        or a value that is not a JSON object where one belongs raises
-        ValueError or TypeError, which :meth:`ModelConfig.from_dict` reports."""
-        _check_keys(data, ("interarrival", "max_arrivals"))
-        interarrival = data.get("interarrival", {"type": "constant", "value": 1.0})
-        max_arrivals = data.get("max_arrivals")
-        return cls(
-            interarrival=dict(_check_object(interarrival, "interarrival")),
-            max_arrivals=None if max_arrivals is None else read_number(max_arrivals, integral=True),
-        )
+def _copy(value: Any) -> Any:
+    """A deep copy of a JSON value: every object and array in it is new."""
+    if isinstance(value, Mapping):
+        return {key: _copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy(item) for item in value]
+    return value
 
 
 def _check_object(value: Any, what: str = "the value") -> Mapping:
@@ -100,43 +93,41 @@ _SOURCE_NAMES = ("WP",)
 _REMOVED_SOURCE_NAMES = ("MP", "FP")
 
 
-def _default_sources() -> dict[str, SourceSettings]:
-    return {name: SourceSettings() for name in _SOURCE_NAMES}
-
-
-def _parse_sources(sources: Any) -> dict[str, SourceSettings]:
+def _parse_sources(sources: Any) -> dict[str, dict]:
+    """The packaged sources, with each key that ``sources`` gives replaced."""
     _check_object(sources)
     for name in _REMOVED_SOURCE_NAMES:
         if name in sources:
             raise ValueError(f"source {name!r} belonged to the population-growth submodel, "
                              f"which was removed; only 'WP' remains")
-    return {
-        **_default_sources(),
-        **{name: SourceSettings.from_dict(sub)
-           for name, sub in _check_keys(sources, _SOURCE_NAMES).items()},
-    }
-
-
-def _default_routing() -> dict[str, dict[str, float]]:
-    # Path weights per sex: consanguineous vs non-consanguineous.  The male
-    # pair normalizes to 35.7/101.6 and the female pair to 35.7/99.9.
-    return {
-        MALE: {CONSANG: 35.7, NON_CONSANG: 65.9},
-        FEMALE: {CONSANG: 35.7, NON_CONSANG: 64.2},
-    }
+    parsed = _copy(_packaged()["sources"])
+    for name, entry in _check_keys(sources, _SOURCE_NAMES).items():
+        _check_keys(entry, ("interarrival", "max_arrivals"))
+        settings = parsed[name]
+        if "interarrival" in entry:
+            settings["interarrival"] = _copy(_check_object(entry["interarrival"], "interarrival"))
+        if "max_arrivals" in entry:
+            cap = entry["max_arrivals"]
+            settings["max_arrivals"] = None if cap is None else read_number(cap, integral=True)
+    return parsed
 
 
 class ModelConfig(Record):
-    """Every tunable of the consanguinity experiment, JSON round-trippable.
+    """Every tunable of the consanguinity experiment: its JSON document.
 
-    ``sex_split`` is the (male, female) fraction pair, a ``{"male",
-    "female"}`` mapping in the JSON form; ``routing_weights`` carries the
-    per-sex path weights for the consanguineous and non-consanguineous
-    branches.  ``consanguinity_degree`` names a key of
+    Each field holds its value in the JSON shape: ``sources["WP"]`` is the
+    ``{"interarrival", "max_arrivals"}`` mapping, ``sex_split`` the
+    ``{"male", "female"}`` fractions, and ``routing_weights`` the per-sex
+    path weights for the consanguineous and non-consanguineous branches.
+    ``consanguinity_degree`` names a key of
     :data:`~kinsim.genetics.INBREEDING_COEFFICIENTS`; ``inbreeding_f``, when
     set, overrides its coefficient for the consanguineous branch.
     ``metadata`` holds free-text experiment-frame labels (region, religion,
     commitment) that do not influence the dynamics.
+
+    The packaged ``kinsim/data/default_config.json`` is the default of
+    every field: an argument left at None takes its value, a fresh copy
+    per config.
     """
 
     __slots__ = ("run_length", "replications", "base_seed", "sources", "sex_split",
@@ -145,60 +136,43 @@ class ModelConfig(Record):
 
     def __init__(
         self,
-        run_length: float = 2000.0,
-        replications: int = 10,
-        base_seed: int = 42,
-        sources: Optional[dict[str, SourceSettings]] = None,
-        sex_split: tuple[float, float] = (0.595, 0.405),
+        run_length: Optional[float] = None,
+        replications: Optional[int] = None,
+        base_seed: Optional[int] = None,
+        sources: Optional[dict[str, dict]] = None,
+        sex_split: Optional[dict[str, float]] = None,
         routing_weights: Optional[dict[str, dict[str, float]]] = None,
         offspring_distribution: Optional[dict] = None,
-        allele_frequency: float = 0.01,
-        consanguinity_degree: str = "first_cousin",
+        allele_frequency: Optional[float] = None,
+        consanguinity_degree: Optional[str] = None,
         inbreeding_f: Optional[float] = None,
         metadata: Optional[dict[str, str]] = None,
     ) -> None:
-        self.run_length = run_length
-        self.replications = replications
-        self.base_seed = base_seed
-        self.sources = _default_sources() if sources is None else sources
-        self.sex_split = sex_split
-        self.routing_weights = _default_routing() if routing_weights is None else routing_weights
-        self.offspring_distribution = (
-            {"type": "discrete", "pairs": [list(p) for p in DEFAULT_OFFSPRING_PAIRS]}
-            if offspring_distribution is None else offspring_distribution
-        )
-        self.allele_frequency = allele_frequency
-        self.consanguinity_degree = consanguinity_degree
-        self.inbreeding_f = inbreeding_f
-        self.metadata = {"region": "", "religion": "", "commitment": ""} if metadata is None else metadata
+        packaged = _packaged()
+        values = (run_length, replications, base_seed, sources, sex_split, routing_weights,
+                  offspring_distribution, allele_frequency, consanguinity_degree, inbreeding_f,
+                  metadata)
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, _copy(packaged[name]) if value is None else value)
 
     def to_dict(self) -> dict:
-        return {
-            "run_length": self.run_length,
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "sources": {name: s.to_dict() for name, s in self.sources.items()},
-            "sex_split": {MALE: self.sex_split[0], FEMALE: self.sex_split[1]},
-            "routing_weights": {sex: dict(w) for sex, w in self.routing_weights.items()},
-            "offspring_distribution": dict(self.offspring_distribution),
-            "allele_frequency": self.allele_frequency,
-            "consanguinity_degree": self.consanguinity_degree,
-            "inbreeding_f": self.inbreeding_f,
-            "metadata": dict(self.metadata),
-        }
+        """The JSON document of this config, sharing no object or array with it."""
+        return {name: _copy(getattr(self, name)) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        """Parse the JSON form; absent fields, and absent sources, keep their defaults.
+        """Check and copy a JSON document; absent fields, and absent sources
+        and source keys, keep their packaged values.
 
+        The config shares no object or array with ``data``.
         An unknown key raises :class:`ConfigurationError` naming the field:
         a top-level field, a source name or a key in a ``sources`` entry, a
         sex in ``sex_split``, or a sex or branch in ``routing_weights``.  So
         does a field whose value has the wrong shape or type (a fraction
         where a count belongs, a string or a boolean where a number
-        belongs, an array where an object belongs).  The error for a
-        source ``MP`` or ``FP`` says that the population-growth submodel,
-        which read them, was removed.
+        belongs, an array where an object belongs, a ``sex_split`` without
+        both sexes).  The error for a source ``MP`` or ``FP`` says that the
+        population-growth submodel, which read them, was removed.
         Values of the right shape are checked by :func:`validate_config`,
         not here.
         """
@@ -239,13 +213,13 @@ _FIELD_PARSERS = {
     "replications": partial(read_number, integral=True),
     "base_seed": partial(read_number, integral=True),
     "sources": _parse_sources,
-    "sex_split": lambda split: (read_number(_check_keys(split, (MALE, FEMALE))[MALE]),
-                                read_number(split[FEMALE])),
+    "sex_split": lambda split: {MALE: read_number(_check_keys(split, (MALE, FEMALE))[MALE]),
+                                FEMALE: read_number(split[FEMALE])},
     "routing_weights": lambda weights: {
         sex: {branch: read_number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
         for sex, entry in _check_keys(weights, (MALE, FEMALE)).items()
     },
-    "offspring_distribution": lambda law: dict(_check_object(law)),
+    "offspring_distribution": lambda law: _copy(_check_object(law)),
     "allele_frequency": read_number,
     "consanguinity_degree": _parse_degree,
     "inbreeding_f": lambda value: None if value is None else read_number(value),
@@ -277,14 +251,16 @@ def validate_config(config: ModelConfig) -> list[Violation]:
     # Seeds are mixed as 64-bit words, so a seed outside them would alias one inside.
     if not 0 <= config.base_seed < 2**64:
         violations.append(Violation("base_seed", "must lie in [0, 2**64)", config.base_seed))
-    male, female = config.sex_split
-    for label, fraction in ((MALE, male), (FEMALE, female)):
+    fractions = [config.sex_split.get(sex) for sex in (MALE, FEMALE)]
+    for sex, fraction in zip((MALE, FEMALE), fractions):
         # Each sex is a route of a weighted choice, and a weight must be positive.
-        if not 0.0 < fraction < 1.0:
-            violations.append(Violation(f"sex_split.{label}", "must lie in (0, 1)", fraction))
-    if abs(male + female - 1.0) > _FRACTION_TOLERANCE:
+        if fraction is None:
+            violations.append(Violation(f"sex_split.{sex}", "missing", None))
+        elif not 0.0 < fraction < 1.0:
+            violations.append(Violation(f"sex_split.{sex}", "must lie in (0, 1)", fraction))
+    if None not in fractions and abs(sum(fractions) - 1.0) > _FRACTION_TOLERANCE:
         violations.append(
-            Violation("sex_split", f"fractions must sum to 1 within {_FRACTION_TOLERANCE}", male + female)
+            Violation("sex_split", f"fractions must sum to 1 within {_FRACTION_TOLERANCE}", sum(fractions))
         )
     for sex in (MALE, FEMALE):
         weights = config.routing_weights.get(sex)
@@ -308,7 +284,7 @@ def validate_config(config: ModelConfig) -> list[Violation]:
             violations.append(Violation(f"sources.{name}", "missing", None))
             continue
         try:
-            low, high = make_distribution(settings.interarrival).support
+            low, high = make_distribution(settings.get("interarrival")).support
         except ConfigurationError as exc:
             violations.append(
                 Violation(f"sources.{name}.interarrival", "must be a valid distribution", str(exc))
@@ -319,12 +295,11 @@ def validate_config(config: ModelConfig) -> list[Violation]:
             if low < 0 or high == 0:
                 violations.append(Violation(
                     f"sources.{name}.interarrival", "must draw no negative value and not only 0",
-                    settings.interarrival,
+                    settings["interarrival"],
                 ))
-        if settings.max_arrivals is not None and settings.max_arrivals < 0:
-            violations.append(
-                Violation(f"sources.{name}.max_arrivals", "must be >= 0 or null", settings.max_arrivals)
-            )
+        cap = settings.get("max_arrivals")
+        if cap is not None and cap < 0:
+            violations.append(Violation(f"sources.{name}.max_arrivals", "must be >= 0 or null", cap))
     try:
         offspring = make_distribution(config.offspring_distribution)
         if not isinstance(offspring, DiscreteDistribution):
@@ -411,7 +386,8 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
                                            root.named(f"offspring_{stem}"), p,
                                            root.named(f"disorder_{stem}")))
 
-    sex = WeightedChoice(dict(zip(("MP", "FP"), config.sex_split)), stream=root.named("sex_split"))
+    sex = WeightedChoice({"MP": config.sex_split[MALE], "FP": config.sex_split[FEMALE]},
+                         stream=root.named("sex_split"))
     branch = {
         label: WeightedChoice({f"{label}_C": config.routing_weights[s][CONSANG],
                                f"{label}_NC": config.routing_weights[s][NON_CONSANG]},
@@ -426,7 +402,7 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
 
     wp = config.sources["WP"]
     components = {
-        "WP": make_source("WP", make_distribution(wp.interarrival), wp.max_arrivals,
+        "WP": make_source("WP", make_distribution(wp["interarrival"]), wp.get("max_arrivals"),
                           factory=factory, stream=root.named("wp_interarrival"), route=route,
                           ports=("MP_C", "MP_NC", "FP_C", "FP_NC")),
         "Marriage_C": marriage("C", "consanguineous", disorder_probability(q, f)),

@@ -129,7 +129,7 @@ def test_criterion_03_marriage_flow_identity(default_run):
 
 def test_criterion_04_sex_split_three_sigma():
     config = ModelConfig()
-    male_w, female_w = config.sex_split
+    male_w, female_w = config.sex_split["male"], config.sex_split["female"]
     outgoing = [("male", male_w), ("female", female_w)]
     stream = substream(config.base_seed, 0).named("sex_split_acceptance")
     n = 100_000

@@ -31,7 +31,6 @@ from _oracles import report_bytes
 from kinsim import (
     INBREEDING_COEFFICIENTS,
     ModelConfig,
-    SourceSettings,
     build_consanguinity_model,
     collect_run_stats,
     initialize,
@@ -65,9 +64,9 @@ def configs(draw) -> ModelConfig:
     config = ModelConfig()
     config.base_seed = draw(st.integers(0, 2**32 - 1))
     config.run_length = draw(st.floats(1.0, 300.0))
-    config.sources["WP"] = SourceSettings(interarrival=draw(interarrivals))
+    config.sources["WP"]["interarrival"] = draw(interarrivals)
     male = draw(st.floats(0.01, 0.99))
-    config.sex_split = (male, 1.0 - male)
+    config.sex_split = {"male": male, "female": 1.0 - male}
     config.routing_weights = {
         sex: {"consanguineous": draw(weights), "non_consanguineous": draw(weights)}
         for sex in ("male", "female")

@@ -319,8 +319,8 @@ class TestCsv:
 def birth_heavy_config() -> ModelConfig:
     """Exponential arrivals, even splits and many children per marriage."""
     config = small_config(run_length=1000.0, replications=5)
-    config.sources["WP"].interarrival = {"type": "exponential", "mean": 1.0}
-    config.sex_split = (0.5, 0.5)
+    config.sources["WP"]["interarrival"] = {"type": "exponential", "mean": 1.0}
+    config.sex_split = {"male": 0.5, "female": 0.5}
     config.routing_weights = {
         sex: {"consanguineous": 50.0, "non_consanguineous": 50.0} for sex in ("male", "female")
     }

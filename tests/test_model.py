@@ -15,7 +15,6 @@ from kinsim import (
     INBREEDING_COEFFICIENTS,
     EntityFactory,
     ModelConfig,
-    SourceSettings,
     build_consanguinity_model,
     collect_run_stats,
     disorder_probability,
@@ -24,7 +23,6 @@ from kinsim import (
     validate_config,
 )
 from kinsim.errors import ConfigurationError
-from kinsim.model import DEFAULT_OFFSPRING_PAIRS
 from kinsim.objects import CombinerState, SinkState, SourceState
 from kinsim.randomness import substream
 
@@ -52,9 +50,10 @@ def valid_configs(draw) -> ModelConfig:
         replications=draw(st.integers(1, 1000)),
         base_seed=draw(st.integers(0, 2**64 - 1)),
         sources={
-            "WP": SourceSettings(draw(interarrivals), draw(st.none() | st.integers(0, 10**6)))
+            "WP": {"interarrival": draw(interarrivals),
+                   "max_arrivals": draw(st.none() | st.integers(0, 10**6))}
         },
-        sex_split=(male, 1.0 - male),
+        sex_split={"male": male, "female": 1.0 - male},
         routing_weights={
             sex: {"consanguineous": draw(positive), "non_consanguineous": draw(positive)}
             for sex in ("male", "female")
@@ -105,7 +104,11 @@ def any_configs(draw) -> ModelConfig:
                          {"type": "gamma", "shape": 2.0}, {"value": 1.0}]),
     )
     cap = st.none() | st.integers(0, 50)
-    offspring = st.sampled_from([[list(p) for p in DEFAULT_OFFSPRING_PAIRS], [[0, 1.0]], [[2, 1.0]],
+
+    def source(interarrival, cap):
+        return {"interarrival": interarrival, "max_arrivals": cap}
+
+    offspring = st.sampled_from([ModelConfig().offspring_distribution["pairs"], [[0, 1.0]], [[2, 1.0]],
                                  [[0, 0.5], [1, 1.0]]]).map(law["discrete"])
     bad_offspring = st.sampled_from([
         law["discrete"](pairs) for pairs in
@@ -128,14 +131,15 @@ def any_configs(draw) -> ModelConfig:
         base_seed=pick("base_seed", st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])),
         sources=pick(
             "sources",
-            st.builds(lambda wp: {"WP": wp}, st.builds(SourceSettings, interarrival, cap)),
+            st.builds(lambda wp: {"WP": wp}, st.builds(source, interarrival, cap)),
             st.just({}) | st.builds(lambda wp: {"WP": wp}, st.one_of(
-                st.builds(SourceSettings, bad_interarrival, cap),
-                st.builds(SourceSettings, interarrival, st.integers(-3, -1)),
+                st.builds(source, bad_interarrival, cap),
+                st.builds(source, interarrival, st.integers(-3, -1)),
             )),
         ),
-        sex_split=pick("sex_split", st.just((male, 1.0 - male)),
-                        st.sampled_from([(0.0, 1.0), (0.7, 0.7), (1.5, -0.5), (math.nan, 0.5)])),
+        sex_split=pick("sex_split", st.just({"male": male, "female": 1.0 - male}),
+                       st.sampled_from([{"male": m, "female": f}
+                                        for m, f in [(0.0, 1.0), (0.7, 0.7), (1.5, -0.5), (math.nan, 0.5)]])),
         routing_weights=pick(
             "routing_weights",
             st.fixed_dictionaries({"male": weights, "female": weights}),
@@ -185,7 +189,7 @@ class TestValidateConfig:
 
     def test_sex_split_must_sum_to_one(self):
         config = ModelConfig()
-        config.sex_split = (0.7, 0.7)
+        config.sex_split = {"male": 0.7, "female": 0.7}
         violations = validate_config(config)
         assert any("sum to 1" in v.constraint for v in violations)
         assert any(v.field == "sex_split" for v in violations)
@@ -194,12 +198,22 @@ class TestValidateConfig:
     def test_sex_fraction_outside_open_unit_interval_flagged(self, split):
         # Each sex is a route of a weighted choice, whose weight must be positive.
         config = ModelConfig()
-        config.sex_split = split
+        config.sex_split = {"male": split[0], "female": split[1]}
         violations = validate_config(config)
         assert [(v.field, v.constraint, v.observed) for v in violations] == [
             ("sex_split.male", "must lie in (0, 1)", split[0]),
             ("sex_split.female", "must lie in (0, 1)", split[1]),
         ]
+
+    @pytest.mark.parametrize("split", [{"male": 0.5}, {"female": 0.5}, {}])
+    def test_missing_sex_fraction_flagged(self, split):
+        # Reported as a missing routing_weights sex is, not raised.
+        config = ModelConfig(sex_split=split)
+        assert [(v.field, v.constraint, v.observed) for v in validate_config(config)] == [
+            (f"sex_split.{sex}", "missing", None) for sex in ("male", "female") if sex not in split
+        ]
+        with pytest.raises(ConfigurationError, match="sex_split"):
+            build_consanguinity_model(config)
 
     def test_zero_replications_flagged(self):
         config = ModelConfig()
@@ -240,7 +254,7 @@ class TestValidateConfig:
 
     def test_nonfinite_interarrival_flagged(self):
         config = ModelConfig()
-        config.sources["WP"].interarrival = {"type": "constant", "value": math.nan}
+        config.sources["WP"]["interarrival"] = {"type": "constant", "value": math.nan}
         violations = validate_config(config)
         assert [(v.field, v.constraint) for v in violations] == [
             ("sources.WP.interarrival", "must be a valid distribution")
@@ -256,7 +270,7 @@ class TestValidateConfig:
     def test_never_positive_interarrival_flagged(self, interarrival):
         # each of these once validated, then spun at time 0 or failed mid-run
         config = ModelConfig()
-        config.sources["WP"].interarrival = interarrival
+        config.sources["WP"]["interarrival"] = interarrival
         assert [v.field for v in validate_config(config)] == ["sources.WP.interarrival"]
 
     @pytest.mark.parametrize("interarrival", [
@@ -266,7 +280,7 @@ class TestValidateConfig:
     ])
     def test_interarrival_that_can_be_0_but_not_always_passes(self, interarrival):
         config = ModelConfig()
-        config.sources["WP"].interarrival = interarrival
+        config.sources["WP"]["interarrival"] = interarrival
         assert validate_config(config) == []
 
     def test_bad_offspring_distribution_flagged(self):
@@ -347,8 +361,8 @@ class TestValidateConfig:
     def test_absent_sources_take_their_defaults(self):
         wp = {"interarrival": {"type": "constant", "value": 2.0}, "max_arrivals": 5}
         config = ModelConfig.from_dict({"sources": {"WP": wp}})
-        assert config.sources["WP"].to_dict() == wp
-        assert ModelConfig.from_dict({"sources": {}}).sources == {"WP": SourceSettings()}
+        assert config.sources["WP"] == wp
+        assert ModelConfig.from_dict({"sources": {}}).sources == ModelConfig().sources
         assert validate_config(config) == []
 
     @pytest.mark.parametrize("name", ["MP", "FP"])
@@ -366,7 +380,7 @@ class TestValidateConfig:
             {"replications": 2.0, "base_seed": 7.0, "sources": {"WP": {"max_arrivals": 5.0}}}
         )
         assert (config.replications, config.base_seed) == (2, 7)
-        assert config.sources["WP"].max_arrivals == 5
+        assert config.sources["WP"]["max_arrivals"] == 5
         assert isinstance(config.replications, int)
 
 
@@ -518,7 +532,7 @@ class TestPopulationGrowthModel:
 
     def test_empty_run_when_sources_capped_at_zero(self):
         config = ModelConfig()
-        config.sources["WP"].max_arrivals = 0
+        config.sources["WP"]["max_arrivals"] = 0
         stats = run_model(build_consanguinity_model, config, until=50.0)
         assert stats.created_total == 0
         for tag in BRANCHES:
@@ -762,7 +776,7 @@ class TestInterarrivalLaw:
             config.base_seed = seed
             # long enough for all the arrivals: the uniform law needs at most 60
             config.run_length = 200.0
-            config.sources["WP"] = SourceSettings(interarrival=law, max_arrivals=self.ARRIVALS)
+            config.sources["WP"] = {"interarrival": law, "max_arrivals": self.ARRIVALS}
             routes.append(wp_routes(config))
         assert len(routes[0]) == self.ARRIVALS
         assert routes[0] == routes[1] == routes[2]

@@ -8,15 +8,23 @@ assignment; the others are unhashable, and their fields, an atomic's
 callbacks too, can be reassigned.  Every record survives a pickle round
 trip, as a replication's statistics do crossing a worker's pipe.  An
 entity is the exception: it is equal only to itself.
+
+A config is its JSON document: the packaged one is its default, and it
+shares no object or array with the document it was read from or written
+to.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import kinsim
+from kinsim import cli
 from kinsim import (
     AtomicSpec,
     Constant,
@@ -29,11 +37,9 @@ from kinsim import (
     ObjectStats,
     ReportRow,
     RunStats,
-    SourceSettings,
     Uniform,
     Violation,
 )
-from kinsim.model import DEFAULT_OFFSPRING_PAIRS
 
 
 # Module-level callbacks, so that an atomic spec pickles.
@@ -77,23 +83,30 @@ RECORDS = {
     Constant: ({"value": 1.5}, {}, {"value": 2.5}),
     Uniform: ({"low": 0.0, "high": 2.0}, {}, {"high": 3.0}),
     Exponential: ({"mean": 2.0}, {}, {"mean": 0.5}),
-    SourceSettings: ({}, {"interarrival": {"type": "constant", "value": 1.0}, "max_arrivals": None},
-                     {"max_arrivals": 5}),
+    # The packaged config's values, written out as an independent pin of
+    # kinsim/data/default_config.json, which supplies every default.
     ModelConfig: ({}, {
         "run_length": 2000.0,
         "replications": 10,
         "base_seed": 42,
-        "sources": {"WP": SourceSettings()},
-        "sex_split": (0.595, 0.405),
+        "sources": {"WP": {"interarrival": {"type": "constant", "value": 1.0}, "max_arrivals": None}},
+        "sex_split": {"male": 0.595, "female": 0.405},
         "routing_weights": {
             "male": {"consanguineous": 35.7, "non_consanguineous": 65.9},
             "female": {"consanguineous": 35.7, "non_consanguineous": 64.2},
         },
-        "offspring_distribution": {"type": "discrete", "pairs": DEFAULT_OFFSPRING_PAIRS},
+        "offspring_distribution": {
+            "type": "discrete",
+            "pairs": [[0, 0.10], [1, 0.30], [2, 0.60], [3, 0.90], [4, 0.98], [5, 1.00]],
+        },
         "allele_frequency": 0.01,
         "consanguinity_degree": "first_cousin",
         "inbreeding_f": None,
-        "metadata": {"region": "", "religion": "", "commitment": ""},
+        "metadata": {
+            "region": "", "religion": "", "commitment": "",
+            "stated_consanguineous_union_rate":
+                "0.30 (informational; the executable branch split comes from routing_weights)",
+        },
     }, {"base_seed": 7}),
     Violation: ({"field": "run_length", "constraint": "must be finite and > 0", "observed": -1.0},
                 {}, {"observed": 0.0}),
@@ -143,6 +156,48 @@ def test_value_semantics(cls):
 
 def test_config_round_trips_through_its_json_form():
     config = ModelConfig(base_seed=7, inbreeding_f=0.125)
-    config.sources["WP"].max_arrivals = 300
+    config.sources["WP"]["max_arrivals"] = 300
     assert ModelConfig.from_dict(config.to_dict()) == config
     assert ModelConfig.from_dict(ModelConfig().to_dict()) != config
+
+
+PACKAGED = Path(kinsim.__file__).parent / "data" / "default_config.json"
+
+
+def test_the_packaged_config_is_the_default():
+    packaged = json.loads(PACKAGED.read_text(encoding="utf-8"))
+    assert ModelConfig() == cli._load_config(None) == ModelConfig.from_dict(packaged)
+    assert ModelConfig().to_dict() == packaged
+
+
+def containers(value) -> set[int]:
+    """The ids of every object and array in a JSON value, itself included."""
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(containers, value.values()))
+    if isinstance(value, list):
+        return {id(value)}.union(*map(containers, value))
+    return set()
+
+
+def overwrite(value) -> None:
+    """Set every number, string and null in a JSON value's objects and
+    arrays to a marker, in place."""
+    for key, item in list(value.items() if isinstance(value, dict) else enumerate(value)):
+        if isinstance(item, (dict, list)):
+            overwrite(item)
+        else:
+            value[key] = "edited"
+
+
+def test_config_shares_nothing_with_its_json_form():
+    config = ModelConfig(base_seed=7)
+    written = config.to_dict()
+    assert not containers(written) & containers([getattr(config, name) for name in written])
+    overwrite(written)
+    assert config == ModelConfig(base_seed=7)
+
+    given = ModelConfig(base_seed=7).to_dict()
+    read = ModelConfig.from_dict(given)
+    assert not containers(given) & containers([getattr(read, name) for name in given])
+    overwrite(given)
+    assert read == ModelConfig(base_seed=7)
