@@ -25,8 +25,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Container, Mapping
 from functools import cache, partial
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from ._record import FrozenRecord, Record
 from .entities import Entity, EntityFactory
@@ -76,12 +77,17 @@ def _check_object(value: Any, what: str = "the value") -> Mapping:
     return value
 
 
-def _check_keys(mapping: Any, known: tuple[str, ...]) -> Mapping:
+def _check_keys(mapping: Any, known: Container[str], path: Optional[str] = None) -> Mapping:
     """``mapping`` itself; a value that is not a JSON object raises
-    TypeError, and a key outside ``known`` ValueError."""
+    TypeError, and a key outside ``known`` ValueError.  Given ``path``, its
+    prefix within the field, ``mapping`` must hold every key of ``known``:
+    those it lacks raise one KeyError naming each as ``<path><key>``."""
     for key in _check_object(mapping):
         if key not in known:
             raise ValueError(f"unknown key {key!r}")
+    missing = [] if path is None else [path + key for key in known if key not in mapping]
+    if missing:
+        raise KeyError(*missing)
     return mapping
 
 
@@ -92,24 +98,22 @@ _SOURCE_NAMES = ("WP",)
 # removed; a config that still sets them is told so, not just "unknown key".
 _REMOVED_SOURCE_NAMES = ("MP", "FP")
 
+# Source entry key -> parser of its JSON value.
+_SOURCE_KEYS = {
+    "interarrival": partial(_check_object, what="interarrival"),
+    "max_arrivals": lambda cap: None if cap is None else read_number(cap, integral=True),
+}
+
 
 def _parse_sources(sources: Any) -> dict[str, dict]:
-    """The packaged sources, with each key that ``sources`` gives replaced."""
-    _check_object(sources)
+    """Each source that ``sources`` gives, with each key its entry gives."""
     for name in _REMOVED_SOURCE_NAMES:
-        if name in sources:
+        if name in _check_object(sources):
             raise ValueError(f"source {name!r} belonged to the population-growth submodel, "
                              f"which was removed; only 'WP' remains")
-    parsed = _copy(_packaged()["sources"])
-    for name, entry in _check_keys(sources, _SOURCE_NAMES).items():
-        _check_keys(entry, ("interarrival", "max_arrivals"))
-        settings = parsed[name]
-        if "interarrival" in entry:
-            settings["interarrival"] = _copy(_check_object(entry["interarrival"], "interarrival"))
-        if "max_arrivals" in entry:
-            cap = entry["max_arrivals"]
-            settings["max_arrivals"] = None if cap is None else read_number(cap, integral=True)
-    return parsed
+    return {name: {key: _SOURCE_KEYS[key](value)
+                   for key, value in _check_keys(entry, _SOURCE_KEYS).items()}
+            for name, entry in _check_keys(sources, _SOURCE_NAMES).items()}
 
 
 class ModelConfig(Record):
@@ -122,8 +126,8 @@ class ModelConfig(Record):
     ``consanguinity_degree`` names a key of
     :data:`~kinsim.genetics.INBREEDING_COEFFICIENTS`; ``inbreeding_f``, when
     set, overrides its coefficient for the consanguineous branch.
-    ``metadata`` holds free-text experiment-frame labels (region, religion,
-    commitment) that do not influence the dynamics.
+    ``metadata`` holds experiment-frame labels (region, religion,
+    commitment): any JSON values; no effect on the dynamics.
 
     The packaged ``kinsim/data/default_config.json`` is the default of
     every field: an argument left at None takes its value, a fresh copy
@@ -146,7 +150,7 @@ class ModelConfig(Record):
         allele_frequency: Optional[float] = None,
         consanguinity_degree: Optional[str] = None,
         inbreeding_f: Optional[float] = None,
-        metadata: Optional[dict[str, str]] = None,
+        metadata: Optional[dict[str, Any]] = None,
     ) -> None:
         packaged = _packaged()
         values = (run_length, replications, base_seed, sources, sex_split, routing_weights,
@@ -161,20 +165,12 @@ class ModelConfig(Record):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        """Check and copy a JSON document; absent fields, and absent sources
-        and source keys, keep their packaged values.
+        """Read a JSON document, each field by its parser in ``_FIELD_PARSERS``;
+        absent fields, sources and source keys keep their packaged values.
 
-        The config shares no object or array with ``data``.
-        An unknown key raises :class:`ConfigurationError` naming the field:
-        a top-level field, a source name or a key in a ``sources`` entry, a
-        sex in ``sex_split``, or a sex or branch in ``routing_weights``.  So
-        does a field whose value has the wrong shape or type (a fraction
-        where a count belongs, a string or a boolean where a number
-        belongs, an array where an object belongs, a ``sex_split`` without
-        both sexes).  The error for a source ``MP`` or ``FP`` says that the
-        population-growth submodel, which read them, was removed.
-        Values of the right shape are checked by :func:`validate_config`,
-        not here.
+        The config shares no object or array with ``data``.  A key or value
+        that the parsers do not read raises :class:`ConfigurationError`
+        naming the field; :func:`validate_config` checks the values.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
@@ -182,48 +178,46 @@ class ModelConfig(Record):
             if name not in _FIELD_PARSERS:
                 raise ConfigurationError(f"malformed {name}: unknown key")
         config = cls()
-        for name, parse in _FIELD_PARSERS.items():
-            if name not in data:
-                continue
-            try:
-                setattr(config, name, parse(data[name]))
-            except KeyError as exc:
-                raise ConfigurationError(f"malformed {name}: missing key {exc}") from None
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise ConfigurationError(f"malformed {name}: {exc}") from None
+        for name in filter(data.__contains__, _FIELD_PARSERS):
+            value, malformed = _read(name, data[name])
+            if malformed:
+                raise ConfigurationError(f"malformed {name}: " + "; ".join(
+                    v.constraint if v.field == name else f"missing {v.field}" for v in malformed))
+            if name == "sources":
+                value = {n: {**entry, **value.get(n, {})} for n, entry in config.sources.items()}
+            setattr(config, name, _copy(value))
         return config
 
 
-# The degree names a config may give, checked at parse and by
-# validate_config.  A list, not the table, so that an unhashable value
-# compares unequal to each name instead of raising TypeError.
+# The degree names a config may give.  A list, not the table, so that an
+# unhashable value compares unequal to each name instead of raising TypeError.
 _DEGREES = list(INBREEDING_COEFFICIENTS)
-_DEGREE_RULE = f"must be one of {_DEGREES}"
 
 
 def _parse_degree(raw) -> str:
     if raw not in _DEGREES:
-        raise ValueError(f"{_DEGREE_RULE} (got {raw!r})")
+        raise ValueError(f"must be one of {_DEGREES}")
     return raw
 
 
-# ModelConfig field -> parser of its JSON value, in parse order.
+# ModelConfig field -> the one parser of its JSON shape, in parse order.
 _FIELD_PARSERS = {
     "run_length": read_number,
     "replications": partial(read_number, integral=True),
     "base_seed": partial(read_number, integral=True),
     "sources": _parse_sources,
-    "sex_split": lambda split: {MALE: read_number(_check_keys(split, (MALE, FEMALE))[MALE]),
-                                FEMALE: read_number(split[FEMALE])},
+    "sex_split": lambda split: {sex: read_number(fraction)
+                                for sex, fraction in _check_keys(split, (MALE, FEMALE), "").items()},
     "routing_weights": lambda weights: {
-        sex: {branch: read_number(w) for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG)).items()}
-        for sex, entry in _check_keys(weights, (MALE, FEMALE)).items()
+        sex: {branch: read_number(w)
+              for branch, w in _check_keys(entry, (CONSANG, NON_CONSANG), f"{sex}.").items()}
+        for sex, entry in _check_keys(weights, (MALE, FEMALE), "").items()
     },
-    "offspring_distribution": lambda law: _copy(_check_object(law)),
+    "offspring_distribution": _check_object,
     "allele_frequency": read_number,
     "consanguinity_degree": _parse_degree,
     "inbreeding_f": lambda value: None if value is None else read_number(value),
-    "metadata": lambda metadata: {str(k): str(v) for k, v in _check_object(metadata).items()},
+    "metadata": _check_object,
 }
 
 
@@ -239,47 +233,59 @@ class Violation(FrozenRecord):
         return f"{self.field}: {self.constraint} (got {self.observed!r})"
 
 
-def validate_config(config: ModelConfig) -> list[Violation]:
-    """Return every violated ModelConfig invariant; empty means valid."""
-    violations: list[Violation] = []
+def _read(name: str, raw: Any) -> tuple[Any, list[Violation]]:
+    """``raw`` read by the parser of the field ``name``, and the violations
+    of its shape: each key it lacks is a ``<name>.<key>: missing`` line, and
+    any other parser error one line on the field, the error's text its rule."""
+    try:
+        return _FIELD_PARSERS[name](raw), []
+    except KeyError as exc:
+        return None, [Violation(f"{name}.{key}", "missing", None) for key in exc.args]
+    except (TypeError, ValueError) as exc:
+        return None, [Violation(name, str(exc), raw)]
 
+
+def validate_config(config: ModelConfig) -> list[Violation]:
+    """Return every violated ModelConfig invariant; empty means valid.
+
+    Each field is first read by its parser, as :meth:`ModelConfig.from_dict`
+    reads it, without changing the config.  A field of the wrong shape gives
+    only shape violations; otherwise the values that were read are checked.
+    """
+    read: dict[str, Any] = {}
+    violations: list[Violation] = []
+    for name in _FIELD_PARSERS:
+        read[name], malformed = _read(name, getattr(config, name))
+        violations += malformed
+    if violations:
+        return violations
     # Chained comparisons also reject NaN and Infinity, which JSON admits.
-    if not 0 < config.run_length < math.inf:
-        violations.append(Violation("run_length", "must be finite and > 0", config.run_length))
-    if config.replications < 1:
-        violations.append(Violation("replications", "must be >= 1", config.replications))
+    if not 0 < read["run_length"] < math.inf:
+        violations.append(Violation("run_length", "must be finite and > 0", read["run_length"]))
+    if read["replications"] < 1:
+        violations.append(Violation("replications", "must be >= 1", read["replications"]))
     # Seeds are mixed as 64-bit words, so a seed outside them would alias one inside.
-    if not 0 <= config.base_seed < 2**64:
-        violations.append(Violation("base_seed", "must lie in [0, 2**64)", config.base_seed))
-    fractions = [config.sex_split.get(sex) for sex in (MALE, FEMALE)]
-    for sex, fraction in zip((MALE, FEMALE), fractions):
+    if not 0 <= read["base_seed"] < 2**64:
+        violations.append(Violation("base_seed", "must lie in [0, 2**64)", read["base_seed"]))
+    for sex, fraction in read["sex_split"].items():
         # Each sex is a route of a weighted choice, and a weight must be positive.
-        if fraction is None:
-            violations.append(Violation(f"sex_split.{sex}", "missing", None))
-        elif not 0.0 < fraction < 1.0:
+        if not 0.0 < fraction < 1.0:
             violations.append(Violation(f"sex_split.{sex}", "must lie in (0, 1)", fraction))
-    if None not in fractions and abs(sum(fractions) - 1.0) > _FRACTION_TOLERANCE:
-        violations.append(
-            Violation("sex_split", f"fractions must sum to 1 within {_FRACTION_TOLERANCE}", sum(fractions))
-        )
-    for sex in (MALE, FEMALE):
-        weights = config.routing_weights.get(sex)
-        if weights is None:
-            violations.append(Violation(f"routing_weights.{sex}", "missing", None))
-            continue
-        valid = True
-        for branch in (CONSANG, NON_CONSANG):
-            weight = weights.get(branch)
-            if weight is None or not 0 < weight < math.inf:
-                valid = False
+    total = sum(read["sex_split"].values())
+    if abs(total - 1.0) > _FRACTION_TOLERANCE:
+        violations.append(Violation("sex_split", f"fractions must sum to 1 within {_FRACTION_TOLERANCE}",
+                                    total))
+    for sex, weights in read["routing_weights"].items():
+        for branch, weight in weights.items():
+            if not 0 < weight < math.inf:
                 violations.append(
-                    Violation(f"routing_weights.{sex}.{branch}", "must be finite and > 0", weight)
-                )
-        # The branch pick adds the pair, and an infinite total names NC every time.
-        if valid and weights[CONSANG] + weights[NON_CONSANG] == math.inf:
+                    Violation(f"routing_weights.{sex}.{branch}", "must be finite and > 0", weight))
+        # The branch pick adds the pair, and an infinite total of finite
+        # weights names NC every time.
+        if sum(weights.values()) == math.inf > max(weights.values()):
             violations.append(Violation(f"routing_weights.{sex}", "must have a finite sum", math.inf))
     for name in _SOURCE_NAMES:
-        settings = config.sources.get(name)
+        settings = read["sources"].get(name)
         if settings is None:
             violations.append(Violation(f"sources.{name}", "missing", None))
             continue
@@ -287,38 +293,32 @@ def validate_config(config: ModelConfig) -> list[Violation]:
             low, high = make_distribution(settings.get("interarrival")).support
         except ConfigurationError as exc:
             violations.append(
-                Violation(f"sources.{name}.interarrival", "must be a valid distribution", str(exc))
-            )
+                Violation(f"sources.{name}.interarrival", "must be a valid distribution", str(exc)))
         else:
             # A negative gap breaks the kernel's contract; gaps that are all 0
             # never let the clock advance.
             if low < 0 or high == 0:
-                violations.append(Violation(
-                    f"sources.{name}.interarrival", "must draw no negative value and not only 0",
-                    settings["interarrival"],
-                ))
+                violations.append(Violation(f"sources.{name}.interarrival",
+                                            "must draw no negative value and not only 0",
+                                            settings["interarrival"]))
         cap = settings.get("max_arrivals")
         if cap is not None and cap < 0:
             violations.append(Violation(f"sources.{name}.max_arrivals", "must be >= 0 or null", cap))
+    law = read["offspring_distribution"]
     try:
-        offspring = make_distribution(config.offspring_distribution)
+        offspring = make_distribution(law)
         if not isinstance(offspring, DiscreteDistribution):
             violations.append(
-                Violation("offspring_distribution", "must be a discrete distribution",
-                          config.offspring_distribution.get("type"))
-            )
+                Violation("offspring_distribution", "must be a discrete distribution", law.get("type")))
         elif any(v < 0 for v in offspring.values):
             violations.append(
-                Violation("offspring_distribution", "offspring counts must be >= 0", offspring.values)
-            )
+                Violation("offspring_distribution", "offspring counts must be >= 0", offspring.values))
     except ConfigurationError as exc:
         violations.append(Violation("offspring_distribution", "must be a valid distribution", str(exc)))
-    if config.consanguinity_degree not in _DEGREES:
-        violations.append(Violation("consanguinity_degree", _DEGREE_RULE, config.consanguinity_degree))
-    if not 0.0 <= config.allele_frequency <= 1.0:
-        violations.append(Violation("allele_frequency", "must lie in [0, 1]", config.allele_frequency))
-    if config.inbreeding_f is not None and not 0.0 <= config.inbreeding_f <= 1.0:
-        violations.append(Violation("inbreeding_f", "must lie in [0, 1] or null", config.inbreeding_f))
+    if not 0.0 <= read["allele_frequency"] <= 1.0:
+        violations.append(Violation("allele_frequency", "must lie in [0, 1]", read["allele_frequency"]))
+    if read["inbreeding_f"] is not None and not 0.0 <= read["inbreeding_f"] <= 1.0:
+        violations.append(Violation("inbreeding_f", "must lie in [0, 1] or null", read["inbreeding_f"]))
     return violations
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import offspring_moments, stat_value
+from test_cli import MALFORMED_FIELDS
 from kinsim import (
     INBREEDING_COEFFICIENTS,
     EntityFactory,
@@ -306,6 +307,10 @@ class TestValidateConfig:
         assert violation.observed == -3.0
         assert "run_length" in str(violation)
 
+    def test_metadata_keeps_its_json_values(self):
+        metadata = {"region": None, "n": {"a": [1]}}
+        assert ModelConfig.from_dict({"metadata": metadata}).to_dict()["metadata"] == metadata
+
     def test_config_round_trips_through_dict(self):
         config = ModelConfig()
         config.consanguinity_degree = "second_cousin"
@@ -332,6 +337,32 @@ class TestValidateConfig:
         assert "first_cousin" in violations[0].constraint
         with pytest.raises(ConfigurationError, match="consanguinity_degree"):
             run_experiment(config, jobs=1)
+        # So must each field's shape: each of these once raised from
+        # validate_config or from the run, or ran with a bool for a seed.
+        for field, value in [
+            ("sex_split", (0.5, 0.5)),  # the former pair form
+            ("routing_weights", [1, 2]),
+            ("run_length", "5"),
+            ("sources", {"WP": 3}),
+            ("allele_frequency", "x"),
+            ("replications", 2.5),
+            ("base_seed", True),
+            ("metadata", [1]),
+        ]:
+            config = ModelConfig(**{field: value})
+            violations = validate_config(config)
+            assert [v.field.startswith(field) for v in violations] == [True], (field, violations)
+            with pytest.raises(ConfigurationError, match=field):
+                run_experiment(config, jobs=1)
+
+    @pytest.mark.parametrize("field, document", [
+        (field, document) for field, document in MALFORMED_FIELDS if field in ModelConfig.__slots__
+    ])
+    def test_value_from_dict_rejects_is_a_violation_in_code(self, field, document):
+        # One table reads each field's shape for both entry points.
+        config = ModelConfig()
+        setattr(config, field, document[field])
+        assert any(v.field.startswith(field) for v in validate_config(config))
 
     @pytest.mark.parametrize("field, data", [
         ("replications", {"replications": 2.7}),
