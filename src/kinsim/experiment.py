@@ -18,17 +18,16 @@ bounds the memory, however long the horizon.
 
 Replications run in worker processes forked straight from the caller, so
 the config, the builder and the trace path are inherited rather than
-pickled (closure builders work).  The split is static: with N workers,
-worker k runs replications k, k + N, k + 2N, ... in order, since the
-replications of one config cost about the same.  Each worker sends its
+pickled (closure builders work).  The split is static, since the
+replications of one config cost about the same: with N workers, worker k
+runs one contiguous block of them in order.  Each worker sends its
 :class:`~kinsim.model.RunStats`, or the error that stopped it, back as one
-pickle down its own pipe; the parent reads the pipes in worker order and
-reduces the results in replication order, so the report and the trace are
-byte-identical to an in-process run.  With one job, or where ``fork`` is
-not available, the replications run in process, one after another.  When
-replications fail or a worker dies, the first dead worker or the lowest
-failure decides, and the workers whose replications all lie above a
-failure already read are killed rather than left to run them.
+pickle down its own pipe; the parent reads the pipes in worker order, so
+the results come in replication order and the report and the trace are
+byte-identical to an in-process run.  The first worker that died or sent
+a failure decides, and the workers above it are killed.  With one job, or
+where ``fork`` is not available, the replications run in process, one
+after another.
 """
 
 from __future__ import annotations
@@ -89,24 +88,25 @@ def run_experiment(
     """Run the configured replications and aggregate their statistics.
 
     Replication ``r`` builds a fresh model seeded from (base_seed, r) and
-    runs it to ``run_length``.  Kernel failures are re-raised with the
-    replication index attached.  ``trace_path``, when given, receives the
-    event trace of replication 0 (see :func:`~kinsim.kernel.initialize` for
-    the format), each event's lines written as the event ends, so the
-    trace's memory is the file's buffer however long the horizon.  The
-    file is closed when replication 0 ends; if the run fails, it holds
-    every event before the failure.
+    runs it to ``run_length``; the builder gets the config as its fields'
+    parsers read it, so a count set as an integral float is an int.  Kernel
+    failures are re-raised with the replication index attached.
+    ``trace_path``, when given, receives the event trace of replication 0
+    (see :func:`~kinsim.kernel.initialize` for the format), each event's
+    lines written as the event ends, so the trace's memory is the file's
+    buffer however long the horizon.  The file is closed when replication
+    0 ends; if the run fails, it holds every event before the failure.
 
     ``jobs`` is the number of worker processes; ``None`` means the usable
     CPUs.  It is capped at ``config.replications``.  Workers are forked
-    directly, worker k running replications k, k + jobs, ... and sending
+    directly, each running a contiguous block of replications and sending
     its results back through a pipe, so ``builder`` need not be picklable.
     With one job, or on a platform without ``fork``, the replications run
     in this process.  Either way the result is the same: when several
     replications fail, the lowest failing one's exception is raised, and a
     worker that dies, or cannot be started, raises a :class:`SimulationError`.
     """
-    _require_valid(config)
+    config = _require_valid(config)
     jobs = _resolve_jobs(jobs, config.replications)
     if jobs == 1 or not hasattr(os, "fork"):
         per_replication = [
@@ -164,21 +164,18 @@ def _replicate_in_workers(
     trace_path: Optional[str],
     jobs: int,
 ) -> list[RunStats]:
-    """Run the replications in ``jobs`` forked children, worker k taking
-    replications k, k + jobs, k + 2 * jobs, ... in that order.
+    """Run the ``n`` replications in ``jobs`` forked children, worker k
+    taking the block ``range(k * n // jobs, (k + 1) * n // jobs)`` in order.
 
     Each child sends its outcomes back as one pickle down its own pipe.
-    The pipes are read in worker order, and the first dead worker or the
-    lowest failure decides: every replication of a worker above k lies
-    above k, so a dead worker k outranks any failure read after it, and a
-    failure at replication r outranks every worker above r.  A child that
-    exits non-zero, or whose pickle is empty or truncated, raises
-    :class:`SimulationError` at once.  Once a child reports a failure at r,
-    the children above r are killed and left unread, and the lowest failing
-    replication's exception is raised as the child raised it.  A worker
-    that cannot be started, for want of a file descriptor or a process,
-    raises :class:`SimulationError` naming how many had started; those are
-    killed.
+    Every replication of worker k lies below every one of worker k + 1, so
+    the pipes are read in worker order and the first worker that failed
+    decides: a child that exits non-zero, or whose pickle is empty or
+    truncated, raises :class:`SimulationError`, and one that sent a failure
+    has its exception raised as the child raised it.  The children above
+    it are killed and left unread, as are those already started when a
+    worker cannot be, for want of a file descriptor or a process, which
+    raises :class:`SimulationError` naming how many had started.
     """
     # Imported here, not at the top: `import kinsim` and one-job runs do
     # without them.
@@ -188,10 +185,10 @@ def _replicate_in_workers(
     # A child inherits the parent's unwritten buffers and would write them
     # out a second time.
     _flush_standard_streams()
+    n = config.replications
     pids: dict[int, int] = {}  # worker -> pid, for the children not yet reaped
     read_fds: dict[int, int] = {}  # worker -> the read end of its pipe, while open
-    outcomes: dict[int, object] = {}
-    lowest_failure = config.replications  # none yet
+    per_replication: list[RunStats] = []
     try:
         for k in range(jobs):
             try:
@@ -200,7 +197,8 @@ def _replicate_in_workers(
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _work(config, builder, trace_path, range(k, config.replications, jobs), write_fd)
+                        _work(config, builder, trace_path, range(k * n // jobs, (k + 1) * n // jobs),
+                              write_fd)
                 finally:
                     os.close(write_fd)
             except OSError as exc:  # out of file descriptors or processes
@@ -209,8 +207,6 @@ def _replicate_in_workers(
                 ) from exc
             pids[k] = pid
         for k in range(jobs):
-            if k > lowest_failure:
-                break
             with open(read_fds.pop(k), "rb") as pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
@@ -223,13 +219,9 @@ def _replicate_in_workers(
                 raise SimulationError(
                     f"a replication worker died: its result was cut short ({exc})"
                 ) from None
-            outcomes.update(sent)
-            r, last = sent[-1]  # a worker stops at its first failure
-            if isinstance(last, BaseException) and r < lowest_failure:
-                lowest_failure = r
-                for j in pids:  # not reaped yet, so each pid is still its own
-                    if j > r:
-                        os.kill(pids[j], signal.SIGKILL)
+            if isinstance(sent[-1], BaseException):  # a worker stops at its first failure
+                raise sent[-1]
+            per_replication += sent
     finally:
         for read_fd in read_fds.values():
             os.close(read_fd)
@@ -237,10 +229,7 @@ def _replicate_in_workers(
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-    if lowest_failure < config.replications:
-        raise outcomes[lowest_failure]
-    return [outcomes[r] for r in range(config.replications)]
+    return per_replication
 
 
 def _work(
@@ -251,19 +240,20 @@ def _work(
     write_fd: int,
 ) -> NoReturn:
     """The body of a forked worker: run ``replications`` in order up to the
-    first that raises, write ``[(r, RunStats or exception)]`` to ``write_fd``
-    as one pickle and exit.  It never returns into the caller's code, so no
-    ``finally`` or ``atexit`` handler of the parent's runs twice."""
+    first that raises, write their RunStats, and that one's exception last,
+    to ``write_fd`` as one pickled list and exit.  It never returns into the
+    caller's code, so no ``finally`` or ``atexit`` handler of the parent's
+    runs twice."""
     import pickle
 
     code = 1
     try:
-        outcomes: list[tuple[int, object]] = []
+        outcomes: list[object] = []
         for r in replications:
             try:
-                outcomes.append((r, _replicate(config, builder, trace_path, r)))
+                outcomes.append(_replicate(config, builder, trace_path, r))
             except Exception as exc:
-                outcomes.append((r, _sendable(r, exc)))
+                outcomes.append(_sendable(r, exc))
                 break
         with open(write_fd, "wb") as pipe:
             pickle.dump(outcomes, pipe)

@@ -322,11 +322,17 @@ def validate_config(config: ModelConfig) -> list[Violation]:
     return violations
 
 
-def _require_valid(config: ModelConfig) -> None:
+def _require_valid(config: ModelConfig) -> ModelConfig:
+    """``config`` with each field as its parser reads it, so an integral
+    float count is an int; an invalid config raises ConfigurationError."""
     violations = validate_config(config)
     if violations:
         summary = "; ".join(str(v) for v in violations)
         raise ConfigurationError(f"invalid model config: {summary}")
+    checked = ModelConfig.__new__(ModelConfig)  # no packaged defaults: every field is set below
+    for name, parse in _FIELD_PARSERS.items():
+        setattr(checked, name, parse(getattr(config, name)))
+    return checked
 
 
 def birth_trigger(
@@ -369,7 +375,7 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
     fourteen legs of the flow, ``Path1``-``Path14``, are read off the
     objects they lead to by :func:`collect_run_stats`.
     """
-    _require_valid(config)
+    config = _require_valid(config)
     root = substream(config.base_seed, replication)
     factory = EntityFactory()
     offspring_dist = make_distribution(config.offspring_distribution)

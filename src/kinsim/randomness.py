@@ -168,13 +168,14 @@ def read_number(value, *, integral: bool = False) -> Union[float, int]:
     Only a real number is a number here: a string or ``true``/``false``
     raises TypeError.  An ``integral`` value with a fractional part, and
     an integer too large for a float where a float is read, raise
-    ValueError.
+    ValueError.  The messages name the value's type, not the value, so a
+    caller whose own message names the value names it once.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError(f"expected a number, got {type(value).__name__}")
     if integral:
         if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"expected an integer, got {value!r}")
+            raise ValueError("expected an integer")
         return int(value)
     try:
         return float(value)

@@ -163,6 +163,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             run_experiment(small_config(replications=0))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_integral_float_counts_set_in_code_run(self, jobs, tmp_path):
+        # The run takes each count as its parser reads it: an int.
+        expected = report_bytes(run_experiment(small_config(replications=2, base_seed=7), jobs=jobs),
+                                tmp_path / "ints.csv")
+        for counts in ({"replications": 2.0, "base_seed": 7}, {"replications": 2, "base_seed": 7.0}):
+            result = run_experiment(small_config(**counts), jobs=jobs)
+            assert report_bytes(result, tmp_path / "floats.csv") == expected, counts
+        build_consanguinity_model(small_config(base_seed=7.0))  # once a TypeError in the seed mix
+
     def test_kernel_failure_reports_replication_index(self):
         with pytest.raises(SimulationError, match="replication 0"):
             run_experiment(small_config(replications=1), builder=looping_builder)
@@ -392,16 +402,33 @@ class TestJobs:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
-    def test_lower_failure_reported_after_a_higher_one_wins(self):
+    # 4 replications over 2 workers: blocks 0-1 and 2-3
+    @pytest.mark.parametrize("slow, failing", [(0, (0, 1)), (1, (1, 2))],
+                             ids=["one-block", "two-blocks"])
+    def test_lower_failure_reported_after_a_higher_one_wins(self, slow, failing):
         def builder(config, replication):
-            if replication == 0:
-                time.sleep(0.3)  # replication 1 fails first
-            if replication < 2:
+            if replication == slow:
+                time.sleep(0.3)  # the higher failing replication fails first
+            if replication in failing:
                 raise ConfigurationError(f"no replication {replication} here")
             return build_consanguinity_model(config, replication)
 
-        with pytest.raises(ConfigurationError, match="^no replication 0 here$"):
+        with pytest.raises(ConfigurationError, match=f"^no replication {slow} here$"):
             run_experiment(small_config(replications=4), builder=builder, jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
+    def test_each_worker_runs_one_contiguous_block(self, tmp_path):
+        def recording_builder(config, replication):
+            with open(tmp_path / str(os.getpid()), "a", encoding="utf-8") as fh:
+                fh.write(f"{replication}\n")
+            return build_consanguinity_model(config, replication)
+
+        run_experiment(small_config(replications=6), builder=recording_builder, jobs=2)
+        assert str(os.getpid()) not in {path.name for path in tmp_path.iterdir()}
+        # one file per worker, its replications in the order they ran
+        blocks = sorted([int(r) for r in path.read_text(encoding="utf-8").split()]
+                        for path in tmp_path.iterdir())
+        assert blocks == [[0, 1, 2], [3, 4, 5]]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
     def test_dead_worker_above_a_failure_is_ignored(self):

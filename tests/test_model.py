@@ -307,6 +307,12 @@ class TestValidateConfig:
         assert violation.observed == -3.0
         assert "run_length" in str(violation)
 
+    @pytest.mark.parametrize("field, value", [("run_length", "5"), ("replications", 2.5)])
+    def test_shape_violation_names_its_value_once(self, field, value):
+        violations = validate_config(ModelConfig(**{field: value}))
+        assert [v.field for v in violations] == [field]
+        assert str(violations[0]).count(repr(value)) == 1, str(violations[0])
+
     def test_metadata_keeps_its_json_values(self):
         metadata = {"region": None, "n": {"a": [1]}}
         assert ModelConfig.from_dict({"metadata": metadata}).to_dict()["metadata"] == metadata
