@@ -5,15 +5,17 @@ expressed here as an :class:`AtomicSpec` holding an initial state and four
 callbacks.  A coupled model composes named children with port couplings and a
 ``select`` total order that breaks ties among simultaneously imminent
 components.  The simulator is independent of what any particular model
-represents.  :func:`initialize` relies on closure under coupling: in one
-pass over the hierarchy it checks every coupling and ``select``, collects
-the atomics in hierarchical select order, and joins all couplings into one
-graph of port endpoints.  A walk of that graph gives each atomic output
-port its routes to atomic inputs and root outputs.  A message is a plain
-``(port, payload)`` pair, as in coupled DEVS with ports (Zeigler, Praehofer
-& Kim 2000); couplings rename its port only.  :meth:`SimulationHandle.step`
-and :meth:`SimulationHandle.run_until` drive one event loop, in which every
-event runs one Classic-DEVS cycle over the flat atomics:
+represents.  :func:`initialize` relies on closure under coupling: one pass
+over the hierarchy, children in ``select`` order, checks every name,
+coupling and ``select``, collects the atomics in hierarchical select order
+and joins all couplings into one graph of port endpoints, whose walk gives
+each atomic output port its routes to atomic inputs and, apart, to root
+outputs.  A message is a plain ``(port, payload)`` pair, as in coupled
+DEVS with ports (Zeigler, Praehofer & Kim 2000); couplings rename its port
+only.  :meth:`SimulationHandle.step` and :meth:`SimulationHandle.run_until`
+drive one event loop, which delivers only to atomics (``step`` maps the
+fired outputs to root outputs); every event runs one Classic-DEVS cycle
+over the flat atomics:
 
 1. advance the clock to the minimum ``t_next`` over all components,
 2. pick one imminent component via the (hierarchy-composed) select order,
@@ -80,11 +82,14 @@ class AtomicSpec(Record):
     :class:`~kinsim.errors.ContractViolationError` naming the component.
     ``output`` is invoked exactly once, immediately before ``delta_int``,
     when the component is imminent, and returns a sequence of
-    ``(output port, payload)`` pairs.  ``delta_ext`` receives the elapsed
-    time since the last transition, which the kernel guarantees to lie in
-    ``[0, ta(state)]``, and its bag, a list of ``(input port, payload)``
-    pairs in routing order.  Callbacks may mutate the state in place or
-    return a fresh one; the kernel tracks whatever they return.
+    ``(output port, payload)`` pairs, which the transitions that follow
+    must not change: the trace and :meth:`SimulationHandle.step` read it
+    after them (kinsim's objects each return a fresh list).  ``delta_ext``
+    receives the elapsed time since the last transition, which the kernel
+    guarantees to lie in ``[0, ta(state)]``, and its bag, a list of
+    ``(input port, payload)`` pairs in routing order.  Callbacks may mutate
+    the state in place or return a fresh one; the kernel tracks whatever
+    they return.
     """
 
     __slots__ = ("initial_state", "time_advance", "delta_int", "delta_ext", "output",
@@ -143,27 +148,31 @@ Endpoint = tuple[str, str, str]  # (model path, port name, INPUT or OUTPUT)
 def _flatten(
     spec: ModelSpec,
     path: str,
-    key: tuple[int, ...],
-    atoms: list[tuple[tuple[int, ...], str, AtomicSpec]],
+    atoms: list[tuple[str, AtomicSpec]],
     edges: dict[Endpoint, list[Endpoint]],
 ) -> None:
     """Check a model and close it into atomics plus an endpoint graph, in one pass.
 
-    Appends ``(select key, path, spec)`` for every atomic to ``atoms``; the
-    key holds the select rank at each level, so sorting by it gives the
-    hierarchical select order.  Adds every coupling to ``edges`` as an edge
-    between endpoints ``(path, port, direction)``, in declaration order.  A
-    coupled model's boundary port is one endpoint whether a coupling inside
-    it or one in its parent names it, so the levels join up by themselves;
-    the root's boundary has path ``""``.
+    Appends ``(path, spec)`` for every atomic to ``atoms``, children in
+    ``select`` order, so the atomics come out in hierarchical select order.
+    Adds every coupling to ``edges`` as an edge between endpoints ``(path,
+    port, direction)``, in declaration order.  A coupled model's boundary
+    port is one endpoint whether a coupling inside it or one in its parent
+    names it, so the levels join up by themselves; the root's boundary has
+    path ``""``.
 
-    Scopes are checked root first, each coupling source end first, then
-    ``select``.  Raises :class:`StructuralError` naming the first offender.
+    Checks run root first; within each scope, the names (non-empty, without
+    ``/``: a path joins them with ``/``), then each coupling, source end
+    first, then ``select``, then the children in select order.  Raises
+    :class:`StructuralError` naming the first offender.
     """
     if isinstance(spec, AtomicSpec):
-        atoms.append((key, path, spec))
+        atoms.append((path, spec))
         return
     where = path or "<root>"
+    for name in spec.components:
+        if not name or "/" in name:
+            raise StructuralError(f"{where}: component name {name!r} is empty or contains '/'")
     for c in spec.couplings:
         if c.src is None and c.dst is None:
             raise StructuralError(
@@ -185,10 +194,8 @@ def _flatten(
             f"{where}: select must be a total order over the components, "
             f"got {spec.select!r} for components {list(spec.components)!r}"
         )
-    order = spec.select if spec.select is not None else list(spec.components)
-    rank = {name: i for i, name in enumerate(order)}
-    for name, child in spec.components.items():
-        _flatten(child, f"{path}/{name}" if path else name, key + (rank[name],), atoms, edges)
+    for name in spec.components if spec.select is None else spec.select:
+        _flatten(spec.components[name], f"{path}/{name}" if path else name, atoms, edges)
 
 
 def _endpoint(
@@ -220,21 +227,22 @@ class _Node:
     """One atomic of the flattened model; its ``t_next`` is kept by the handle.
 
     Holds the spec's four callbacks, read once when the handle is built.
-    ``routes`` maps each declared output port to ``(deliveries,
-    root_outputs)``: deliveries are ``(node index, input port)`` and root
-    outputs root port names, in coupling declaration order.  ``internal``
-    and ``external`` are the middle of the node's trace lines in each
-    phase, between the time and the port.
+    ``routes`` maps each declared output port to its deliveries, ``(node
+    index, input port)`` pairs, and ``root_routes`` to the root output
+    ports it reaches, both in coupling declaration order.  ``internal`` and
+    ``external`` are the middle of the node's trace lines in each phase,
+    between the time and the port.
     """
 
-    __slots__ = ("path", "state", "t_last", "routes", "time_advance", "delta_int",
-                 "delta_ext", "output", "internal", "external")
+    __slots__ = ("path", "state", "t_last", "routes", "root_routes", "time_advance",
+                 "delta_int", "delta_ext", "output", "internal", "external")
 
     def __init__(self, path: str, spec: AtomicSpec, t0: Time) -> None:
         self.path = path
         self.state = spec.initial_state
         self.t_last = t0
-        self.routes: dict[str, tuple[list[tuple[int, str]], list[str]]] = {}
+        self.routes: dict[str, list[tuple[int, str]]] = {}
+        self.root_routes: dict[str, list[str]] = {}
         self.time_advance = spec.time_advance
         self.delta_int = spec.delta_int
         self.delta_ext = spec.delta_ext
@@ -252,19 +260,13 @@ class SimulationHandle:
     It keeps no record of past events.
     """
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        t0: Time,
-        trace_file: TextIO | None,
-    ) -> None:
+    def __init__(self, model: ModelSpec, t0: Time, trace_file: TextIO | None) -> None:
         if not math.isfinite(t0):  # a NaN or infinite clock never advances
             raise SimulationError(f"a simulation needs a finite start time, got {t0}")
-        atoms: list[tuple[tuple[int, ...], str, AtomicSpec]] = []
+        atoms: list[tuple[str, AtomicSpec]] = []
         edges: dict[Endpoint, list[Endpoint]] = {}
-        _flatten(model, "", (), atoms, edges)
-        atoms.sort(key=lambda atom: atom[0])
-        index = {path: i for i, (_, path, _) in enumerate(atoms)}
+        _flatten(model, "", atoms, edges)
+        index = {path: i for i, (path, _) in enumerate(atoms)}
         self.clock: Time = t0
         self._write_trace: Callable[[str], Any] | None = (
             None if trace_file is None else trace_file.write
@@ -272,7 +274,7 @@ class SimulationHandle:
         self._nodes: list[_Node] = []
         self._t_next: list[Time] = []
         self._steps_at_clock = 0
-        for _, path, spec in atoms:
+        for path, spec in atoms:
             # An atomic root is named "model"; its output ports are the root's.
             node = _Node(path or "model", spec, t0)
             ta = node.time_advance(node.state)
@@ -280,10 +282,8 @@ class SimulationHandle:
                 raise ContractViolationError(f"{node.path}: time advance of initial state is {ta}")
             for port in spec.output_ports:
                 reached = list(_reach(edges, (path, port, OUTPUT)))
-                node.routes[port] = (
-                    [(index[p], q) for p, q, d in reached if d == INPUT and p in index],
-                    [q for p, q, d in reached if p == "" and d == OUTPUT],
-                )
+                node.routes[port] = [(index[p], q) for p, q, d in reached if d == INPUT and p in index]
+                node.root_routes[port] = [q for p, q, d in reached if p == "" and d == OUTPUT]
             self._nodes.append(node)
             self._t_next.append(t0 + ta)
 
@@ -300,6 +300,7 @@ class SimulationHandle:
             yield node.path, node.state
 
     def node_times(self) -> Iterator[tuple[str, Time, Time]]:
+        """Yield (path, t_last, t_next) for every atomic component."""
         for node, t_next in zip(self._nodes, self._t_next):
             yield node.path, node.t_last, t_next
 
@@ -309,12 +310,15 @@ class SimulationHandle:
         """Run one event: fire the selected imminent component.
 
         Returns the event time and the messages that crossed the root
-        boundary, as ``(root output port, payload)`` pairs.
+        boundary, as ``(root output port, payload)`` pairs: the fired
+        component's outputs mapped through its root routes, in output
+        order, then in coupling declaration order.
         """
         if self.next_event_time == INFINITY:
             raise SimulationError("step() called with no pending events")
-        root_outputs = self._run(INFINITY, True)
-        return self.clock, root_outputs
+        node, outputs = self._run(INFINITY, True)
+        return self.clock, [(root_port, payload) for port, payload in outputs
+                            for root_port in node.root_routes[port]]
 
     def run_until(self, t_end: Time) -> None:
         """Process every event with time <= t_end; a NaN ``t_end``, or one
@@ -327,7 +331,7 @@ class SimulationHandle:
             raise SimulationError(f"run_until({t_end}) is NaN or before the clock {self.clock}")
         self._run(t_end, False)
 
-    def _run(self, t_end: Time, once: bool) -> list[Message]:
+    def _run(self, t_end: Time, once: bool) -> tuple[_Node, Sequence[Message]] | None:
         """The event loop: fire events up to ``t_end``, or only the next if ``once``.
 
         Each event fires the first imminent component in select order.  Its
@@ -336,8 +340,8 @@ class SimulationHandle:
         the new time advance, which must not be negative or NaN.  The
         event's trace lines are written only after all of them, so the trace
         shows each payload as the event left it (a receiver may relabel a
-        payload it was just sent); buffering is the stream's.  Returns the
-        messages the last event sent across the root boundary.
+        payload it was just sent); buffering is the stream's.  If ``once``,
+        returns the fired node and the sequence its ``output`` returned.
         """
         t_next = self._t_next
         nodes = self._nodes
@@ -346,7 +350,6 @@ class SimulationHandle:
         at = _time_text(clock)  # the trace's time column, made once per clock value
         steps = self._steps_at_clock
         max_steps = MAX_ZERO_STEPS
-        root_outputs: list[Message] = []
         try:
             while True:
                 t = min(t_next, default=INFINITY)
@@ -369,20 +372,17 @@ class SimulationHandle:
                 outputs = node.output(node.state)
                 routes = node.routes
                 deliveries: dict[int, list[Message]] = {}
-                root_outputs = []
                 for port, payload in outputs:
                     try:
-                        atom_targets, root_targets = routes[port]
+                        targets = routes[port]
                     except KeyError:
                         raise RoutingError(f"{node.path}: output on undeclared port {port!r}") from None
-                    for idx, dst_port in atom_targets:
+                    for idx, dst_port in targets:
                         bag = deliveries.get(idx)
                         if bag is None:
                             deliveries[idx] = [(dst_port, payload)]
                         else:
                             bag.append((dst_port, payload))
-                    for root_port in root_targets:
-                        root_outputs.append((root_port, payload))
                 # Internal transition of the selected component.
                 node.state = state = node.delta_int(node.state)
                 ta = node.time_advance(state)
@@ -410,11 +410,10 @@ class SimulationHandle:
                         for port, payload in deliveries[idx]:
                             write(f"{at}{phase}{port}\t{payload}\n")
                 if once:
-                    break
+                    return node, outputs
         finally:
             self.clock = clock
             self._steps_at_clock = steps
-        return root_outputs
 
 
 def initialize(

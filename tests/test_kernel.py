@@ -274,6 +274,70 @@ class TestStructuralValidation:
         with pytest.raises(StructuralError, match=r"^<root>: select must"):
             initialize(model)
 
+    # A path joins names with "/", and "" is the root boundary's path, so a
+    # name that is empty or holds "/" would collide.  A scope's names are
+    # checked before its couplings, so the nested case's bad coupling loses.
+    BAD_NAMES = {
+        # The root's "a/b" would share its path with the b inside "a".
+        "slash beside its nesting": (
+            CoupledSpec(
+                components={
+                    "gen": generator(1.0),
+                    "a/b": counter(),
+                    "a": CoupledSpec(
+                        components={"b": counter()},
+                        couplings=[Coupling(None, "in", "b", "in")],
+                        input_ports=("in",),
+                    ),
+                },
+                couplings=[
+                    Coupling("gen", "out", "a/b", "in"),
+                    Coupling("gen", "out", "a", "in"),
+                ],
+            ),
+            "<root>: component name 'a/b' is empty or contains '/'",
+        ),
+        # An atomic named "" would be the root boundary itself.
+        "empty": (
+            CoupledSpec(
+                components={"": generator(1.0)},
+                couplings=[Coupling("", "out", None, "out")],
+                output_ports=("out",),
+            ),
+            "<root>: component name '' is empty or contains '/'",
+        ),
+        "nested": (
+            CoupledSpec(components={"top": CoupledSpec(
+                components={"gen": generator(1.0), "x/y": counter(), "": counter()},
+                couplings=[Coupling("gen", "out", "ghost", "in")],
+            )}),
+            "top: component name 'x/y' is empty or contains '/'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_NAMES))
+    def test_component_name_that_could_collide_rejected(self, case):
+        model, message = self.BAD_NAMES[case]
+        with pytest.raises(StructuralError) as raised:
+            initialize(model)
+        assert str(raised.value) == message
+
+    def test_sibling_scopes_checked_in_select_order(self):
+        def broken(port):
+            return CoupledSpec(
+                components={"gen": generator(1.0)},
+                couplings=[Coupling("gen", port, None, "y")],
+                output_ports=("y",),
+            )
+
+        model = CoupledSpec(
+            components={"first": broken("nope1"), "second": broken("nope2")},
+            select=["second", "first"],
+        )
+        with pytest.raises(StructuralError) as raised:
+            initialize(model)
+        assert str(raised.value) == "second: unknown endpoint gen.nope2 (output)"
+
     def test_undeclared_output_port_raises_routing_error(self):
         rogue = AtomicSpec(
             initial_state={},
@@ -669,6 +733,68 @@ class TestHierarchy:
         handle = initialize(model)
         t, outputs = handle.step()
         assert (t, outputs) == (1.0, [("root_out", 0)])
+
+    def test_root_outputs_through_nested_boundaries(self):
+        # src, two levels down, emits on p and q in one event; each port
+        # leaves inner and then outer by two boundary outputs, declared
+        # against name order, and p also reaches an atomic at the root.
+        def build():
+            src = AtomicSpec(
+                initial_state={"n": 0},
+                time_advance=lambda s: 1.0,
+                delta_int=lambda s: {"n": s["n"] + 1},
+                delta_ext=lambda s, e, xs: s,
+                output=lambda s: [("p", f"p{s['n']}"), ("q", f"q{s['n']}")],
+                output_ports=("p", "q"),
+            )
+            inner = CoupledSpec(
+                components={"src": src},
+                couplings=[
+                    Coupling("src", "q", None, "q2"),
+                    Coupling("src", "p", None, "p2"),
+                    Coupling("src", "p", None, "p1"),
+                    Coupling("src", "q", None, "q1"),
+                ],
+                output_ports=("p1", "p2", "q1", "q2"),
+            )
+            outer = CoupledSpec(
+                components={"inner": inner},
+                couplings=[
+                    Coupling("inner", "p1", None, "p1"),
+                    Coupling("inner", "q1", None, "q1"),
+                    Coupling("inner", "p2", None, "p2"),
+                    Coupling("inner", "q2", None, "q2"),
+                ],
+                output_ports=("p1", "p2", "q1", "q2"),
+            )
+            return CoupledSpec(
+                components={"outer": outer, "acc": counter()},
+                couplings=[
+                    Coupling("outer", "q1", None, "qa"),
+                    Coupling("outer", "p2", None, "pz"),
+                    Coupling("outer", "p1", None, "pa"),
+                    Coupling("outer", "q2", None, "qz"),
+                    Coupling("outer", "p1", "acc", "in"),
+                ],
+                output_ports=("pa", "pz", "qa", "qz"),
+            )
+
+        stepped = io.StringIO()
+        handle = initialize(build(), trace_file=stepped)
+        for n in range(3):
+            # p's routes, then q's, each in coupling declaration order
+            assert handle.step() == (n + 1.0, [
+                ("pz", f"p{n}"), ("pa", f"p{n}"), ("qz", f"q{n}"), ("qa", f"q{n}"),
+            ])
+        assert dict(handle.components())["acc"]["seen"] == [(1.0, ["p0"]), (1.0, ["p1"]), (1.0, ["p2"])]
+        expected = io.StringIO()
+        initialize(build(), trace_file=expected).run_until(3.0)
+        assert stepped.getvalue() == expected.getvalue()
+        assert [row[1:] for row in parse_trace(expected.getvalue())[:3]] == [
+            ("outer/inner/src", "internal", "p", "p0"),
+            ("outer/inner/src", "internal", "q", "q0"),
+            ("acc", "external", "in", "p0"),
+        ]
 
     def test_one_output_fans_out_to_sibling_nested_atomic_and_root(self):
         # Every route ends on its own port, so the trace shows which
