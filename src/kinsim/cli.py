@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 config validation failure (a file that is not
 UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
-be read, an unwritable report or trace file, or an output file that is the
-config or the other output).
+be read, an unwritable report or trace file, an output file that is the
+config or the other output, or a stdout that its reader closed early).
 """
 
 from __future__ import annotations
@@ -106,6 +106,16 @@ def _unwritable(path: str) -> Optional[str]:
     return None
 
 
+def _file_key(path: str) -> object:
+    """What names one file: its device and inode once it exists, so that a
+    hard link or a symlink is the file it leads to, else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:  # not yet created, or not reachable
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _checked_config(args.config, args.replications, args.seed)
     if isinstance(config, int):
@@ -116,10 +126,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"kinsim: cannot write report: {problem}", file=sys.stderr)
         return 2
     # No output may overwrite the config or the other output.
-    taken = {} if args.config is None else {os.path.realpath(args.config): "--config"}
+    taken = {} if args.config is None else {_file_key(args.config): "--config"}
     for flag, path in (("--out", args.out), ("--trace", args.trace)):
         if path is not None:
-            other = taken.setdefault(os.path.realpath(path), flag)
+            other = taken.setdefault(_file_key(path), flag)
             if other != flag:
                 print(f"kinsim: {other} and {flag} name the same file {path!r}", file=sys.stderr)
                 return 2
@@ -150,9 +160,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_validate(args)
+    try:
+        code = _cmd_run(args) if args.command == "run" else _cmd_validate(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Python flushes stdout again at
+        # exit, so it is pointed at devnull first, as the note on SIGPIPE in
+        # the docs of the signal module advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
 import subprocess
 import sys
+import sysconfig
 import zipfile
 from pathlib import Path
 
@@ -98,6 +100,7 @@ MALFORMED_FIELDS = [
     ("sources", {"sources": {"WP": {"interarrival": [["type", "constant"], ["value", 1.0]]}}}),
     ("sources", {"sources": None}),
     ("metadata", {"metadata": [["region", "north"]]}),
+    ("consanguinity_degree", {"consanguinity_degree": "sibling"}),
 ]
 
 
@@ -129,6 +132,8 @@ def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, ca
     # seeds outside 64 bits: once aliased 2**64 - 1 and 0
     ("base_seed", -1),
     ("base_seed", 2**64),
+    # each finite, their sum not
+    ("routing_weights.male", {"consanguineous": 1e308, "non_consanguineous": 1e308}),
 ])
 def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     # Each of these once validated and then hung or ran silently wrong.
@@ -218,10 +223,14 @@ def test_unreadable_config_is_one_line(command, name, code, line, tmp_path, caps
     assert not out.exists()
 
 
-def test_config_listing_only_wp_validates(tmp_path, capsys):
-    path = tmp_path / "wp_only.json"
-    path.write_text(json.dumps({"sources": {"WP": {"interarrival": {"type": "constant", "value": 2.0}}}}),
-                    encoding="utf-8")
+@pytest.mark.parametrize("config", [
+    {"sources": {"WP": {"interarrival": {"type": "constant", "value": 2.0}}}},
+    {"metadata": {"region": None, "tags": ["a", 1]}},
+], ids=["wp-only", "metadata-null-and-array"])
+def test_config_listing_only_wp_validates(config, tmp_path, capsys):
+    # the fields a config leaves out take the packaged values
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out == "config OK\n"
 
@@ -302,15 +311,19 @@ class TestRun:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "absent").exists()
 
-    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
     def test_out_and_trace_naming_one_file_exits_2_before_running(
             self, small_config_file, tmp_path, capsys, monkeypatch, spelling):
         # The report, written last, would replace the trace.
         out = tmp_path / "same.tsv"
         trace = {"same": str(out), "dotted": f"{tmp_path}/./same.tsv",
-                 "symlink": str(tmp_path / "link" / "same.tsv")}[spelling]
+                 "symlink": str(tmp_path / "link" / "same.tsv"),
+                 "hardlink": str(tmp_path / "other.tsv")}[spelling]
         if spelling == "symlink":
             (tmp_path / "link").symlink_to(tmp_path)
+        elif spelling == "hardlink":  # two names of a file that is there already
+            out.write_bytes(b"kept\n")
+            os.link(out, trace)
         monkeypatch.setattr("kinsim.cli.run_experiment",
                             lambda *args, **kwargs: pytest.fail("the replications ran"))
         assert main(["run", "--config", small_config_file, "--jobs", "1",
@@ -319,17 +332,22 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("kinsim: --out and --trace name the same file")
         assert len(captured.err.splitlines()) == 1
-        assert not out.exists()
+        if spelling == "hardlink":
+            assert out.read_bytes() == b"kept\n"
+        else:
+            assert not out.exists()
 
-    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "hardlink"])
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_output_naming_the_config_exits_2_before_running(
             self, small_config_file, tmp_path, capsys, flag, spelling):
         # The run would overwrite its own config with the report or the trace.
         config = Path(small_config_file)
         before = config.read_bytes()
+        os.link(config, tmp_path / "link.json")
         outputs = {"--out": str(tmp_path / "r.csv"),
-                   flag: {"same": small_config_file, "dotted": f"{tmp_path}/./{config.name}"}[spelling]}
+                   flag: {"same": small_config_file, "dotted": f"{tmp_path}/./{config.name}",
+                          "hardlink": str(tmp_path / "link.json")}[spelling]}
         argv = ["run", "--config", small_config_file, "--jobs", "1"]
         for name, path in outputs.items():
             argv += [name, path]
@@ -368,6 +386,9 @@ class TestRun:
             f"kinsim: cannot write trace: [Errno 2] No such file or directory: '{trace}'\n"
         )
         assert not out.exists()
+        if jobs == "2":  # the worker above the failure is killed and reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -385,12 +406,20 @@ class TestRun:
         )
         assert not out.exists()
 
-    def test_invalid_config_exit_1(self, tmp_path):
-        config = ModelConfig().to_dict()
-        config["replications"] = 0
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 1
+    @pytest.mark.parametrize("arrives", ["config", "flag"])
+    def test_invalid_config_exit_1(self, tmp_path, capsys, arrives):
+        out = tmp_path / "never.csv"
+        if arrives == "config":
+            config = ModelConfig().to_dict()
+            config["replications"] = 0
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv, field = ["--config", str(path)], "replications"
+        else:
+            argv, field = ["--seed", "-1", "--replications", "1"], "base_seed"
+        assert main(["run", *argv, "--out", str(out)]) == 1
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [field]
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
@@ -425,14 +454,17 @@ class TestRemovedSubmodel:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, small_config_file, tmp_path):
-        import shutil
-
-        exe = shutil.which("kinsim")
-        if exe is None:
-            pytest.skip("console script not installed")
+        # The script of this interpreter's environment, not the first kinsim
+        # on PATH; once kinsim is installed a missing script fails the test.
+        try:
+            importlib.metadata.distribution("kinsim")
+        except importlib.metadata.PackageNotFoundError:
+            pytest.skip("kinsim is not installed, so there is no console script")
+        exe = Path(sysconfig.get_path("scripts")) / "kinsim"
+        assert exe.is_file(), f"kinsim is installed but {exe} is not there"
         out = tmp_path / "cli.csv"
         proc = subprocess.run(
-            [exe, "run", "--config", small_config_file, "--replications", "1", "--out", str(out)],
+            [str(exe), "run", "--config", small_config_file, "--replications", "1", "--out", str(out)],
             capture_output=True,
             text=True,
         )
@@ -440,11 +472,11 @@ class TestConsoleScript:
         assert out.read_text(encoding="utf-8").startswith("object_name,data_source,")
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` with ``args`` in a fresh interpreter that imports kinsim from src."""
+def fresh_python(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run ``python <argv>`` in a fresh interpreter that imports kinsim from src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 class TestWithoutNumpy:
@@ -455,7 +487,7 @@ class TestWithoutNumpy:
     PACKAGED_SHA256 = "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
 
     def python(self, code: str, *args: str) -> subprocess.CompletedProcess:
-        return fresh_python(code, *args)
+        return fresh_python("-c", code, *args)
 
     def test_packaged_run_with_numpy_blocked(self, tmp_path):
         outs = [tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"]
@@ -501,6 +533,7 @@ def test_import_loads_none_of_the_start_up_weight():
 def test_workers_need_no_process_pool(tmp_path):
     out = tmp_path / "jobs2.csv"
     proc = fresh_python(
+        "-c",
         "import sys\n"
         "# any import of either now raises\n"
         "sys.modules['multiprocessing'] = sys.modules['concurrent.futures'] = None\n"
@@ -519,6 +552,7 @@ def test_jobs_past_the_open_file_limit_exit_1_with_one_line(tmp_path):
     # leaves no child of its own behind, running or unreaped.
     out = tmp_path / "never.csv"
     proc = fresh_python(
+        "-c",
         "import os, resource, sys\n"
         "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
         "resource.setrlimit(resource.RLIMIT_NOFILE, (24, hard))\n"
@@ -538,3 +572,34 @@ def test_jobs_past_the_open_file_limit_exit_1_with_one_line(tmp_path):
     assert proc.stderr.startswith("kinsim: run failed: cannot start replication worker ")
     assert "Too many open files" in proc.stderr
     assert not out.exists()
+
+
+def test_entry_point_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path):
+    # Development mode with every warning an error: a ResourceWarning (a
+    # worker's pipe or the trace file left unclosed) or a DeprecationWarning
+    # ends in an exit code or a line on stderr.  pytest's own filters see
+    # neither a worker's warnings nor those raised at the interpreter's exit.
+    out = tmp_path / "report.csv"
+    for argv in (["run", "--seed", "42", "--jobs", "2", "--trace", str(tmp_path / "trace.tsv"),
+                  "--out", str(out)], ["validate"]):
+        proc = fresh_python("-X", "dev", "-W", "error", "-m", "kinsim.cli", *argv,
+                            stdout=subprocess.DEVNULL)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TestWithoutNumpy.PACKAGED_SHA256
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--replications", "1", "--jobs", "1"]],
+                         ids=["validate", "run"])
+def test_stdout_closed_by_its_reader_exits_2_without_a_traceback(argv, tmp_path):
+    # as in `kinsim validate | true`: the read end is closed before kinsim writes
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    out = tmp_path / "report.csv"
+    extra = ["--out", str(out)] if argv[0] == "run" else []
+    try:
+        proc = fresh_python("-m", "kinsim.cli", *argv, *extra, stdout=write_fd)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    # the report is written before the line that names it
+    assert out.exists() == (argv[0] == "run")

@@ -354,11 +354,17 @@ class TestJobs:
     @pytest.mark.parametrize("make_config", [ModelConfig, birth_heavy_config],
                              ids=["packaged", "birth_heavy"])
     def test_jobs_do_not_change_the_report(self, make_config, tmp_path):
-        results = [run_experiment(make_config(), jobs=jobs) for jobs in (1, 2, 7)]
+        # replication 0 writes its trace in a worker at jobs 2 and 7
+        results, traces = [], []
+        for jobs in (1, 2, 7):
+            trace = tmp_path / f"trace-{jobs}.tsv"
+            results.append(run_experiment(make_config(), trace_path=str(trace), jobs=jobs))
+            traces.append(trace.read_bytes())
         texts = {report_bytes(result, tmp_path / "report.csv") for result in results}
         assert len(texts) == 1
         facts = [replication_facts(result) for result in results]
         assert facts[0] == facts[1] == facts[2]
+        assert traces[0] and traces[0] == traces[1] == traces[2]
 
     def test_closure_builder_runs_in_workers(self, tmp_path):
         built = []
