@@ -1,9 +1,10 @@
 """Command line interface: ``kinsim run | validate``.
 
 Exit codes: 0 success, 1 config validation failure (a file that is not
-UTF-8 JSON included), 2 usage error (unknown flag, a config file that cannot
-be read, an unwritable report or trace file, an output file that is the
-config or the other output, or a stdout that its reader closed early).
+UTF-8 JSON, or nests too deeply to read, included), 2 usage error (unknown
+flag, a config file that cannot be read, an unwritable report or trace
+file, an output file that is the config or the other output, or a stdout
+that its reader closed early).
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ def _load_config(path: Optional[str]) -> ModelConfig:
         return ModelConfig()
     with open(path, "rb") as fh:
         data = fh.read()
-    return ModelConfig.from_dict(json.loads(data.decode("utf-8")))
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ConfigurationError("the document nests too deeply") from None
+    return ModelConfig.from_dict(document)
 
 
 def _checked_config(

@@ -89,8 +89,11 @@ def run_experiment(
 
     Replication ``r`` builds a fresh model seeded from (base_seed, r) and
     runs it to ``run_length``; the builder gets the config as its fields'
-    parsers read it, so a count set as an integral float is an int.  Kernel
-    failures are re-raised with the replication index attached.
+    parsers read it, so a count set as an integral float is an int.  A
+    kernel error from initializing or running replication ``r`` is raised
+    again as its own class, an :class:`~kinsim.errors.IllegitimateModelError`
+    say, its message prefixed by ``replication r: ``, at every ``jobs``; an
+    error from the builder is raised as the builder raised it.
     ``trace_path``, when given, receives the event trace of replication 0
     (see :func:`~kinsim.kernel.initialize` for the format), each event's
     lines written as the event ends, so the trace's memory is the file's
@@ -125,6 +128,9 @@ def _replicate(
 ) -> RunStats:
     """Build, run and harvest replication ``r``; only replication 0 is traced.
 
+    A kernel error from initializing or running the model is raised again
+    as its own class, named by ``replication r: ``: the pickle that carries
+    it out of a worker drops ``__cause__``, so the class must be its own.
     The trace is the one file a run writes.  An :class:`OSError` from
     writing or closing it names no file, so it is raised again with
     ``trace_path`` as its filename, as an error from opening it is.
@@ -134,16 +140,26 @@ def _replicate(
     trace = open(trace_path, "w", encoding="utf-8", newline="") if traced else contextlib.nullcontext()
     try:
         with trace as trace_file:
-            handle = initialize(spec, 0.0, trace_file=trace_file)
             try:
+                handle = initialize(spec, 0.0, trace_file=trace_file)
                 handle.run_until(config.run_length)
             except SimulationError as exc:
-                raise SimulationError(f"replication {r}: {exc}") from exc
+                raise _in_replication(r, exc) from exc
     except OSError as exc:
         if not traced or exc.filename is not None:
             raise
         raise OSError(exc.errno, exc.strerror, trace_path) from exc
     return collect_run_stats(handle)
+
+
+def _in_replication(r: int, exc: SimulationError) -> SimulationError:
+    """``exc``'s class with its message prefixed by ``replication r: ``; a
+    :class:`SimulationError` when that class takes more than a message."""
+    message = f"replication {r}: {exc}"
+    try:
+        return type(exc)(message)
+    except TypeError:
+        return SimulationError(message)
 
 
 def _resolve_jobs(jobs: Optional[int], replications: int) -> int:

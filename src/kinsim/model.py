@@ -94,10 +94,6 @@ def _check_keys(mapping: Any, known: Container[str], path: Optional[str] = None)
 # The whole-population source of the consanguinity model.
 _SOURCE_NAMES = ("WP",)
 
-# The male and female sources of the population-growth submodel, which was
-# removed; a config that still sets them is told so, not just "unknown key".
-_REMOVED_SOURCE_NAMES = ("MP", "FP")
-
 # Source entry key -> parser of its JSON value.
 _SOURCE_KEYS = {
     "interarrival": partial(_check_object, what="interarrival"),
@@ -107,10 +103,6 @@ _SOURCE_KEYS = {
 
 def _parse_sources(sources: Any) -> dict[str, dict]:
     """Each source that ``sources`` gives, with each key its entry gives."""
-    for name in _REMOVED_SOURCE_NAMES:
-        if name in _check_object(sources):
-            raise ValueError(f"source {name!r} belonged to the population-growth submodel, "
-                             f"which was removed; only 'WP' remains")
     return {name: {key: _SOURCE_KEYS[key](value)
                    for key, value in _check_keys(entry, _SOURCE_KEYS).items()}
             for name, entry in _check_keys(sources, _SOURCE_NAMES).items()}
@@ -169,8 +161,9 @@ class ModelConfig(Record):
         absent fields, sources and source keys keep their packaged values.
 
         The config shares no object or array with ``data``.  A key or value
-        that the parsers do not read raises :class:`ConfigurationError`
-        naming the field; :func:`validate_config` checks the values.
+        that the parsers do not read, or a value nested too deeply to copy,
+        raises :class:`ConfigurationError` naming the field;
+        :func:`validate_config` checks the values.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
@@ -185,7 +178,10 @@ class ModelConfig(Record):
                     v.constraint if v.field == name else f"missing {v.field}" for v in malformed))
             if name == "sources":
                 value = {n: {**entry, **value.get(n, {})} for n, entry in config.sources.items()}
-            setattr(config, name, _copy(value))
+            try:
+                setattr(config, name, _copy(value))
+            except RecursionError:
+                raise ConfigurationError(f"malformed {name}: the value nests too deeply") from None
         return config
 
 

@@ -7,6 +7,7 @@ import importlib.metadata
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -63,10 +64,30 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
         assert "sex_split" in capsys.readouterr().out
 
-    def test_malformed_json_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("document, line", [
+        ("{not json", r"invalid config: Expecting property name .*"),
+        ("[" * 100_000 + "]" * 100_000, "invalid config: the document nests too deeply"),
+        # deeper than the recursion limit, so refused on every Python: by
+        # json.loads where its C recursion counts against the limit, else
+        # by the copy that ModelConfig.from_dict makes
+        ('{"metadata": ' + '{"a": ' * sys.getrecursionlimit() + "{}" + "}" * sys.getrecursionlimit()
+         + "}", "invalid config: (the document|malformed metadata: the value) nests too deeply"),
+        ("[]", "invalid config: config must be a JSON object, got list"),
+        ("1", "invalid config: config must be a JSON object, got int"),
+        ('"text"', "invalid config: config must be a JSON object, got str"),
+        ("null", "invalid config: config must be a JSON object, got NoneType"),
+    ], ids=["broken", "deep-array", "deep-metadata", "array", "number", "string", "null"])
+    def test_malformed_json_exit_1(self, command, document, line, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["validate", "--config", str(path)]) == 1
+        path.write_text(document, encoding="utf-8")
+        out = tmp_path / "never.csv"
+        argv = [command, "--config", str(path)]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(line + "\n", captured.out), captured.out
+        assert captured.err == ""
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
@@ -101,6 +122,9 @@ MALFORMED_FIELDS = [
     ("sources", {"sources": None}),
     ("metadata", {"metadata": [["region", "north"]]}),
     ("consanguinity_degree", {"consanguinity_degree": "sibling"}),
+    # the male and female sources of a submodel kinsim no longer has
+    ("sources", {"sources": {"WP": {"max_arrivals": None}, "MP": {"max_arrivals": None}}}),
+    ("sources", {"sources": {"FP": {"interarrival": {"type": "constant", "value": 1.0}}}}),
 ]
 
 
@@ -134,6 +158,7 @@ def test_malformed_field_is_one_line_exit_1(command, field, config, tmp_path, ca
     ("base_seed", 2**64),
     # each finite, their sum not
     ("routing_weights.male", {"consanguineous": 1e308, "non_consanguineous": 1e308}),
+    ("sources.WP.max_arrivals", -1),
 ])
 def test_nonfinite_number_is_a_violation_exit_1(field, value, tmp_path, capsys):
     # Each of these once validated and then hung or ran silently wrong.
@@ -244,9 +269,10 @@ class TestUsageErrors:
         assert main([]) == 2
         capsys.readouterr()
 
-    def test_unknown_subcommand_exit_2(self, capsys):
-        assert main(["explode"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", ["explode", "demo"])
+    def test_unknown_subcommand_exit_2(self, command, capsys):
+        assert main([command]) == 2
+        assert f"invalid choice: {command!r}" in capsys.readouterr().err
 
 
 class TestRun:
@@ -423,33 +449,6 @@ class TestRun:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
-
-
-class TestRemovedSubmodel:
-    """The population-growth submodel, its ``demo`` command and its MP and
-    FP sources were removed; what still names them is refused cleanly."""
-
-    def test_demo_is_a_usage_error(self, capsys):
-        assert main(["demo"]) == 2
-        assert "invalid choice: 'demo'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("name", ["MP", "FP"])
-    def test_config_naming_a_submodel_source_exits_1_with_one_line(self, tmp_path, capsys,
-                                                                   command, name):
-        config = ModelConfig().to_dict()
-        config["sources"][name] = config["sources"]["WP"]
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        out = tmp_path / "never.csv"
-        extra = ["--out", str(out)] if command == "run" else []
-        assert main([command, "--config", str(path), *extra]) == 1
-        assert capsys.readouterr() == (
-            f"invalid config: malformed sources: source {name!r} belonged to the "
-            f"population-growth submodel, which was removed; only 'WP' remains\n",
-            "",
-        )
-        assert not out.exists()
 
 
 class TestConsoleScript:

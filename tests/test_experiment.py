@@ -26,7 +26,12 @@ from kinsim import (
     export_csv,
     run_experiment,
 )
-from kinsim.errors import ConfigurationError, IllegitimateModelError, SimulationError
+from kinsim.errors import (
+    ConfigurationError,
+    ContractViolationError,
+    IllegitimateModelError,
+    SimulationError,
+)
 from kinsim.experiment import CSV_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,6 +82,24 @@ def looping_builder(config, replication):
         components={"a": relay(True), "b": relay(False)},
         couplings=[Coupling("a", "out", "b", "in"), Coupling("b", "out", "a", "in")],
     )
+
+
+class TwoPartError(SimulationError):
+    """A model's own kernel error whose constructor wants more than a message."""
+
+    def __init__(self, component, why):
+        super().__init__(f"{component}: {why}")
+
+
+def refuse(state):
+    raise TwoPartError("gen", "no room")
+
+
+def generator_builder(time_advance, delta_int=lambda s: s):
+    """A builder of one generator with these callbacks."""
+    return lambda config, replication: CoupledSpec(components={"gen": AtomicSpec(
+        initial_state=None, time_advance=time_advance, delta_int=delta_int,
+        delta_ext=lambda s, e, xs: s, output=lambda s: [("out", 0)], output_ports=("out",))})
 
 
 class UnpicklableError(Exception):
@@ -176,6 +199,21 @@ class TestRunExperiment:
     def test_kernel_failure_reports_replication_index(self):
         with pytest.raises(SimulationError, match="replication 0"):
             run_experiment(small_config(replications=1), builder=looping_builder)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("builder, error, match", [
+        (looping_builder, IllegitimateModelError, "^replication 0: illegitimate model"),
+        (failing_builder, ContractViolationError, "^replication 0: gen: time advance returned -1.0"),
+        (generator_builder(lambda s: -1.0), ContractViolationError,
+         "^replication 0: gen: time advance of initial state is -1.0$"),
+        (generator_builder(lambda s: 1.0, refuse), SimulationError, "^replication 0: gen: no room$"),
+    ], ids=["zero-time-loop", "negative-time-advance", "negative-initial-time-advance",
+            "error-wanting-two-arguments"])
+    def test_kernel_failure_keeps_its_class_at_every_jobs(self, monkeypatch, jobs, builder, error,
+                                                          match):
+        monkeypatch.setattr("kinsim.kernel.MAX_ZERO_STEPS", 50)
+        with pytest.raises(error, match=match):
+            run_experiment(small_config(replications=2), builder=builder, jobs=jobs)
 
     def test_trace_path_writes_replication_zero_trace(self, tmp_path):
         trace_file = tmp_path / "events.tsv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -395,22 +396,19 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match=f"^malformed {field}: "):
             ModelConfig.from_dict(data)
 
+    def test_value_too_deep_to_copy_rejected_at_parse(self):
+        deep: dict = {}
+        for _ in range(sys.getrecursionlimit()):
+            deep = {"a": deep}
+        with pytest.raises(ConfigurationError, match="^malformed metadata: the value nests too deeply$"):
+            ModelConfig.from_dict({"metadata": deep})
+
     def test_absent_sources_take_their_defaults(self):
         wp = {"interarrival": {"type": "constant", "value": 2.0}, "max_arrivals": 5}
         config = ModelConfig.from_dict({"sources": {"WP": wp}})
         assert config.sources["WP"] == wp
         assert ModelConfig.from_dict({"sources": {}}).sources == ModelConfig().sources
         assert validate_config(config) == []
-
-    @pytest.mark.parametrize("name", ["MP", "FP"])
-    def test_sources_of_the_removed_submodel_rejected_at_parse(self, name):
-        default = {"interarrival": {"type": "constant", "value": 1.0}, "max_arrivals": None}
-        with pytest.raises(ConfigurationError) as info:
-            ModelConfig.from_dict({"sources": {"WP": default, name: default}})
-        assert str(info.value) == (
-            f"malformed sources: source {name!r} belonged to the population-growth submodel, "
-            f"which was removed; only 'WP' remains"
-        )
 
     def test_integral_floats_parse_as_counts(self):
         config = ModelConfig.from_dict(
