@@ -1,4 +1,4 @@
-"""Dynamic entities flowing through a model, plus per-object statistics."""
+"""Dynamic entities flowing through a model, plus a sink's statistics."""
 
 from __future__ import annotations
 
@@ -68,20 +68,19 @@ class EntityFactory:
 
 
 class ObjectStats(Record):
-    """Flat counters kept by a combiner or a sink.
+    """Flat counters kept by a sink.
 
-    ``processed`` counts a combiner's marriages; ``entered`` counts the
-    flowing units a sink absorbed.  A sink also counts
-    ``destroyed_individuals``, a married couple as two, so that
-    conservation can be checked per individual, and, by class label, the
-    individuals flagged ``affected``.
+    ``entered`` counts the flowing units the sink absorbed, and
+    ``destroyed_individuals`` their individuals, a married couple as two,
+    so that conservation can be checked per individual;
+    ``affected_by_class`` counts, by class label, the individuals flagged
+    ``affected``.
     """
 
-    __slots__ = ("entered", "processed", "destroyed_individuals", "affected_by_class")
+    __slots__ = ("entered", "destroyed_individuals", "affected_by_class")
 
-    def __init__(self, entered: int = 0, processed: int = 0, destroyed_individuals: int = 0,
+    def __init__(self, entered: int = 0, destroyed_individuals: int = 0,
                  affected_by_class: Optional[Counter] = None) -> None:
         self.entered = entered
-        self.processed = processed
         self.destroyed_individuals = destroyed_individuals
         self.affected_by_class = Counter() if affected_by_class is None else affected_by_class

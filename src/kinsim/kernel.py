@@ -48,8 +48,10 @@ Time = float
 INFINITY: Time = math.inf
 
 #: Maximum consecutive steps at a single clock value before the model is
-#: declared illegitimate (a zero-delay loop that never advances time).
-MAX_ZERO_STEPS = 1_000_000
+#: declared illegitimate (a zero-delay loop that never advances time).  A
+#: packaged replication's longest cascade is 2 steps, an emission and its
+#: marriage, so a runaway loop stops after milliseconds.
+MAX_ZERO_STEPS = 10_000
 
 INPUT = "input"
 OUTPUT = "output"

@@ -60,6 +60,9 @@ def _packaged() -> dict:
     return json.loads(data.decode("utf-8"))
 
 
+_TOO_DEEP = "the value nests too deeply"
+
+
 def _copy(value: Any) -> Any:
     """A deep copy of a JSON value: every object and array in it is new."""
     if isinstance(value, Mapping):
@@ -152,8 +155,16 @@ class ModelConfig(Record):
             setattr(self, name, _copy(packaged[name]) if value is None else value)
 
     def to_dict(self) -> dict:
-        """The JSON document of this config, sharing no object or array with it."""
-        return {name: _copy(getattr(self, name)) for name in self.__slots__}
+        """The JSON document of this config, sharing no object or array with
+        it; a value nested too deeply to copy raises ConfigurationError
+        naming its field."""
+        document = {}
+        for name in self.__slots__:
+            try:
+                document[name] = _copy(getattr(self, name))
+            except RecursionError:
+                raise ConfigurationError(f"malformed {name}: {_TOO_DEEP}") from None
+        return document
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
@@ -178,10 +189,7 @@ class ModelConfig(Record):
                     v.constraint if v.field == name else f"missing {v.field}" for v in malformed))
             if name == "sources":
                 value = {n: {**entry, **value.get(n, {})} for n, entry in config.sources.items()}
-            try:
-                setattr(config, name, _copy(value))
-            except RecursionError:
-                raise ConfigurationError(f"malformed {name}: the value nests too deeply") from None
+            setattr(config, name, value)
         return config
 
 
@@ -230,11 +238,18 @@ class Violation(FrozenRecord):
 
 
 def _read(name: str, raw: Any) -> tuple[Any, list[Violation]]:
-    """``raw`` read by the parser of the field ``name``, and the violations
-    of its shape: each key it lacks is a ``<name>.<key>: missing`` line, and
-    any other parser error one line on the field, the error's text its rule."""
+    """A copy of ``raw`` read by the parser of the field ``name``, sharing
+    no object or array with it, and the violations of its shape: each key it
+    lacks is a ``<name>.<key>: missing`` line, and any other parser error
+    one line on the field, the error's text its rule.  A value nested too
+    deeply to copy is one line that holds no value, so that nothing that
+    reads or shows the config recurses through it."""
     try:
-        return _FIELD_PARSERS[name](raw), []
+        value = _copy(raw)
+    except RecursionError:
+        return None, [Violation(name, _TOO_DEEP, None)]
+    try:
+        return _FIELD_PARSERS[name](value), []
     except KeyError as exc:
         return None, [Violation(f"{name}.{key}", "missing", None) for key in exc.args]
     except (TypeError, ValueError) as exc:
@@ -484,7 +499,7 @@ def collect_run_stats(handle: SimulationHandle) -> RunStats:
     states = {path.rsplit("/", 1)[-1]: state for path, state in handle.components()}
     marriages = [states[f"Marriage_{tag}"] for tag in BRANCHES]
     sinks = [states[f"NewPopulation_{tag}"] for tag in BRANCHES]
-    married = [m.stats.processed for m in marriages]
+    married = [m.processed for m in marriages]
     members = [n + len(m.members) for n, m in zip(married, marriages)]
     parents = [n + len(m.parents) for n, m in zip(married, marriages)]
     entered = [s.stats.entered for s in sinks]

@@ -2,9 +2,9 @@
 the weighted pick a source may route by.
 
 Each object is realized as one DEVS atomic whose state keeps flat
-counters, in an :class:`~kinsim.entities.ObjectStats` for a combiner or
-sink; :func:`kinsim.model.collect_run_stats` lays the report rows out
-from them.  Routing costs no atomic: a source's ``route`` picks each
+counters, a sink's in an :class:`~kinsim.entities.ObjectStats`;
+:func:`kinsim.model.collect_run_stats` lays the report rows out from
+them.  Routing costs no atomic: a source's ``route`` picks each
 entity's output port as it emits it, for instance with
 :class:`WeightedChoice` picks.  A combiner's trigger runs on each couple
 as it is married and puts what it creates (offspring) behind it, so the
@@ -182,16 +182,19 @@ ProcessedTrigger = Callable[[Entity], list[Entity]]
 
 
 class CombinerState:
-    __slots__ = ("on_processed", "parents", "members", "outq", "left", "born", "stats")
+    """A combiner's buffers and counters: ``processed`` marriages, ``left``
+    of them whose couple has left, and ``born`` entities its trigger returned."""
+
+    __slots__ = ("on_processed", "parents", "members", "outq", "processed", "left", "born")
 
     def __init__(self, on_processed: ProcessedTrigger):
         self.on_processed = on_processed
         self.parents: deque[Entity] = deque()
         self.members: deque[Entity] = deque()
         self.outq: list[Entity] = []
-        self.left = 0  # marriages whose parent has left
-        self.born = 0  # entities the trigger returned
-        self.stats = ObjectStats()
+        self.processed = 0
+        self.left = 0
+        self.born = 0
 
     def _match(self) -> None:
         while self.parents and self.members:
@@ -201,7 +204,7 @@ class CombinerState:
             children = self.on_processed(parent)
             self.outq += children  # directly behind their parent
             self.born += len(children)
-            self.stats.processed += 1
+            self.processed += 1
 
     def held_individuals(self) -> int:
         held = sum(individual_count(e) for e in self.parents)
@@ -221,7 +224,7 @@ def _combiner_out(s: CombinerState) -> list[Message]:
 def _combiner_dint(s: CombinerState) -> CombinerState:
     """Everything in ``outq`` has left, so each couple married so far has."""
     s.outq.clear()
-    s.left = s.stats.processed
+    s.left = s.processed
     return s
 
 

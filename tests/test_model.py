@@ -173,6 +173,15 @@ def draws_below(config, branch, n, f):
     return [stream.uniform() < p for _ in range(n)]
 
 
+def too_deep(wrap):
+    """``wrap`` applied ``sys.getrecursionlimit()`` times: a value too deep
+    to copy, and to show with ``repr``."""
+    value = None
+    for _ in range(sys.getrecursionlimit()):
+        value = wrap(value)
+    return value
+
+
 def run_model(builder, config, replication=0, until=None):
     handle = initialize(builder(config, replication))
     handle.run_until(config.run_length if until is None else until)
@@ -355,6 +364,10 @@ class TestValidateConfig:
             ("replications", 2.5),
             ("base_seed", True),
             ("metadata", [1]),
+            # Too deep to show in a violation, or in make_distribution's error.
+            ("sex_split", too_deep(lambda v: [v])),
+            ("offspring_distribution", too_deep(lambda v: {"pairs": v})),
+            ("metadata", too_deep(lambda v: {"a": v})),
         ]:
             config = ModelConfig(**{field: value})
             violations = validate_config(config)
@@ -397,11 +410,11 @@ class TestValidateConfig:
             ModelConfig.from_dict(data)
 
     def test_value_too_deep_to_copy_rejected_at_parse(self):
-        deep: dict = {}
-        for _ in range(sys.getrecursionlimit()):
-            deep = {"a": deep}
+        deep = too_deep(lambda v: {"a": v})
         with pytest.raises(ConfigurationError, match="^malformed metadata: the value nests too deeply$"):
             ModelConfig.from_dict({"metadata": deep})
+        with pytest.raises(ConfigurationError, match="^malformed metadata: the value nests too deeply$"):
+            ModelConfig(metadata=deep).to_dict()
 
     def test_absent_sources_take_their_defaults(self):
         wp = {"interarrival": {"type": "constant", "value": 2.0}, "max_arrivals": 5}
@@ -754,7 +767,7 @@ class TestConsanguinityModel:
         for name, state in handle.components():
             if isinstance(state, CombinerState):
                 arrived = sum(stat_value(stats, leg, "[Travelers]") for leg in arrivals[name])
-                carried_out = state.stats.processed * 2  # a parent and its member
+                carried_out = state.processed * 2  # a parent and its member
                 assert not state.outq, name  # zero-time: all left by the end
                 assert arrived == carried_out + state.held_individuals(), name
 

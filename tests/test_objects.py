@@ -54,7 +54,7 @@ def entities(factory, label, n):
 def arrived(state):
     """A combiner's arrivals, (parents, members): each marriage took one
     of each side, and the rest still wait."""
-    married = state.stats.processed
+    married = state.processed
     return married + len(state.parents), married + len(state.members)
 
 
@@ -236,7 +236,7 @@ class TestCombiner:
         out = flush(spec, state)
         assert [payload for _, payload in out] == [fp]
         assert fp.member is mp
-        assert state.stats.processed == 1
+        assert state.processed == 1
 
     def test_parents_wait_when_no_members(self):
         factory = EntityFactory()
@@ -255,7 +255,7 @@ class TestCombiner:
         assert state.left == 0  # married, but not left yet
         out = flush(spec, state)
         assert len(out) == 74
-        assert state.stats.processed == 74
+        assert state.processed == 74
         assert arrived(state) == (91, 74)
         assert len(state.parents) == 17
         assert not state.members
@@ -287,7 +287,7 @@ class TestCombiner:
         n_parents = sum(arrivals)
         n_members = len(arrivals) - n_parents
         assert len(out) == min(n_parents, n_members)
-        assert state.stats.processed == len(out)
+        assert state.processed == len(out)
         # each marriage consumes one member and one parent
         assert arrived(state) == (n_parents, n_members)
         assert len(state.members) == n_members - len(out)
@@ -307,7 +307,7 @@ class TestCombiner:
         state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 4)], state=state)
         flush(spec, state)
         # 5 marriages; 2 members wait
-        assert (state.stats.processed, len(state.parents), len(state.members)) == (5, 0, 2)
+        assert (state.processed, len(state.parents), len(state.members)) == (5, 0, 2)
         assert arrived(state) == (5, 7)
 
     def test_trigger_runs_once_per_marriage_in_fifo_order(self):
@@ -345,7 +345,7 @@ class TestCombiner:
             expected += [parent.class_label] + [f"Child of {parent.id}"] * (parent.id % 3)
         assert [e.class_label for e in state.outq] == expected
         assert [payload.class_label for _, payload in flush(spec, state)] == expected
-        assert state.stats.processed == 4  # children are not counted as marriages
+        assert state.processed == 4  # children are not counted as marriages
         assert arrived(state) == (4, 4)  # nor as arrivals
         assert state.born == 0 + 1 + 2 + 0  # but as births
 
@@ -358,14 +358,14 @@ class TestCombiner:
         spec = make_combiner(twins)
         state = deliver(spec, [("parent_in", e) for e in entities(factory, "FP", 2)])
         state = deliver(spec, [("member_in", e) for e in entities(factory, "MP", 2)], state=state)
-        assert (state.stats.processed, state.left, state.born) == (2, 0, 4)  # not left yet
+        assert (state.processed, state.left, state.born) == (2, 0, 4)  # not left yet
         # the couples (2 each) and their children wait in the output buffer
         assert state.held_individuals() == 2 * (2 + 2)
         assert spec.time_advance(state) == 0.0
         out = spec.output(state)
         assert state.left == 0  # the output function changes nothing
         state = spec.delta_int(state)
-        assert (state.stats.processed, state.left) == (2, 2)
+        assert (state.processed, state.left) == (2, 2)
         assert len(out) == 6 and state.held_individuals() == 0
         assert spec.time_advance(state) == INFINITY
 
@@ -377,7 +377,7 @@ class TestCombiner:
             state = deliver(spec, [("parent_in", factory.create("FP")),
                                    ("member_in", factory.create("MP"))], state=state)
             flush(spec, state)
-        assert state.stats.processed == 299
+        assert state.processed == 299
         assert arrived(state) == (299, 299)
         assert not state.outq and state.left == 299
 
@@ -395,7 +395,7 @@ class TestCombiner:
                                    ("member_in", factory.create("MP"))], state=state)
             emitted += len(flush(spec, state))
         # 3 couples married plus 6 children born inside equals 9 units out
-        assert state.stats.processed + state.born == emitted == 9
+        assert state.processed + state.born == emitted == 9
         assert state.born == 6
         assert state.held_individuals() == 0
 

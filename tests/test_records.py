@@ -77,8 +77,7 @@ RECORDS = {
                   {"select": []}),
     Entity: ({"id": 3, "class_label": "WP"}, {"affected": False, "member": None},
              {}),
-    ObjectStats: ({}, {"entered": 0, "processed": 0, "destroyed_individuals": 0,
-                       "affected_by_class": Counter()},
+    ObjectStats: ({}, {"entered": 0, "destroyed_individuals": 0, "affected_by_class": Counter()},
                   {"entered": 1}),
     Constant: ({"value": 1.5}, {}, {"value": 2.5}),
     Uniform: ({"low": 0.0, "high": 2.0}, {}, {"high": 3.0}),
