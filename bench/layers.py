@@ -5,6 +5,7 @@ checkout and needs nothing outside the standard library::
 
     python bench/layers.py --out BENCH_<n>.json
     python bench/layers.py --quick --out bench.json   # one repetition, one process
+    python bench/layers.py --compare BENCH_<m>.json BENCH_<n>.json
 
 Each row is CPU time (``time.process_time``) per operation, in
 microseconds.  A repetition times one batch of operations and divides by
@@ -35,6 +36,14 @@ steps, draws, entities created and trace lines at seed 42 and one job, by
 wrapping the built model's callbacks, and ``context`` the seed-42 report
 and trace digests, the commit, the Python version, how many kinsim modules
 had a current bytecode cache, the CPUs and the load average.
+
+``--compare A B`` prints one line per row of either file: the two pooled
+medians and B's over A's.  A row's spread in a file is its largest
+``per_process`` median over its smallest, minus 1; the line ends in
+``changed`` only when the ratio differs from 1 by more than the larger of
+the row's two spreads.  A row without ``per_process`` medians
+(``replication.trace_us``) has no spread and is never flagged, and a row
+that one file lacks is listed as such.
 
 End-to-end timing is left to kinbench (``kinbench/run.py``).
 """
@@ -317,12 +326,46 @@ def _summary(per_process: list[dict[str, tuple[str, list[float]]]]) -> dict[str,
     return rows
 
 
+def _spread(row: dict) -> float | None:
+    """The row's largest ``per_process`` median over its smallest, minus 1."""
+    medians = [run["median"] for run in row.get("per_process", ())]
+    return max(medians) / min(medians) - 1 if medians else None
+
+
+def compare(path_a: str, path_b: str) -> list[str]:
+    """One line per row of either file, as the module docstring describes."""
+    rows = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            rows.append(json.load(fh)["rows"])
+    rows_a, rows_b = rows
+    lines = []
+    for name in [*rows_a, *(name for name in rows_b if name not in rows_a)]:
+        if name not in rows_a or name not in rows_b:
+            lines.append(f"{name:<30} only in {path_a if name in rows_a else path_b}")
+            continue
+        a, b = rows_a[name], rows_b[name]
+        ratio = b["median"] / a["median"]
+        spreads = [s for s in (_spread(a), _spread(b)) if s is not None]
+        spread = f"{max(spreads):.3f}" if spreads else "-"
+        changed = bool(spreads) and abs(ratio - 1) > max(spreads)
+        lines.append(f"{name:<30} {a['median']:>12.3f} -> {b['median']:>12.3f} {a['unit']:<20}"
+                     f" B/A {ratio:.3f}  spread {spread}{'  changed' if changed else ''}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="the JSON file to write")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="the JSON file to write")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="print each row's median in B over its median in A")
     parser.add_argument("--quick", action="store_true",
                         help="one repetition in one process: a smoke run")
     args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
     processes, repetitions = (1, 1) if args.quick else (PROCESSES, REPETITIONS)
 
     cache = bytecode_cache()  # before anything imports kinsim

@@ -88,9 +88,9 @@ def run_experiment(
     """Run the configured replications and aggregate their statistics.
 
     Replication ``r`` builds a fresh model seeded from (base_seed, r) and
-    runs it to ``run_length``; the builder gets the config as its fields'
-    parsers read it, so a count set as an integral float is an int.  A
-    kernel error from initializing or running replication ``r`` is raised
+    runs it to ``run_length``; the builder gets a copy of the config as its
+    fields' parsers read it, so a count set as an integral float is an int.
+    A kernel error from initializing or running replication ``r`` is raised
     again as its own class, an :class:`~kinsim.errors.IllegitimateModelError`
     say, its message prefixed by ``replication r: ``, at every ``jobs``; an
     error from the builder is raised as the builder raised it.

@@ -94,9 +94,6 @@ def _check_keys(mapping: Any, known: Container[str], path: Optional[str] = None)
     return mapping
 
 
-# The whole-population source of the consanguinity model.
-_SOURCE_NAMES = ("WP",)
-
 # Source entry key -> parser of its JSON value.
 _SOURCE_KEYS = {
     "interarrival": partial(_check_object, what="interarrival"),
@@ -105,10 +102,10 @@ _SOURCE_KEYS = {
 
 
 def _parse_sources(sources: Any) -> dict[str, dict]:
-    """Each source that ``sources`` gives, with each key its entry gives."""
+    """WP, the one source, if ``sources`` gives it, with each key its entry gives."""
     return {name: {key: _SOURCE_KEYS[key](value)
                    for key, value in _check_keys(entry, _SOURCE_KEYS).items()}
-            for name, entry in _check_keys(sources, _SOURCE_NAMES).items()}
+            for name, entry in _check_keys(sources, ("WP",)).items()}
 
 
 class ModelConfig(Record):
@@ -256,37 +253,35 @@ def _read(name: str, raw: Any) -> tuple[Any, list[Violation]]:
         return None, [Violation(name, str(exc), raw)]
 
 
-def validate_config(config: ModelConfig) -> list[Violation]:
-    """Return every violated ModelConfig invariant; empty means valid.
-
-    Each field is first read by its parser, as :meth:`ModelConfig.from_dict`
-    reads it, without changing the config.  A field of the wrong shape gives
-    only shape violations; otherwise the values that were read are checked.
-    """
-    read: dict[str, Any] = {}
+def _check(config: ModelConfig) -> tuple[ModelConfig, list[Violation]]:
+    """A new config of each field of ``config`` as :func:`_read` reads it,
+    and every violated invariant: the shape violations if any field is
+    malformed, else those of the values read."""
+    checked = ModelConfig.__new__(ModelConfig)  # no packaged defaults: every field is set below
     violations: list[Violation] = []
     for name in _FIELD_PARSERS:
-        read[name], malformed = _read(name, getattr(config, name))
+        value, malformed = _read(name, getattr(config, name))
+        setattr(checked, name, value)
         violations += malformed
     if violations:
-        return violations
+        return checked, violations
     # Chained comparisons also reject NaN and Infinity, which JSON admits.
-    if not 0 < read["run_length"] < math.inf:
-        violations.append(Violation("run_length", "must be finite and > 0", read["run_length"]))
-    if read["replications"] < 1:
-        violations.append(Violation("replications", "must be >= 1", read["replications"]))
+    if not 0 < checked.run_length < math.inf:
+        violations.append(Violation("run_length", "must be finite and > 0", checked.run_length))
+    if checked.replications < 1:
+        violations.append(Violation("replications", "must be >= 1", checked.replications))
     # Seeds are mixed as 64-bit words, so a seed outside them would alias one inside.
-    if not 0 <= read["base_seed"] < 2**64:
-        violations.append(Violation("base_seed", "must lie in [0, 2**64)", read["base_seed"]))
-    for sex, fraction in read["sex_split"].items():
+    if not 0 <= checked.base_seed < 2**64:
+        violations.append(Violation("base_seed", "must lie in [0, 2**64)", checked.base_seed))
+    for sex, fraction in checked.sex_split.items():
         # Each sex is a route of a weighted choice, and a weight must be positive.
         if not 0.0 < fraction < 1.0:
             violations.append(Violation(f"sex_split.{sex}", "must lie in (0, 1)", fraction))
-    total = sum(read["sex_split"].values())
+    total = sum(checked.sex_split.values())
     if abs(total - 1.0) > _FRACTION_TOLERANCE:
         violations.append(Violation("sex_split", f"fractions must sum to 1 within {_FRACTION_TOLERANCE}",
                                     total))
-    for sex, weights in read["routing_weights"].items():
+    for sex, weights in checked.routing_weights.items():
         for branch, weight in weights.items():
             if not 0 < weight < math.inf:
                 violations.append(
@@ -295,27 +290,24 @@ def validate_config(config: ModelConfig) -> list[Violation]:
         # weights names NC every time.
         if sum(weights.values()) == math.inf > max(weights.values()):
             violations.append(Violation(f"routing_weights.{sex}", "must have a finite sum", math.inf))
-    for name in _SOURCE_NAMES:
-        settings = read["sources"].get(name)
-        if settings is None:
-            violations.append(Violation(f"sources.{name}", "missing", None))
-            continue
+    wp = checked.sources.get("WP")
+    if wp is None:
+        violations.append(Violation("sources.WP", "missing", None))
+    else:
         try:
-            low, high = make_distribution(settings.get("interarrival")).support
-        except ConfigurationError as exc:
-            violations.append(
-                Violation(f"sources.{name}.interarrival", "must be a valid distribution", str(exc)))
-        else:
+            low, high = make_distribution(wp.get("interarrival")).support
             # A negative gap breaks the kernel's contract; gaps that are all 0
             # never let the clock advance.
             if low < 0 or high == 0:
-                violations.append(Violation(f"sources.{name}.interarrival",
+                violations.append(Violation("sources.WP.interarrival",
                                             "must draw no negative value and not only 0",
-                                            settings["interarrival"]))
-        cap = settings.get("max_arrivals")
+                                            wp["interarrival"]))
+        except ConfigurationError as exc:
+            violations.append(Violation("sources.WP.interarrival", "must be a valid distribution", str(exc)))
+        cap = wp.get("max_arrivals")
         if cap is not None and cap < 0:
-            violations.append(Violation(f"sources.{name}.max_arrivals", "must be >= 0 or null", cap))
-    law = read["offspring_distribution"]
+            violations.append(Violation("sources.WP.max_arrivals", "must be >= 0 or null", cap))
+    law = checked.offspring_distribution
     try:
         offspring = make_distribution(law)
         if not isinstance(offspring, DiscreteDistribution):
@@ -326,23 +318,28 @@ def validate_config(config: ModelConfig) -> list[Violation]:
                 Violation("offspring_distribution", "offspring counts must be >= 0", offspring.values))
     except ConfigurationError as exc:
         violations.append(Violation("offspring_distribution", "must be a valid distribution", str(exc)))
-    if not 0.0 <= read["allele_frequency"] <= 1.0:
-        violations.append(Violation("allele_frequency", "must lie in [0, 1]", read["allele_frequency"]))
-    if read["inbreeding_f"] is not None and not 0.0 <= read["inbreeding_f"] <= 1.0:
-        violations.append(Violation("inbreeding_f", "must lie in [0, 1] or null", read["inbreeding_f"]))
-    return violations
+    if not 0.0 <= checked.allele_frequency <= 1.0:
+        violations.append(Violation("allele_frequency", "must lie in [0, 1]", checked.allele_frequency))
+    if checked.inbreeding_f is not None and not 0.0 <= checked.inbreeding_f <= 1.0:
+        violations.append(Violation("inbreeding_f", "must lie in [0, 1] or null", checked.inbreeding_f))
+    return checked, violations
+
+
+def validate_config(config: ModelConfig) -> list[Violation]:
+    """Return every violated ModelConfig invariant; empty means valid.
+
+    Each field is read once, from a copy, as :meth:`ModelConfig.from_dict`
+    reads it; only once every field has its shape are the values checked."""
+    return _check(config)[1]
 
 
 def _require_valid(config: ModelConfig) -> ModelConfig:
-    """``config`` with each field as its parser reads it, so an integral
-    float count is an int; an invalid config raises ConfigurationError."""
-    violations = validate_config(config)
+    """``config`` as :func:`validate_config` reads it, so an integral float
+    count is an int, in a new config that shares no object or array with
+    it; an invalid config raises ConfigurationError."""
+    checked, violations = _check(config)
     if violations:
-        summary = "; ".join(str(v) for v in violations)
-        raise ConfigurationError(f"invalid model config: {summary}")
-    checked = ModelConfig.__new__(ModelConfig)  # no packaged defaults: every field is set below
-    for name, parse in _FIELD_PARSERS.items():
-        setattr(checked, name, parse(getattr(config, name)))
+        raise ConfigurationError("invalid model config: " + "; ".join(map(str, violations)))
     return checked
 
 

@@ -27,6 +27,7 @@ import numbers
 # hashlib's own blake2b, without the OpenSSL digests that importing hashlib loads
 from _blake2 import blake2b
 from bisect import bisect_right
+from contextlib import suppress
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import FrozenRecord
@@ -166,17 +167,19 @@ def read_number(value, *, integral: bool = False) -> Union[float, int]:
     """A number read from a config: a float, or with ``integral`` an int.
 
     Only a real number is a number here: a string or ``true``/``false``
-    raises TypeError.  An ``integral`` value with a fractional part, and
-    an integer too large for a float where a float is read, raise
-    ValueError.  The messages name the value's type, not the value, so a
-    caller whose own message names the value names it once.
+    raises TypeError.  An ``integral`` value unequal to its ``int`` (a
+    fraction, NaN, an infinity), and an integer too large for a float where
+    a float is read, raise ValueError.  The messages name the value's type,
+    not the value, so a caller whose own message names the value names it once.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {type(value).__name__}")
     if integral:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError("expected an integer")
-        return int(value)
+        with suppress(OverflowError, ValueError):
+            count = int(value)
+            if count == value:
+                return count
+        raise ValueError("expected an integer")
     try:
         return float(value)
     except OverflowError:

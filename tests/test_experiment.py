@@ -33,6 +33,7 @@ from kinsim.errors import (
     SimulationError,
 )
 from kinsim.experiment import CSV_HEADER
+from kinsim.model import _FIELD_PARSERS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,6 +196,28 @@ class TestRunExperiment:
             result = run_experiment(small_config(**counts), jobs=jobs)
             assert report_bytes(result, tmp_path / "floats.csv") == expected, counts
         build_consanguinity_model(small_config(base_seed=7.0))  # once a TypeError in the seed mix
+
+    def test_run_reads_each_field_once_per_check(self, monkeypatch):
+        # One reading checks the run's config, and one each replication's build.
+        calls = dict.fromkeys(_FIELD_PARSERS, 0)
+        for name, parse in list(_FIELD_PARSERS.items()):
+            def counted(value, name=name, parse=parse):
+                calls[name] += 1
+                return parse(value)
+            monkeypatch.setitem(_FIELD_PARSERS, name, counted)
+        run_experiment(small_config(replications=3), jobs=1)
+        assert calls == dict.fromkeys(_FIELD_PARSERS, 4)
+
+    def test_builder_edits_leave_the_callers_config_alone(self):
+        config = small_config()
+        before = config.to_dict()
+
+        def editing_builder(checked, replication):
+            checked.metadata["edited"] = replication
+            checked.offspring_distribution["pairs"][:] = [[2, 1.0]]
+            return build_consanguinity_model(checked, replication)
+        run_experiment(config, builder=editing_builder, jobs=1)
+        assert config.to_dict() == before
 
     def test_kernel_failure_reports_replication_index(self):
         with pytest.raises(SimulationError, match="replication 0"):

@@ -6,7 +6,9 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,7 +319,15 @@ class TestValidateConfig:
         assert violation.observed == -3.0
         assert "run_length" in str(violation)
 
-    @pytest.mark.parametrize("field, value", [("run_length", "5"), ("replications", 2.5)])
+    @pytest.mark.parametrize("field, value", [
+        ("run_length", "5"),
+        ("replications", 2.5),
+        # Real numbers that are not floats: once read as 2 without a word, or
+        # an OverflowError out of validate_config.
+        ("replications", Fraction(5, 2)),
+        ("replications", np.float32(2.5)),
+        ("replications", np.float32("inf")),
+    ])
     def test_shape_violation_names_its_value_once(self, field, value):
         violations = validate_config(ModelConfig(**{field: value}))
         assert [v.field for v in violations] == [field]
@@ -404,6 +414,8 @@ class TestValidateConfig:
         ("replications", {"replications": "3"}),
         ("sex_split", {"sex_split": {"male": 0.5, "female": "0.5"}}),
         ("run_length", {"run_length": 10**400}),
+        ("replications", {"replications": Fraction(5, 2)}),
+        ("sources", {"sources": {"WP": {"max_arrivals": np.float32(2.5)}}}),
     ])
     def test_wrong_values_rejected_at_parse(self, field, data):
         with pytest.raises(ConfigurationError, match=f"^malformed {field}: "):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ class TestDiscreteValidation:
     def test_rejects_fractional_values(self):
         with pytest.raises(ConfigurationError):
             DiscreteDistribution([(0.5, 1.0)])
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), np.float32(1.5), np.float32("inf")])
+    def test_rejects_fractional_values_of_any_real_type(self, value):
+        # Each once read as 1, or raised OverflowError, since only a float's
+        # fraction was looked at.
+        with pytest.raises(ConfigurationError, match="expected an integer"):
+            DiscreteDistribution([(value, 1.0)])
 
     def test_normalizes_tiny_closing_deficit(self):
         dist = DiscreteDistribution([(0, 0.4), (1, 1.0 - 5e-13)])
