@@ -43,7 +43,16 @@ medians and B's over A's.  A row's spread in a file is its largest
 ``changed`` only when the ratio differs from 1 by more than the larger of
 the row's two spreads.  A row without ``per_process`` medians
 (``replication.trace_us``) has no spread and is never flagged, and a row
-that one file lacks is listed as such.
+that one file lacks is listed as such.  A spread is that of one session,
+and a host drifts between sessions more than within one: from
+``BENCH_38.json`` to ``BENCH_39.json`` the five rows whose code did not
+change (``kernel.step``, ``randomness.uniform``, ``objects.weighted_pick``,
+``kernel.initialize``, ``model.collect_run_stats``) read B/A 0.909-0.925
+against spreads of 0.036-0.072, and all five were flagged; their minima,
+read the same way, give 0.906-0.924 against 0.005-0.046.  No statistic of
+two sessions' files tells a change from the drift, so ``changed`` holds
+only between two files measured back to back in one session, the parent's
+taken from a scratch clone and run interleaved with the change's.
 
 End-to-end timing is left to kinbench (``kinbench/run.py``).
 """
@@ -104,15 +113,10 @@ def ring_steps() -> int:
     """The steps the ring takes to ``RING_HORIZON``, counted on an untimed run."""
     from kinsim import initialize
 
-    fired = 0
-
-    def counted(state):
-        nonlocal fired
-        fired += 1
-        return _emit(state)
-
-    initialize(_ring(counted)).run_until(RING_HORIZON)
-    return fired
+    ring, fired = _ring(_emit), [0]
+    _wrap_outputs(ring, fired)
+    initialize(ring).run_until(RING_HORIZON)
+    return fired[0]
 
 
 def _rows(workdir: str, steps: int):
@@ -333,7 +337,8 @@ def _spread(row: dict) -> float | None:
 
 
 def compare(path_a: str, path_b: str) -> list[str]:
-    """One line per row of either file, as the module docstring describes."""
+    """One line per row of either file, as the module docstring describes;
+    its ``changed`` holds only for two files of one session."""
     rows = []
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:

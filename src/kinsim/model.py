@@ -34,7 +34,8 @@ from .entities import Entity, EntityFactory
 from .errors import ConfigurationError
 from .genetics import INBREEDING_COEFFICIENTS, disorder_probability
 from .kernel import AtomicSpec, Coupling, CoupledSpec, SimulationHandle
-from .objects import ProcessedTrigger, WeightedChoice, make_combiner, make_sink, make_source
+from .objects import (PORT_IN, PORT_MEMBER_IN, PORT_OUT, PORT_PARENT_IN, ProcessedTrigger,
+                      WeightedChoice, make_combiner, make_sink, make_source)
 from .randomness import DiscreteDistribution, RngStream, make_distribution, read_number, substream
 
 MALE = "male"
@@ -424,14 +425,11 @@ def build_consanguinity_model(config: ModelConfig, replication: int = 0) -> Coup
         "NewPopulation_C": make_sink(),
         "NewPopulation_NC": make_sink(),
     }
-    couplings = [
-        Coupling("WP", "MP_C", "Marriage_C", "member_in"),
-        Coupling("WP", "MP_NC", "Marriage_NC", "member_in"),
-        Coupling("WP", "FP_C", "Marriage_C", "parent_in"),
-        Coupling("WP", "FP_NC", "Marriage_NC", "parent_in"),
-        Coupling("Marriage_C", "out", "NewPopulation_C", "in"),
-        Coupling("Marriage_NC", "out", "NewPopulation_NC", "in"),
-    ]
+    couplings = [Coupling("WP", f"{label}_{tag}", f"Marriage_{tag}", entry)
+                 for label, entry in (("MP", PORT_MEMBER_IN), ("FP", PORT_PARENT_IN))
+                 for tag in BRANCHES]
+    couplings += [Coupling(f"Marriage_{tag}", PORT_OUT, f"NewPopulation_{tag}", PORT_IN)
+                  for tag in BRANCHES]
     return CoupledSpec(components, couplings)
 
 

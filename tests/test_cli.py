@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import REPORT_SHA256
 from kinsim.cli import main
 from kinsim.model import ModelConfig
 
@@ -481,10 +482,6 @@ def fresh_python(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProc
 class TestWithoutNumpy:
     """kinsim runs with no numpy: only the tests and kinbench's oracle need it."""
 
-    # The packaged config's report at its own seed (42), as pinned by
-    # test_experiment's test_packaged_report_bytes_pinned.
-    PACKAGED_SHA256 = "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
-
     def python(self, code: str, *args: str) -> subprocess.CompletedProcess:
         return fresh_python("-c", code, *args)
 
@@ -502,7 +499,7 @@ class TestWithoutNumpy:
         )
         assert proc.returncode == 0, proc.stderr
         for out in outs:
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PACKAGED_SHA256
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
     def test_import_leaves_numpy_unloaded(self):
         proc = self.python("import sys, kinsim.cli; print('numpy' in sys.modules)")
@@ -541,7 +538,7 @@ def test_workers_need_no_process_pool(tmp_path):
         str(out),
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == TestWithoutNumpy.PACKAGED_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker processes without fork")
@@ -584,7 +581,7 @@ def test_entry_point_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path)
         proc = fresh_python("-X", "dev", "-W", "error", "-m", "kinsim.cli", *argv,
                             stdout=subprocess.DEVNULL)
         assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == TestWithoutNumpy.PACKAGED_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["run", "--replications", "1", "--jobs", "1"]],

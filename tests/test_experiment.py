@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import report_bytes, report_value, stat_value
+from _oracles import REPORT_SHA256, TRACE_SHA256, report_bytes, report_value, stat_value
 from kinsim import (
     INFINITY,
     AtomicSpec,
@@ -258,9 +258,7 @@ class TestTraceFile:
         data = path.read_bytes()
         assert data.startswith(b"1\tWP\tinternal\tFP_C\tFP#0\n")
         assert data.count(b"\n") == 9172
-        assert hashlib.sha256(data).hexdigest() == (
-            "4546569c4d9e8c085a78c0d6cfab2ee1825d822ced4e7e95d718ef249f2c0b7a"
-        )
+        assert hashlib.sha256(data).hexdigest() == TRACE_SHA256
 
     def test_wp_port_names_the_entry_it_feeds(self, tmp_path):
         config = ModelConfig()
@@ -316,11 +314,8 @@ class TestDeterminism:
         assert first == second
 
     def test_packaged_report_bytes_pinned(self, tmp_path):
-        # SHA-256 of the packaged config's report at its own seed (42)
         data = report_bytes(run_experiment(ModelConfig()), tmp_path / "report.csv")
-        assert hashlib.sha256(data).hexdigest() == (
-            "e3da48f63c2a878814b1577bf96b246372fc5ef5f71430835bf23651c85d0dc4"
-        )
+        assert hashlib.sha256(data).hexdigest() == REPORT_SHA256
 
     def test_seed_changes_some_stochastic_row(self, tmp_path):
         base = report_bytes(run_experiment(small_config()), tmp_path / "base.csv")
